@@ -397,7 +397,7 @@ let run_cmd =
             Option.iter
               (fun nt ->
                 Printf.eprintf
-                  "# native: %d variants loaded from %s; %d tasks compiled, \
+                  "# native: %d variants loaded from %s; %d tasks native, \
                    %d interpreted fallbacks\n"
                   (Cascabel.Native.native_count nt)
                   (Filename.basename (Cascabel.Native.so_path nt))

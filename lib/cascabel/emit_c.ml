@@ -68,6 +68,24 @@ void cascabel_wait_all(void);
 double rand_double(void);
 void assert_true(long cond);
 
+/* C[m x n] += A[m x k] * B[k x n], row-major: a plain reference for
+ * the blas_dgemm library kernel, kept small so it compiles fast.  The
+ * OCaml engine never calls it: it runs blas_dgemm-bodied variants on
+ * its packed kernel in process. */
+__attribute__((noinline, unused)) static void
+blas_dgemm(long m, long n, long k, const double *A, const double *B,
+           double *C)
+{
+  long i, j, l;
+  for (i = 0; i < m; i++)
+    for (j = 0; j < n; j++) {
+      double acc = 0.0;
+      for (l = 0; l < k; l++)
+        acc += A[i * k + l] * B[l * n + j];
+      C[i * n + j] += acc;
+    }
+}
+
 #endif /* CASCABEL_RT_H */
 |}
 

@@ -14,7 +14,18 @@
 
     Builtins: [malloc], [calloc], [free], [printf], [sqrt], [fabs],
     [fmax], [fmin], [pow], [exp], [log], [abs], [rand_double]
-    (deterministic LCG), [assert_true].
+    (deterministic LCG), [assert_true], and the library kernel
+    [blas_dgemm(m, n, k, A, B, C)]: C\[m x n\] += A\[m x k\] * B\[k x n\],
+    row-major, on {!Kernels.Gemm_kernel.gemm} in process. Each extent
+    is checked against its buffer's visible length (interior pointers
+    included), C may not overlap A or B, and [on_buffer_access] sees
+    all three buffers before the kernel runs.
+
+    Execution: {!create} compiles every function once into closures.
+    Variables become slots of a per-call frame array, literals are
+    parsed once, and operators are dispatched at compile time. Each
+    expression node, statement and call still costs one unit of fuel.
+    Calls nest at most 10 000 deep.
 
     Hooks let an embedder intercept execute-annotated call sites
     (to submit runtime tasks instead of calling directly) and observe
@@ -48,16 +59,31 @@ val no_hooks : hooks
 type t
 
 val create : ?hooks:hooks -> ?fuel:int -> Minic.Ast.unit_ -> t
-(** Prepares globals. [fuel] bounds interpreted statements+calls
-    (default 200 million) so runaway loops fail fast.
-    @raise Runtime_error on bad globals. *)
+(** Compiles the unit's functions and prepares globals. [fuel] bounds
+    interpreted expressions, statements and calls (default 200
+    million) so runaway loops fail fast.
+    @raise Runtime_error on bad globals or a malformed literal, such as
+    an integer literal out of range. *)
 
 val call : t -> string -> value list -> value
 (** Call a function by name.
     @raise Runtime_error on any dynamic error. *)
 
 val call_function : t -> Minic.Ast.func -> value list -> value
-(** Call a function value directly (used for task variants). *)
+(** Call a function value directly (used for task variants). A
+    function from another unit is compiled on its first call; its own
+    calls resolve in this interpreter's unit. *)
+
+val library_call : Minic.Ast.func -> (int * (value list -> unit)) option
+(** [Some (c, run)] when the function's body is exactly one
+    [blas_dgemm] call whose extents are its parameters or integer
+    literals and whose matrices are its parameters. [c] is the index
+    of the parameter passed as C, the only one the kernel writes. [run
+    argv] performs the call on the argument values the function would
+    receive, with the builtin's checks, but without fuel, hooks or an
+    interpreter. It runs the same kernel as the interpreted body, so
+    the results are bit-identical.
+    @raise Runtime_error where the interpreted call would. *)
 
 val run_main : t -> (int, string) result
 (** Run [main(void)]; the [int] is its return value (0 when main

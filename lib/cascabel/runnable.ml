@@ -158,51 +158,129 @@ let run_variant ctx (v : Repository.variant) handles_spec handles =
       | _ -> ())
     param_values
 
-(* The native codelet implementation: same data flow as
-   [run_variant], but the body runs as compiled machine code through
-   the variant's dlopened wrapper instead of the interpreter. The
-   matrices are read and written through the exact same
-   {!Data.read_matrix}/{!Data.write_matrix} path, so the two
-   executors see identical buffers — bit-identity then only depends
-   on the kernel arithmetic, which -ffp-contract=off pins to the
-   interpreter's strict IEEE evaluation order. *)
-let run_variant_native (v : Repository.variant) fn handles_spec handles =
-  let hs = ref handles in
-  let slots =
-    List.map
-      (fun (pname, kind) ->
-        match kind with
-        | `Pointer ->
-            let h = List.hd !hs in
-            hs := List.tl !hs;
-            (pname, `Buf (h, Data.read_matrix h))
-        | `Scalar value -> (pname, `Scalar value))
-      handles_spec
-  in
-  let args =
-    List.map
-      (fun (_, slot) ->
-        match slot with
-        | `Buf (_, (m : Matrix.t)) -> Capi.Buf m.Matrix.data
-        | `Scalar (Interp.VInt n) -> Capi.Int n
-        | `Scalar (Interp.VFloat x) -> Capi.Float x
-        | `Scalar _ -> abort "native task arguments must be numbers")
-      slots
-    |> Array.of_list
-  in
+(* How a task body runs natively: through the variant's dlopened
+   wrapper, or — for a variant whose body is one library-kernel call —
+   through that kernel in process ([c] is the parameter it writes). *)
+type native_body =
+  | Compiled of Capi.fn
+  | Library of int * (Interp.value list -> unit)
+
+let native_body ctx (v : Repository.variant) =
+  Option.bind ctx.native (fun nt ->
+      match Interp.library_call v.v_func with
+      | Some (c, run) -> Some (Library (c, run))
+      | None -> Option.map (fun fn -> Compiled fn) (Native.fn_for nt v.v_name))
+
+let native_span (v : Repository.variant) f =
   let sp = Obs.Span.start () in
-  Capi.call fn args;
+  f ();
   Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
-    ~flow:(Obs.Trace_ctx.current_flow ()) sp;
-  List.iter
-    (fun (pname, slot) ->
-      match slot with
-      | `Buf (h, m) -> (
-          match Repository.access_of v pname with
-          | Some (Write | Readwrite) -> Data.write_matrix h m
-          | _ -> ())
-      | `Scalar _ -> ())
-    slots
+    ~flow:(Obs.Trace_ctx.current_flow ()) sp
+
+(* A library kernel may work on the task's buffers in place, skipping
+   the copies, when that cannot be told apart from the copy path:
+   every buffer is contiguous, no two overlap, and the one the kernel
+   writes is annotated as written, so the copy path stores it back. *)
+let in_place_views (v : Repository.variant) ~written handles_spec handles =
+  let stored =
+    match Repository.access_of v (fst (List.nth handles_spec written)) with
+    | Some (Write | Readwrite) -> true
+    | _ -> false
+  in
+  let view h =
+    Option.map
+      (fun (data, off) ->
+        let rows, cols = Data.dims h in
+        { Interp.data; off; len = rows * cols; tag = 0 })
+      (Data.contiguous h)
+  in
+  let disjoint (x : Interp.buf) (y : Interp.buf) =
+    x.data != y.data || x.off + x.len <= y.off || y.off + y.len <= x.off
+  in
+  let rec pairwise = function
+    | [] -> true
+    | x :: rest -> List.for_all (disjoint x) rest && pairwise rest
+  in
+  let views = List.filter_map view handles in
+  if stored && List.length views = List.length handles && pairwise views then
+    Some views
+  else None
+
+(* The native codelet implementation: same data flow as
+   [run_variant], but the body runs as machine code instead of through
+   the interpreter. Outside the in-place case, the matrices are read
+   and written through the exact same
+   {!Data.read_matrix}/{!Data.write_matrix} path, so the two executors
+   see identical buffers — bit-identity then only depends on the
+   kernel arithmetic: a library variant runs the very kernel its
+   interpreted body calls, and compiled C is pinned by
+   -ffp-contract=off to the interpreter's strict IEEE evaluation
+   order. *)
+let run_variant_native (v : Repository.variant) body handles_spec handles =
+  let in_place =
+    match body with
+    | Library (written, _) -> in_place_views v ~written handles_spec handles
+    | Compiled _ -> None
+  in
+  match (body, in_place) with
+  | Library (_, run), Some views ->
+      let views = ref views in
+      let argv =
+        List.map
+          (fun (_, kind) ->
+            match kind with
+            | `Pointer ->
+                let b = List.hd !views in
+                views := List.tl !views;
+                Interp.VBuf b
+            | `Scalar value -> value)
+          handles_spec
+      in
+      native_span v (fun () -> run argv)
+  | _ ->
+      let hs = ref handles in
+      let slots =
+        List.map
+          (fun (pname, kind) ->
+            match kind with
+            | `Pointer ->
+                let h = List.hd !hs in
+                hs := List.tl !hs;
+                (pname, `Buf (h, Data.read_matrix h))
+            | `Scalar value -> (pname, `Scalar value))
+          handles_spec
+      in
+      native_span v (fun () ->
+          match body with
+          | Compiled fn ->
+              Capi.call fn
+                (List.map
+                   (fun (_, slot) ->
+                     match slot with
+                     | `Buf (_, (m : Matrix.t)) -> Capi.Buf m.Matrix.data
+                     | `Scalar (Interp.VInt n) -> Capi.Int n
+                     | `Scalar (Interp.VFloat x) -> Capi.Float x
+                     | `Scalar _ -> abort "native task arguments must be numbers")
+                   slots
+                |> Array.of_list)
+          | Library (_, run) ->
+              run
+                (List.map
+                   (fun (_, slot) ->
+                     match slot with
+                     | `Buf (_, (m : Matrix.t)) ->
+                         Interp.VBuf (Interp.buf_of_bigarray m.Matrix.data)
+                     | `Scalar value -> value)
+                   slots));
+      List.iter
+        (fun (pname, slot) ->
+          match slot with
+          | `Buf (h, m) -> (
+              match Repository.access_of v pname with
+              | Some (Write | Readwrite) -> Data.write_matrix h m
+              | _ -> ())
+          | `Scalar _ -> ())
+        slots
 
 (* Measurement-driven preselection: price a variant as the fastest
    learned estimate for (interface, PU) over the PUs whose arch class
@@ -245,19 +323,16 @@ let codelet_for ctx (sel : Preselect.selection) ~interface ~handles_spec
   let impls =
     Hashtbl.fold
       (fun arch v acc ->
-        let native_fn =
-          Option.bind ctx.native (fun nt ->
-              Native.fn_for nt v.Repository.v_name)
-        in
+        let body = native_body ctx v in
         {
           Codelet.impl_arch = arch;
           run =
             (fun ?pool:_ handles ->
-              match native_fn with
-              | Some fn ->
+              match body with
+              | Some body ->
                   ctx.native_tasks <- ctx.native_tasks + 1;
                   Obs.Counter.incr c_native_exec;
-                  run_variant_native v fn handles_spec handles
+                  run_variant_native v body handles_spec handles
               | None ->
                   if ctx.native <> None then begin
                     ctx.native_fallbacks <- ctx.native_fallbacks + 1;
@@ -538,97 +613,101 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?explore_eps ?native ~repo
   match Machine_config.of_platform platform with
   | Error e -> Error e
   | Ok cfg -> (
-      (match Repository.register_unit repo unit_ with
-      | Ok _ -> ()
-      | Error _ -> ());
-      let engine = Engine.create ?policy ?faults ?tune ?explore_eps cfg in
-      let ctx_ref = ref None in
-      let hooks =
-        {
-          Interp.on_execute =
-            (fun annot f argv ->
-              match !ctx_ref with
-              | Some ctx -> on_execute ctx annot f argv
-              | None -> None);
-          on_buffer_access =
-            (fun b ->
-              match !ctx_ref with
-              | Some ctx ->
-                  if ctx.dirty && Hashtbl.mem ctx.handles b.tag then drain ctx
-              | None -> ());
-        }
-      in
-      let interp = Interp.create ~hooks ?fuel unit_ in
-      let ctx =
-        {
-          engine;
-          interp;
-          repo;
-          platform;
-          cfg;
-          tune;
-          native;
-          native_tasks = 0;
-          native_fallbacks = 0;
-          blocks_override = blocks;
-          handles = Hashtbl.create 8;
-          dirty = false;
-          submitted = 0;
-          site_blocks = [];
-          selections = Hashtbl.create 4;
-          task_meta = Hashtbl.create 16;
-          failover_log = [];
-        }
-      in
-      ctx_ref := Some ctx;
-      Engine.on_stranded engine (fun sd -> failover ctx sd);
-      (* One ambient trace context per run: standalone cascabelc runs
-         get a connected flow (drain/variant/native/exec spans) without
-         a serving daemon; under cascabeld the service installed the
-         job's context already and this scope is never reached. *)
-      let run_ctx =
-        match Obs.Trace_ctx.current () with
-        | Some c -> c
-        | None -> Obs.Trace_ctx.make ()
-      in
-      match Obs.Trace_ctx.with_current run_ctx (fun () ->
-                Interp.run_main interp) with
-      | Error msg -> Error msg
-      | exception Abort msg -> Error msg
-      | exception Engine.Stuck stuck -> Error (Engine.stuck_to_string stuck)
-      | Ok code -> (
-          match
-            Obs.Trace_ctx.with_current run_ctx (fun () ->
-                Engine.wait_all engine)
-          with
-          | stats ->
-              Option.iter
-                (fun path ->
-                  (* One file, two processes: virtual timeline (pid 0)
-                     plus any wall-clock telemetry spans (pid 1), and
-                     the fault lane when anything went wrong. *)
-                  Taskrt.Trace_export.write_chrome_combined
-                    ~faults:(Engine.fault_log engine) path
-                    (Engine.trace engine))
-                trace;
-              Ok
-                {
-                  exit_code = code;
-                  stdout = Interp.output interp;
-                  stats;
-                  tasks_submitted = ctx.submitted;
-                  per_site_blocks = ctx.site_blocks;
-                  failover_log = ctx.failover_log;
-                  calibration = Engine.calibration engine;
-                  native_tasks = ctx.native_tasks;
-                  native_fallbacks = ctx.native_fallbacks;
-                }
-          | exception Failure msg -> Error msg
-          | exception Engine.Stuck stuck ->
-              Error (Engine.stuck_to_string stuck)))
+      try
+        (match Repository.register_unit repo unit_ with
+        | Ok _ -> ()
+        | Error _ -> ());
+        let engine = Engine.create ?policy ?faults ?tune ?explore_eps cfg in
+        let ctx_ref = ref None in
+        let hooks =
+          {
+            Interp.on_execute =
+              (fun annot f argv ->
+                match !ctx_ref with
+                | Some ctx -> on_execute ctx annot f argv
+                | None -> None);
+            on_buffer_access =
+              (fun b ->
+                match !ctx_ref with
+                | Some ctx ->
+                    if ctx.dirty && Hashtbl.mem ctx.handles b.tag then drain ctx
+                | None -> ());
+          }
+        in
+        let interp = Interp.create ~hooks ?fuel unit_ in
+        let ctx =
+          {
+            engine;
+            interp;
+            repo;
+            platform;
+            cfg;
+            tune;
+            native;
+            native_tasks = 0;
+            native_fallbacks = 0;
+            blocks_override = blocks;
+            handles = Hashtbl.create 8;
+            dirty = false;
+            submitted = 0;
+            site_blocks = [];
+            selections = Hashtbl.create 4;
+            task_meta = Hashtbl.create 16;
+            failover_log = [];
+          }
+        in
+        ctx_ref := Some ctx;
+        Engine.on_stranded engine (fun sd -> failover ctx sd);
+        (* One ambient trace context per run: standalone cascabelc runs
+           get a connected flow (drain/variant/native/exec spans) without
+           a serving daemon; under cascabeld the service installed the
+           job's context already and this scope is never reached. *)
+        let run_ctx =
+          match Obs.Trace_ctx.current () with
+          | Some c -> c
+          | None -> Obs.Trace_ctx.make ()
+        in
+        match Obs.Trace_ctx.with_current run_ctx (fun () ->
+                  Interp.run_main interp) with
+        | Error msg -> Error msg
+        | exception Abort msg -> Error msg
+        | exception Engine.Stuck stuck -> Error (Engine.stuck_to_string stuck)
+        | Ok code -> (
+            match
+              Obs.Trace_ctx.with_current run_ctx (fun () ->
+                  Engine.wait_all engine)
+            with
+            | stats ->
+                Option.iter
+                  (fun path ->
+                    (* One file, two processes: virtual timeline (pid 0)
+                       plus any wall-clock telemetry spans (pid 1), and
+                       the fault lane when anything went wrong. *)
+                    Taskrt.Trace_export.write_chrome_combined
+                      ~faults:(Engine.fault_log engine) path
+                      (Engine.trace engine))
+                  trace;
+                Ok
+                  {
+                    exit_code = code;
+                    stdout = Interp.output interp;
+                    stats;
+                    tasks_submitted = ctx.submitted;
+                    per_site_blocks = ctx.site_blocks;
+                    failover_log = ctx.failover_log;
+                    calibration = Engine.calibration engine;
+                    native_tasks = ctx.native_tasks;
+                    native_fallbacks = ctx.native_fallbacks;
+                  }
+            | exception Failure msg -> Error msg
+            | exception Engine.Stuck stuck ->
+                Error (Engine.stuck_to_string stuck))
+      with Interp.Runtime_error msg -> Error msg)
 
 let run_serial ?fuel unit_ =
-  let interp = Interp.create ?fuel unit_ in
-  match Interp.run_main interp with
-  | Ok code -> Ok (code, Interp.output interp)
-  | Error msg -> Error msg
+  match Interp.create ?fuel unit_ with
+  | exception Interp.Runtime_error msg -> Error msg
+  | interp -> (
+      match Interp.run_main interp with
+      | Ok code -> Ok (code, Interp.output interp)
+      | Error msg -> Error msg)

@@ -36,7 +36,8 @@ type report = {
       (** per-codelet estimate sources when a calibration store was
           attached (model hits / static fallbacks / explorations) *)
   native_tasks : int;
-      (** task executions dispatched through loaded native kernels *)
+      (** task executions dispatched through loaded native kernels or
+          in-process library kernels *)
   native_fallbacks : int;
       (** task executions that fell back to the interpreter while a
           native library was attached (unsupported variant or missing
@@ -79,12 +80,18 @@ val run :
     of cold variants. The caller persists the store afterwards.
 
     [native] attaches a loaded kernels library (see {!Native.build}):
-    task bodies whose variant has a resolved wrapper symbol run as
-    compiled machine code; every other variant falls back to the
-    interpreter, counted in [native_fallbacks] and in the
-    [native_fallbacks] telemetry counter. Scheduling, telemetry,
-    faults and calibration are unchanged — only the codelet body's
-    executor differs, and its outputs are bit-identical. *)
+    a variant whose body is one [blas_dgemm] call (see
+    {!Interp.library_call}) runs the packed kernel in process, in place
+    on the task's buffers when they are contiguous and disjoint; task
+    bodies whose variant has a resolved wrapper symbol run as compiled
+    machine code; every other variant falls back to the interpreter,
+    counted in [native_fallbacks] and in the [native_fallbacks]
+    telemetry counter. Scheduling, telemetry, faults and calibration
+    are unchanged — only the codelet body's executor differs, and its
+    outputs are bit-identical.
+
+    A malformed program literal or any other interpreter error is
+    returned as [Error]. *)
 
 val run_serial : ?fuel:int -> Minic.Ast.unit_ -> (int * string, string) result
 (** The untranslated baseline: interpret the program with execute

@@ -153,13 +153,19 @@ let read_matrix h =
         (Printf.sprintf "Data.read_matrix: handle %S is virtual" h.h_name)
   | Some buf ->
       let m = Matrix.create h.rows h.cols in
-      for i = 0 to h.rows - 1 do
+      if h.cols = h.buffer_cols then
+        (* contiguous rows: one copy, not one per row *)
         Bigarray.Array1.blit
-          (Bigarray.Array1.sub buf
-             (h.buffer_off + (i * h.buffer_cols))
-             h.cols)
-          (Bigarray.Array1.sub m.data (i * h.cols) h.cols)
-      done;
+          (Bigarray.Array1.sub buf h.buffer_off (h.rows * h.cols))
+          m.data
+      else
+        for i = 0 to h.rows - 1 do
+          Bigarray.Array1.blit
+            (Bigarray.Array1.sub buf
+               (h.buffer_off + (i * h.buffer_cols))
+               h.cols)
+            (Bigarray.Array1.sub m.data (i * h.cols) h.cols)
+        done;
       m
 
 let write_matrix h (m : Matrix.t) =
@@ -170,10 +176,20 @@ let write_matrix h (m : Matrix.t) =
       invalid_arg
         (Printf.sprintf "Data.write_matrix: handle %S is virtual" h.h_name)
   | Some buf ->
-      for i = 0 to h.rows - 1 do
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub m.data (i * m.cols) m.cols)
-          (Bigarray.Array1.sub buf
-             (h.buffer_off + (i * h.buffer_cols))
-             m.cols)
-      done
+      if h.cols = h.buffer_cols then
+        Bigarray.Array1.blit m.data
+          (Bigarray.Array1.sub buf h.buffer_off (h.rows * h.cols))
+      else
+        for i = 0 to h.rows - 1 do
+          Bigarray.Array1.blit
+            (Bigarray.Array1.sub m.data (i * m.cols) m.cols)
+            (Bigarray.Array1.sub buf
+               (h.buffer_off + (i * h.buffer_cols))
+               m.cols)
+        done
+
+let contiguous h =
+  match h.buffer with
+  | Some buf when h.cols = h.buffer_cols || h.rows <= 1 ->
+      Some (buf, h.buffer_off)
+  | _ -> None

@@ -431,6 +431,236 @@ int main(void) {
         (* sum_{i<64} 3i = 3 * 64*63/2 = 6048 *)
         let _, out = interp_run vecadd_program in
         check string_ "sum" "sum=6048\n" out);
+    Alcotest.test_case "unbounded recursion stops at the call-depth limit"
+      `Quick (fun () ->
+        let t0 = Sys.time () in
+        let r =
+          Runnable.run_serial
+            (parse
+               {|int f(int n) { return f(n + 1); }
+                 int main(void) { return f(0); }|})
+        in
+        check
+          (Alcotest.result (Alcotest.pair int_ string_) string_)
+          "depth error" (Error "call depth exceeded") r;
+        check bool_ "fails fast" true (Sys.time () -. t0 < 5.0));
+    Alcotest.test_case "out-of-range integer literal is an error" `Quick
+      (fun () ->
+        match
+          Runnable.run_serial
+            (parse "int main(void) { int x = 99999999999999999999; return x; }")
+        with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error e ->
+            check string_ "message"
+              "integer literal 99999999999999999999 is out of range" e);
+    Alcotest.test_case "variables resolve by lexical scope" `Quick (fun () ->
+        let _, out =
+          interp_run
+            {|int x = 1;
+              int get(void) { return x; }
+              int main(void) {
+                int x = 2;
+                int y = x;
+                for (int x = 3; x < 4; x++) y = y * 10 + x;
+                { int x = 4; y = y * 10 + x; }
+                printf("%d %d %d\n", y, x, get());
+                return 0;
+              }|}
+        in
+        check string_ "shadowing" "234 2 1\n" out);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The blas_dgemm library builtin                                      *)
+
+let blas_unit =
+  parse
+    {|void mm(double *A, double *B, double *C, int m, int n, int k,
+              int ao, int bo, int co)
+{
+  blas_dgemm(m, n, k, A + ao, B + bo, C + co);
+}
+int main(void) { return 0; }|}
+
+(* Replace the first occurrence of [sub], which must exist. *)
+let replace ~sub ~by s =
+  let ls = String.length sub in
+  let rec find i =
+    if i + ls > String.length s then Alcotest.failf "no %S in source" sub
+    else if String.sub s i ls = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + ls) (String.length s - i - ls)
+
+let random_buf rng n =
+  let b = Kernels.Matrix.create_buf n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.set b i (Random.State.float rng 2.0 -. 1.0)
+  done;
+  b
+
+let copy_buf b =
+  let c = Kernels.Matrix.create_buf (Bigarray.Array1.dim b) in
+  Bigarray.Array1.blit b c;
+  c
+
+let bits_equal x y =
+  Bigarray.Array1.dim x = Bigarray.Array1.dim y
+  &&
+  let ok = ref true in
+  for i = 0 to Bigarray.Array1.dim x - 1 do
+    if Int64.bits_of_float x.{i} <> Int64.bits_of_float y.{i} then ok := false
+  done;
+  !ok
+
+(* Call mm through the interpreter; it updates c in place. *)
+let interp_mm ~m ~n ~k ~ao ~bo ~co a b c =
+  let t = Interp.create blas_unit in
+  let buf x = Interp.VBuf (Interp.buf_of_bigarray x) in
+  ignore
+    (Interp.call t "mm"
+       (buf a :: buf b :: buf c
+       :: List.map (fun v -> Interp.VInt v) [ m; n; k; ao; bo; co ]))
+
+let blas_matches_kernel =
+  let small = QCheck.Gen.int_range 1 21 in
+  let gen =
+    QCheck.Gen.(
+      let* m = small and* n = small in
+      let* k =
+        oneof
+          [ int_range 1 20;
+            int_range (Kernels.Gemm_kernel.kc + 1) (Kernels.Gemm_kernel.kc + 9) ]
+      in
+      let* ao = int_range 0 5 and* bo = int_range 0 5 and* co = int_range 0 5 in
+      let* seed = int in
+      return (m, n, k, ao, bo, co, seed))
+  in
+  QCheck.Test.make ~name:"blas_dgemm equals Gemm_kernel.gemm bit for bit"
+    ~count:60
+    (QCheck.make gen ~print:(fun (m, n, k, ao, bo, co, _) ->
+         Printf.sprintf "m=%d n=%d k=%d A+%d B+%d C+%d" m n k ao bo co))
+    (fun (m, n, k, ao, bo, co, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let a = random_buf rng ((m * k) + ao)
+      and b = random_buf rng ((k * n) + bo)
+      and c = random_buf rng ((m * n) + co) in
+      let got = copy_buf c and want = copy_buf c in
+      interp_mm ~m ~n ~k ~ao ~bo ~co a b got;
+      Kernels.Gemm_kernel.gemm ~trans_b:false ~m ~n ~k ~alpha:1.0 ~beta:1.0
+        ~a ~aoff:ao ~lda:k ~b ~boff:bo ~ldb:n ~c:want ~coff:co ~ldc:n ();
+      bits_equal got want)
+
+let library_tests =
+  [
+    Alcotest.test_case "extents that do not fit are runtime errors" `Quick
+      (fun () ->
+        let rng = Random.State.make [| 7 |] in
+        let a = random_buf rng 12 and b = random_buf rng 12 in
+        let c = random_buf rng 9 in
+        let before = copy_buf c in
+        List.iter
+          (fun (what, (m, n, k, ao, bo, co), want) ->
+            match interp_mm ~m ~n ~k ~ao ~bo ~co a b c with
+            | _ -> Alcotest.failf "%s: expected a runtime error" what
+            | exception Interp.Runtime_error e ->
+                check string_ what want e)
+          [
+            ( "A past its end",
+              (3, 3, 5, 0, 0, 0),
+              "blas_dgemm: A needs 15 doubles, its buffer has 12" );
+            ( "B interior pointer",
+              (3, 3, 4, 0, 1, 0),
+              "blas_dgemm: B needs 12 doubles, its buffer has 11" );
+            ( "C interior pointer",
+              (3, 3, 4, 0, 0, 2),
+              "blas_dgemm: C needs 9 doubles, its buffer has 7" );
+            ( "negative extent",
+              (-1, 3, 4, 0, 0, 0),
+              "blas_dgemm: negative extent (m=-1, n=3, k=4)" );
+            ( "overflowing extent",
+              (max_int / 2, 3, 4, 0, 0, 0),
+              Printf.sprintf "blas_dgemm: extent %d x 4 overflows" (max_int / 2)
+            );
+          ];
+        (* No call wrote anything: the checks run before the kernel. *)
+        check bool_ "C unchanged" true (bits_equal before c));
+    Alcotest.test_case "C may not overlap A or B" `Quick (fun () ->
+        match
+          Runnable.run_serial
+            (parse
+               {|int main(void) {
+                   double *A = malloc(16 * sizeof(double));
+                   blas_dgemm(2, 2, 2, A, A + 8, A + 2);
+                   return 0;
+                 }|})
+        with
+        | Ok _ -> Alcotest.fail "expected an overlap error"
+        | Error e -> check string_ "message" "blas_dgemm: C overlaps A" e);
+    Alcotest.test_case
+      "dgemm.c with a random fill: --native runs every task, bit-identical"
+      `Quick (fun () ->
+        let src =
+          In_channel.with_open_bin "../../examples/programs/dgemm.c"
+            In_channel.input_all
+          |> replace ~sub:"#define N 32" ~by:"#define N 37"
+          |> replace ~sub:"1.0 + i % 9" ~by:"rand_double()"
+          |> replace ~sub:"0.5 * (i % 11)" ~by:"rand_double() - 0.5"
+          |> replace ~sub:"checksum=%.3f" ~by:"checksum=%.17g"
+        in
+        let unit_ = parse src in
+        let em =
+          match
+            Result.map_error (String.concat "; ")
+              (Codegen.translate ~repo:(Repository.create ()) ~platform:gpus
+                 unit_)
+            |> Fun.flip Result.bind Emit_c.emit
+          with
+          | Ok em -> em
+          | Error e -> Alcotest.failf "translate/emit: %s" e
+        in
+        match Native.build em with
+        | Native.No_toolchain _ -> () (* no cc: nothing to compare *)
+        | Native.Compile_error e -> Alcotest.failf "native build: %s" e
+        | Native.Loaded nt ->
+            let run ?native () =
+              match
+                Runnable.run ?native ~repo:(Repository.create ())
+                  ~platform:gpus unit_
+              with
+              | Ok r -> r
+              | Error e -> Alcotest.failf "run: %s" e
+            in
+            let interpreted = run () and native = run ~native:nt () in
+            Native.close nt;
+            check int_ "every task native" native.tasks_submitted
+              native.native_tasks;
+            check int_ "no fallbacks" 0 native.native_fallbacks;
+            check bool_ "decomposed" true (native.tasks_submitted > 1);
+            check string_ "stdout" interpreted.stdout native.stdout);
+    Alcotest.test_case "only a bare blas_dgemm body is a library call" `Quick
+      (fun () ->
+        let funcs src =
+          List.filter_map
+            (function Minic.Ast.Func f -> Some f | _ -> None)
+            (parse src)
+        in
+        match
+          funcs
+            {|void lib(double *A, double *B, double *C, int m, int n)
+              { blas_dgemm(m, n, 4, A, B, C); }
+              void mixed(double *A, double *B, double *C, int m, int n)
+              { blas_dgemm(m, n, n, A, B, C); C[0] = 1.0; }
+              void computed(double *A, double *B, double *C, int m, int n)
+              { blas_dgemm(m, n, n + 1, A, B, C); }|}
+        with
+        | [ lib; mixed; computed ] ->
+            check bool_ "lib" true (Interp.library_call lib <> None);
+            check bool_ "mixed" true (Interp.library_call mixed = None);
+            check bool_ "computed" true (Interp.library_call computed = None)
+        | _ -> Alcotest.fail "expected three functions");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1117,6 +1347,7 @@ let () =
       ("targets", targets_tests);
       ("repository", repo_tests);
       ("interp", interp_tests);
+      ("library", library_tests @ qt [ blas_matches_kernel ]);
       ("codegen", codegen_tests);
       ("mapping", mapping_tests);
       ("e2e", e2e_tests);

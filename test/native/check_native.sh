@@ -3,8 +3,10 @@
 #
 # For every example program, asserts that:
 #   1. `cascabelc run --native` produces bit-identical stdout (and the
-#      same exit code) as the interpreted translated run, and
-#   2. the standalone executable built from the `--emit-c` sources via
+#      same exit code) as the interpreted translated run,
+#   2. `--native --stats` reports zero interpreted fallbacks: every
+#      task ran as compiled code or on an in-process library kernel, and
+#   3. the standalone executable built from the `--emit-c` sources via
 #      the emitted Makefile prints exactly what the serial interpreter
 #      prints.
 #
@@ -28,8 +30,11 @@ for prog in "$root"/examples/programs/*.c; do
   name=$(basename "$prog")
   interp=$("$cascabelc" run "$prog" --zoo xeon-2gpu 2>/dev/null)
   rc_i=$?
-  native=$("$cascabelc" run "$prog" --zoo xeon-2gpu --native 2>/dev/null)
+  stats=$(mktemp)
+  native=$("$cascabelc" run "$prog" --zoo xeon-2gpu --native --stats 2>"$stats")
   rc_n=$?
+  summary=$(grep '^# native:' "$stats")
+  rm -f "$stats"
   if [ "$rc_n" -eq 3 ]; then
     # cc vanished between the probe above and the run; treat as skip.
     echo "native: $name: toolchain unavailable at runtime, skipped"
@@ -43,6 +48,14 @@ for prog in "$root"/examples/programs/*.c; do
   else
     echo "native: $name: compiled run bit-identical"
   fi
+  case "$summary" in
+    *", 0 interpreted fallbacks")
+      echo "native: $name: zero interpreted fallbacks" ;;
+    *)
+      echo "native: $name: interpreted fallbacks under --native"
+      echo "  $summary"
+      bad=1 ;;
+  esac
 done
 
 # Standalone executables need make as well; skip quietly when absent.
