@@ -71,7 +71,8 @@ void assert_true(long cond);
 /* C[m x n] += A[m x k] * B[k x n], row-major: a plain reference for
  * the blas_dgemm library kernel, kept small so it compiles fast.  The
  * OCaml engine never calls it: it runs blas_dgemm-bodied variants on
- * its packed kernel in process. */
+ * its packed kernel in process, whose k-blocked, FMA-enabled sums agree
+ * with this loop's only to rounding. */
 __attribute__((noinline, unused)) static void
 blas_dgemm(long m, long n, long k, const double *A, const double *B,
            double *C)

@@ -31,8 +31,8 @@ let max_call_depth = 10_000
 
 (* Every function is compiled once into closures over a frame: a flat
    array holding its parameters and then one slot per local
-   declaration. Name resolution, literal parsing and operator dispatch
-   all happen at compile time. *)
+   declaration. Name resolution and literal parsing happen at compile
+   time. *)
 type frame = value array
 
 type control = Normal | Returned of value | Broke | Continued
@@ -259,82 +259,6 @@ let compound_op o =
   | "<<" -> Shl
   | ">>" -> Shr
   | _ -> fail "unsupported compound assignment %s=" o
-
-(* [binary op], with the int/int and float/float cases first. *)
-let binary_fn op : value -> value -> value =
-  match op with
-  | Add -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> VInt (x + y)
-        | VFloat x, VFloat y -> VFloat (x +. y)
-        | _ -> binary Add va vb)
-  | Sub -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> VInt (x - y)
-        | VFloat x, VFloat y -> VFloat (x -. y)
-        | _ -> binary Sub va vb)
-  | Mul -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> VInt (x * y)
-        | VFloat x, VFloat y -> VFloat (x *. y)
-        | _ -> binary Mul va vb)
-  | op -> binary op
-
-(* [truthy (binary op va vb)] for a comparison, without boxing. *)
-let compare_fn op : value -> value -> bool =
-  let slow va vb = truthy (binary op va vb) in
-  match op with
-  | Eq -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> x = y
-        | VFloat x, VFloat y -> x = y
-        | _ -> slow va vb)
-  | Neq -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> x <> y
-        | VFloat x, VFloat y -> x <> y
-        | _ -> slow va vb)
-  | Lt -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> x < y
-        | VFloat x, VFloat y -> x < y
-        | _ -> slow va vb)
-  | Gt -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> x > y
-        | VFloat x, VFloat y -> x > y
-        | _ -> slow va vb)
-  | Le -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> x <= y
-        | VFloat x, VFloat y -> x <= y
-        | _ -> slow va vb)
-  | Ge -> (
-      fun va vb ->
-        match (va, vb) with
-        | VInt x, VInt y -> x >= y
-        | VFloat x, VFloat y -> x >= y
-        | _ -> slow va vb)
-  | _ -> slow
-
-(* [apply_binop op], with the common cases first. *)
-let compound_fn op : value -> value -> value =
-  match op with
-  | Add -> (
-      fun a b ->
-        match (a, b) with
-        | VFloat x, VFloat y -> VFloat (x +. y)
-        | VInt x, VInt y -> VInt (x + y)
-        | _ -> apply_binop Add a b)
-  | op -> apply_binop op
 
 (* --- printf ----------------------------------------------------------- *)
 
@@ -572,7 +496,8 @@ let sizeof = function
   | Int | Float | Unsigned _ -> VInt 4
   | _ -> VInt 8
 
-(* The value of a literal or [sizeof], fixed at compile time. *)
+(* The value of a literal or [sizeof], fixed at compile time. A
+   malformed literal raises [Runtime_error]. *)
 let const_value = function
   | Int_lit s -> Some (VInt (int_literal s))
   | Float_lit s -> Some (VFloat (float_literal s))
@@ -665,11 +590,17 @@ let binop t oa ob fn =
 let rec cexpr t scope e : frame -> value =
   match e with
   | Int_lit _ | Float_lit _ | Char_lit _ | String_lit _ | Sizeof_type _
-  | Sizeof_expr _ ->
-      let v = Option.get (const_value e) in
-      fun _ ->
-        tick t;
-        v
+  | Sizeof_expr _ -> (
+      match Option.get (const_value e) with
+      | v ->
+          fun _ ->
+            tick t;
+            v
+      (* a malformed literal fails only when it is evaluated *)
+      | exception (Runtime_error _ as err) ->
+          fun _ ->
+            tick t;
+            raise err)
   | Ident name -> (
       match resolve t scope name with
       | Local s ->
@@ -765,11 +696,8 @@ let rec cexpr t scope e : frame -> value =
   | Unary (Pre_dec, lv) -> cincr t scope lv (-1) ~post:false
   | Post_inc lv -> cincr t scope lv 1 ~post:true
   | Post_dec lv -> cincr t scope lv (-1) ~post:true
-  | Binary ((Eq | Neq | Lt | Gt | Le | Ge), _, _) ->
-      let cb = cbool t scope e in
-      fun f -> VInt (if cb f then 1 else 0)
   | Binary (op, a, b) ->
-      binop t (operand t scope a) (operand t scope b) (binary_fn op)
+      binop t (operand t scope a) (operand t scope b) (binary op)
   | Assign (op, lhs, rhs) -> cassign t scope op lhs rhs
   | Ternary (c, th, el) ->
       let cc = cbool t scope c in
@@ -808,13 +736,13 @@ and operand t scope e =
       | Local s -> Slot s
       | Global _ | Unbound -> Code (cexpr t scope e))
   | _ -> (
-      match const_value e with Some v -> Const v | None -> Code (cexpr t scope e))
+      match const_value e with
+      | Some v -> Const v
+      | None | (exception Runtime_error _) -> Code (cexpr t scope e))
 
-(* [truthy] of an expression, without boxing comparison results. *)
+(* [truthy] of an expression; [&&], [||] and [!] short-circuit. *)
 and cbool t scope e : frame -> bool =
   match e with
-  | Binary (((Eq | Neq | Lt | Gt | Le | Ge) as op), a, b) ->
-      binop t (operand t scope a) (operand t scope b) (compare_fn op)
   | Binary (And, a, b) ->
       let ca = cbool t scope a and cb = cbool t scope b in
       fun f ->
@@ -843,7 +771,7 @@ and cassign t scope op lhs rhs =
     Option.map
       (fun o ->
         match compound_op o with
-        | bop -> compound_fn bop
+        | bop -> apply_binop bop
         | exception (Runtime_error _ as e) -> fun _ _ -> raise e)
       op
   in
@@ -1331,7 +1259,7 @@ let library_call (f : func) =
             | VBuf a, VBuf b, VBuf c -> blas_dgemm ~m ~n ~k a b c
             | _ -> fail "call to unknown function %S" "blas_dgemm"
           in
-          Some (c, run)
+          Some run
       | _ -> None)
   | _ -> None
 

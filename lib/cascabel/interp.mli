@@ -22,8 +22,8 @@
     all three buffers before the kernel runs.
 
     Execution: {!create} compiles every function once into closures.
-    Variables become slots of a per-call frame array, literals are
-    parsed once, and operators are dispatched at compile time. Each
+    Variables become slots of a per-call frame array and literals are
+    parsed once. Each
     expression node, statement and call still costs one unit of fuel.
     Calls nest at most 10 000 deep.
 
@@ -61,9 +61,9 @@ type t
 val create : ?hooks:hooks -> ?fuel:int -> Minic.Ast.unit_ -> t
 (** Compiles the unit's functions and prepares globals. [fuel] bounds
     interpreted expressions, statements and calls (default 200
-    million) so runaway loops fail fast.
-    @raise Runtime_error on bad globals or a malformed literal, such as
-    an integer literal out of range. *)
+    million) so runaway loops fail fast. A malformed literal, such as
+    an integer literal out of range, fails only when it is evaluated.
+    @raise Runtime_error when a global's initializer fails. *)
 
 val call : t -> string -> value list -> value
 (** Call a function by name.
@@ -74,12 +74,10 @@ val call_function : t -> Minic.Ast.func -> value list -> value
     function from another unit is compiled on its first call; its own
     calls resolve in this interpreter's unit. *)
 
-val library_call : Minic.Ast.func -> (int * (value list -> unit)) option
-(** [Some (c, run)] when the function's body is exactly one
-    [blas_dgemm] call whose extents are its parameters or integer
-    literals and whose matrices are its parameters. [c] is the index
-    of the parameter passed as C, the only one the kernel writes. [run
-    argv] performs the call on the argument values the function would
+val library_call : Minic.Ast.func -> (value list -> unit) option
+(** [Some run] when the function's body is exactly one [blas_dgemm]
+    call whose extents are its parameters or integer literals and whose
+    matrices are its parameters. [run argv] performs the call on the argument values the function would
     receive, with the builtin's checks, but without fuel, hooks or an
     interpreter. It runs the same kernel as the interpreted body, so
     the results are bit-identical.

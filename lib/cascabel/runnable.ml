@@ -160,127 +160,71 @@ let run_variant ctx (v : Repository.variant) handles_spec handles =
 
 (* How a task body runs natively: through the variant's dlopened
    wrapper, or — for a variant whose body is one library-kernel call —
-   through that kernel in process ([c] is the parameter it writes). *)
+   through that kernel in process. *)
 type native_body =
   | Compiled of Capi.fn
-  | Library of int * (Interp.value list -> unit)
+  | Library of (Interp.value list -> unit)
 
 let native_body ctx (v : Repository.variant) =
   Option.bind ctx.native (fun nt ->
       match Interp.library_call v.v_func with
-      | Some (c, run) -> Some (Library (c, run))
+      | Some run -> Some (Library run)
       | None -> Option.map (fun fn -> Compiled fn) (Native.fn_for nt v.v_name))
-
-let native_span (v : Repository.variant) f =
-  let sp = Obs.Span.start () in
-  f ();
-  Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
-    ~flow:(Obs.Trace_ctx.current_flow ()) sp
-
-(* A library kernel may work on the task's buffers in place, skipping
-   the copies, when that cannot be told apart from the copy path:
-   every buffer is contiguous, no two overlap, and the one the kernel
-   writes is annotated as written, so the copy path stores it back. *)
-let in_place_views (v : Repository.variant) ~written handles_spec handles =
-  let stored =
-    match Repository.access_of v (fst (List.nth handles_spec written)) with
-    | Some (Write | Readwrite) -> true
-    | _ -> false
-  in
-  let view h =
-    Option.map
-      (fun (data, off) ->
-        let rows, cols = Data.dims h in
-        { Interp.data; off; len = rows * cols; tag = 0 })
-      (Data.contiguous h)
-  in
-  let disjoint (x : Interp.buf) (y : Interp.buf) =
-    x.data != y.data || x.off + x.len <= y.off || y.off + y.len <= x.off
-  in
-  let rec pairwise = function
-    | [] -> true
-    | x :: rest -> List.for_all (disjoint x) rest && pairwise rest
-  in
-  let views = List.filter_map view handles in
-  if stored && List.length views = List.length handles && pairwise views then
-    Some views
-  else None
 
 (* The native codelet implementation: same data flow as
    [run_variant], but the body runs as machine code instead of through
-   the interpreter. Outside the in-place case, the matrices are read
-   and written through the exact same
-   {!Data.read_matrix}/{!Data.write_matrix} path, so the two executors
-   see identical buffers — bit-identity then only depends on the
-   kernel arithmetic: a library variant runs the very kernel its
-   interpreted body calls, and compiled C is pinned by
-   -ffp-contract=off to the interpreter's strict IEEE evaluation
-   order. *)
+   the interpreter. The matrices are read and written through the exact
+   same {!Data.read_matrix}/{!Data.write_matrix} path, so the two
+   executors see identical buffers — bit-identity then only depends on
+   the kernel arithmetic: a library variant runs the very kernel its
+   interpreted body calls, and compiled C is pinned by -ffp-contract=off
+   to the interpreter's strict IEEE evaluation order. *)
 let run_variant_native (v : Repository.variant) body handles_spec handles =
-  let in_place =
-    match body with
-    | Library (written, _) -> in_place_views v ~written handles_spec handles
-    | Compiled _ -> None
+  let hs = ref handles in
+  let slots =
+    List.map
+      (fun (pname, kind) ->
+        match kind with
+        | `Pointer ->
+            let h = List.hd !hs in
+            hs := List.tl !hs;
+            (pname, `Buf (h, Data.read_matrix h))
+        | `Scalar value -> (pname, `Scalar value))
+      handles_spec
   in
-  match (body, in_place) with
-  | Library (_, run), Some views ->
-      let views = ref views in
-      let argv =
-        List.map
-          (fun (_, kind) ->
-            match kind with
-            | `Pointer ->
-                let b = List.hd !views in
-                views := List.tl !views;
-                Interp.VBuf b
-            | `Scalar value -> value)
-          handles_spec
-      in
-      native_span v (fun () -> run argv)
-  | _ ->
-      let hs = ref handles in
-      let slots =
-        List.map
-          (fun (pname, kind) ->
-            match kind with
-            | `Pointer ->
-                let h = List.hd !hs in
-                hs := List.tl !hs;
-                (pname, `Buf (h, Data.read_matrix h))
-            | `Scalar value -> (pname, `Scalar value))
-          handles_spec
-      in
-      native_span v (fun () ->
-          match body with
-          | Compiled fn ->
-              Capi.call fn
-                (List.map
-                   (fun (_, slot) ->
-                     match slot with
-                     | `Buf (_, (m : Matrix.t)) -> Capi.Buf m.Matrix.data
-                     | `Scalar (Interp.VInt n) -> Capi.Int n
-                     | `Scalar (Interp.VFloat x) -> Capi.Float x
-                     | `Scalar _ -> abort "native task arguments must be numbers")
-                   slots
-                |> Array.of_list)
-          | Library (_, run) ->
-              run
-                (List.map
-                   (fun (_, slot) ->
-                     match slot with
-                     | `Buf (_, (m : Matrix.t)) ->
-                         Interp.VBuf (Interp.buf_of_bigarray m.Matrix.data)
-                     | `Scalar value -> value)
-                   slots));
-      List.iter
-        (fun (pname, slot) ->
-          match slot with
-          | `Buf (h, m) -> (
-              match Repository.access_of v pname with
-              | Some (Write | Readwrite) -> Data.write_matrix h m
-              | _ -> ())
-          | `Scalar _ -> ())
-        slots
+  let sp = Obs.Span.start () in
+  (match body with
+  | Compiled fn ->
+      Capi.call fn
+        (List.map
+           (fun (_, slot) ->
+             match slot with
+             | `Buf (_, (m : Matrix.t)) -> Capi.Buf m.Matrix.data
+             | `Scalar (Interp.VInt n) -> Capi.Int n
+             | `Scalar (Interp.VFloat x) -> Capi.Float x
+             | `Scalar _ -> abort "native task arguments must be numbers")
+           slots
+        |> Array.of_list)
+  | Library run ->
+      run
+        (List.map
+           (fun (_, slot) ->
+             match slot with
+             | `Buf (_, (m : Matrix.t)) ->
+                 Interp.VBuf (Interp.buf_of_bigarray m.Matrix.data)
+             | `Scalar value -> value)
+           slots));
+  Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
+    ~flow:(Obs.Trace_ctx.current_flow ()) sp;
+  List.iter
+    (fun (pname, slot) ->
+      match slot with
+      | `Buf (h, m) -> (
+          match Repository.access_of v pname with
+          | Some (Write | Readwrite) -> Data.write_matrix h m
+          | _ -> ())
+      | `Scalar _ -> ())
+    slots
 
 (* Measurement-driven preselection: price a variant as the fastest
    learned estimate for (interface, PU) over the PUs whose arch class

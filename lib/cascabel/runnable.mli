@@ -81,8 +81,7 @@ val run :
 
     [native] attaches a loaded kernels library (see {!Native.build}):
     a variant whose body is one [blas_dgemm] call (see
-    {!Interp.library_call}) runs the packed kernel in process, in place
-    on the task's buffers when they are contiguous and disjoint; task
+    {!Interp.library_call}) runs the packed kernel in process; task
     bodies whose variant has a resolved wrapper symbol run as compiled
     machine code; every other variant falls back to the interpreter,
     counted in [native_fallbacks] and in the [native_fallbacks]

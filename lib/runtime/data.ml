@@ -152,7 +152,11 @@ let read_matrix h =
       invalid_arg
         (Printf.sprintf "Data.read_matrix: handle %S is virtual" h.h_name)
   | Some buf ->
-      let m = Matrix.create h.rows h.cols in
+      (* every element is overwritten below: no zero-fill *)
+      let m =
+        { Matrix.rows = h.rows; cols = h.cols;
+          data = Matrix.alloc_buf (h.rows * h.cols) }
+      in
       if h.cols = h.buffer_cols then
         (* contiguous rows: one copy, not one per row *)
         Bigarray.Array1.blit
@@ -187,9 +191,3 @@ let write_matrix h (m : Matrix.t) =
                (h.buffer_off + (i * h.buffer_cols))
                m.cols)
         done
-
-let contiguous h =
-  match h.buffer with
-  | Some buf when h.cols = h.buffer_cols || h.rows <= 1 ->
-      Some (buf, h.buffer_off)
-  | _ -> None

@@ -95,12 +95,5 @@ val write_matrix : handle -> Kernels.Matrix.t -> unit
 (** Store contents back (children write through to the parent
     region). Shape-checked. *)
 
-val contiguous : handle -> (Kernels.Matrix.buf * int) option
-(** [(storage, offset)] when the handle's elements lie contiguously in
-    row-major order in its physical storage (a whole matrix, or a row
-    block of one): a kernel may then work on them in place, without
-    {!read_matrix}'s copy. [None] for virtual handles and column-split
-    tiles. *)
-
 val fresh_namespace : unit -> unit
 (** Reset the id counter — test isolation only. *)

@@ -454,6 +454,21 @@ int main(void) {
         | Error e ->
             check string_ "message"
               "integer literal 99999999999999999999 is out of range" e);
+    Alcotest.test_case "malformed literals fail only when reached" `Quick
+      (fun () ->
+        let _, out =
+          interp_run
+            {|int main(void) {
+                int x = 1;
+                if (x == 0) {
+                  int big = 99999999999999999999;
+                  int cr = '\r';
+                }
+                printf("ok\n");
+                return 0;
+              }|}
+        in
+        check string_ "dead branch" "ok\n" out);
     Alcotest.test_case "variables resolve by lexical scope" `Quick (fun () ->
         let _, out =
           interp_run

@@ -8,7 +8,10 @@
 #      task ran as compiled code or on an in-process library kernel, and
 #   3. the standalone executable built from the `--emit-c` sources via
 #      the emitted Makefile prints exactly what the serial interpreter
-#      prints.
+#      prints. The standalone runtime's `blas_dgemm` is a plain triple
+#      loop, not the packed kernel the interpreter runs, so step 3 holds
+#      bit for bit only for inputs where every sum is exact, as in
+#      dgemm.c's small-integer fill; otherwise the two agree to rounding.
 #
 # A C toolchain is an optional dev dependency: when `cc` is not on
 # PATH the check is skipped (with a notice) rather than failed, the
