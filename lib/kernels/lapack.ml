@@ -1,3 +1,5 @@
+module BA1 = Bigarray.Array1
+
 exception Not_positive_definite of int
 
 let square_check name (m : Matrix.t) =
@@ -37,6 +39,64 @@ let maybe_parallel ?pool ~work ~min_rows ~lo ~hi f =
       for i = lo to hi - 1 do
         f i
       done
+
+(* Row-wise triangular solve shared by the panel step of [dpotrf]
+   and [dtrsm_rlt]: rows [lo, hi) of [x] (row stride n), columns
+   [j0, j1), solve X * L^T = B against the diagonal block of [l]
+   (rows j0..j1-1, same stride), earlier columns already applied.
+   Four independent rows are interleaved so their dependent
+   subtract chains overlap; every element keeps the exact operation
+   order of the one-row loop, and the parallel unit is a 4-row
+   group, so pooled runs stay bit-identical. *)
+let solve_rows ~pool ~(x : Matrix.buf) ~(l : Matrix.buf) ~n ~j0 ~j1 ~lo ~hi =
+  let solve1 r =
+    let ro = r * n in
+    for j = j0 to j1 - 1 do
+      let lj = j * n in
+      let acc = ref (BA1.unsafe_get x (ro + j)) in
+      for t = j0 to j - 1 do
+        acc := !acc -. (BA1.unsafe_get x (ro + t) *. BA1.unsafe_get l (lj + t))
+      done;
+      BA1.unsafe_set x (ro + j) (!acc /. BA1.unsafe_get l (lj + j))
+    done
+  in
+  let solve4 r =
+    let o0 = r * n in
+    let o1 = o0 + n in
+    let o2 = o1 + n in
+    let o3 = o2 + n in
+    for j = j0 to j1 - 1 do
+      let lj = j * n in
+      let a0 = ref (BA1.unsafe_get x (o0 + j))
+      and a1 = ref (BA1.unsafe_get x (o1 + j))
+      and a2 = ref (BA1.unsafe_get x (o2 + j))
+      and a3 = ref (BA1.unsafe_get x (o3 + j)) in
+      for t = j0 to j - 1 do
+        let lv = BA1.unsafe_get l (lj + t) in
+        a0 := !a0 -. (BA1.unsafe_get x (o0 + t) *. lv);
+        a1 := !a1 -. (BA1.unsafe_get x (o1 + t) *. lv);
+        a2 := !a2 -. (BA1.unsafe_get x (o2 + t) *. lv);
+        a3 := !a3 -. (BA1.unsafe_get x (o3 + t) *. lv)
+      done;
+      let d = BA1.unsafe_get l (lj + j) in
+      BA1.unsafe_set x (o0 + j) (!a0 /. d);
+      BA1.unsafe_set x (o1 + j) (!a1 /. d);
+      BA1.unsafe_set x (o2 + j) (!a2 /. d);
+      BA1.unsafe_set x (o3 + j) (!a3 /. d)
+    done
+  in
+  let w = j1 - j0 in
+  let work = float_of_int (hi - lo) *. float_of_int (w * w) in
+  (* min_rows counts 4-row groups here: 8 groups = 32 rows *)
+  maybe_parallel ?pool ~work ~min_rows:8 ~lo:0
+    ~hi:((hi - lo + 3) / 4)
+    (fun g ->
+      let r = lo + (4 * g) in
+      if r + 4 <= hi then solve4 r
+      else
+        for r = r to hi - 1 do
+          solve1 r
+        done)
 
 (* Blocked right-looking Cholesky.  Per NB-wide step: factor the
    diagonal block unblocked, solve the panel below it, then apply the
@@ -83,16 +143,8 @@ let dpotrf ?pool (a : Matrix.t) =
     else begin
       (* panel solve: rows [k1, n) of columns [k0, k1) against the
          diagonal block's transpose; rows are independent. *)
-      let solve_work = float_of_int (n - k1) *. float_of_int (w * w) in
       let kb = !k0 in
-      maybe_parallel ?pool ~work:solve_work ~min_rows:32 ~lo:k1 ~hi:n (fun r ->
-          for j = kb to k1 - 1 do
-            let acc = ref ad.{(r * n) + j} in
-            for t = kb to j - 1 do
-              acc := !acc -. (ad.{(r * n) + t} *. ad.{(j * n) + t})
-            done;
-            ad.{(r * n) + j} <- !acc /. ad.{(j * n) + j}
-          done);
+      solve_rows ~pool ~x:ad ~l:ad ~n ~j0:kb ~j1:k1 ~lo:k1 ~hi:n;
       (* The span boundary between "panel_factor" (diagonal block +
          panel solve) and "trailing_update" (blocked GEMM) mirrors the
          classic right-looking split, so a trace shows at a glance
@@ -123,11 +175,7 @@ let dpotrf ?pool (a : Matrix.t) =
     k0 := k1
   done;
   (* zero the strict upper triangle so the result is exactly L *)
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      ad.{(i * n) + j} <- 0.0
-    done
-  done
+  Matrix.zero_upper a
 
 (* Blocked solve of X * L^T = B: per NB column block, one packed GEMM
    applies the already-solved columns, then a small per-row triangular
@@ -147,17 +195,7 @@ let dtrsm_rlt ?pool ~(l : Matrix.t) (b : Matrix.t) =
         ~beta:1.0 ~a:b.data ~aoff:0 ~lda:n ~b:l.data
         ~boff:(!j0 * n)
         ~ldb:n ~c:b.data ~coff:!j0 ~ldc:n ();
-    let jb = !j0 in
-    let bd : Matrix.buf = b.data and ld : Matrix.buf = l.data in
-    let solve_work = float_of_int m *. float_of_int (w * w) in
-    maybe_parallel ?pool ~work:solve_work ~min_rows:32 ~lo:0 ~hi:m (fun r ->
-        for j = jb to j1 - 1 do
-          let acc = ref bd.{(r * n) + j} in
-          for t = jb to j - 1 do
-            acc := !acc -. (bd.{(r * n) + t} *. ld.{(j * n) + t})
-          done;
-          bd.{(r * n) + j} <- !acc /. ld.{(j * n) + j}
-        done);
+    solve_rows ~pool ~x:b.data ~l:l.data ~n ~j0:!j0 ~j1 ~lo:0 ~hi:m;
     j0 := j1
   done
 
@@ -196,11 +234,23 @@ let random_spd ?(seed = 17) n =
   let m = Matrix.random ~seed n n in
   let a = Matrix.create n n in
   (* a = m * m^T + n*I, through the packed kernel (the naive triple
-     loop took a minute at n = 2048 just to set up a benchmark). *)
-  Gemm_kernel.gemm ~trans_b:true ~m:n ~n ~k:n ~alpha:1.0 ~beta:0.0 ~a:m.data
-    ~aoff:0 ~lda:n ~b:m.data ~boff:0 ~ldb:n ~c:a.data ~coff:0 ~ldc:n ();
+     loop took a minute at n = 2048 just to set up a benchmark).  Only
+     the lower block rows are computed, then mirrored: the micro-kernel
+     always runs full padded tiles, so c_ij and c_ji sum the same
+     products in the same k order and the mirror is bit-exact. *)
   let ad : Matrix.buf = a.data in
+  let r0 = ref 0 in
+  while !r0 < n do
+    let r_hi = min n (!r0 + bmc) in
+    Gemm_kernel.gemm ~trans_b:true ~m:(r_hi - !r0) ~n:r_hi ~k:n ~alpha:1.0
+      ~beta:0.0 ~a:m.data ~aoff:(!r0 * n) ~lda:n ~b:m.data ~boff:0 ~ldb:n
+      ~c:ad ~coff:(!r0 * n) ~ldc:n ();
+    r0 := r_hi
+  done;
   for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      BA1.unsafe_set ad ((i * n) + j) (BA1.unsafe_get ad ((j * n) + i))
+    done;
     ad.{(i * n) + i} <- ad.{(i * n) + i} +. float_of_int n
   done;
   a

@@ -25,17 +25,18 @@ let init rows cols f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-(* Numerical Recipes LCG; deterministic across runs and platforms. *)
+(* Numerical Recipes LCG; deterministic across runs and platforms.
+   The state stays below 2^32, so state * 1664525 + 1013904223 stays
+   below 2^53 and native ints compute it exactly. *)
 let random ?(seed = 42) rows cols =
-  let state = ref (Int64.of_int (seed land 0x3FFFFFFF)) in
-  let next () =
-    state :=
-      Int64.add (Int64.mul !state 1664525L) 1013904223L
-      |> Int64.logand 0xFFFFFFFFL;
+  let m = create rows cols in
+  let state = ref (seed land 0x3FFFFFFF) in
+  for i = 0 to (rows * cols) - 1 do
+    state := ((!state * 1664525) + 1013904223) land 0xFFFFFFFF;
     (* map to [-1, 1) *)
-    (Int64.to_float !state /. 2147483648.0) -. 1.0
-  in
-  init rows cols (fun _ _ -> next ())
+    BA1.unsafe_set m.data i ((float_of_int !state /. 2147483648.0) -. 1.0)
+  done;
+  m
 
 let get m i j = m.data.{(i * m.cols) + j}
 let set m i j v = m.data.{(i * m.cols) + j} <- v
@@ -80,6 +81,11 @@ let set_block m ~row ~col b =
     BA1.blit
       (BA1.sub b.data (i * b.cols) b.cols)
       (BA1.sub m.data (((row + i) * m.cols) + col) b.cols)
+  done
+
+let zero_upper m =
+  for i = 0 to min m.rows (m.cols - 1) - 1 do
+    BA1.fill (BA1.sub m.data ((i * m.cols) + i + 1) (m.cols - i - 1)) 0.0
   done
 
 let frobenius m =

@@ -47,6 +47,9 @@ val sub_block : t -> row:int -> col:int -> rows:int -> cols:int -> t
 val set_block : t -> row:int -> col:int -> t -> unit
 (** Paste a block back (one blit per row). *)
 
+val zero_upper : t -> unit
+(** Zero the strict upper triangle in place (one fill per row). *)
+
 val frobenius : t -> float
 
 val max_abs_diff : t -> t -> float

@@ -1193,8 +1193,22 @@ let () =
     | Stuck stuck -> Some (stuck_to_string stuck)
     | _ -> None)
 
+(* [add_dep] ignores finished tasks, so dropping them from the
+   dependency tables changes no schedule; keeping them would hold
+   every finished task, and through its handles every job's
+   matrices, for the engine's whole life. *)
+let forget_finished t =
+  let live tk = tk.state <> Finished in
+  Hashtbl.filter_map_inplace
+    (fun _ tk -> if live tk then Some tk else None)
+    t.last_writer;
+  Hashtbl.filter_map_inplace
+    (fun _ tks -> match List.filter live tks with [] -> None | l -> Some l)
+    t.readers
+
 let wait_all t =
   Sim.run t.sim;
+  forget_finished t;
   if t.live_tasks <> 0 then begin
     let live = Hashtbl.fold (fun _ tk acc -> tk :: acc) t.task_index [] in
     let live = List.sort (fun a b -> compare a.t_id b.t_id) live in

@@ -188,6 +188,13 @@ val stuck_to_string : stuck_task list -> string
 val wait_all : t -> stats
 (** Run the simulation until every submitted task completed. May be
     called repeatedly; virtual time keeps advancing.
+
+    Table invariant: once the simulation drains, the per-handle
+    dependency tables (last writer, current readers) drop every
+    finished task and keep tasks in any other state, failed ones
+    included. A finished task can no longer gate a later submission,
+    so schedules are unchanged, and a long-lived engine holds no
+    finished task, nor the data its handles reference.
     @raise Stuck when tasks cannot make progress. *)
 
 (** {1 Dynamic resources}

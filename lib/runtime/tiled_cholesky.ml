@@ -118,13 +118,8 @@ let finish rt ~n ~ha ~materialize =
     if not materialize then None
     else begin
       let m = Data.read_matrix ha in
-      (* zero the strict upper triangle: only the lower factor is
-         meaningful. *)
-      for i = 0 to m.Matrix.rows - 1 do
-        for j = i + 1 to m.Matrix.cols - 1 do
-          Matrix.set m i j 0.0
-        done
-      done;
+      (* only the lower factor is meaningful *)
+      Matrix.zero_upper m;
       Some m
     end
   in
@@ -146,11 +141,7 @@ let run_on ?(tiles = 4) rt (a : Matrix.t) =
   let stats = Engine.wait_all rt in
   Data.unpartition ha;
   let m = Data.read_matrix ha in
-  for i = 0 to m.Matrix.rows - 1 do
-    for j = i + 1 to m.Matrix.cols - 1 do
-      Matrix.set m i j 0.0
-    done
-  done;
+  Matrix.zero_upper m;
   (m, stats)
 
 let run ?policy ?(tiles = 4) ?(configure = ignore) ?pool ?faults cfg

@@ -212,9 +212,10 @@ let handle_payload config st fd payload =
       let reply = Service.submit st.svc ~tenant ?deadline_ms ?idem ?trace job in
       let replays = Service.take_replays st.svc in
       (match reply with
-      | P.Accepted { id; _ } when replays = [] ->
+      | P.Accepted { id; _ } when replays = [] && Hashtbl.mem st.conns fd ->
           (* route the eventual DONE to the submitter — unless this was
-             a dedup-complete hit, whose cached DONE goes out below *)
+             a dedup-complete hit, whose cached DONE goes out below, or
+             the submitter already hung up (its fd may be recycled) *)
           Hashtbl.replace st.routes id fd
       | _ -> ());
       send st fd reply;
@@ -263,7 +264,10 @@ let read_conn config st conn =
             (* the partial-frame clock restarts with whatever remains *)
             conn.c_frame_start <- now;
             handle_payload config st conn.c_fd payload;
-            if Hashtbl.mem st.conns conn.c_fd then frames ()
+            (* A failed reply write closes the connection, but every
+               frame already read was sent before the peer hung up:
+               handle them all (their replies are dropped). *)
+            frames ()
       in
       frames ()
 

@@ -377,7 +377,169 @@ let domain_pool_tests =
             let g_seq = Matrix.copy spd and g_par = Matrix.copy spd in
             Lapack.dgemm_nt ~a ~b g_seq;
             Lapack.dgemm_nt ~pool ~a ~b g_par;
-            check (float_ 0.0) "dgemm_nt" 0.0 (Matrix.max_abs_diff g_seq g_par)));
+            check (float_ 0.0) "dgemm_nt" 0.0 (Matrix.max_abs_diff g_seq g_par);
+            (* Odd shapes: the row solves interleave four rows, so row
+               counts of 1, 2 and 3 mod 4 take the remainder path, and
+               n off a multiple of nb ends in a partial column block.
+               Beyond pooled = sequential, check the answers solve. *)
+            List.iter
+              (fun n ->
+                let a = Lapack.random_spd ~seed:n n in
+                let l = Matrix.copy a and l_par = Matrix.copy a in
+                Lapack.dpotrf l;
+                Lapack.dpotrf ~pool l_par;
+                let name = Printf.sprintf "dpotrf n=%d" n in
+                check (float_ 0.0) name 0.0 (Matrix.max_abs_diff l l_par);
+                check bool_ (name ^ " residual") true
+                  (Lapack.cholesky_residual ~a ~l < 1e-12 *. float_of_int (n * n));
+                if n = 65 || n = 129 then
+                  List.iter
+                    (fun m ->
+                      let b = Matrix.random ~seed:(m + n) m n in
+                      let x = Matrix.copy b and x_par = Matrix.copy b in
+                      Lapack.dtrsm_rlt ~l x;
+                      Lapack.dtrsm_rlt ~pool ~l x_par;
+                      let name = Printf.sprintf "dtrsm_rlt %dx%d" m n in
+                      check (float_ 0.0) name 0.0 (Matrix.max_abs_diff x x_par);
+                      (* b - x * l^T must vanish *)
+                      Lapack.dgemm_nt ~a:x ~b:l b;
+                      check bool_ (name ^ " residual") true
+                        (Matrix.frobenius b < 1e-12 *. float_of_int (m * n)))
+                    [ 1; 2; 3; 5; 33; 130 ])
+              [ 1; 2; 3; 5; 33; 65; 129; 130; 131 ]));
+  ]
+
+(* Golden digests: results must stay bit-identical to the values
+   recorded before the kernels were last reworked. *)
+let digest (m : Matrix.t) =
+  let b = Buffer.create (8 * m.rows * m.cols) in
+  Array.iter
+    (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))
+    (Matrix.to_array m);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_sizes = [ 1; 3; 7; 64; 100; 129; 255; 256; 257; 513 ]
+
+let golden_cases =
+  List.concat_map
+    (fun n ->
+      [
+        (Printf.sprintf "random %d" n, fun () -> Matrix.random n n);
+        ( Printf.sprintf "random seed=%d %dx%d" (n * 7919) n (n + 3),
+          fun () -> Matrix.random ~seed:(n * 7919) n (n + 3) );
+        (Printf.sprintf "random_spd %d" n, fun () -> Lapack.random_spd ~seed:n n);
+      ])
+    golden_sizes
+  @ [
+      ("random seed=-1", fun () -> Matrix.random ~seed:(-1) 9 11);
+      ("random seed=max_int", fun () -> Matrix.random ~seed:max_int 9 11);
+    ]
+  @ List.map
+      (fun n ->
+        ( Printf.sprintf "dpotrf %d" n,
+          fun () ->
+            let a = Lapack.random_spd ~seed:(n + 1) n in
+            Lapack.dpotrf a;
+            a ))
+      [ 1; 2; 3; 5; 33; 64; 65; 129; 130 ]
+  @ List.concat_map
+      (fun n ->
+        List.map
+          (fun m ->
+            ( Printf.sprintf "dtrsm_rlt %dx%d" m n,
+              fun () ->
+                let l = Lapack.random_spd ~seed:n n in
+                Lapack.dpotrf l;
+                let b = Matrix.random ~seed:(m + n) m n in
+                Lapack.dtrsm_rlt ~l b;
+                b ))
+          [ 1; 2; 3; 5; 33; 130 ])
+      [ 1; 3; 64; 65; 129 ]
+
+let golden_expected =
+  [
+      ("random 1", "9ea7a5146d89d80f44054d8194234b96");
+      ("random seed=7919 1x4", "5e534d420067e55290703c11de22f60f");
+      ("random_spd 1", "87d2bd5e697139d3ab91a01152dde5fc");
+      ("random 3", "3fc77211843b807a0d83e68432d4c212");
+      ("random seed=23757 3x6", "e5b18b3cfecd196b9f571eee51d34822");
+      ("random_spd 3", "643deb9fff6cad9f6924d6ce2085a1ac");
+      ("random 7", "d3e492b1647b23b8c10c69daedcdb1ce");
+      ("random seed=55433 7x10", "d7da0017ec9a97b402ffa8d7e846147a");
+      ("random_spd 7", "3f1f0426c89b2404d18063c10838823b");
+      ("random 64", "37f0c6e8c204629947928f6ea5280506");
+      ("random seed=506816 64x67", "58e5355cb1f26d70ea6f0f6ddb9df80e");
+      ("random_spd 64", "bd0d588463ea3d08105fdf3985858c84");
+      ("random 100", "ca1fd1407154bf1c8d078b310ccd7892");
+      ("random seed=791900 100x103", "5b77cd354f6219a8d1800bf05d5883e1");
+      ("random_spd 100", "471dce613ffde7385d3e53d58f8ca964");
+      ("random 129", "2ea2b65be27e3db84fb8d6d62bc6a7f6");
+      ("random seed=1021551 129x132", "3a6a93952a69bfaed812cb4561d2fea8");
+      ("random_spd 129", "c94de347465440c5f6e4186b28c6325c");
+      ("random 255", "2c707e73fb2de5d1694b60409d17b9e3");
+      ("random seed=2019345 255x258", "2f5d04faaa0f19f38104eb403d42724f");
+      ("random_spd 255", "7b834bfdafb4831b719e0c2a922cdf76");
+      ("random 256", "5612cb7f6d5f4e6548c8b671e8649513");
+      ("random seed=2027264 256x259", "0df47cbf5e381e1877a180bd8cfe16bc");
+      ("random_spd 256", "3b059e38c151507cccd4583e1978b025");
+      ("random 257", "40618360cf0940fea47b800005bca02a");
+      ("random seed=2035183 257x260", "28bd5c63e12bc5c5c1ce883fb8d0237b");
+      ("random_spd 257", "654cadf463f57912696e2521f4ac78f2");
+      ("random 513", "f82af8a571c9b2ef70bc5a136b61e42b");
+      ("random seed=4062447 513x516", "52f19049d02ccb71f9c3b5ff998c4fe4");
+      ("random_spd 513", "dd8e681e4f29126b48b0aff3ce4f0151");
+      ("random seed=-1", "15061e9c039256fda1fd5e3b6c3ac1e8");
+      ("random seed=max_int", "15061e9c039256fda1fd5e3b6c3ac1e8");
+      ("dpotrf 1", "5f94babc5a8c240d6dbd9235f81e0a87");
+      ("dpotrf 2", "ed9a6a8d372416bbaa980f0bae1c4b36");
+      ("dpotrf 3", "ebc7bd6d039dc03071a2b1f98b94e108");
+      ("dpotrf 5", "d56a8d9378e30c378ae3db875da8d9c7");
+      ("dpotrf 33", "f8b105c83c5c364700a7fe914496bd33");
+      ("dpotrf 64", "4eaae41344c159b7a6cc001b4436f3a6");
+      ("dpotrf 65", "6baca27c62da334eff418e3c957fdb14");
+      ("dpotrf 129", "1822a93478548a19984652d6d90b0ed2");
+      ("dpotrf 130", "1838bb59f603d2df7333f828d2e427fc");
+      ("dtrsm_rlt 1x1", "a26f5e40f35a5d0aff49e5d1a8c87e77");
+      ("dtrsm_rlt 2x1", "33743b431421fdd45c5acecfb70008d1");
+      ("dtrsm_rlt 3x1", "342ae10237d2c98b60b53d47144520bc");
+      ("dtrsm_rlt 5x1", "4b369c3947c0507d45b85f7ca95c9f81");
+      ("dtrsm_rlt 33x1", "8b271d27a1e2b95c947ad757340d510d");
+      ("dtrsm_rlt 130x1", "5917b40d4fa704382f623bdadeea24ed");
+      ("dtrsm_rlt 1x3", "ecd9d9d90ffa565254f42b48b9ef354e");
+      ("dtrsm_rlt 2x3", "9993b96f651c7e325448f9d2f0458564");
+      ("dtrsm_rlt 3x3", "aa37d89480343f4c5124e66a11e29bd0");
+      ("dtrsm_rlt 5x3", "b8f2fc644120ca61dc6b1a8c68730687");
+      ("dtrsm_rlt 33x3", "afcbf1e15e351c9855506cd3c51dc1d6");
+      ("dtrsm_rlt 130x3", "69c9808d52e233ca4976158d5978a58b");
+      ("dtrsm_rlt 1x64", "8719f33b30cec12d8e3eb9987e168420");
+      ("dtrsm_rlt 2x64", "6a2ca686a9f0572807a179aeb0f97918");
+      ("dtrsm_rlt 3x64", "0bd9a6520f2724781ffdfcc296a50f5d");
+      ("dtrsm_rlt 5x64", "543d6d6d4858f3a2eab849d1c9229457");
+      ("dtrsm_rlt 33x64", "6ee64bbe0e27dacdd776d7b1d9cd2469");
+      ("dtrsm_rlt 130x64", "9e5b484d224fe7545fb07a30e2f9d680");
+      ("dtrsm_rlt 1x65", "1c274e2255c0865f8f002d2f9526e646");
+      ("dtrsm_rlt 2x65", "8e92b5ddd12f57e98c73edeb714f9923");
+      ("dtrsm_rlt 3x65", "10a0acbac4b7d1df980c545d24153ac7");
+      ("dtrsm_rlt 5x65", "fe3059ba83b3e01885cbee8b12b7f9d3");
+      ("dtrsm_rlt 33x65", "64fb7039654b42f8c6685eed98c27b4f");
+      ("dtrsm_rlt 130x65", "2105cc7a569049ac058a023253fb8d6b");
+      ("dtrsm_rlt 1x129", "145f59e7967d200c1df23b8b671fb72f");
+      ("dtrsm_rlt 2x129", "a4e25daacff212dde6cc4322e4e85b72");
+      ("dtrsm_rlt 3x129", "e6c29929b2f8675a9820ba8e32dd015b");
+      ("dtrsm_rlt 5x129", "2f8a0a011fb92bd81a301145d04302e3");
+      ("dtrsm_rlt 33x129", "b8c1ade5b2d46df848dfe0f5af5b5f79");
+      ("dtrsm_rlt 130x129", "a17adbe2425f8b81814fe8a8af59e9bf");
+  ]
+
+let golden_tests =
+  [
+    Alcotest.test_case "inputs and tile kernels match golden digests" `Quick
+      (fun () ->
+        List.iter2
+          (fun (label, f) (label', want) ->
+            check Alcotest.string "case" label' label;
+            check Alcotest.string label want (digest (f ())))
+          golden_cases golden_expected);
   ]
 
 (* The packed kernel against the naive reference across random shapes
@@ -450,6 +612,7 @@ let () =
           ("blas", blas_tests);
           ("domain_pool", domain_pool_tests);
           ("packed_pooled", packed_pooled_bitwise_tests);
+          ("golden", golden_tests);
           ( "properties",
             qt
               [

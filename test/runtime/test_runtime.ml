@@ -265,6 +265,29 @@ let engine_tests =
         check bool_ "correct result" true
           (Matrix.approx_equal expected (Data.read_matrix hc));
         check bool_ "time advanced" true (stats.makespan > 0.0));
+    Alcotest.test_case "finished tasks do not keep job buffers alive" `Quick
+      (fun () ->
+        (* A long-lived engine (one per tenant and shard in the task
+           service) must forget finished tasks at wait_all; otherwise
+           its dependency tables keep every job's matrices reachable. *)
+        let rt = Sys.opaque_identity (Engine.create (smp_cfg ())) in
+        let bufs = Weak.create 3 in
+        let job () =
+          let mats = Array.init 3 (fun i -> Matrix.random ~seed:i 16 16) in
+          Array.iteri (fun i (m : Matrix.t) -> Weak.set bufs i (Some m.data)) mats;
+          let h = Array.map (fun m -> Data.register_matrix m) mats in
+          Engine.submit rt Codelet.dgemm
+            [ (h.(0), Codelet.R); (h.(1), Codelet.R); (h.(2), Codelet.RW) ];
+          ignore (Engine.wait_all rt)
+        in
+        (Sys.opaque_identity job) ();
+        Gc.full_major ();
+        Array.iteri
+          (fun i name ->
+            check bool_ (name ^ " collected") false (Weak.check bufs i))
+          [| "read A"; "read B"; "written C" |];
+        check int_ "engine still usable" 1
+          (Engine.wait_all (Sys.opaque_identity rt)).tasks);
     Alcotest.test_case "sequential consistency chains writes" `Quick
       (fun () ->
         (* Two vector_add tasks on the same data must serialize:

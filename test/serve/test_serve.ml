@@ -1100,6 +1100,171 @@ let journal_truncation_safe =
 
 (* ------------------------------------------------------------------ *)
 
+(* Golden DONE checksums: the result bits of every kernel path a
+   served job runs, recorded before the kernels were last reworked. *)
+let golden_jobs =
+  List.concat_map
+    (fun (mk, sizes) ->
+      List.concat_map
+        (fun n ->
+          List.concat_map
+            (fun tiles -> List.map (fun seed -> mk n tiles seed) [ 1; 2; 3; 4 ])
+            [ 2; 3; 4; 5 ])
+        sizes)
+    [
+      ((fun n tiles seed -> P.Dgemm { n; tiles; seed }), [ 32; 77; 256 ]);
+      ((fun n tiles seed -> P.Cholesky { n; tiles; seed }), [ 64; 100; 257; 512 ]);
+    ]
+
+let job_label = function
+  | P.Dgemm { n; tiles; seed } -> Printf.sprintf "dgemm n=%d t=%d s=%d" n tiles seed
+  | P.Cholesky { n; tiles; seed } ->
+      Printf.sprintf "cholesky n=%d t=%d s=%d" n tiles seed
+  | P.Graph _ -> "graph"
+
+let golden_checksums () =
+  let svc =
+    Service.create ~policy:Engine.Heft ~shards:2 ~queue_cap:(List.length golden_jobs)
+      ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+  in
+  List.iter (fun j -> ignore (Service.submit svc ~tenant:"golden" j)) golden_jobs;
+  let sums =
+    List.filter_map
+      (function
+        | P.Done { id; status = P.Jok { checksum; _ }; _ } -> Some (id, checksum)
+        | P.Done { id; _ } -> Some (id, "failed")
+        | _ -> None)
+      (Service.run_until_idle svc)
+    |> List.sort compare |> List.map snd
+  in
+  List.combine (List.map job_label golden_jobs) sums
+
+let golden_expected =
+  [
+      ("dgemm n=32 t=2 s=1", "4049ff04817a2e92");
+      ("dgemm n=32 t=2 s=2", "c02cde1310d86c3c");
+      ("dgemm n=32 t=2 s=3", "4042871570656b50");
+      ("dgemm n=32 t=2 s=4", "c050d08aadf99f2d");
+      ("dgemm n=32 t=3 s=1", "4049ff04817a2e92");
+      ("dgemm n=32 t=3 s=2", "c02cde1310d86c3c");
+      ("dgemm n=32 t=3 s=3", "4042871570656b50");
+      ("dgemm n=32 t=3 s=4", "c050d08aadf99f2d");
+      ("dgemm n=32 t=4 s=1", "4049ff04817a2e92");
+      ("dgemm n=32 t=4 s=2", "c02cde1310d86c3c");
+      ("dgemm n=32 t=4 s=3", "4042871570656b50");
+      ("dgemm n=32 t=4 s=4", "c050d08aadf99f2d");
+      ("dgemm n=32 t=5 s=1", "4049ff04817a2e92");
+      ("dgemm n=32 t=5 s=2", "c02cde1310d86c3c");
+      ("dgemm n=32 t=5 s=3", "4042871570656b50");
+      ("dgemm n=32 t=5 s=4", "c050d08aadf99f2d");
+      ("dgemm n=77 t=2 s=1", "40443edbf0422c87");
+      ("dgemm n=77 t=2 s=2", "c06de6f2b42011ff");
+      ("dgemm n=77 t=2 s=3", "4072b1ed8fb3b032");
+      ("dgemm n=77 t=2 s=4", "c061ed266dea9df3");
+      ("dgemm n=77 t=3 s=1", "40443edbf0422c87");
+      ("dgemm n=77 t=3 s=2", "c06de6f2b42011ff");
+      ("dgemm n=77 t=3 s=3", "4072b1ed8fb3b032");
+      ("dgemm n=77 t=3 s=4", "c061ed266dea9df3");
+      ("dgemm n=77 t=4 s=1", "40443edbf0422c87");
+      ("dgemm n=77 t=4 s=2", "c06de6f2b42011ff");
+      ("dgemm n=77 t=4 s=3", "4072b1ed8fb3b032");
+      ("dgemm n=77 t=4 s=4", "c061ed266dea9df3");
+      ("dgemm n=77 t=5 s=1", "40443edbf0422c87");
+      ("dgemm n=77 t=5 s=2", "c06de6f2b42011ff");
+      ("dgemm n=77 t=5 s=3", "4072b1ed8fb3b032");
+      ("dgemm n=77 t=5 s=4", "c061ed266dea9df3");
+      ("dgemm n=256 t=2 s=1", "408d1485e6bd1e76");
+      ("dgemm n=256 t=2 s=2", "404ecebdbe381c2c");
+      ("dgemm n=256 t=2 s=3", "c08ac59cd0743b5c");
+      ("dgemm n=256 t=2 s=4", "4071b2c1b42bd087");
+      ("dgemm n=256 t=3 s=1", "408d1485e6bd1e76");
+      ("dgemm n=256 t=3 s=2", "404ecebdbe381c2c");
+      ("dgemm n=256 t=3 s=3", "c08ac59cd0743b5c");
+      ("dgemm n=256 t=3 s=4", "4071b2c1b42bd087");
+      ("dgemm n=256 t=4 s=1", "408d1485e6bd1e76");
+      ("dgemm n=256 t=4 s=2", "404ecebdbe381c2c");
+      ("dgemm n=256 t=4 s=3", "c08ac59cd0743b5c");
+      ("dgemm n=256 t=4 s=4", "4071b2c1b42bd087");
+      ("dgemm n=256 t=5 s=1", "408d1485e6bd1e76");
+      ("dgemm n=256 t=5 s=2", "404ecebdbe381c2c");
+      ("dgemm n=256 t=5 s=3", "c08ac59cd0743b5c");
+      ("dgemm n=256 t=5 s=4", "4071b2c1b42bd087");
+      ("cholesky n=64 t=2 s=1", "40822af8e854ead5");
+      ("cholesky n=64 t=2 s=2", "4081ce3b9cc93a89");
+      ("cholesky n=64 t=2 s=3", "40820bdbf336128f");
+      ("cholesky n=64 t=2 s=4", "40824bbfbcbbcc12");
+      ("cholesky n=64 t=3 s=1", "40822af8e854ead5");
+      ("cholesky n=64 t=3 s=2", "4081ce3b9cc93a88");
+      ("cholesky n=64 t=3 s=3", "40820bdbf336128f");
+      ("cholesky n=64 t=3 s=4", "40824bbfbcbbcc11");
+      ("cholesky n=64 t=4 s=1", "40822af8e854ead5");
+      ("cholesky n=64 t=4 s=2", "4081ce3b9cc93a89");
+      ("cholesky n=64 t=4 s=3", "40820bdbf336128f");
+      ("cholesky n=64 t=4 s=4", "40824bbfbcbbcc12");
+      ("cholesky n=64 t=5 s=1", "40822af8e854ead5");
+      ("cholesky n=64 t=5 s=2", "4081ce3b9cc93a88");
+      ("cholesky n=64 t=5 s=3", "40820bdbf336128f");
+      ("cholesky n=64 t=5 s=4", "40824bbfbcbbcc12");
+      ("cholesky n=100 t=2 s=1", "4091a2229cfa36e0");
+      ("cholesky n=100 t=2 s=2", "4091544d5f35e3ef");
+      ("cholesky n=100 t=2 s=3", "4091d647776e6b37");
+      ("cholesky n=100 t=2 s=4", "40916f6219fea5bb");
+      ("cholesky n=100 t=3 s=1", "4091a2229cfa36e0");
+      ("cholesky n=100 t=3 s=2", "4091544d5f35e3ee");
+      ("cholesky n=100 t=3 s=3", "4091d647776e6b38");
+      ("cholesky n=100 t=3 s=4", "40916f6219fea5bb");
+      ("cholesky n=100 t=4 s=1", "4091a2229cfa36e0");
+      ("cholesky n=100 t=4 s=2", "4091544d5f35e3ef");
+      ("cholesky n=100 t=4 s=3", "4091d647776e6b39");
+      ("cholesky n=100 t=4 s=4", "40916f6219fea5bb");
+      ("cholesky n=100 t=5 s=1", "4091a2229cfa36e0");
+      ("cholesky n=100 t=5 s=2", "4091544d5f35e3ef");
+      ("cholesky n=100 t=5 s=3", "4091d647776e6b37");
+      ("cholesky n=100 t=5 s=4", "40916f6219fea5bb");
+      ("cholesky n=257 t=2 s=1", "40b2bc3cd586f0d4");
+      ("cholesky n=257 t=2 s=2", "40b248aef2269442");
+      ("cholesky n=257 t=2 s=3", "40b1fb9c6b6e3713");
+      ("cholesky n=257 t=2 s=4", "40b22785b3e455c1");
+      ("cholesky n=257 t=3 s=1", "40b2bc3cd586f0d2");
+      ("cholesky n=257 t=3 s=2", "40b248aef2269443");
+      ("cholesky n=257 t=3 s=3", "40b1fb9c6b6e3713");
+      ("cholesky n=257 t=3 s=4", "40b22785b3e455c1");
+      ("cholesky n=257 t=4 s=1", "40b2bc3cd586f0d2");
+      ("cholesky n=257 t=4 s=2", "40b248aef2269442");
+      ("cholesky n=257 t=4 s=3", "40b1fb9c6b6e3712");
+      ("cholesky n=257 t=4 s=4", "40b22785b3e455c1");
+      ("cholesky n=257 t=5 s=1", "40b2bc3cd586f0d1");
+      ("cholesky n=257 t=5 s=2", "40b248aef2269442");
+      ("cholesky n=257 t=5 s=3", "40b1fb9c6b6e3713");
+      ("cholesky n=257 t=5 s=4", "40b22785b3e455c1");
+      ("cholesky n=512 t=2 s=1", "40c9d9995dbb216c");
+      ("cholesky n=512 t=2 s=2", "40c9baee4f4d5d61");
+      ("cholesky n=512 t=2 s=3", "40c9c5e981781019");
+      ("cholesky n=512 t=2 s=4", "40c990f68c781d79");
+      ("cholesky n=512 t=3 s=1", "40c9d9995dbb216c");
+      ("cholesky n=512 t=3 s=2", "40c9baee4f4d5d62");
+      ("cholesky n=512 t=3 s=3", "40c9c5e98178101b");
+      ("cholesky n=512 t=3 s=4", "40c990f68c781d77");
+      ("cholesky n=512 t=4 s=1", "40c9d9995dbb216c");
+      ("cholesky n=512 t=4 s=2", "40c9baee4f4d5d61");
+      ("cholesky n=512 t=4 s=3", "40c9c5e981781019");
+      ("cholesky n=512 t=4 s=4", "40c990f68c781d79");
+      ("cholesky n=512 t=5 s=1", "40c9d9995dbb216e");
+      ("cholesky n=512 t=5 s=2", "40c9baee4f4d5d60");
+      ("cholesky n=512 t=5 s=3", "40c9c5e98178101b");
+      ("cholesky n=512 t=5 s=4", "40c990f68c781d77");
+  ]
+
+let golden_tests =
+  [
+    Alcotest.test_case "DONE checksums match golden values" `Quick (fun () ->
+        List.iter2
+          (fun (label, got) (label', want) ->
+            check Alcotest.string "case" label' label;
+            check Alcotest.string label want got)
+          (golden_checksums ()) golden_expected);
+  ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "serve"
@@ -1109,6 +1274,7 @@ let () =
       ("idempotency", idem_tests);
       ("journal", journal_tests);
       ("service", service_tests);
+      ("golden", golden_tests);
       ("trace", trace_tests);
       ( "properties",
         qt
