@@ -29,6 +29,30 @@ let line = String.make 72 '-'
 let header title = Printf.printf "\n%s\n%s\n%s\n" line title line
 let cfg_of name = MC.of_platform_exn (Option.get (Pdl_hwprobe.Zoo.find name))
 
+(* BENCH_*.json writer: one top-level member per line, and one line
+   per element of a top-level array, so diffs stay one row per line. *)
+module J = Obs.Json
+
+let num x = J.Num x
+let int i = J.Num (float_of_int i)
+let str s = J.Str s
+
+let write_json path members =
+  let member (k, v) =
+    let body =
+      match v with
+      | J.Arr (_ :: _ as items) ->
+          "[\n    "
+          ^ String.concat ",\n    " (List.map J.to_text items)
+          ^ "\n  ]"
+      | v -> J.to_text v
+    in
+    "  " ^ J.to_text (J.Str k) ^ ": " ^ body
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        ("{\n" ^ String.concat ",\n" (List.map member members) ^ "\n}\n"))
+
 (* ------------------------------------------------------------------ *)
 (* FIG5: the paper's Figure 5                                          *)
 
@@ -341,25 +365,21 @@ type par_row = {
 }
 
 let par_json path rows ~overhead_pct =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"par\",\n";
-  Printf.fprintf oc "  \"recommended_domains\": %d,\n"
-    (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"telemetry_overhead_pct\": %.2f,\n" overhead_pct;
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"n\": %d, \"domains\": %d, \"seq_s\": %.6f, \
-         \"wall_s\": %.6f, \"gflops\": %.3f, \"speedup\": %.3f, \
-         \"max_abs_diff\": %g}%s\n"
-        r.pr_kernel r.pr_n r.pr_domains r.pr_seq_s r.pr_wall_s r.pr_gflops
-        (r.pr_seq_s /. r.pr_wall_s)
-        r.pr_max_abs_diff
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "par");
+      ("recommended_domains", int (Domain.recommended_domain_count ()));
+      ("telemetry_overhead_pct", num overhead_pct);
+      ("rows",
+       J.Arr
+         (List.map
+            (fun r ->
+              J.Obj
+                [ ("kernel", str r.pr_kernel); ("n", int r.pr_n);
+                  ("domains", int r.pr_domains); ("seq_s", num r.pr_seq_s);
+                  ("wall_s", num r.pr_wall_s); ("gflops", num r.pr_gflops);
+                  ("speedup", num (r.pr_seq_s /. r.pr_wall_s));
+                  ("max_abs_diff", num r.pr_max_abs_diff) ])
+            rows)) ]
 
 (* Best-of-[reps] timing: a single run can swing by 25% on a shared
    container (page faults, first-touch of packing buffers), which is
@@ -517,26 +537,22 @@ type kern_row = {
 }
 
 let kern_json path rows ratios ~overhead_pct =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"kern\",\n";
-  Printf.fprintf oc "  \"telemetry_overhead_pct\": %.2f,\n" overhead_pct;
-  Printf.fprintf oc "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"variant\": %S, \"n\": %d, \"wall_s\": %.6f, \"gflops\": \
-         %.3f}%s\n"
-        r.kn_variant r.kn_n r.kn_wall_s r.kn_gflops
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"packed_over_blocked\": [\n";
-  List.iteri
-    (fun i (n, ratio) ->
-      Printf.fprintf oc "    {\"n\": %d, \"ratio\": %.2f}%s\n" n ratio
-        (if i = List.length ratios - 1 then "" else ","))
-    ratios;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "kern");
+      ("telemetry_overhead_pct", num overhead_pct);
+      ("rows",
+       J.Arr
+         (List.map
+            (fun r ->
+              J.Obj
+                [ ("variant", str r.kn_variant); ("n", int r.kn_n);
+                  ("wall_s", num r.kn_wall_s); ("gflops", num r.kn_gflops) ])
+            rows));
+      ("packed_over_blocked",
+       J.Arr
+         (List.map
+            (fun (n, ratio) -> J.Obj [ ("n", int n); ("ratio", num ratio) ])
+            ratios)) ]
 
 (* Single-domain throughput of the three DGEMM variants.  The naive
    kernel is only run up to n = 512 (a 2048-cubed naive run costs a
@@ -804,7 +820,7 @@ let obs_smoke () =
             p50 <= p95 && p95 <= p99
             && p99 <= Obs.Histogram.max_value h +. 1e-12)
           hs);
-  Obs.Export.write_chrome "obs_trace.json";
+  Obs.Export.write_chrome "obs_trace.json" [];
   (match Obs.Json.parse (read_file "obs_trace.json") with
   | Error e ->
       Printf.printf "obs_trace.json: %s\n" e;
@@ -920,34 +936,32 @@ let faults_wall_overhead_pct () =
 
 let faults_json path ~clean ~faulty ~diff ~sweep ~virtual_overhead_pct
     ~wall_overhead_pct =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"faults\",\n";
-  Printf.fprintf oc "  \"virtual_overhead_pct\": %.4f,\n" virtual_overhead_pct;
-  Printf.fprintf oc "  \"wall_overhead_pct\": %.2f,\n" wall_overhead_pct;
   let cs = (clean : TD.result).TD.stats and fs = (faulty : TD.result).TD.stats in
-  Printf.fprintf oc
-    "  \"crash_scenario\": {\"tasks\": %d, \"clean_makespan_s\": %.6f, \
-     \"faulty_makespan_s\": %.6f, \"failures_injected\": %d, \"retries\": \
-     %d, \"reassigned\": %d, \"abandoned\": %d, \"quarantined\": [%s], \
-     \"max_abs_diff\": %g},\n"
-    fs.Engine.tasks cs.Engine.makespan fs.Engine.makespan
-    fs.Engine.failures_injected fs.Engine.retries fs.Engine.reassigned
-    fs.Engine.abandoned
-    (String.concat ", "
-       (List.map (Printf.sprintf "%S") fs.Engine.quarantined))
-    diff;
-  Printf.fprintf oc "  \"rate_sweep\": [\n";
-  List.iteri
-    (fun i (rate, (r : TD.result)) ->
-      Printf.fprintf oc
-        "    {\"rate\": %.2f, \"makespan_s\": %.6f, \"failures\": %d, \
-         \"retries\": %d}%s\n"
-        rate r.TD.stats.Engine.makespan r.TD.stats.Engine.failures_injected
-        r.TD.stats.Engine.retries
-        (if i = 4 then "" else ","))
-    sweep;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "faults");
+      ("virtual_overhead_pct", num virtual_overhead_pct);
+      ("wall_overhead_pct", num wall_overhead_pct);
+      ("crash_scenario",
+       J.Obj
+         [ ("tasks", int fs.Engine.tasks);
+           ("clean_makespan_s", num cs.Engine.makespan);
+           ("faulty_makespan_s", num fs.Engine.makespan);
+           ("failures_injected", int fs.Engine.failures_injected);
+           ("retries", int fs.Engine.retries);
+           ("reassigned", int fs.Engine.reassigned);
+           ("abandoned", int fs.Engine.abandoned);
+           ("quarantined", J.Arr (List.map str fs.Engine.quarantined));
+           ("max_abs_diff", num diff) ]);
+      ("rate_sweep",
+       J.Arr
+         (List.map
+            (fun (rate, (r : TD.result)) ->
+              J.Obj
+                [ ("rate", num rate);
+                  ("makespan_s", num r.TD.stats.Engine.makespan);
+                  ("failures", int r.TD.stats.Engine.failures_injected);
+                  ("retries", int r.TD.stats.Engine.retries) ])
+            sweep)) ]
 
 let faults_exp () =
   header
@@ -1202,30 +1216,29 @@ let tune_sched ~n ~tiles ~passes =
 
 let tune_json path ~hash ~static_s ~learned_s ~improvement_pct ~samples
     ~sched_ok (g : GT.result) =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"tune\",\n";
-  Printf.fprintf oc "  \"pdl_hash\": %S,\n" hash;
-  Printf.fprintf oc
-    "  \"sched\": {\"platform\": \"xeon-2gpu\", \"skew\": %.1f, \
-     \"static_makespan_s\": %.6f, \"learned_makespan_s\": %.6f, \
-     \"improvement_pct\": %.1f, \"samples\": %d, \"guard_ok\": %b},\n"
-    tune_skew static_s learned_s improvement_pct samples sched_ok;
-  Printf.fprintf oc
-    "  \"gemm\": {\n    \"best\": %S,\n    \"best_gflops\": %.2f,\n    \
-     \"guard_ratio\": %.2f,\n    \"guard_ok\": %b,\n    \"sizes\": [\n"
-    (GT.blocking_to_string g.best)
-    g.best_gflops GT.guard_ratio g.guard_ok;
-  let pairs = List.combine g.baseline g.winner in
-  List.iteri
-    (fun i ((n, base_s), (_, win_s)) ->
-      Printf.fprintf oc
-        "      {\"n\": %d, \"baseline_s\": %.6f, \"winner_s\": %.6f, \
-         \"ratio\": %.3f}%s\n"
-        n base_s win_s (win_s /. base_s)
-        (if i = List.length pairs - 1 then "" else ","))
-    pairs;
-  Printf.fprintf oc "    ]\n  }\n}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "tune"); ("pdl_hash", str hash);
+      ("sched",
+       J.Obj
+         [ ("platform", str "xeon-2gpu"); ("skew", num tune_skew);
+           ("static_makespan_s", num static_s);
+           ("learned_makespan_s", num learned_s);
+           ("improvement_pct", num improvement_pct); ("samples", int samples);
+           ("guard_ok", J.Bool sched_ok) ]);
+      ("gemm",
+       J.Obj
+         [ ("best", str (GT.blocking_to_string g.best));
+           ("best_gflops", num g.best_gflops);
+           ("guard_ratio", num GT.guard_ratio); ("guard_ok", J.Bool g.guard_ok);
+           ("sizes",
+            J.Arr
+              (List.map2
+                 (fun (n, base_s) (_, win_s) ->
+                   J.Obj
+                     [ ("n", int n); ("baseline_s", num base_s);
+                       ("winner_s", num win_s);
+                       ("ratio", num (win_s /. base_s)) ])
+                 g.baseline g.winner)) ]) ]
 
 let tune () =
   header "TUNE  measurement-driven cost models (dmda) + GEMM autotuning";
@@ -1480,35 +1493,34 @@ let cc_host () =
       |> fun l -> String.trim (List.nth (String.split_on_char ':' l) 1)
     with _ -> "unknown"
   in
-  Printf.sprintf "{\"nproc\": %d, \"cpu\": %S}"
-    (Domain.recommended_domain_count ())
-    cpu
+  J.Obj
+    [ ("nproc", int (Domain.recommended_domain_count ())); ("cpu", str cpu) ]
 
 let cc_json path rows ~guard_n ~guard_ratio ~guard_ok =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"cc\",\n";
-  Printf.fprintf oc "  \"platform\": \"xeon-2gpu\",\n";
-  Printf.fprintf oc "  \"host\": %s,\n" (cc_host ());
-  Printf.fprintf oc "  \"samples\": %d,\n" cc_samples;
-  Printf.fprintf oc
-    "  \"guard\": {\"n\": %d, \"max_ratio\": %.1f, \"ratio\": %.2f, \"ok\": \
-     %b},\n"
-    guard_n cc_guard_max guard_ratio guard_ok;
-  Printf.fprintf oc "  \"sizes\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"n\": %d, \"interpreted_s\": %.6f, \"pooled_s\": %.6f, \
-         \"compiled_s\": %.6f, \"spread\": {\"interpreted\": %.3f, \
-         \"pooled\": %.3f, \"compiled\": %.3f}, \"ratio\": %.2f, \
-         \"native_tasks\": %d, \"bit_identical\": %b}%s\n"
-        r.cc_n (fst r.cc_interp) (fst r.cc_pool) (fst r.cc_native)
-        (snd r.cc_interp) (snd r.cc_pool) (snd r.cc_native) r.cc_ratio
-        r.cc_native_tasks r.cc_identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "cc"); ("platform", str "xeon-2gpu");
+      ("host", cc_host ()); ("samples", int cc_samples);
+      ("guard",
+       J.Obj
+         [ ("n", int guard_n); ("max_ratio", num cc_guard_max);
+           ("ratio", num guard_ratio); ("ok", J.Bool guard_ok) ]);
+      ("sizes",
+       J.Arr
+         (List.map
+            (fun r ->
+              J.Obj
+                [ ("n", int r.cc_n); ("interpreted_s", num (fst r.cc_interp));
+                  ("pooled_s", num (fst r.cc_pool));
+                  ("compiled_s", num (fst r.cc_native));
+                  ("spread",
+                   J.Obj
+                     [ ("interpreted", num (snd r.cc_interp));
+                       ("pooled", num (snd r.cc_pool));
+                       ("compiled", num (snd r.cc_native)) ]);
+                  ("ratio", num r.cc_ratio);
+                  ("native_tasks", int r.cc_native_tasks);
+                  ("bit_identical", J.Bool r.cc_identical) ])
+            rows)) ]
 
 let cc ?(sizes = [ 256; 512; 1024 ]) () =
   header
@@ -2115,7 +2127,7 @@ let serve_smoke () =
   check "serve: decision JSONL carries estimates and a source"
     (String.length jsonl > 0
     && contains jsonl "\"source\"" && contains jsonl "\"estimates\"");
-  let doc = Obs.Export.to_chrome_json () in
+  let doc = Obs.Export.to_chrome_json [] in
   check "serve: wall trace passes the trace-event schema check"
     (Obs.Trace_check.validate_string doc = Ok ());
   check "serve: the traced job renders a connected flow chain"
@@ -2152,28 +2164,24 @@ let percentile_exact sorted q =
 let serve_json path ~jobs ~base ~cont ~rejected ~throughput ~factor ~floor_ms
     ~limit_ms ~ok ~tracing_overhead_pct ~overhead_limit_pct ~overhead_ok =
   let pcts a =
-    Printf.sprintf
-      "{\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f}"
-      (percentile_exact a 50.0) (percentile_exact a 95.0)
-      (percentile_exact a 99.0)
+    J.Obj
+      [ ("p50_ms", num (percentile_exact a 50.0));
+        ("p95_ms", num (percentile_exact a 95.0));
+        ("p99_ms", num (percentile_exact a 99.0)) ]
   in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"serve\",\n";
-  Printf.fprintf oc "  \"jobs_per_phase\": %d,\n" jobs;
-  Printf.fprintf oc "  \"baseline\": %s,\n" (pcts base);
-  Printf.fprintf oc "  \"contended\": %s,\n" (pcts cont);
-  Printf.fprintf oc "  \"rejected\": %d,\n" rejected;
-  Printf.fprintf oc "  \"throughput_jobs_per_s\": %.1f,\n" throughput;
-  Printf.fprintf oc
-    "  \"isolation_guard\": {\"factor\": %.1f, \"floor_ms\": %.1f, \
-     \"limit_ms\": %.3f, \"ok\": %b},\n"
-    factor floor_ms limit_ms ok;
-  Printf.fprintf oc "  \"tracing_overhead_pct\": %.2f,\n" tracing_overhead_pct;
-  Printf.fprintf oc
-    "  \"tracing_guard\": {\"limit_pct\": %.1f, \"ok\": %b}\n"
-    overhead_limit_pct overhead_ok;
-  Printf.fprintf oc "}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "serve"); ("jobs_per_phase", int jobs);
+      ("baseline", pcts base); ("contended", pcts cont);
+      ("rejected", int rejected); ("throughput_jobs_per_s", num throughput);
+      ("isolation_guard",
+       J.Obj
+         [ ("factor", num factor); ("floor_ms", num floor_ms);
+           ("limit_ms", num limit_ms); ("ok", J.Bool ok) ]);
+      ("tracing_overhead_pct", num tracing_overhead_pct);
+      ("tracing_guard",
+       J.Obj
+         [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ])
+    ]
 
 let serve_bench () =
   header
@@ -2457,24 +2465,22 @@ let chaos_overhead () =
 
 let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
     ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"experiment\": \"chaos\",\n";
-  Printf.fprintf oc "  \"trials\": %d,\n" trials;
-  Printf.fprintf oc "  \"jobs_per_trial\": %d,\n" jobs;
-  Printf.fprintf oc
-    "  \"fault_model\": \"transient=0.3,retries=8,quarantine=0 + seeded \
-     crash mid-burst + torn tails + blanket resubmission\",\n";
-  Printf.fprintf oc "  \"jobs_replayed_from_journal\": %d,\n" replayed;
-  Printf.fprintf oc "  \"resubmissions_deduped\": %d,\n" deduped;
-  Printf.fprintf oc "  \"torn_tails\": %d,\n" torn;
-  Printf.fprintf oc "  \"exactly_once_guard\": {\"ok\": %b},\n" exactly_once;
-  Printf.fprintf oc "  \"bit_identical_guard\": {\"ok\": %b},\n" bit_identical;
-  Printf.fprintf oc "  \"journal_overhead_pct\": %.2f,\n" overhead_pct;
-  Printf.fprintf oc
-    "  \"overhead_guard\": {\"limit_pct\": %.1f, \"ok\": %b}\n"
-    overhead_limit_pct overhead_ok;
-  Printf.fprintf oc "}\n";
-  close_out oc
+  write_json path
+    [ ("experiment", str "chaos"); ("trials", int trials);
+      ("jobs_per_trial", int jobs);
+      ("fault_model",
+       str
+         "transient=0.3,retries=8,quarantine=0 + seeded crash mid-burst + \
+          torn tails + blanket resubmission");
+      ("jobs_replayed_from_journal", int replayed);
+      ("resubmissions_deduped", int deduped); ("torn_tails", int torn);
+      ("exactly_once_guard", J.Obj [ ("ok", J.Bool exactly_once) ]);
+      ("bit_identical_guard", J.Obj [ ("ok", J.Bool bit_identical) ]);
+      ("journal_overhead_pct", num overhead_pct);
+      ("overhead_guard",
+       J.Obj
+         [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ])
+    ]
 
 let chaos_bench () =
   header
@@ -2699,7 +2705,7 @@ let () =
       exit 1);
   Option.iter
     (fun path ->
-      Obs.Export.write_chrome path;
+      Obs.Export.write_chrome path [];
       Printf.eprintf "wrote telemetry trace %s\n" path)
     !trace_out;
   if !metrics then print_string (Obs.Export.prometheus ())

@@ -73,7 +73,7 @@ let () =
     [ (grid.(0).(0), R); (grid.(1).(0), RW) ];
   let _ = Engine.wait_all rt in
   let path = Filename.temp_file "cholesky" ".trace.json" in
-  Taskrt.Trace_export.write_chrome path (Engine.trace rt);
+  Obs.Export.write_chrome path
+    (Taskrt.Trace_export.events [ ("", Engine.trace rt, []) ]);
   Printf.printf "\nchrome trace written to %s (load in chrome://tracing)\n"
-    path;
-  print_string (Taskrt.Trace_export.summary (Engine.trace rt))
+    path

@@ -627,9 +627,9 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?explore_eps ?native ~repo
                     (* One file, two processes: virtual timeline (pid 0)
                        plus any wall-clock telemetry spans (pid 1), and
                        the fault lane when anything went wrong. *)
-                    Taskrt.Trace_export.write_chrome_combined
-                      ~faults:(Engine.fault_log engine) path
-                      (Engine.trace engine))
+                    Obs.Export.write_chrome path
+                      (Taskrt.Trace_export.events
+                         [ ("", Engine.trace engine, Engine.fault_log engine) ]))
                   trace;
                 Ok
                   {

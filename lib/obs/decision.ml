@@ -117,50 +117,32 @@ let dropped () = with_lock (fun () -> max 0 (!seq - Array.length !ring))
 
 (* --- JSONL export --------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jsonl_of r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"seq\":%d,\"task\":%d,\"codelet\":\"%s\",\"pu\":\"%s\",\
-        \"source\":\"%s\",\"est_s\":%.9g,\"eft_s\":%.9g,\"vt\":%.9g"
-       r.d_seq r.d_task (json_escape r.d_codelet) (json_escape r.d_pu)
-       (source_to_string r.d_source) r.d_est_s r.d_eft_s r.d_vt);
-  if r.d_tag <> "" then
-    Buffer.add_string buf
-      (Printf.sprintf ",\"tag\":\"%s\"" (json_escape r.d_tag));
-  Buffer.add_string buf ",\"estimates\":{";
-  List.iteri
-    (fun i (pu, eft) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%.9g" (json_escape pu) eft))
-    r.d_estimates;
-  Buffer.add_char buf '}';
-  if not (Float.is_nan r.d_actual_s) then begin
-    Buffer.add_string buf
-      (Printf.sprintf ",\"queue_wait_s\":%.9g,\"actual_s\":%.9g"
-         r.d_queue_wait_s r.d_actual_s);
-    if r.d_est_s > 0.0 && r.d_actual_s > 0.0 then
-      Buffer.add_string buf
-        (Printf.sprintf ",\"rel_err\":%.6g"
-           (Float.abs (r.d_actual_s -. r.d_est_s) /. r.d_actual_s))
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let num x = Json.Num x in
+  let tag = if r.d_tag = "" then [] else [ ("tag", Json.Str r.d_tag) ] in
+  let outcome =
+    if Float.is_nan r.d_actual_s then []
+    else
+      [ ("queue_wait_s", num r.d_queue_wait_s); ("actual_s", num r.d_actual_s) ]
+      @
+      if r.d_est_s > 0.0 && r.d_actual_s > 0.0 then
+        [ ("rel_err",
+           num (Float.abs (r.d_actual_s -. r.d_est_s) /. r.d_actual_s)) ]
+      else []
+  in
+  Json.to_text
+    (Json.Obj
+       ([ ("seq", num (float_of_int r.d_seq));
+          ("task", num (float_of_int r.d_task));
+          ("codelet", Json.Str r.d_codelet); ("pu", Json.Str r.d_pu);
+          ("source", Json.Str (source_to_string r.d_source));
+          ("est_s", num r.d_est_s); ("eft_s", num r.d_eft_s);
+          ("vt", num r.d_vt) ]
+       @ tag
+       @ [ ("estimates",
+            Json.Obj (List.map (fun (pu, eft) -> (pu, num eft)) r.d_estimates))
+         ]
+       @ outcome))
 
 let to_jsonl () =
   String.concat "" (List.map (fun r -> jsonl_of r ^ "\n") (records ()))

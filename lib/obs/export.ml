@@ -1,84 +1,61 @@
 (* Sinks: Chrome/Perfetto trace-event JSON, Prometheus-style text
    exposition, and a human-readable summary.
 
-   The Chrome output uses the same trace-event schema as
-   Taskrt.Trace_export (the simulated engine's virtual timeline), so
-   both open in the same viewer; wall-clock telemetry claims pid 1,
-   leaving pid 0 for the virtual timeline when the two are merged
-   into one file.  Spans tagged with a flow id (Trace_ctx) are
+   A Chrome trace is one list of trace-event objects: the caller's
+   virtual-time events (pid 0, see Taskrt.Trace_export) followed by
+   the recorded wall-clock spans (pid 1), so both timelines open side
+   by side in one viewer.  Spans tagged with a flow id (Trace_ctx) are
    additionally linked by s/t/f flow events, so one request reads as
    a connected arrow chain across lanes. *)
 
-let wall_pid = 1
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* The wall-clock events as comma-separated trace-event objects
-   (no enclosing brackets), or "" when nothing was recorded.
+(* The wall-clock spans as trace events, [] when nothing was recorded.
    Timestamps are microseconds relative to the earliest recorded
    span, so the numbers stay small in the viewer. *)
-let chrome_body ?(pid = wall_pid) () =
+let wall_events () =
   let events = Span.events () in
-  if events = [] then ""
+  if events = [] then []
   else begin
     let base =
       List.fold_left (fun acc (e : Span.event) -> min acc e.ev_t0) max_int
         events
     in
-    let us ns = float_of_int (ns - base) /. 1e3 in
-    let buf = Buffer.create 4096 in
-    let first = ref true in
-    let emit fmt =
-      Printf.ksprintf
-        (fun s ->
-          if !first then first := false else Buffer.add_char buf ',';
-          Buffer.add_string buf s)
-        fmt
+    let us ns = Json.Num (float_of_int (ns - base) /. 1e3) in
+    let int i = Json.Num (float_of_int i) in
+    let str s = Json.Str s in
+    let pid = Json.Num 1. in
+    let meta name args =
+      Json.Obj
+        ([ ("name", str name); ("ph", str "M"); ("pid", pid) ]
+        @ args)
     in
-    emit
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\
-       \"args\":{\"name\":\"wall clock (telemetry)\"}}"
-      pid;
-    List.iter
-      (fun dom ->
-        emit
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\
-           \"args\":{\"name\":\"domain %d\"}}"
-          pid dom dom)
-      (Span.domains ());
-    List.iter
-      (fun (e : Span.event) ->
-        let args =
-          if e.ev_args = "" then ""
-          else Printf.sprintf ",\"args\":{\"detail\":\"%s\"}"
-              (json_escape e.ev_args)
-        in
-        if e.ev_t1 > e.ev_t0 then
-          emit
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\
-             \"dur\":%.3f,\"pid\":%d,\"tid\":%d%s}"
-            (json_escape e.ev_name) (json_escape e.ev_cat) (us e.ev_t0)
-            (float_of_int (e.ev_t1 - e.ev_t0) /. 1e3)
-            pid e.ev_dom args
-        else
-          emit
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\
-             \"s\":\"t\",\"pid\":%d,\"tid\":%d%s}"
-            (json_escape e.ev_name) (json_escape e.ev_cat) (us e.ev_t0)
-            pid e.ev_dom args)
-      events;
+    let thread_names =
+      List.map
+        (fun dom ->
+          meta "thread_name"
+            [ ("tid", int dom);
+              ("args", Json.Obj [ ("name", str (Printf.sprintf "domain %d" dom)) ]) ])
+        (Span.domains ())
+    in
+    let spans =
+      List.map
+        (fun (e : Span.event) ->
+          let args =
+            if e.ev_args = "" then []
+            else [ ("args", Json.Obj [ ("detail", str e.ev_args) ]) ]
+          in
+          let timing =
+            if e.ev_t1 > e.ev_t0 then
+              [ ("ph", str "X"); ("ts", us e.ev_t0);
+                ("dur", Json.Num (float_of_int (e.ev_t1 - e.ev_t0) /. 1e3)) ]
+            else [ ("ph", str "i"); ("ts", us e.ev_t0); ("s", str "t") ]
+          in
+          Json.Obj
+            ([ ("name", str e.ev_name); ("cat", str e.ev_cat) ]
+            @ timing
+            @ [ ("pid", pid); ("tid", int e.ev_dom) ]
+            @ args))
+        events
+    in
     (* Flow events: for every flow id, an arrow chain visiting its
        spans in start order — ph "s" on the first hop, "t" on middle
        hops, "f" (with bp:"e" so it binds to the enclosing slice) on
@@ -93,40 +70,46 @@ let chrome_body ?(pid = wall_pid) () =
             (e :: Option.value ~default:[] (Hashtbl.find_opt by_flow e.ev_flow)))
       events;
     let flow_ids = Hashtbl.fold (fun id _ acc -> id :: acc) by_flow [] in
-    List.iter
-      (fun id ->
-        let group =
-          List.sort
-            (fun (a : Span.event) (b : Span.event) ->
-              compare (a.ev_t0, a.ev_t1, a.ev_dom) (b.ev_t0, b.ev_t1, b.ev_dom))
-            (Hashtbl.find by_flow id)
-        in
-        let last = List.length group - 1 in
-        if last >= 1 then
-          List.iteri
-            (fun k (e : Span.event) ->
-              let ph, bp =
-                if k = 0 then ("s", "")
-                else if k = last then ("f", ",\"bp\":\"e\"")
-                else ("t", "")
-              in
-              emit
-                "{\"name\":\"flow\",\"cat\":\"trace\",\"ph\":\"%s\",\
-                 \"id\":%d,\"ts\":%.3f,\"pid\":%d,\"tid\":%d%s}"
-                ph id (us e.ev_t0) pid e.ev_dom bp)
-            group)
-      (List.sort compare flow_ids);
-    Buffer.contents buf
+    let flows =
+      List.concat_map
+        (fun id ->
+          let group =
+            List.sort
+              (fun (a : Span.event) (b : Span.event) ->
+                compare (a.ev_t0, a.ev_t1, a.ev_dom) (b.ev_t0, b.ev_t1, b.ev_dom))
+              (Hashtbl.find by_flow id)
+          in
+          let last = List.length group - 1 in
+          if last < 1 then []
+          else
+            List.mapi
+              (fun k (e : Span.event) ->
+                let ph, bp =
+                  if k = 0 then ("s", [])
+                  else if k = last then ("f", [ ("bp", str "e") ])
+                  else ("t", [])
+                in
+                Json.Obj
+                  ([ ("name", str "flow"); ("cat", str "trace"); ("ph", str ph);
+                     ("id", int id); ("ts", us e.ev_t0); ("pid", pid);
+                     ("tid", int e.ev_dom) ]
+                  @ bp))
+              group)
+        (List.sort compare flow_ids)
+    in
+    (meta "process_name"
+       [ ("args", Json.Obj [ ("name", str "wall clock (telemetry)") ]) ]
+    :: thread_names)
+    @ spans @ flows
   end
 
-let to_chrome_json () =
-  "{\"traceEvents\":[" ^ chrome_body () ^ "]}"
+let to_chrome_json virtual_events =
+  Json.to_text
+    (Json.Obj [ ("traceEvents", Json.Arr (virtual_events @ wall_events ())) ])
 
-let write_chrome path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_chrome_json ()))
+let write_chrome path virtual_events =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (to_chrome_json virtual_events))
 
 (* --- Prometheus-style exposition ----------------------------------- *)
 

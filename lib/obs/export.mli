@@ -1,26 +1,18 @@
 (** Telemetry sinks: Chrome/Perfetto trace JSON, Prometheus-style
     exposition, human-readable summary. *)
 
-val wall_pid : int
-(** The pid wall-clock telemetry claims in trace files (1); the
-    simulated engine's virtual timeline uses pid 0, so a merged file
-    shows both as separate processes in the viewer. *)
-
-val chrome_body : ?pid:int -> unit -> string
-(** The recorded spans as comma-separated Chrome trace-event objects
-    (no brackets): per-domain [thread_name] metadata plus one ["X"]
-    (complete) event per span and ["i"] (instant) markers, followed by
+val to_chrome_json : Json.t list -> string
+(** A complete [{"traceEvents": [...]}] document — open in Perfetto
+    ({{:https://ui.perfetto.dev}ui.perfetto.dev}) or
+    [chrome://tracing].  It holds the given virtual-time events (pid
+    0, see {!Taskrt.Trace_export.events}) followed by every recorded
+    wall-clock span (pid 1): per-domain [thread_name] metadata, one
+    ["X"] (complete) event per span, ["i"] (instant) markers, and
     [s]/[t]/[f] flow events chaining every span that shares a non-zero
-    {!Span.event.ev_flow} (one request = one connected arrow chain).
-    [""] when nothing was recorded.  Used by {!Taskrt.Trace_export} to
-    merge wall and virtual timelines into one file. *)
+    {!Span.event.ev_flow} (one request = one connected arrow chain). *)
 
-val to_chrome_json : unit -> string
-(** A complete [{"traceEvents": [...]}] document of the wall-clock
-    spans — open in Perfetto ({{:https://ui.perfetto.dev}ui.perfetto.dev})
-    or [chrome://tracing]. *)
-
-val write_chrome : string -> unit
+val write_chrome : string -> Json.t list -> unit
+(** [write_chrome path events] writes {!to_chrome_json} to [path]. *)
 
 val prometheus : unit -> string
 (** Text exposition with [# HELP]/[# TYPE] headers: every registered

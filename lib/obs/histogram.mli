@@ -9,8 +9,8 @@
 type t
 
 val create : ?name:string -> unit -> t
-(** A fresh, unregistered histogram (e.g. for one-shot aggregation
-    in {!Taskrt.Trace_export.summary}). *)
+(** A fresh, unregistered histogram (e.g. for one-shot
+    aggregation). *)
 
 val observe : t -> float -> unit
 (** Record a value in seconds (always records — gate on

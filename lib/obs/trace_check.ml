@@ -1,7 +1,7 @@
 (* Minimal Chrome/Perfetto trace-event schema checker.
 
-   The exporters in this repo hand-write their JSON; this validator is
-   the runtest gate that keeps them honest, so a malformed file fails
+   Json.to_text guarantees the trace parses; this validator is the
+   runtest gate that keeps its events well-formed, so a malformed file fails
    `dune runtest` instead of silently rendering as an empty timeline
    in the UI.  Checks: the document parses, `traceEvents` is an
    array of objects, every event carries the keys its phase requires,

@@ -6,7 +6,7 @@
    The daemon mints one per accepted job unless the client supplied its
    own in the protocol `trace` field; everything the job touches —
    service queue span, engine exec spans, native/kernel spans — tags
-   its span with the context's flow id, and Export.chrome_body renders
+   its span with the context's flow id, and Export.to_chrome_json renders
    the tagged spans as one connected Perfetto flow (arrow chain).
 
    The "current" context is ambient per domain (Domain.DLS): the

@@ -2,7 +2,7 @@
     splitmix64-generated 64-bit ids, propagated from the serving
     client through admission, queueing, dispatch, and codelet
     execution.  Spans tagged with the context's {!flow_id} are linked
-    by {!Export.chrome_body} into one Perfetto flow, so a job reads as
+    by {!Export.to_chrome_json} into one Perfetto flow, so a job reads as
     a single arrow chain across lanes. *)
 
 type t = { trace_id : int64; span_id : int64 }

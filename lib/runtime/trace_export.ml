@@ -1,17 +1,3 @@
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Stable worker -> lane mapping in first-appearance order. *)
 let lanes events =
   let table = Hashtbl.create 8 in
@@ -25,216 +11,79 @@ let lanes events =
     events;
   table
 
-let us t = t *. 1e6
+let us t = Obs.Json.Num (t *. 1e6)
+let int i = Obs.Json.Num (float_of_int i)
+let str s = Obs.Json.Str s
 
-(* The virtual-timeline events as comma-separated trace-event objects
-   (no enclosing brackets); pid 0 is the simulator, leaving
-   [Obs.Export.wall_pid] free for the wall-clock telemetry process
-   when both are merged into one file.
+let thread_name tid name =
+  Obs.Json.Obj
+    [ ("name", str "thread_name"); ("ph", str "M"); ("pid", int 0);
+      ("tid", int tid); ("args", Obs.Json.Obj [ ("name", str name) ]) ]
 
-   [lane] tags every lane name (worker and fault lanes alike) — the
-   task service passes the tenant so a serve run's trace keeps each
-   tenant's activity on its own set of lanes — and [tid0] offsets the
-   thread ids so several tagged bodies can share the document. *)
-let chrome_lanes ~emit ?(lane = "") ?(tid0 = 0) ?(faults = []) events =
+(* One engine's lanes, thread ids from [tid0]; every lane name (worker
+   and fault lanes alike) is prefixed with [lane] when it is not "".
+   Returns the next free thread id and the events. *)
+let engine_events tid0 (lane, events, faults) =
   let lane_name w = if lane = "" then w else lane ^ "/" ^ w in
   let table = lanes events in
-  Hashtbl.iter
-    (fun worker tid ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\
-            \"args\":{\"name\":\"%s\"}}"
-           (tid0 + tid)
-           (json_escape (lane_name worker))))
-    table;
-  List.iter
-    (fun (e : Engine.trace_event) ->
-      let tid = tid0 + Hashtbl.find table e.tr_worker in
-      if e.tr_compute_start > e.tr_start then
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"transfer\",\"ph\":\"X\",\"ts\":%.3f,\
-              \"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"bytes\":%.0f}}"
-             (json_escape (e.tr_task ^ ":in"))
-             (us e.tr_start)
-             (us (e.tr_compute_start -. e.tr_start))
-             tid e.tr_bytes_in);
-      emit
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":%.3f,\
-            \"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"codelet\":\"%s\"}}"
-           (json_escape e.tr_task)
-           (us e.tr_compute_start)
-           (us (e.tr_end -. e.tr_compute_start))
-           tid
-           (json_escape e.tr_codelet)))
-    events;
+  let names =
+    Hashtbl.fold
+      (fun worker tid acc -> thread_name (tid0 + tid) (lane_name worker) :: acc)
+      table []
+    |> List.rev
+  in
+  let slices =
+    List.concat_map
+      (fun (e : Engine.trace_event) ->
+        let tid = int (tid0 + Hashtbl.find table e.tr_worker) in
+        let x name cat t0 t1 args =
+          Obs.Json.Obj
+            [ ("name", str name); ("cat", str cat); ("ph", str "X");
+              ("ts", us t0); ("dur", us (t1 -. t0)); ("pid", int 0);
+              ("tid", tid); ("args", Obs.Json.Obj args) ]
+        in
+        let task =
+          x e.tr_task "task" e.tr_compute_start e.tr_end
+            [ ("codelet", str e.tr_codelet) ]
+        in
+        if e.tr_compute_start > e.tr_start then
+          [ x (e.tr_task ^ ":in") "transfer" e.tr_start e.tr_compute_start
+              [ ("bytes", Obs.Json.Num e.tr_bytes_in) ];
+            task ]
+        else [ task ])
+      events
+  in
   (* Fault-layer decisions land on their own lane as instant events,
      after the worker lanes. *)
-  let fault_lanes = if faults = [] then 0 else 1 in
-  if faults <> [] then begin
-    let fault_tid = tid0 + Hashtbl.length table in
-    emit
-      (Printf.sprintf
-         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\
-          \"args\":{\"name\":\"%s\"}}"
-         fault_tid
-         (json_escape (lane_name "faults")));
-    List.iter
-      (fun (f : Engine.fault_event) ->
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-              \"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"detail\":\"%s\"}}"
-             (json_escape f.f_kind) (us f.f_time) fault_tid
-             (json_escape
-                (String.concat " "
-                   (List.filter
-                      (fun s -> s <> "")
-                      [
-                        f.f_worker;
-                        (if f.f_task >= 0 then Printf.sprintf "t%d" f.f_task
-                         else "");
-                        f.f_detail;
-                      ])))))
-      faults
-  end;
-  tid0 + Hashtbl.length table + fault_lanes
-
-let with_emitter f =
-  let buf = Buffer.create 1024 in
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf s
+  let fault_tid = tid0 + Hashtbl.length table in
+  let fault_lane =
+    if faults = [] then []
+    else
+      thread_name fault_tid (lane_name "faults")
+      :: List.map
+           (fun (f : Engine.fault_event) ->
+             let detail =
+               String.concat " "
+                 (List.filter
+                    (fun s -> s <> "")
+                    [ f.f_worker;
+                      (if f.f_task >= 0 then Printf.sprintf "t%d" f.f_task
+                       else "");
+                      f.f_detail ])
+             in
+             Obs.Json.Obj
+               [ ("name", str f.f_kind); ("cat", str "fault"); ("ph", str "i");
+                 ("s", str "t"); ("ts", us f.f_time); ("pid", int 0);
+                 ("tid", int fault_tid);
+                 ("args", Obs.Json.Obj [ ("detail", str detail) ]) ])
+           faults
   in
-  emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\
-     \"args\":{\"name\":\"virtual time (sim)\"}}";
-  f emit;
-  Buffer.contents buf
+  ((fault_tid + if faults = [] then 0 else 1), names @ slices @ fault_lane)
 
-let chrome_body ?faults events =
-  with_emitter (fun emit -> ignore (chrome_lanes ~emit ?faults events))
-
-let chrome_body_tenants tenants =
-  with_emitter (fun emit ->
-      ignore
-        (List.fold_left
-           (fun tid0 (tenant, events, faults) ->
-             chrome_lanes ~emit ~lane:tenant ~tid0 ~faults events)
-           0 tenants))
-
-let to_chrome_json ?faults events =
-  "{\"traceEvents\":[" ^ chrome_body ?faults events ^ "]}"
-
-let to_chrome_json_tenants tenants =
-  "{\"traceEvents\":[" ^ chrome_body_tenants tenants ^ "]}"
-
-let to_chrome_json_tenants_combined tenants =
-  let virt = chrome_body_tenants tenants in
-  let wall = Obs.Export.chrome_body () in
-  let sep = if virt <> "" && wall <> "" then "," else "" in
-  "{\"traceEvents\":[" ^ virt ^ sep ^ wall ^ "]}"
-
-let to_chrome_json_combined ?faults events =
-  let virt = chrome_body ?faults events in
-  let wall = Obs.Export.chrome_body () in
-  let sep = if virt <> "" && wall <> "" then "," else "" in
-  "{\"traceEvents\":[" ^ virt ^ sep ^ wall ^ "]}"
-
-(* RFC 4180: fields containing the separator, a double quote, or a
-   line break are quoted, with embedded quotes doubled.  Codelet and
-   worker names come from user-authored PDL files, so they can
-   contain anything. *)
-let csv_field s =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
+let events engines =
+  let process =
+    Obs.Json.Obj
+      [ ("name", str "process_name"); ("ph", str "M"); ("pid", int 0);
+        ("args", Obs.Json.Obj [ ("name", str "virtual time (sim)") ]) ]
   in
-  if not needs_quoting then s
-  else begin
-    let buf = Buffer.create (String.length s + 8) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\""
-        else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
-  end
-
-let to_csv events =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "task,codelet,worker,start_us,compute_start_us,end_us,bytes_in\n";
-  List.iter
-    (fun (e : Engine.trace_event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%s,%.3f,%.3f,%.3f,%.0f\n" (csv_field e.tr_task)
-           (csv_field e.tr_codelet) (csv_field e.tr_worker) (us e.tr_start)
-           (us e.tr_compute_start) (us e.tr_end) e.tr_bytes_in))
-    events;
-  Buffer.contents buf
-
-let summary events =
-  let table :
-      (string, int ref * float ref * float ref * float ref * Obs.Histogram.t)
-      Hashtbl.t =
-    Hashtbl.create 8
-  in
-  List.iter
-    (fun (e : Engine.trace_event) ->
-      let count, compute, transfer, bytes, hist =
-        match Hashtbl.find_opt table e.tr_codelet with
-        | Some entry -> entry
-        | None ->
-            let entry =
-              (ref 0, ref 0.0, ref 0.0, ref 0.0, Obs.Histogram.create ())
-            in
-            Hashtbl.replace table e.tr_codelet entry;
-            entry
-      in
-      incr count;
-      let dt = e.tr_end -. e.tr_compute_start in
-      compute := !compute +. dt;
-      Obs.Histogram.observe hist dt;
-      transfer := !transfer +. (e.tr_compute_start -. e.tr_start);
-      bytes := !bytes +. e.tr_bytes_in)
-    events;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %8s %14s %14s %10s %10s %14s %12s\n" "codelet"
-       "tasks" "compute [s]" "mean [ms]" "p50 [ms]" "p95 [ms]" "transfer [s]"
-       "bytes [MB]");
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-  |> List.sort compare
-  |> List.iter (fun (codelet, (count, compute, transfer, bytes, hist)) ->
-         Buffer.add_string buf
-           (Printf.sprintf
-              "%-12s %8d %14.6f %14.3f %10.3f %10.3f %14.6f %12.2f\n" codelet
-              !count !compute
-              (1e3 *. !compute /. float_of_int !count)
-              (1e3 *. Obs.Histogram.percentile hist 50.0)
-              (1e3 *. Obs.Histogram.percentile hist 95.0)
-              !transfer (!bytes /. 1e6)));
-  Buffer.contents buf
-
-let write_chrome ?faults path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_chrome_json ?faults events))
-
-let write_chrome_combined ?faults path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_chrome_json_combined ?faults events))
-
-let write_chrome_tenants_combined path tenants =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_chrome_json_tenants_combined tenants))
+  process :: List.concat (snd (List.fold_left_map engine_events 0 engines))

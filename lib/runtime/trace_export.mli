@@ -1,57 +1,20 @@
 (** Execution-trace export.
 
     StarPU emits Paje traces for post-mortem analysis; taskrt's
-    equivalent exports {!Engine.trace} events as Chrome trace-event
-    JSON (loadable in [chrome://tracing] / Perfetto), as CSV, or as a
-    per-codelet text summary. Virtual times are exported in
-    microseconds. *)
+    equivalent turns {!Engine.trace} events into Chrome trace events
+    (virtual time, pid 0, microseconds), which
+    {!Obs.Export.to_chrome_json} writes next to the wall-clock spans
+    so Perfetto shows both processes side by side. *)
 
-val to_chrome_json :
-  ?faults:Engine.fault_event list -> Engine.trace_event list -> string
-(** Complete-event ("ph":"X") records, one lane per worker; transfer
-    phases are emitted as separate events when a task moved bytes.
-    [faults] (see {!Engine.fault_log}) adds a dedicated "faults" lane
-    of instant events — crashes, retries, quarantines, failovers —
-    after the worker lanes. *)
-
-val to_chrome_json_combined :
-  ?faults:Engine.fault_event list -> Engine.trace_event list -> string
-(** The virtual timeline (pid 0) merged with the wall-clock telemetry
-    spans recorded by {!Obs} (pid {!Obs.Export.wall_pid}) in one
-    document, so Perfetto shows both processes side by side. *)
-
-val to_chrome_json_tenants :
-  (string * Engine.trace_event list * Engine.fault_event list) list -> string
-(** Several engines' timelines in one document, each tagged with a
-    lane prefix: the worker (and fault) lanes of entry
-    [(tenant, events, faults)] are named ["tenant/worker"] and get
-    their own thread ids, so a multi-tenant serve run's trace keeps
-    tenants visually separate in Perfetto. *)
-
-val to_chrome_json_tenants_combined :
-  (string * Engine.trace_event list * Engine.fault_event list) list -> string
-(** {!to_chrome_json_tenants} merged with the wall-clock telemetry
-    spans, like {!to_chrome_json_combined}. *)
-
-val to_csv : Engine.trace_event list -> string
-(** Header: [task,codelet,worker,start_us,compute_start_us,end_us,bytes_in].
-    Fields are RFC 4180-quoted, so codelet and worker names may
-    contain commas, quotes, and newlines. *)
-
-val summary : Engine.trace_event list -> string
-(** Per-codelet aggregate: count, total/mean compute seconds,
-    p50/p95 compute latency, total transfer seconds, bytes moved. *)
-
-val write_chrome :
-  ?faults:Engine.fault_event list -> string -> Engine.trace_event list -> unit
-(** Write the JSON to a file. *)
-
-val write_chrome_combined :
-  ?faults:Engine.fault_event list -> string -> Engine.trace_event list -> unit
-(** [write_chrome] for {!to_chrome_json_combined}. *)
-
-val write_chrome_tenants_combined :
-  string ->
+val events :
   (string * Engine.trace_event list * Engine.fault_event list) list ->
-  unit
-(** [write_chrome] for {!to_chrome_json_tenants_combined}. *)
+  Obs.Json.t list
+(** [events [(lane, trace, faults); ...]]: one lane per worker of
+    every engine, each engine's lanes on their own thread ids, named
+    ["lane/worker"] (or just ["worker"] when [lane] is [""], the
+    single-engine case) — a multi-tenant serve run passes the tenant,
+    so tenants stay visually separate.  Each task is a complete
+    (["X"]) event, preceded by a transfer event when it moved bytes;
+    a non-empty [faults] (see {!Engine.fault_log}) adds a ["faults"]
+    lane of instant events — crashes, retries, quarantines,
+    failovers — after that engine's worker lanes. *)

@@ -59,27 +59,29 @@ type entry =
 
 module J = Obs.Json
 
-let entry_payload = function
-  | Accept a ->
-      let req =
-        P.request_to_string
-          (P.Submit
-             {
-               tenant = a.a_tenant;
-               job = a.a_job;
-               deadline_ms = a.a_deadline_ms;
-               idem = a.a_idem;
-               trace = a.a_trace;
-             })
-      in
-      Printf.sprintf "{\"r\":\"accept\",\"id\":%d,\"req\":%s}" a.a_id
-        (P.json_string req)
-  | Complete { c_idem; c_reply } ->
-      Printf.sprintf "{\"r\":\"done\"%s,\"reply\":%s}"
-        (match c_idem with
-        | None -> ""
-        | Some k -> Printf.sprintf ",\"idem\":%s" (P.json_string k))
-        (P.json_string (P.reply_to_string c_reply))
+let entry_payload e =
+  J.to_text
+    (match e with
+    | Accept a ->
+        let req =
+          P.request_to_string
+            (P.Submit
+               {
+                 tenant = a.a_tenant;
+                 job = a.a_job;
+                 deadline_ms = a.a_deadline_ms;
+                 idem = a.a_idem;
+                 trace = a.a_trace;
+               })
+        in
+        J.Obj
+          [ ("r", J.Str "accept"); ("id", J.Num (float_of_int a.a_id));
+            ("req", J.Str req) ]
+    | Complete { c_idem; c_reply } ->
+        J.Obj
+          (("r", J.Str "done")
+           :: (match c_idem with None -> [] | Some k -> [ ("idem", J.Str k) ])
+          @ [ ("reply", J.Str (P.reply_to_string c_reply)) ]))
 
 let entry_to_line e =
   let payload = entry_payload e in

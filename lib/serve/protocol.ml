@@ -169,124 +169,96 @@ type reply =
 
 (* --- JSON emission ---------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Obs.Json
 
-(* 17 significant digits round-trip IEEE doubles exactly; the grammar
-   forbids non-finite values (JSON cannot carry them). *)
-let num f = Printf.sprintf "%.17g" f
-let str s = "\"" ^ json_escape s ^ "\""
-let json_string = str
+(* Field order is part of the wire format: a key-less, trace-less
+   submit stays byte-identical to what pre-durability clients emitted. *)
+let int i = J.Num (float_of_int i)
+let opt name f = function None -> [] | Some x -> [ (name, f x) ]
+let opt_str name v = opt name (fun s -> J.Str s) v
+let opt_num name v = opt name (fun x -> J.Num x) v
+let json_string s = J.to_text (J.Str s)
 
 let job_to_json = function
   | Dgemm { n; tiles; seed } ->
-      Printf.sprintf "{\"kind\":\"dgemm\",\"n\":%d,\"tiles\":%d,\"seed\":%d}" n
-        tiles seed
+      J.Obj
+        [ ("kind", J.Str "dgemm"); ("n", int n); ("tiles", int tiles);
+          ("seed", int seed) ]
   | Cholesky { n; tiles; seed } ->
-      Printf.sprintf "{\"kind\":\"cholesky\",\"n\":%d,\"tiles\":%d,\"seed\":%d}"
-        n tiles seed
+      J.Obj
+        [ ("kind", J.Str "cholesky"); ("n", int n); ("tiles", int tiles);
+          ("seed", int seed) ]
   | Graph { width; depth; task_flops } ->
-      Printf.sprintf "{\"kind\":\"graph\",\"width\":%d,\"depth\":%d,\"task_flops\":%s}"
-        width depth (num task_flops)
+      J.Obj
+        [ ("kind", J.Str "graph"); ("width", int width); ("depth", int depth);
+          ("task_flops", J.Num task_flops) ]
 
-let opt_str_field name = function
-  | None -> ""
-  | Some s -> Printf.sprintf ",\"%s\":%s" name (str s)
-
-let request_to_string = function
+let request_to_string r =
+  let op name fields =
+    J.to_text (J.Obj (("v", int version) :: ("op", J.Str name) :: fields))
+  in
+  match r with
   | Submit { tenant; job; deadline_ms; idem; trace } ->
-      (* field order keeps a key-less, trace-less submit byte-identical
-         to what pre-durability clients emitted *)
-      Printf.sprintf "{\"v\":%d,\"op\":\"submit\",\"tenant\":%s,\"job\":%s%s%s%s}"
-        version (str tenant) (job_to_json job)
-        (match deadline_ms with
-        | None -> ""
-        | Some d -> Printf.sprintf ",\"deadline_ms\":%s" (num d))
-        (opt_str_field "idem" idem)
-        (opt_str_field "trace" trace)
-  | Run -> Printf.sprintf "{\"v\":%d,\"op\":\"run\"}" version
-  | Stats -> Printf.sprintf "{\"v\":%d,\"op\":\"stats\"}" version
-  | Drain { budget_ms } ->
-      Printf.sprintf "{\"v\":%d,\"op\":\"drain\"%s}" version
-        (match budget_ms with
-        | None -> ""
-        | Some b -> Printf.sprintf ",\"budget_ms\":%s" (num b))
-  | Ping -> Printf.sprintf "{\"v\":%d,\"op\":\"ping\"}" version
+      op "submit"
+        ([ ("tenant", J.Str tenant); ("job", job_to_json job) ]
+        @ opt_num "deadline_ms" deadline_ms
+        @ opt_str "idem" idem @ opt_str "trace" trace)
+  | Run -> op "run" []
+  | Stats -> op "stats" []
+  | Drain { budget_ms } -> op "drain" (opt_num "budget_ms" budget_ms)
+  | Ping -> op "ping" []
 
 let status_fields = function
   | Jok { makespan_s; checksum; tasks; coalesced; shard } ->
-      Printf.sprintf
-        "\"status\":\"ok\",\"makespan_s\":%s,\"checksum\":%s,\"tasks\":%d,\
-         \"coalesced\":%b,\"shard\":%d"
-        (num makespan_s) (str checksum) tasks coalesced shard
-  | Jfailed reason -> Printf.sprintf "\"status\":\"failed\",\"reason\":%s" (str reason)
-  | Jtimeout -> "\"status\":\"timeout\""
-  | Jcancelled -> "\"status\":\"cancelled\""
+      [ ("status", J.Str "ok"); ("makespan_s", J.Num makespan_s);
+        ("checksum", J.Str checksum); ("tasks", int tasks);
+        ("coalesced", J.Bool coalesced); ("shard", int shard) ]
+  | Jfailed reason -> [ ("status", J.Str "failed"); ("reason", J.Str reason) ]
+  | Jtimeout -> [ ("status", J.Str "timeout") ]
+  | Jcancelled -> [ ("status", J.Str "cancelled") ]
 
 let tenant_row_to_json r =
-  Printf.sprintf
-    "{\"tenant\":%s,\"submitted\":%d,\"completed\":%d,\"rejected\":%d,\
-     \"timeouts\":%d,\"cancelled\":%d,\"failed\":%d,\"coalesced\":%d,\
-     \"queue\":%d,\"cap\":%d,\"weight\":%s,\"busy_vs\":%s,\"quarantined\":[%s]%s,\
-     \"slo_good\":%d,\"slo_bad\":%d,\"burn_rate\":%s}"
-    (str r.tr_tenant) r.tr_submitted r.tr_completed r.tr_rejected r.tr_timeouts
-    r.tr_cancelled r.tr_failed r.tr_coalesced r.tr_queue r.tr_cap
-    (num r.tr_weight) (num r.tr_busy_vs)
-    (String.concat "," (List.map str r.tr_quarantined))
-    (match r.tr_slo_ms with
-    | None -> ""
-    | Some m -> Printf.sprintf ",\"slo_ms\":%s" (num m))
-    r.tr_slo_good r.tr_slo_bad (num r.tr_burn_rate)
+  J.Obj
+    ([ ("tenant", J.Str r.tr_tenant); ("submitted", int r.tr_submitted);
+       ("completed", int r.tr_completed); ("rejected", int r.tr_rejected);
+       ("timeouts", int r.tr_timeouts); ("cancelled", int r.tr_cancelled);
+       ("failed", int r.tr_failed); ("coalesced", int r.tr_coalesced);
+       ("queue", int r.tr_queue); ("cap", int r.tr_cap);
+       ("weight", J.Num r.tr_weight); ("busy_vs", J.Num r.tr_busy_vs);
+       ("quarantined", J.Arr (List.map (fun q -> J.Str q) r.tr_quarantined)) ]
+    @ opt_num "slo_ms" r.tr_slo_ms
+    @ [ ("slo_good", int r.tr_slo_good); ("slo_bad", int r.tr_slo_bad);
+        ("burn_rate", J.Num r.tr_burn_rate) ])
 
-let reply_to_string = function
+let reply_to_string r =
+  let re name fields =
+    J.to_text (J.Obj (("v", int version) :: ("re", J.Str name) :: fields))
+  in
+  match r with
   | Accepted { id; credit; trace } ->
-      Printf.sprintf "{\"v\":%d,\"re\":\"accepted\",\"id\":%d,\"credit\":%d%s}"
-        version id credit
-        (opt_str_field "trace" trace)
+      re "accepted"
+        ([ ("id", int id); ("credit", int credit) ] @ opt_str "trace" trace)
   | Overloaded { tenant; queue; cap; retry_ms } ->
-      Printf.sprintf
-        "{\"v\":%d,\"re\":\"overloaded\",\"tenant\":%s,\"queue\":%d,\
-         \"cap\":%d,\"retry_ms\":%s}"
-        version (str tenant) queue cap (num retry_ms)
-  | Draining -> Printf.sprintf "{\"v\":%d,\"re\":\"draining\"}" version
+      re "overloaded"
+        [ ("tenant", J.Str tenant); ("queue", int queue); ("cap", int cap);
+          ("retry_ms", J.Num retry_ms) ]
+  | Draining -> re "draining" []
   | Done { id; tenant; latency_ms; status; trace } ->
-      Printf.sprintf
-        "{\"v\":%d,\"re\":\"done\",\"id\":%d,\"tenant\":%s,\
-         \"latency_ms\":%s%s,%s}"
-        version id (str tenant) (num latency_ms)
-        (opt_str_field "trace" trace)
-        (status_fields status)
+      re "done"
+        ([ ("id", int id); ("tenant", J.Str tenant);
+           ("latency_ms", J.Num latency_ms) ]
+        @ opt_str "trace" trace @ status_fields status)
   | Stats_reply rows ->
-      Printf.sprintf "{\"v\":%d,\"re\":\"stats\",\"tenants\":[%s]}" version
-        (String.concat "," (List.map tenant_row_to_json rows))
-  | Idle { completed } ->
-      Printf.sprintf "{\"v\":%d,\"re\":\"idle\",\"completed\":%d}" version
-        completed
+      re "stats" [ ("tenants", J.Arr (List.map tenant_row_to_json rows)) ]
+  | Idle { completed } -> re "idle" [ ("completed", int completed) ]
   | Drained { completed; cancelled } ->
-      Printf.sprintf
-        "{\"v\":%d,\"re\":\"drained\",\"completed\":%d,\"cancelled\":%d}"
-        version completed cancelled
-  | Pong -> Printf.sprintf "{\"v\":%d,\"re\":\"pong\"}" version
+      re "drained" [ ("completed", int completed); ("cancelled", int cancelled) ]
+  | Pong -> re "pong" []
   | Error { code; reason } ->
-      Printf.sprintf "{\"v\":%d,\"re\":\"error\",\"code\":%s,\"reason\":%s}"
-        version
-        (str (err_code_to_string code))
-        (str reason)
+      re "error"
+        [ ("code", J.Str (err_code_to_string code)); ("reason", J.Str reason) ]
 
 (* --- JSON decoding ---------------------------------------------------- *)
-
-module J = Obs.Json
 
 type error = { e_code : err_code; e_reason : string }
 

@@ -173,9 +173,8 @@ val reply_to_string : reply -> string
 val reply_of_string : string -> (reply, string) result
 
 val json_string : string -> string
-(** Quote and escape a string as a JSON literal — the same escaper
-    the codec uses, shared with the {!Journal} record format (which
-    embeds whole wire messages as string fields). *)
+(** Quote and escape a string as a JSON literal: the escaping of
+    every frame, as {!Obs.Json.to_text} writes it. *)
 
 val frame : string -> string
 (** Prefix a payload with its 4-byte big-endian length.

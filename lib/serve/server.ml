@@ -38,8 +38,8 @@ let flush_state config svc =
   | None, _ -> ());
   Option.iter
     (fun path ->
-      Taskrt.Trace_export.write_chrome_tenants_combined path
-        (Service.tenant_traces svc))
+      Obs.Export.write_chrome path
+        (Taskrt.Trace_export.events (Service.tenant_traces svc)))
     config.trace_out;
   Option.iter (fun path -> Obs.Decision.write_jsonl path) config.decisions_out;
   Option.iter

@@ -141,7 +141,7 @@ val tenant_traces :
   (string * Taskrt.Engine.trace_event list * Taskrt.Engine.fault_event list)
   list
 (** Per-tenant execution and fault events across the tenant's
-    engines, for {!Taskrt.Trace_export.to_chrome_json_tenants}. *)
+    engines, for {!Taskrt.Trace_export.events}. *)
 
 val shard_configs : t -> Taskrt.Machine_config.t array
 (** The PU shards the service runs over (tests, logs). *)

@@ -159,43 +159,33 @@ let set_gemm_config t cfg =
 let dirty t = t.dirty
 
 let to_json_string t =
-  let buf = Buffer.create 1024 in
-  let fl x =
-    (* %.17g round-trips any finite double. *)
-    if Float.is_integer x && Float.abs x < 1e15 then
-      Printf.sprintf "%.0f" x
-    else Printf.sprintf "%.17g" x
+  let module J = Obs.Json in
+  let int i = J.Num (float_of_int i) in
+  let gemm =
+    match t.gemm with
+    | None -> []
+    | Some g ->
+        [ ("gemm",
+           J.Obj
+             [ ("mc", int g.g_mc); ("kc", int g.g_kc); ("nc", int g.g_nc);
+               ("micro", J.Str g.g_micro); ("gflops", J.Num g.g_gflops) ]) ]
   in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"version\": %d,\n" version);
-  Buffer.add_string buf (Printf.sprintf "  \"pdl_hash\": %S,\n" t.pdl_hash);
-  Buffer.add_string buf (Printf.sprintf "  \"platform\": %S,\n" t.platform);
-  (match t.gemm with
-  | None -> ()
-  | Some g ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"gemm\": { \"mc\": %d, \"kc\": %d, \"nc\": %d, \"micro\": %S, \
-            \"gflops\": %s },\n"
-           g.g_mc g.g_kc g.g_nc g.g_micro (fl g.g_gflops)));
   let cells =
     Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.cells []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun ((codelet, pu, bucket), c) ->
+           J.Obj
+             [ ("codelet", J.Str codelet); ("pu", J.Str pu);
+               ("bucket", int bucket); ("n", int c.n); ("sum_s", J.Num c.sum_s);
+               ("sum_f", J.Num c.sum_f); ("min_s", J.Num c.min_s);
+               ("max_s", J.Num c.max_s) ])
   in
-  Buffer.add_string buf "  \"cells\": [";
-  List.iteri
-    (fun i ((codelet, pu, bucket), c) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"codelet\": %S, \"pu\": %S, \"bucket\": %d, \"n\": %d, \
-            \"sum_s\": %s, \"sum_f\": %s, \"min_s\": %s, \"max_s\": %s }"
-           codelet pu bucket c.n (fl c.sum_s) (fl c.sum_f) (fl c.min_s)
-           (fl c.max_s)))
-    cells;
-  if cells <> [] then Buffer.add_string buf "\n  ";
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  J.to_text
+    (J.Obj
+       ([ ("version", int version); ("pdl_hash", J.Str t.pdl_hash);
+          ("platform", J.Str t.platform) ]
+       @ gemm
+       @ [ ("cells", J.Arr cells) ]))
 
 let save ?(dir = ".") t =
   let p = path ~dir t in

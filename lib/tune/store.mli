@@ -79,6 +79,7 @@ val dirty : t -> bool
 (** Observations or config changes not yet saved. *)
 
 val to_json_string : t -> string
+(** The store as one compact JSON document. *)
 
 val save : ?dir:string -> t -> unit
 (** Atomic write (temp file + rename) of {!to_json_string} to

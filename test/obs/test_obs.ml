@@ -235,6 +235,88 @@ let test_json_rejects () =
       | Error _ -> ())
     [ "{"; "[1,]"; "123abc"; "{\"a\":1} trailing"; "\"unterminated"; "" ]
 
+(* The reader accepts only the JSON grammar: [int_of_string] used to
+   let "\u0_41" decode to "A", and [float_of_string] let +1, 01, 1.
+   and .5 through. *)
+let test_json_strict () =
+  List.iter
+    (fun doc ->
+      match Obs.Json.parse doc with
+      | Ok _ -> Alcotest.failf "accepted %S" doc
+      | Error _ -> ())
+    [ "\"\\u0_41\""; "+1"; "01"; "1."; ".5"; "\"\\u00g1\""; "-"; "1e";
+      "1e+"; "-01"; "\"a\tb\"" ];
+  List.iter
+    (fun (doc, want) ->
+      match Obs.Json.parse doc with
+      | Ok (Obs.Json.Num x) -> Alcotest.(check (float 0.)) doc want x
+      | _ -> Alcotest.failf "rejected %S" doc)
+    [ ("0", 0.); ("-0", -0.); ("10", 10.); ("0.5", 0.5); ("-1.5e-3", -1.5e-3);
+      ("1E+5", 1e5); ("2e0", 2.) ];
+  match Obs.Json.parse "\"\\u00e9\\u0041\"" with
+  | Ok (Obs.Json.Str s) -> Alcotest.(check string) "\\u escapes" "\xc3\xa9A" s
+  | _ -> Alcotest.fail "four-digit \\u escapes refused"
+
+let test_json_non_finite () =
+  Alcotest.(check string) "nan and infinities are written as null"
+    "[null,null,null,1]"
+    (Obs.Json.(
+       to_text (Arr [ Num Float.nan; Num infinity; Num neg_infinity; Num 1. ])))
+
+(* Bitwise float equality, so -0. must come back as -0. *)
+let rec same_json a b =
+  let open Obs.Json in
+  match (a, b) with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal same_json xs ys
+  | Obj xs, Obj ys ->
+      List.equal (fun (k, v) (k', v') -> k = k' && same_json v v') xs ys
+  | _ -> a = b
+
+(* Values whose nesting depth is drawn from 0..10: each level holds
+   one child of the next depth among shallow siblings. Keys and
+   strings are arbitrary bytes; floats are finite, with -0.,
+   subnormals and the extremes drawn often. *)
+let gen_json =
+  let open QCheck.Gen in
+  let open Obs.Json in
+  let bytes = string_size ~gen:char (int_bound 8) in
+  let num =
+    oneof
+      [ oneofl
+          [ 0.; -0.; 5e-324; -5e-324; 2.2250738585072009e-308; Float.min_float;
+            max_float; -.max_float; 0.1; 1e15; -1e15; 9007199254740992. ];
+        map float_of_int int;
+        map Int64.float_of_bits ui64 ]
+    >|= fun x -> if Float.is_finite x then x else 0.5
+  in
+  let leaf =
+    oneof
+      [ return Null; map (fun b -> Bool b) bool; map (fun x -> Num x) num;
+        map (fun s -> Str s) bytes ]
+  in
+  let rec nested depth =
+    if depth = 0 then leaf
+    else
+      let siblings = list_size (int_bound 2) leaf in
+      triple siblings (nested (depth - 1)) siblings >>= fun (pre, deep, post) ->
+      let items = pre @ (deep :: post) in
+      oneof
+        [ return (Arr items);
+          map
+            (fun keys -> Obj (List.combine keys items))
+            (list_repeat (List.length items) bytes) ]
+  in
+  int_range 0 10 >>= nested
+
+let test_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse inverts to_text"
+    (QCheck.make ~print:Obs.Json.to_text gen_json)
+    (fun v ->
+      match Obs.Json.parse (Obs.Json.to_text v) with
+      | Ok v' -> same_json v v'
+      | Error _ -> false)
+
 (* --- Chrome export round-trip --------------------------------------- *)
 
 let test_chrome_roundtrip () =
@@ -244,7 +326,7 @@ let test_chrome_roundtrip () =
   Obs.Span.record_interval ~cat:"t" ~name:"outer" 1_000 5_000;
   Obs.Span.record_interval ~cat:"t" ~name:"we\"ird\\name\n" 6_000 7_000;
   Obs.Span.record_interval ~cat:"t" ~name:"mark" 8_000 8_000;
-  let doc = Obs.Export.to_chrome_json () in
+  let doc = Obs.Export.to_chrome_json [] in
   match Obs.Json.parse doc with
   | Error e -> Alcotest.fail ("emitted trace does not parse: " ^ e)
   | Ok json ->
@@ -497,7 +579,7 @@ let test_trace_check_gate () =
   Obs.Span.record_interval ~cat:"t" ~name:"a" ~flow:7 1_000 2_000;
   Obs.Span.record_interval ~cat:"t" ~name:"b" ~flow:7 3_000 4_000;
   Obs.Span.instant ~cat:"t" ~name:"mark" ();
-  let doc = Obs.Export.to_chrome_json () in
+  let doc = Obs.Export.to_chrome_json [] in
   (match Obs.Trace_check.validate_string doc with
   | Ok () -> ()
   | Error es ->
@@ -548,7 +630,7 @@ let test_export_always_validates =
           Obs.Span.record_interval ~cat:"p" ~name:"s" ~flow t0 (t0 + d))
         spans;
       let ok =
-        Obs.Trace_check.validate_string (Obs.Export.to_chrome_json ()) = Ok ()
+        Obs.Trace_check.validate_string (Obs.Export.to_chrome_json []) = Ok ()
       in
       Obs.Span.clear ();
       ok)
@@ -582,6 +664,9 @@ let () =
         [
           Alcotest.test_case "values" `Quick test_json_values;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
+          Alcotest.test_case "strict grammar" `Quick test_json_strict;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
+          QCheck_alcotest.to_alcotest test_json_roundtrip;
         ] );
       ( "export",
         [

@@ -751,7 +751,9 @@ let trace_tests =
           [ (ha, Codelet.R); (hb, Codelet.R); (hc, Codelet.RW) ];
         let _ = Engine.wait_all rt in
         let events = Engine.trace rt in
-        let json = Trace_export.to_chrome_json events in
+        let json =
+          Obs.Export.to_chrome_json (Trace_export.events [ ("", events, []) ])
+        in
         check bool_ "object" true
           (String.length json > 2 && json.[0] = '{'
           && json.[String.length json - 1] = '}');
@@ -767,99 +769,6 @@ let trace_tests =
         check int_ "one task record" 1 (count_sub "\"cat\":\"task\"" json);
         check bool_ "balanced braces" true
           (count_sub "{" json = count_sub "}" json));
-    Alcotest.test_case "csv has one row per task plus header" `Quick
-      (fun () ->
-        let rt = Engine.create (smp_cfg ()) in
-        let cl = Codelet.noop ~name:"unit" ~flops:1e9 ~archs:[ "cpu" ] in
-        for _ = 1 to 5 do
-          let h = Data.register_matrix (Matrix.create 1 1) in
-          Engine.submit rt cl [ (h, Codelet.RW) ]
-        done;
-        let _ = Engine.wait_all rt in
-        let csv = Trace_export.to_csv (Engine.trace rt) in
-        let lines =
-          List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)
-        in
-        check int_ "6 lines" 6 (List.length lines));
-    Alcotest.test_case "summary aggregates per codelet" `Quick (fun () ->
-        let a = Kernels.Lapack.random_spd ~seed:3 16 in
-        let r = Tiled_cholesky.run ~tiles:4 (smp_cfg ()) a in
-        ignore r;
-        (* rebuild a traced run *)
-        let cfg = smp_cfg () in
-        let rt = Engine.create cfg in
-        let ha = Data.register_matrix (Matrix.copy a) in
-        let grid = Data.partition_tiles ha ~rows:4 ~cols:4 in
-        let open Codelet in
-        Engine.submit rt
-          (noop ~name:"potrf" ~flops:1e6 ~archs:[ "cpu" ])
-          [ (grid.(0).(0), RW) ];
-        Engine.submit rt
-          (noop ~name:"trsm" ~flops:1e6 ~archs:[ "cpu" ])
-          [ (grid.(0).(0), R); (grid.(1).(0), RW) ];
-        let _ = Engine.wait_all rt in
-        let s = Trace_export.summary (Engine.trace rt) in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        check bool_ "potrf row" true (contains s "potrf");
-        check bool_ "trsm row" true (contains s "trsm"));
-    Alcotest.test_case "summary reports p50/p95 latency columns" `Quick
-      (fun () ->
-        let rt = Engine.create (smp_cfg ()) in
-        let cl = Codelet.noop ~name:"unit" ~flops:1e9 ~archs:[ "cpu" ] in
-        for _ = 1 to 8 do
-          let h = Data.register_matrix (Matrix.create 1 1) in
-          Engine.submit rt cl [ (h, Codelet.RW) ]
-        done;
-        let _ = Engine.wait_all rt in
-        let s = Trace_export.summary (Engine.trace rt) in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        check bool_ "p50 column" true (contains s "p50 [ms]");
-        check bool_ "p95 column" true (contains s "p95 [ms]"));
-    Alcotest.test_case "csv quotes fields per RFC 4180" `Quick (fun () ->
-        let rt = Engine.create (smp_cfg ()) in
-        let cl =
-          Codelet.noop ~name:"we,ird \"name\"" ~flops:1e9 ~archs:[ "cpu" ]
-        in
-        let h = Data.register_matrix (Matrix.create 1 1) in
-        Engine.submit rt cl [ (h, Codelet.RW) ];
-        let _ = Engine.wait_all rt in
-        let csv = Trace_export.to_csv (Engine.trace rt) in
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        (* comma and quotes force quoting; internal quotes double *)
-        check bool_ "quoted field" true
-          (contains csv "\"we,ird \"\"name\"\"\"");
-        let lines =
-          List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)
-        in
-        (* the embedded comma must not create an extra column *)
-        List.iter
-          (fun line ->
-            let cols = ref 1 and in_quotes = ref false in
-            String.iter
-              (fun c ->
-                if c = '"' then in_quotes := not !in_quotes
-                else if c = ',' && not !in_quotes then incr cols)
-              line;
-            check int_ "7 columns" 7 !cols)
-          lines);
     Alcotest.test_case "combined trace merges wall and virtual timelines"
       `Quick (fun () ->
         Obs.Config.set_enabled true;
@@ -870,7 +779,10 @@ let trace_tests =
         let h = Data.register_matrix (Matrix.create 1 1) in
         Engine.submit rt cl [ (h, Codelet.RW) ];
         let _ = Engine.wait_all rt in
-        let json = Trace_export.to_chrome_json_combined (Engine.trace rt) in
+        let json =
+          Obs.Export.to_chrome_json
+            (Trace_export.events [ ("", Engine.trace rt, []) ])
+        in
         Obs.Config.set_enabled false;
         (match Obs.Json.parse json with
         | Error e -> Alcotest.fail ("combined trace does not parse: " ^ e)

@@ -565,8 +565,8 @@ let trace_tests =
              (P.Dgemm { n = 64; tiles = 4; seed = 2 }));
         ignore (Service.run_until_idle svc);
         let doc =
-          Taskrt.Trace_export.to_chrome_json_tenants
-            (Service.tenant_traces svc)
+          Obs.Export.to_chrome_json
+            (Taskrt.Trace_export.events (Service.tenant_traces svc))
         in
         let json =
           match J.parse doc with
@@ -644,7 +644,7 @@ let flow_chain =
         | _ -> false
       in
       ignore (Service.run_until_idle svc);
-      let doc = Obs.Export.to_chrome_json () in
+      let doc = Obs.Export.to_chrome_json [] in
       Obs.Export.reset_all ();
       Obs.Config.set_enabled false;
       let schema_ok = Obs.Trace_check.validate_string doc = Ok () in
@@ -1265,6 +1265,326 @@ let golden_tests =
           (golden_checksums ()) golden_expected);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden wire bytes: every request/reply variant and both journal
+   entry kinds, with optional fields present and absent, awkward
+   strings and boundary floats.  The expected bytes were recorded from
+   the hand-written encoder this codec replaced. *)
+
+let odd = "q\"b\\s\nn\tt\001c\195\169"
+let floats = [ 0.1; -0.; 5e-324; 1e300; 1e15; 9007199254740992. ]
+let trace_id = "0123456789abcdef-fedcba9876543210"
+
+let row ?slo_ms ~quarantined w =
+  {
+    P.tr_tenant = odd;
+    tr_submitted = 9;
+    tr_completed = 7;
+    tr_rejected = 1;
+    tr_timeouts = 0;
+    tr_cancelled = 2;
+    tr_failed = 3;
+    tr_coalesced = 4;
+    tr_queue = 5;
+    tr_cap = 64;
+    tr_weight = w;
+    tr_busy_vs = 0.1;
+    tr_quarantined = quarantined;
+    tr_slo_ms = slo_ms;
+    tr_slo_good = 11;
+    tr_slo_bad = 12;
+    tr_burn_rate = 1e300;
+  }
+
+let ok_status ~coalesced makespan_s =
+  P.Jok { makespan_s; checksum = "00ff"; tasks = 4; coalesced; shard = 1 }
+
+let wire_cases () =
+  let req r = P.request_to_string r and rep r = P.reply_to_string r in
+  let each prefix f =
+    List.mapi (fun i x -> (Printf.sprintf "%s/%d" prefix i, f x)) floats
+  in
+  [
+    ( "submit/bare",
+      req
+        (P.Submit
+           {
+             tenant = odd;
+             job = P.Dgemm { n = 32; tiles = 2; seed = 7 };
+             deadline_ms = None;
+             idem = None;
+             trace = None;
+           }) );
+    ( "submit/full",
+      req
+        (P.Submit
+           {
+             tenant = "t";
+             job = P.Cholesky { n = 64; tiles = 4; seed = -3 };
+             deadline_ms = Some 0.1;
+             idem = Some "k-1.a:b_C";
+             trace = Some trace_id;
+           }) );
+    ( "submit/trace-only",
+      req
+        (P.Submit
+           {
+             tenant = "t";
+             job = P.Dgemm { n = 1; tiles = 1; seed = 0 };
+             deadline_ms = None;
+             idem = None;
+             trace = Some trace_id;
+           }) );
+    ("run", req P.Run);
+    ("stats", req P.Stats);
+    ("ping", req P.Ping);
+    ("drain/none", req (P.Drain { budget_ms = None }));
+  ]
+  @ each "submit/graph" (fun f ->
+        req
+          (P.Submit
+             {
+               tenant = odd;
+               job = P.Graph { width = 3; depth = 2; task_flops = f };
+               deadline_ms = Some f;
+               idem = None;
+               trace = None;
+             }))
+  @ each "drain" (fun f -> req (P.Drain { budget_ms = Some f }))
+  @ [
+      ("accepted/bare", rep (P.Accepted { id = 1; credit = 0; trace = None }));
+      ( "accepted/trace",
+        rep (P.Accepted { id = 42; credit = -5; trace = Some trace_id }) );
+      ("draining", rep P.Draining);
+      ("idle", rep (P.Idle { completed = 17 }));
+      ("drained", rep (P.Drained { completed = 3; cancelled = 2 }));
+      ("pong", rep P.Pong);
+      ( "done/failed",
+        rep
+          (P.Done
+             {
+               id = 5;
+               tenant = odd;
+               latency_ms = 2.5;
+               status = P.Jfailed odd;
+               trace = Some trace_id;
+             }) );
+      ( "done/timeout",
+        rep
+          (P.Done
+             {
+               id = 6;
+               tenant = "t";
+               latency_ms = 0.;
+               status = P.Jtimeout;
+               trace = None;
+             }) );
+      ( "done/cancelled",
+        rep
+          (P.Done
+             {
+               id = 7;
+               tenant = "t";
+               latency_ms = 1e15;
+               status = P.Jcancelled;
+               trace = None;
+             }) );
+      ("stats/empty", rep (P.Stats_reply []));
+      ( "stats/rows",
+        rep
+          (P.Stats_reply
+             [
+               row ~slo_ms:0.1 ~quarantined:[ "gpu0"; odd ] 2.0;
+               row ~quarantined:[] 5e-324;
+             ]) );
+    ]
+  @ List.map
+      (fun code ->
+        ( "error/" ^ P.err_code_to_string code,
+          rep (P.Error { code; reason = odd }) ))
+      [ P.Parse; P.Version; P.Bad_request ]
+  @ each "overloaded" (fun f ->
+        rep (P.Overloaded { tenant = odd; queue = 3; cap = 4; retry_ms = f }))
+  @ each "done/ok" (fun f ->
+        rep
+          (P.Done
+             {
+               id = 8;
+               tenant = odd;
+               latency_ms = f;
+               status = ok_status ~coalesced:(f > 1.) f;
+               trace = (if f > 1. then Some trace_id else None);
+             }))
+  @ [
+      ( "journal/accept-bare",
+        Serve.Journal.entry_to_line
+          (Serve.Journal.Accept
+             {
+               a_id = 1;
+               a_tenant = odd;
+               a_job = P.Dgemm { n = 32; tiles = 2; seed = 7 };
+               a_deadline_ms = None;
+               a_idem = None;
+               a_trace = None;
+             }) );
+      ( "journal/accept-full",
+        Serve.Journal.entry_to_line
+          (Serve.Journal.Accept
+             {
+               a_id = 2;
+               a_tenant = "t";
+               a_job = P.Graph { width = 3; depth = 2; task_flops = 0.1 };
+               a_deadline_ms = Some 5e-324;
+               a_idem = Some "k-1";
+               a_trace = Some trace_id;
+             }) );
+      ( "journal/done-bare",
+        Serve.Journal.entry_to_line
+          (Serve.Journal.Complete
+             {
+               c_idem = None;
+               c_reply =
+                 P.Done
+                   {
+                     id = 1;
+                     tenant = odd;
+                     latency_ms = 1e300;
+                     status = P.Jfailed odd;
+                     trace = None;
+                   };
+             }) );
+      ( "journal/done-full",
+        Serve.Journal.entry_to_line
+          (Serve.Journal.Complete
+             {
+               c_idem = Some "k-1";
+               c_reply =
+                 P.Done
+                   {
+                     id = 2;
+                     tenant = "t";
+                     latency_ms = 9007199254740992.;
+                     status = ok_status ~coalesced:true (-0.);
+                     trace = Some trace_id;
+                   };
+             }) );
+    ]
+
+let wire_expected =
+  [
+    ("submit/bare",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"dgemm\",\"n\":32,\"tiles\":2,\"seed\":7}}");
+    ("submit/full",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"t\",\"job\":{\"kind\":\"cholesky\",\"n\":64,\"tiles\":4,\"seed\":-3},\"deadline_ms\":0.10000000000000001,\"idem\":\"k-1.a:b_C\",\"trace\":\"0123456789abcdef-fedcba9876543210\"}");
+    ( "submit/trace-only",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"t\",\"job\":{\"kind\":\"dgemm\",\"n\":1,\"tiles\":1,\"seed\":0},\"trace\":\"0123456789abcdef-fedcba9876543210\"}");
+    ("run",
+     "{\"v\":1,\"op\":\"run\"}");
+    ("stats",
+     "{\"v\":1,\"op\":\"stats\"}");
+    ("ping",
+     "{\"v\":1,\"op\":\"ping\"}");
+    ("drain/none",
+     "{\"v\":1,\"op\":\"drain\"}");
+    ("submit/graph/0",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":0.10000000000000001},\"deadline_ms\":0.10000000000000001}");
+    ("submit/graph/1",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":-0},\"deadline_ms\":-0}");
+    ("submit/graph/2",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":4.9406564584124654e-324},\"deadline_ms\":4.9406564584124654e-324}");
+    ("submit/graph/3",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":1.0000000000000001e+300},\"deadline_ms\":1.0000000000000001e+300}");
+    ("submit/graph/4",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":1000000000000000},\"deadline_ms\":1000000000000000}");
+    ("submit/graph/5",
+     "{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":9007199254740992},\"deadline_ms\":9007199254740992}");
+    ("drain/0",
+     "{\"v\":1,\"op\":\"drain\",\"budget_ms\":0.10000000000000001}");
+    ("drain/1",
+     "{\"v\":1,\"op\":\"drain\",\"budget_ms\":-0}");
+    ("drain/2",
+     "{\"v\":1,\"op\":\"drain\",\"budget_ms\":4.9406564584124654e-324}");
+    ("drain/3",
+     "{\"v\":1,\"op\":\"drain\",\"budget_ms\":1.0000000000000001e+300}");
+    ("drain/4",
+     "{\"v\":1,\"op\":\"drain\",\"budget_ms\":1000000000000000}");
+    ("drain/5",
+     "{\"v\":1,\"op\":\"drain\",\"budget_ms\":9007199254740992}");
+    ("accepted/bare",
+     "{\"v\":1,\"re\":\"accepted\",\"id\":1,\"credit\":0}");
+    ("accepted/trace",
+     "{\"v\":1,\"re\":\"accepted\",\"id\":42,\"credit\":-5,\"trace\":\"0123456789abcdef-fedcba9876543210\"}");
+    ("draining",
+     "{\"v\":1,\"re\":\"draining\"}");
+    ("idle",
+     "{\"v\":1,\"re\":\"idle\",\"completed\":17}");
+    ("drained",
+     "{\"v\":1,\"re\":\"drained\",\"completed\":3,\"cancelled\":2}");
+    ("pong",
+     "{\"v\":1,\"re\":\"pong\"}");
+    ("done/failed",
+     "{\"v\":1,\"re\":\"done\",\"id\":5,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":2.5,\"trace\":\"0123456789abcdef-fedcba9876543210\",\"status\":\"failed\",\"reason\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\"}");
+    ("done/timeout",
+     "{\"v\":1,\"re\":\"done\",\"id\":6,\"tenant\":\"t\",\"latency_ms\":0,\"status\":\"timeout\"}");
+    ("done/cancelled",
+     "{\"v\":1,\"re\":\"done\",\"id\":7,\"tenant\":\"t\",\"latency_ms\":1000000000000000,\"status\":\"cancelled\"}");
+    ("stats/empty",
+     "{\"v\":1,\"re\":\"stats\",\"tenants\":[]}");
+    ("stats/rows",
+     "{\"v\":1,\"re\":\"stats\",\"tenants\":[{\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"submitted\":9,\"completed\":7,\"rejected\":1,\"timeouts\":0,\"cancelled\":2,\"failed\":3,\"coalesced\":4,\"queue\":5,\"cap\":64,\"weight\":2,\"busy_vs\":0.10000000000000001,\"quarantined\":[\"gpu0\",\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\"],\"slo_ms\":0.10000000000000001,\"slo_good\":11,\"slo_bad\":12,\"burn_rate\":1.0000000000000001e+300},{\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"submitted\":9,\"completed\":7,\"rejected\":1,\"timeouts\":0,\"cancelled\":2,\"failed\":3,\"coalesced\":4,\"queue\":5,\"cap\":64,\"weight\":4.9406564584124654e-324,\"busy_vs\":0.10000000000000001,\"quarantined\":[],\"slo_good\":11,\"slo_bad\":12,\"burn_rate\":1.0000000000000001e+300}]}");
+    ("error/parse",
+     "{\"v\":1,\"re\":\"error\",\"code\":\"parse\",\"reason\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\"}");
+    ("error/version",
+     "{\"v\":1,\"re\":\"error\",\"code\":\"version\",\"reason\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\"}");
+    ("error/bad-request",
+     "{\"v\":1,\"re\":\"error\",\"code\":\"bad-request\",\"reason\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\"}");
+    ("overloaded/0",
+     "{\"v\":1,\"re\":\"overloaded\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"queue\":3,\"cap\":4,\"retry_ms\":0.10000000000000001}");
+    ("overloaded/1",
+     "{\"v\":1,\"re\":\"overloaded\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"queue\":3,\"cap\":4,\"retry_ms\":-0}");
+    ("overloaded/2",
+     "{\"v\":1,\"re\":\"overloaded\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"queue\":3,\"cap\":4,\"retry_ms\":4.9406564584124654e-324}");
+    ("overloaded/3",
+     "{\"v\":1,\"re\":\"overloaded\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"queue\":3,\"cap\":4,\"retry_ms\":1.0000000000000001e+300}");
+    ("overloaded/4",
+     "{\"v\":1,\"re\":\"overloaded\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"queue\":3,\"cap\":4,\"retry_ms\":1000000000000000}");
+    ("overloaded/5",
+     "{\"v\":1,\"re\":\"overloaded\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"queue\":3,\"cap\":4,\"retry_ms\":9007199254740992}");
+    ("done/ok/0",
+     "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":0.10000000000000001,\"status\":\"ok\",\"makespan_s\":0.10000000000000001,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":false,\"shard\":1}");
+    ("done/ok/1",
+     "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":-0,\"status\":\"ok\",\"makespan_s\":-0,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":false,\"shard\":1}");
+    ("done/ok/2",
+     "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":4.9406564584124654e-324,\"status\":\"ok\",\"makespan_s\":4.9406564584124654e-324,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":false,\"shard\":1}");
+    ("done/ok/3",
+     "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":1.0000000000000001e+300,\"trace\":\"0123456789abcdef-fedcba9876543210\",\"status\":\"ok\",\"makespan_s\":1.0000000000000001e+300,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":true,\"shard\":1}");
+    ("done/ok/4",
+     "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":1000000000000000,\"trace\":\"0123456789abcdef-fedcba9876543210\",\"status\":\"ok\",\"makespan_s\":1000000000000000,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":true,\"shard\":1}");
+    ("done/ok/5",
+     "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":9007199254740992,\"trace\":\"0123456789abcdef-fedcba9876543210\",\"status\":\"ok\",\"makespan_s\":9007199254740992,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":true,\"shard\":1}");
+    ("journal/accept-bare",
+     "7394d946 {\"r\":\"accept\",\"id\":1,\"req\":\"{\\\"v\\\":1,\\\"op\\\":\\\"submit\\\",\\\"tenant\\\":\\\"q\\\\\\\"b\\\\\\\\s\\\\nn\\\\u0009t\\\\u0001c\195\169\\\",\\\"job\\\":{\\\"kind\\\":\\\"dgemm\\\",\\\"n\\\":32,\\\"tiles\\\":2,\\\"seed\\\":7}}\"}\n");
+    ("journal/accept-full",
+     "9fc920a9 {\"r\":\"accept\",\"id\":2,\"req\":\"{\\\"v\\\":1,\\\"op\\\":\\\"submit\\\",\\\"tenant\\\":\\\"t\\\",\\\"job\\\":{\\\"kind\\\":\\\"graph\\\",\\\"width\\\":3,\\\"depth\\\":2,\\\"task_flops\\\":0.10000000000000001},\\\"deadline_ms\\\":4.9406564584124654e-324,\\\"idem\\\":\\\"k-1\\\",\\\"trace\\\":\\\"0123456789abcdef-fedcba9876543210\\\"}\"}\n");
+    ("journal/done-bare",
+     "73571996 {\"r\":\"done\",\"reply\":\"{\\\"v\\\":1,\\\"re\\\":\\\"done\\\",\\\"id\\\":1,\\\"tenant\\\":\\\"q\\\\\\\"b\\\\\\\\s\\\\nn\\\\u0009t\\\\u0001c\195\169\\\",\\\"latency_ms\\\":1.0000000000000001e+300,\\\"status\\\":\\\"failed\\\",\\\"reason\\\":\\\"q\\\\\\\"b\\\\\\\\s\\\\nn\\\\u0009t\\\\u0001c\195\169\\\"}\"}\n");
+    ("journal/done-full",
+     "688d19cc {\"r\":\"done\",\"idem\":\"k-1\",\"reply\":\"{\\\"v\\\":1,\\\"re\\\":\\\"done\\\",\\\"id\\\":2,\\\"tenant\\\":\\\"t\\\",\\\"latency_ms\\\":9007199254740992,\\\"trace\\\":\\\"0123456789abcdef-fedcba9876543210\\\",\\\"status\\\":\\\"ok\\\",\\\"makespan_s\\\":-0,\\\"checksum\\\":\\\"00ff\\\",\\\"tasks\\\":4,\\\"coalesced\\\":true,\\\"shard\\\":1}\"}\n");
+  ]
+
+let wire_tests =
+  [
+    Alcotest.test_case "frames and journal lines match recorded bytes" `Quick
+      (fun () ->
+        let got = wire_cases () in
+        check int_ "case count" (List.length wire_expected) (List.length got);
+        List.iter2
+          (fun (label, got) (label', want) ->
+            check Alcotest.string "case" label' label;
+            check Alcotest.string label want got)
+          got wire_expected);
+  ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "serve"
@@ -1275,6 +1595,7 @@ let () =
       ("journal", journal_tests);
       ("service", service_tests);
       ("golden", golden_tests);
+      ("wire", wire_tests);
       ("trace", trace_tests);
       ( "properties",
         qt

@@ -150,6 +150,26 @@ let persistence_tests =
           (Store.estimate s ~codelet:"dgemm" ~pu:"gpu0" ~flops:2e9)
           (Store.estimate l ~codelet:"dgemm" ~pu:"gpu0" ~flops:2e9);
         Sys.remove (Store.path s));
+    Alcotest.test_case "names with UTF-8, tabs and quotes survive save/load"
+      `Quick (fun () ->
+        (* OCaml's %S escapes non-ASCII bytes as \ddd, which JSON has no
+           reading for: a store written that way came back cold *)
+        let s =
+          Store.create ~pdl_hash:"0ddba11c0ffee000"
+            ~platform:"plat\xc3\xa9\t\"x\"" ()
+        in
+        let codelet = "gemm\xc3\xa9\t\"q\"" and pu = "gpu\xe2\x82\xac\t0" in
+        feed s ~codelet ~pu ~flops:1e9 ~seconds:0.01 4;
+        Store.save s;
+        let l, warn =
+          Store.load ~pdl_hash:(Store.pdl_hash s) ~platform:"ignored" ()
+        in
+        Sys.remove (Store.path s);
+        check (Alcotest.option string_) "no warning" None warn;
+        check string_ "platform" (Store.platform s) (Store.platform l);
+        check int_ "samples" 4 (Store.samples l ~codelet ~pu ~flops:1e9);
+        check string_ "identical serialization" (Store.to_json_string s)
+          (Store.to_json_string l));
     Alcotest.test_case "missing file is a cold start, no warning" `Quick
       (fun () ->
         let l, warn =
