@@ -5,21 +5,9 @@
      dune exec bench/main.exe fig5       # one experiment
      dune exec bench/main.exe micro      # Bechamel microbenchmarks
 
-   Experiment ids (see DESIGN.md §4 and EXPERIMENTS.md):
-     fig5    Figure 5  — DGEMM speedups single / starpu / starpu+2gpus
-     sweep   ABL-SIZE  — matrix-size sweep, GPU offload crossover
-     sched   ABL-SCHED — scheduler ablation on the heterogeneous target
-     tile    ABL-TILE  — tile-count sensitivity
-     presel  ABL-PRESEL— static pre-selection pruning across the zoo
-     chol    ABL-CHOL  — tiled Cholesky (dependency-rich DAG)
-     eng     engine scheduling hot paths (real wall-clock)
-     par     real multicore kernels vs the domain pool (BENCH_par.json)
-     kern    DGEMM kernel variants naive/blocked/packed (BENCH_kern.json)
-     faults  fault injection: retry, quarantine, failover (BENCH_faults.json)
-     tune    calibrated cost models + GEMM autotuning (BENCH_tune.json)
-     cc      native executor: interpreted vs pooled vs compiled (BENCH_cc.json)
-     smoke   deterministic end-to-end pass for the cram test
-     micro   Bechamel microbenchmarks of the toolchain itself *)
+   The experiment ids are the table [all] at the end of this file (see
+   DESIGN.md §4 and EXPERIMENTS.md); an unknown id prints the list.
+   The correctness checks live in the unit suites under test/. *)
 
 module MC = Taskrt.Machine_config
 module TD = Taskrt.Tiled_dgemm
@@ -285,6 +273,31 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Wall-clock cost of a feature, in percent: [off ()] and [on ()] each
+   time one run without and with it.  Run-to-run swing on a shared
+   host is up to ~10% -- far above the effects guarded here -- and the
+   noise is bursty, so comparing the minima of two separated sample
+   sets still misattributes a burst to one arm.  Instead each round
+   times both arms back to back, in alternating order, and yields one
+   paired ratio; the best round is reported, so a single quiet round
+   is enough. *)
+let paired_overhead_pct ~rounds ~off ~on =
+  ignore (off ());
+  ignore (on ());
+  let best = ref infinity in
+  for round = 1 to rounds do
+    let t_off, t_on =
+      if round mod 2 = 0 then
+        let t_off = off () in
+        (t_off, on ())
+      else
+        let t_on = on () in
+        (off (), t_on)
+    in
+    best := Float.min !best (100.0 *. (t_on -. t_off) /. t_off)
+  done;
+  !best
+
 (* [n] independent tiny tasks through Eager's shared ready-queue: the
    pool fills while all workers are busy, so every completion kick
    re-scans it. *)
@@ -395,35 +408,22 @@ let wall_min ~reps f =
 
 let par_reps = 3
 
-(* Wall-clock cost of the telemetry probes themselves: best-of-3
-   packed DGEMM with telemetry off vs on.  Recorded in the BENCH json
-   so probe-placement regressions show up in the artifacts; [kern]
-   additionally guards the figure at 3%. *)
-let telemetry_overhead_pct ?(n = 1024) () =
-  let was_on = Obs.Config.on () in
+(* Wall-clock cost of the telemetry probes themselves: packed DGEMM
+   1024 with telemetry off vs on, five paired rounds.  Recorded in the
+   BENCH json so probe-placement regressions show up in the artifacts;
+   [kern] additionally guards the figure at 3%. *)
+let telemetry_overhead_pct () =
+  let was_on = Obs.Config.on () and n = 1024 in
   let a = Matrix.random ~seed:11 n n and b = Matrix.random ~seed:12 n n in
   let c = Matrix.create n n in
-  let run () =
-    Bigarray.Array1.fill c.Matrix.data 0.0;
-    Blas.dgemm_packed a b c
-  in
-  let once enabled =
+  let timed enabled () =
     Obs.Config.set_enabled enabled;
-    let t0 = Unix.gettimeofday () in
-    run ();
-    Unix.gettimeofday () -. t0
+    Bigarray.Array1.fill c.Matrix.data 0.0;
+    snd (wall (fun () -> Blas.dgemm_packed a b c))
   in
-  (* Interleave off/on pairs so slow drift of the shared host (other
-     tenants, thermal) hits both sides equally; the min over rounds
-     then compares the best quiet window of each. *)
-  ignore (once false);
-  let off = ref infinity and on_ = ref infinity in
-  for _ = 1 to 5 do
-    off := Float.min !off (once false);
-    on_ := Float.min !on_ (once true)
-  done;
+  let pct = paired_overhead_pct ~rounds:5 ~off:(timed false) ~on:(timed true) in
   Obs.Config.set_enabled was_on;
-  100.0 *. (!on_ -. !off) /. !off
+  pct
 
 (* One kernel at one size: sequential reference, then one pooled run
    per domain count, verifying the pooled result is bit-identical. *)
@@ -623,116 +623,8 @@ let kern ?(sizes = [ 256; 512; 1024; 2048 ]) () =
   print_endline "wrote BENCH_kern.json";
   if !mismatches > 0 || overhead_bad then exit 1
 
-(* Deterministic sub-second coverage of the packed kernel for the cram
-   test: correctness across micro-tile edge shapes and the pooled
-   bitwise-identity contract — no wall-clock output. *)
-let kern_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  List.iter
-    (fun (m, k, n) ->
-      let a = Matrix.random ~seed:1 m k and b = Matrix.random ~seed:2 k n in
-      let c1 = Matrix.random ~seed:3 m n in
-      let c2 = Matrix.copy c1 and c3 = Matrix.copy c1 in
-      Blas.dgemm_naive ~alpha:1.5 ~beta:(-0.5) a b c1;
-      Blas.dgemm_packed ~alpha:1.5 ~beta:(-0.5) a b c2;
-      Blas.dgemm_blocked ~alpha:1.5 ~beta:(-0.5) a b c3;
-      check
-        (Printf.sprintf "kern: packed ~= naive (%dx%dx%d)" m k n)
-        (Matrix.approx_equal c1 c2);
-      check
-        (Printf.sprintf "kern: blocked ~= naive (%dx%dx%d)" m k n)
-        (Matrix.approx_equal c1 c3))
-    [ (1, 1, 1); (3, 5, 2); (7, 3, 9); (96, 64, 32); (130, 257, 139) ];
-  List.iter
-    (fun d ->
-      DP.with_pool ~num_domains:d (fun pool ->
-          let m = 300 in
-          (* several MC row panels, so the pool genuinely splits *)
-          let a = Matrix.random ~seed:4 m m and b = Matrix.random ~seed:5 m m in
-          let c1 = Matrix.create m m and c2 = Matrix.create m m in
-          Blas.dgemm_packed a b c1;
-          Blas.dgemm_packed ~pool a b c2;
-          check
-            (Printf.sprintf "kern: packed pooled == sequential (%d domains)" d)
-            (Matrix.max_abs_diff c1 c2 = 0.0)))
-    [ 1; 2; 4 ];
-  print_endline "kern: all checks passed"
-
 (* ------------------------------------------------------------------ *)
-(* SMOKE: tiny deterministic end-to-end pass for the cram test         *)
-
-let smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  (* The pool machinery itself. *)
-  DP.with_pool ~num_domains:4 (fun pool ->
-      let n = 10_000 in
-      let hits = Array.make n 0 in
-      DP.parallel_for pool ~lo:0 ~hi:n (fun i -> hits.(i) <- hits.(i) + 1);
-      check "domain_pool: every index visited exactly once"
-        (Array.for_all (fun h -> h = 1) hits);
-      (* Real kernels, pooled vs sequential, bit-identical. *)
-      let m = 96 in
-      let a = Matrix.random ~seed:1 m m and b = Matrix.random ~seed:2 m m in
-      let c_seq = Matrix.create m m and c_par = Matrix.create m m in
-      Blas.dgemm a b c_seq;
-      Blas.dgemm ~pool a b c_par;
-      check "dgemm: pooled == sequential (bitwise)"
-        (Matrix.max_abs_diff c_seq c_par = 0.0);
-      let c_naive = Matrix.create m m in
-      Blas.dgemm_naive a b c_naive;
-      check "dgemm: packed ~= naive" (Matrix.approx_equal c_seq c_naive);
-      let c_blocked = Matrix.create m m in
-      Blas.dgemm_blocked a b c_blocked;
-      check "dgemm: blocked ~= naive" (Matrix.approx_equal c_blocked c_naive);
-      let spd = Lapack.random_spd ~seed:3 m in
-      let l_seq = Matrix.copy spd and l_par = Matrix.copy spd in
-      Lapack.dpotrf l_seq;
-      Lapack.dpotrf ~pool l_par;
-      check "cholesky: pooled == sequential (bitwise)"
-        (Matrix.max_abs_diff l_seq l_par = 0.0);
-      check "cholesky: residual small"
-        (Lapack.cholesky_residual ~a:spd ~l:l_seq < 1e-6);
-      (* Every scheduling policy end-to-end with pooled kernels. *)
-      let cfg = cfg_of "xeon-2gpu" in
-      let expect = Matrix.create m m in
-      Blas.dgemm a b expect;
-      List.iter
-        (fun policy ->
-          let r = TD.run ~policy ~tiles:2 ~pool cfg ~a ~b in
-          check
-            (Printf.sprintf "sched %s: tiled dgemm correct (%d tasks)"
-               (Engine.policy_to_string policy)
-               r.TD.stats.Engine.tasks)
-            (r.TD.stats.Engine.tasks = 4
-            && Matrix.approx_equal (Option.get r.TD.c) expect))
-        [ Engine.Eager; Engine.Heft; Engine.Locality_ws; Engine.Random_place ];
-      let chol =
-        Taskrt.Tiled_cholesky.run ~policy:Engine.Heft ~tiles:2 ~pool cfg spd
-      in
-      check "sched heft: tiled cholesky residual small"
-        (Lapack.cholesky_residual ~a:spd ~l:(Option.get chol.Taskrt.Tiled_cholesky.l)
-        < 1e-6));
-  print_endline "smoke: all checks passed"
-
-(* ------------------------------------------------------------------ *)
-(* OBS: wall-clock telemetry demo and its deterministic smoke mode     *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let has_sub s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+(* OBS: wall-clock telemetry demo                                     *)
 
 (* Shared workload: pooled packed kernels (per-domain trace lanes,
    pack/micro-kernel phases) plus a simulated engine run with real
@@ -761,84 +653,6 @@ let obs_exp () =
     "\n(re-run with --trace obs.json for the Perfetto timeline, --metrics \
      for the Prometheus exposition)";
   Obs.Config.set_enabled was_on
-
-let obs_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  (* Disabled telemetry must record nothing. *)
-  Obs.Config.set_enabled false;
-  Obs.Export.reset_all ();
-  let m = 96 in
-  let a = Matrix.random ~seed:1 m m and b = Matrix.random ~seed:2 m m in
-  let c = Matrix.create m m in
-  Blas.dgemm a b c;
-  check "obs: disabled probes record nothing"
-    (Obs.Span.events () = []
-    && List.for_all (fun cnt -> Obs.Counter.value cnt = 0) (Obs.Counter.all ()));
-  Obs.Config.set_enabled true;
-  Obs.Export.reset_all ();
-  obs_workload ();
-  let events = Obs.Span.events () in
-  let has name =
-    List.exists (fun (e : Obs.Span.event) -> e.ev_name = name) events
-  in
-  check "obs: gemm pack/micro-kernel spans recorded"
-    (has "pack_a" && has "pack_b" && has "micro_kernel");
-  check "obs: cholesky panel/trailing spans recorded"
-    (has "panel_factor" && has "trailing_update");
-  check "obs: pool chunk spans recorded" (has "chunk");
-  check "obs: distinct per-domain lanes (>= 2)"
-    (List.length (Obs.Span.domains ()) >= 2);
-  let exec_args =
-    List.filter_map
-      (fun (e : Obs.Span.event) ->
-        if has_sub e.ev_name "exec:" then Some e.ev_args else None)
-      events
-  in
-  check "obs: engine exec spans tagged with PU and group"
-    (exec_args <> []
-    && List.for_all
-         (fun args -> has_sub args "pu=" && has_sub args "group=")
-         exec_args);
-  check "obs: pool chunk counter counted"
-    (List.exists
-       (fun cnt ->
-         Obs.Counter.name cnt = "pool_chunks" && Obs.Counter.value cnt > 0)
-       (Obs.Counter.all ()));
-  check "obs: per-codelet latency quantiles ordered"
-    (let hs =
-       List.filter (fun h -> Obs.Histogram.count h > 0) (Obs.Histogram.all ())
-     in
-     hs <> []
-     && List.for_all
-          (fun h ->
-            let p50 = Obs.Histogram.percentile h 50.0
-            and p95 = Obs.Histogram.percentile h 95.0
-            and p99 = Obs.Histogram.percentile h 99.0 in
-            p50 <= p95 && p95 <= p99
-            && p99 <= Obs.Histogram.max_value h +. 1e-12)
-          hs);
-  Obs.Export.write_chrome "obs_trace.json" [];
-  (match Obs.Json.parse (read_file "obs_trace.json") with
-  | Error e ->
-      Printf.printf "obs_trace.json: %s\n" e;
-      check "obs: trace file parses as JSON" false
-  | Ok doc ->
-      check "obs: trace file parses as JSON" true;
-      let evs =
-        Option.bind (Obs.Json.member "traceEvents" doc) Obs.Json.to_list
-      in
-      check "obs: traceEvents is a non-empty array"
-        (match evs with Some (_ :: _) -> true | _ -> false));
-  let prom = Obs.Export.prometheus () in
-  check "obs: prometheus exposition non-empty"
-    (String.length prom > 0 && has_sub prom "# TYPE");
-  check "obs: summary mentions span rings"
-    (has_sub (Obs.Export.summary ()) "span rings");
-  Obs.Config.set_enabled false;
-  print_endline "obs: all checks passed"
 
 (* ------------------------------------------------------------------ *)
 (* FAULTS: fault injection, retry, quarantine, PDL-driven failover     *)
@@ -905,34 +719,11 @@ let faults_virtual_overhead_pct () =
   let base = run None and guarded = run (Some Fault.none) in
   100.0 *. Float.abs (guarded -. base) /. base
 
-(* ... and must stay under 2% wall-clock on the scheduling hot path.
-   Run-to-run swing of [eng_wide] on a shared single-core host is up
-   to ~10% — far above the effect being guarded — and the noise is
-   bursty, so comparing the global minima of two separated sample
-   sets still misattributes a burst to one arm.  Instead each round
-   measures both arms back to back (order alternating) and yields one
-   paired ratio; a single quiet round is then enough, and contention
-   noise can only inflate the estimate, never deflate it. *)
+(* ... and must stay under 2% wall-clock on the scheduling hot path
+   (seven paired rounds of [eng_wide]). *)
 let faults_wall_overhead_pct () =
-  let once faults =
-    let _, dt = wall (fun () -> eng_wide ?faults 20_000) in
-    dt
-  in
-  ignore (once None);
-  ignore (once (Some Fault.none));
-  let best = ref infinity in
-  for round = 1 to 7 do
-    let off, on_ =
-      if round mod 2 = 0 then
-        let off = once None in
-        (off, once (Some Fault.none))
-      else
-        let on_ = once (Some Fault.none) in
-        (once None, on_)
-    in
-    best := Float.min !best (100.0 *. (on_ -. off) /. off)
-  done;
-  !best
+  let timed faults () = snd (wall (fun () -> eng_wide ?faults 20_000)) in
+  paired_overhead_pct ~rounds:7 ~off:(timed None) ~on:(timed (Some Fault.none))
 
 let faults_json path ~clean ~faulty ~diff ~sweep ~virtual_overhead_pct
     ~wall_overhead_pct =
@@ -1017,158 +808,6 @@ let faults_exp () =
     ~virtual_overhead_pct ~wall_overhead_pct;
   print_endline "wrote BENCH_faults.json";
   if !violations > 0 then exit 1
-
-(* A task pinned to the gpus group whose gpus all crash: the runtime
-   re-runs Cascabel pre-selection against the degraded PDL view and
-   the x86 variant takes over on the cpus. *)
-let faults_failover_program =
-  {|#define N 64
-
-#pragma cascabel task : x86 : Iscale : scale_seq : (A: readwrite)
-void scale(double *A, int n)
-{
-  for (int i = 0; i < n; i++)
-    A[i] = A[i] * 2.0 + 1.0;
-}
-
-#pragma cascabel task : Cuda : Iscale : scale_gpu : (A: readwrite)
-void scale_cuda(double *A, int n)
-{
-  for (int i = 0; i < n; i++)
-    A[i] = A[i] * 2.0 + 1.0;
-}
-
-int main(void)
-{
-  double *A = malloc(N * sizeof(double));
-  for (int i = 0; i < N; i++)
-    A[i] = i;
-  #pragma cascabel execute Iscale : gpus (A:BLOCK:n)
-  scale(A, N);
-  double sum = 0.0;
-  for (int i = 0; i < N; i++)
-    sum += A[i];
-  printf("sum=%g\n", sum);
-  return 0;
-}
-|}
-
-let faults_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  (* Spec grammar round-trips. *)
-  (match Fault.parse "seed=7,transient=0.2,retries=5,crash=gpu0@0.5" with
-  | Error _ -> check "faults: spec parses and round-trips" false
-  | Ok f ->
-      check "faults: spec parses and round-trips"
-        (Fault.parse (Fault.to_string f) = Ok f));
-  (* Transient failures retry to completion (virtual time). *)
-  let cfg = cfg_of "xeon-x5550-smp" in
-  (let faults =
-     { Fault.none with Fault.transient_rate = 1.0; max_transient = 2; retries = 5 }
-   in
-   let rt = Engine.create ~policy:Engine.Eager ~faults cfg in
-   let cl = Taskrt.Codelet.noop ~name:"unit" ~flops:9.5e9 ~archs:[ "cpu" ] in
-   let h = Taskrt.Data.register_matrix (Matrix.create 1 1) in
-   Engine.submit rt cl [ (h, Taskrt.Codelet.RW) ];
-   let stats = Engine.wait_all rt in
-   check "faults: transient retries complete the task"
-     (total_run stats = 1
-     && stats.Engine.failures_injected = 2
-     && stats.Engine.retries = 2));
-  (* A mid-run crash reassigns the in-flight task. *)
-  (let faults =
-     {
-       Fault.none with
-       Fault.events = [ Fault.Crash { pu = "cpu-cores#0"; at = 0.5 } ];
-     }
-   in
-   let rt = Engine.create ~policy:Engine.Eager ~faults cfg in
-   let cl = Taskrt.Codelet.noop ~name:"unit" ~flops:9.5e9 ~archs:[ "cpu" ] in
-   for _ = 1 to 8 do
-     let h = Taskrt.Data.register_matrix (Matrix.create 1 1) in
-     Engine.submit rt cl [ (h, Taskrt.Codelet.RW) ]
-   done;
-   let stats = Engine.wait_all rt in
-   check "faults: crash mid-run reassigns and completes"
-     (total_run stats = 8
-     && stats.Engine.reassigned = 1
-     && List.mem "cpu-cores#0" stats.Engine.quarantined));
-  (* The headline claim at smoke size. *)
-  (let _, faulty, diff = faults_crash_scenario ~n:96 ~tiles:4 in
-   check "faults: dgemm bit-identical under crash + transients"
-     (total_run faulty.TD.stats = faulty.TD.stats.Engine.tasks
-     && faulty.TD.stats.Engine.failures_injected >= 1
-     && diff = 0.0));
-  (* An exhausted retry budget surfaces as a structured error. *)
-  (let faults = { Fault.none with Fault.transient_rate = 1.0; retries = 0 } in
-   let rt = Engine.create ~faults cfg in
-   let cl = Taskrt.Codelet.noop ~name:"doomed" ~flops:1e9 ~archs:[ "cpu" ] in
-   let h = Taskrt.Data.register_matrix (Matrix.create 1 1) in
-   Engine.submit rt cl [ (h, Taskrt.Codelet.RW) ];
-   match Engine.wait_all rt with
-   | _ -> check "faults: exhausted budget reported stuck" false
-   | exception Engine.Stuck [ st ] ->
-       check "faults: exhausted budget reported stuck"
-         (st.Engine.st_state = "failed")
-   | exception Engine.Stuck _ ->
-       check "faults: exhausted budget reported stuck" false);
-  (* Zero-rate layer changes nothing, bit for bit. *)
-  check "faults: zero-rate layer is bit-identical"
-    (let run faults =
-       (TD.run_model ~policy:Engine.Heft ~tiles:4 ?faults
-          (cfg_of "xeon-2gpu") ~n:256)
-         .TD.stats.Engine.makespan
-     in
-     run None = run (Some Fault.none));
-  (* PDL-driven failover: both gpus crash before the pinned tasks can
-     finish; pre-selection re-runs on the degraded platform view and
-     the cpu variant completes the program. *)
-  (let faults =
-     {
-       Fault.none with
-       Fault.events =
-         [
-           Fault.Crash { pu = "gpu0"; at = 1e-6 };
-           Fault.Crash { pu = "gpu1"; at = 2e-6 };
-         ];
-     }
-   in
-   let repo = Cascabel.Repository.create () in
-   let unit_ =
-     match Minic.Parser.parse faults_failover_program with
-     | Ok u -> u
-     | Error e ->
-         prerr_endline (Minic.Parser.error_to_string e);
-         exit 1
-   in
-   match
-     Cascabel.Runnable.run ~policy:Engine.Heft ~faults
-       ~trace:"faults_trace.json" ~repo
-       ~platform:(Option.get (Pdl_hwprobe.Zoo.find "xeon-2gpu"))
-       unit_
-   with
-   | Error e ->
-       Printf.printf "failover run failed: %s\n" e;
-       check "faults: gpu crash fails over to cpu variant" false
-   | Ok r ->
-       check "faults: gpu crash fails over to cpu variant"
-         (r.Cascabel.Runnable.exit_code = 0
-         && r.Cascabel.Runnable.stdout = "sum=4096\n");
-       check "faults: failover recorded in the report log"
-         (r.Cascabel.Runnable.failover_log <> []
-         && List.for_all
-              (fun l -> has_sub l "degraded")
-              r.Cascabel.Runnable.failover_log);
-       check "faults: crashed gpus quarantined"
-         (List.mem "gpu0" r.Cascabel.Runnable.stats.Engine.quarantined
-         && List.mem "gpu1" r.Cascabel.Runnable.stats.Engine.quarantined);
-       let trace = read_file "faults_trace.json" in
-       check "faults: trace carries the fault lane"
-         (has_sub trace "\"faults\"" && has_sub trace "\"crash\""));
-  print_endline "faults: all checks passed"
 
 (* ------------------------------------------------------------------ *)
 (* TUNE: measurement-driven cost models + GEMM block autotuning        *)
@@ -1284,107 +923,6 @@ let tune () =
     ~samples:(Tune.Store.total_samples store) ~sched_ok g;
   print_endline "wrote BENCH_tune.json";
   if not (sched_ok && g.guard_ok) then exit 1
-
-(* Deterministic coverage of the whole calibration path for the cram
-   test: no wall-clock numbers in the output. *)
-let tune_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  (* Learned models beat wrong declared speeds — virtual, exact. *)
-  let static_s, learned_s, store = tune_sched ~n:8192 ~tiles:8 ~passes:3 in
-  check "tune: calibrated heft beats static on skewed target"
-    (learned_s < static_s);
-  check "tune: improvement meets the 5% guard"
-    (learned_s <= static_s *. 0.95);
-  check "tune: store collected samples" (Tune.Store.total_samples store > 0);
-  (* Reruns of the same experiment are bit-identical. *)
-  let s2, l2, _ = tune_sched ~n:8192 ~tiles:8 ~passes:3 in
-  check "tune: cold rerun bit-identical (static, learned)"
-    (s2 = static_s && l2 = learned_s);
-  (* Persistence round-trip in a temp dir; corruption never crashes. *)
-  let dir = Filename.temp_file "tune_smoke" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Tune.Store.save ~dir store;
-  let loaded, warn =
-    Tune.Store.load ~dir
-      ~pdl_hash:(Tune.Store.pdl_hash store)
-      ~platform:(Tune.Store.platform store)
-      ()
-  in
-  check "tune: store round-trips without warning"
-    (warn = None
-    && Tune.Store.to_json_string loaded = Tune.Store.to_json_string store);
-  let store_path = Tune.Store.path ~dir store in
-  let oc = open_out store_path in
-  output_string oc "{ \"version\": 1, \"cells\": [ trunca";
-  close_out oc;
-  let cold, warn2 =
-    Tune.Store.load ~dir
-      ~pdl_hash:(Tune.Store.pdl_hash store)
-      ~platform:(Tune.Store.platform store)
-      ()
-  in
-  check "tune: corrupt store ignored with a warning"
-    (warn2 <> None && Tune.Store.total_samples cold = 0);
-  let alt_hash = "deadbeefdeadbeef" in
-  let alt = Filename.concat dir (Tune.Store.filename ~pdl_hash:alt_hash) in
-  let oc = open_out alt in
-  output_string oc (Tune.Store.to_json_string store);
-  close_out oc;
-  let cold2, warn3 =
-    Tune.Store.load ~dir ~pdl_hash:alt_hash ~platform:"other" ()
-  in
-  check "tune: hash-mismatched store ignored with a warning"
-    (warn3 <> None && Tune.Store.total_samples cold2 = 0);
-  Sys.remove store_path;
-  Sys.remove alt;
-  Unix.rmdir dir;
-  (* Warm-store execution is bit-identical to a cold run: placement
-     may differ, results must not. *)
-  (let a = Matrix.random ~seed:11 96 96 and b = Matrix.random ~seed:12 96 96 in
-   let cfg = cfg_of "xeon-2gpu" in
-   let cold_c =
-     Option.get (TD.run ~policy:Engine.Heft ~tiles:2 cfg ~a ~b).TD.c
-   in
-   let wstore = Tune.Store.create ~pdl_hash:"smoke" ~platform:"xeon-2gpu" () in
-   ignore (TD.run ~policy:Engine.Heft ~tiles:2 ~tune:wstore cfg ~a ~b);
-   let warm_c =
-     Option.get (TD.run ~policy:Engine.Heft ~tiles:2 ~tune:wstore cfg ~a ~b).TD.c
-   in
-   check "tune: warm-store dgemm bit-identical to cold"
-     (Matrix.max_abs_diff cold_c warm_c = 0.0));
-  (* The GEMM search machinery, pinned to one candidate so the
-     outcome is deterministic. *)
-  let g : GT.result =
-    GT.search ~sizes:[ 96 ] ~screen_size:96 ~reps:1
-      ~candidates:[ GK.default_blocking ] ()
-  in
-  check "tune: single-candidate search keeps the default"
-    (g.best = GK.default_blocking && g.guard_ok);
-  Tune.Store.set_gemm_config store
-    (GT.cfg_of_blocking ~gflops:g.best_gflops g.best);
-  check "tune: stored blocking applies" (GT.apply store);
-  check "tune: applied blocking is current"
-    (GK.current_blocking () = GK.default_blocking);
-  (* A non-default blocking and the portable micro-kernel still
-     compute the right answer through Blas.dgemm_packed. *)
-  (let a = Matrix.random ~seed:21 130 257
-   and b = Matrix.random ~seed:22 257 139 in
-   let c1 = Matrix.random ~seed:23 130 139 in
-   let c2 = Matrix.copy c1 and c3 = Matrix.copy c1 in
-   Blas.dgemm_naive ~alpha:1.5 ~beta:(-0.5) a b c1;
-   GK.set_blocking { GK.bmc = 96; bkc = 72; bnc = 120; bmicro = GK.Avx2 };
-   Blas.dgemm_packed ~alpha:1.5 ~beta:(-0.5) a b c2;
-   GK.set_blocking { GK.bmc = 96; bkc = 72; bnc = 120; bmicro = GK.Portable };
-   Blas.dgemm_packed ~alpha:1.5 ~beta:(-0.5) a b c3;
-   GK.reset_blocking ();
-   check "tune: odd blocking ~= naive (130x257x139)"
-     (Matrix.approx_equal c1 c2);
-   check "tune: portable micro-kernel ~= naive" (Matrix.approx_equal c1 c3));
-  print_endline "tune: all checks passed"
 
 (* ------------------------------------------------------------------ *)
 (* CC: the native executor — interpreted vs pooled kernels vs compiled *)
@@ -1607,173 +1145,6 @@ let cc ?(sizes = [ 256; 512; 1024 ]) () =
       print_endline "wrote BENCH_cc.json";
       if not guard_ok then exit 1
 
-(* A variant that calls a helper function is still emitted (with its
-   transitive closure) for the standalone build, but is not
-   native-dispatchable — the runnable must fall back per task. *)
-let cc_fallback_program =
-  {|#define N 64
-
-double twice(double x) { return 2.0 * x; }
-
-#pragma cascabel task : x86
-    : Iscale
-    : scale_cpu
-    : (A: readwrite)
-void scale(double *A, int n)
-{
-  for (int i = 0; i < n * n; i++)
-    A[i] = twice(A[i]);
-}
-
-int main(void)
-{
-  double *A = malloc(N * N * sizeof(double));
-  for (int i = 0; i < N * N; i++)
-    A[i] = 1.0 * i;
-  #pragma cascabel execute Iscale : executionset01 (A:BLOCK:n)
-  scale(A, N);
-  double sum = 0.0;
-  for (int i = 0; i < N * N; i++)
-    sum += A[i];
-  printf("sum=%.3f\n", sum);
-  return 0;
-}
-|}
-
-(* Deterministic coverage of the whole native path for the cram test:
-   emission invariants, the no-toolchain and compile-error outcomes,
-   and — disjunctively, so the output is byte-stable with or without a
-   real cc on PATH — compiled-vs-interpreted bit-identity and the
-   per-variant fallback. *)
-let cc_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  let repo, platform, unit_, em = cc_emitted ~n:48 in
-  (* Emission invariants. *)
-  (* Both variants are library calls, dispatched in process under
-     --native rather than through the shared object. *)
-  let variants =
-    List.filter_map
-      (function
-        | Minic.Ast.Func ({ f_task = Some _; _ } as f) -> Some f | _ -> None)
-      unit_
-  in
-  check "cc: both kept variants have wrappers"
-    (List.length em.Cascabel.Emit_c.all_wrappers = 2
-    && List.length variants = 2
-    && List.for_all (fun f -> Cascabel.Interp.library_call f <> None) variants
-    );
-  let source_of em f =
-    match
-      List.find_opt
-        (fun s -> s.Cascabel.Emit_c.file = f)
-        em.Cascabel.Emit_c.sources
-    with
-    | Some s -> s.Cascabel.Emit_c.contents
-    | None ->
-        Printf.printf "missing emitted source %s\n" f;
-        exit 1
-  in
-  let source f = source_of em f in
-  let count_sub hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let c = ref 0 in
-    for i = 0 to hl - nl do
-      if String.sub hay i nl = needle then incr c
-    done;
-    !c
-  in
-  let program_c = source "cascabel_out.c" in
-  let kernels_c = source (Cascabel.Emit_c.kernels_file em) in
-  check "cc: emitted program re-parses as mini-C"
-    (match Minic.Parser.parse program_c with Ok _ -> true | Error _ -> false);
-  check "cc: emitted kernels re-parse as mini-C"
-    (match Minic.Parser.parse kernels_c with Ok _ -> true | Error _ -> false);
-  check "cc: one packed submit per execute site"
-    (count_sub program_c "cascabel_submit(" = 1);
-  check "cc: every register_variant carries its wrapper"
-    (count_sub program_c "cascabel_register_variant(" = 2
-    && count_sub program_c ", cascabel_call_" = 2);
-  check "cc: makefile has the shared-object rule"
-    (count_sub (source "Makefile") "native:" = 1);
-  (* Toolchain-failure outcomes, forced via the cc override — these
-     never depend on the host toolchain. *)
-  check "cc: missing compiler reported as no-toolchain"
-    (match Cascabel.Native.build ~cc:"cascabel-no-such-cc" em with
-    | Cascabel.Native.No_toolchain _ -> true
-    | _ -> false);
-  check "cc: failing compiler reported as compile error"
-    (match Cascabel.Native.build ~cc:"false" em with
-    | Cascabel.Native.Compile_error _ -> true
-    | _ -> false);
-  (* The real-toolchain contracts, vacuously true when cc is absent so
-     the cram output stays byte-stable. *)
-  let toolchain = Cascabel.Native.build em in
-  (match toolchain with
-  | Cascabel.Native.Compile_error msg ->
-      Printf.printf "native compile failed: %s\n" msg;
-      exit 1
-  | _ -> ());
-  let loaded =
-    match toolchain with Cascabel.Native.Loaded t -> Some t | _ -> None
-  in
-  let ri, _ = cc_run ~repo ~platform unit_ in
-  let rn = Option.map (fun t -> fst (cc_run ~native:t ~repo ~platform unit_)) loaded in
-  check "cc: compiled stdout bit-identical to interpreter"
-    (match rn with
-    | None -> true
-    | Some rn -> rn.Cascabel.Runnable.stdout = ri.Cascabel.Runnable.stdout);
-  check "cc: every task ran native, zero fallbacks"
-    (match rn with
-    | None -> true
-    | Some rn ->
-        rn.Cascabel.Runnable.native_tasks > 0
-        && rn.Cascabel.Runnable.native_fallbacks = 0);
-  Option.iter Cascabel.Native.close loaded;
-  (* The fallback path: helper-calling variant interprets per task,
-     same answer. *)
-  let fb_unit =
-    match Minic.Parser.parse cc_fallback_program with
-    | Ok u -> u
-    | Error e ->
-        prerr_endline (Minic.Parser.error_to_string e);
-        exit 1
-  in
-  let fb_repo = Cascabel.Repository.create () in
-  let fb_em =
-    match Cascabel.Codegen.translate ~repo:fb_repo ~platform fb_unit with
-    | Error msgs ->
-        List.iter prerr_endline msgs;
-        exit 1
-    | Ok out -> (
-        match Cascabel.Emit_c.emit out with
-        | Ok em -> em
-        | Error e ->
-            prerr_endline e;
-            exit 1)
-  in
-  check "cc: helper-calling variant is not dispatchable"
-    (fb_em.Cascabel.Emit_c.native_variants = []
-    && List.length fb_em.Cascabel.Emit_c.all_wrappers = 1);
-  check "cc: helper closure emitted into the kernels unit"
-    (count_sub (source_of fb_em (Cascabel.Emit_c.kernels_file fb_em)) "double twice(double x)"
-    >= 1);
-  (let fbi, _ = cc_run ~repo:fb_repo ~platform fb_unit in
-   match Cascabel.Native.build fb_em with
-   | Cascabel.Native.Loaded t ->
-       let fbn, _ = cc_run ~native:t ~repo:fb_repo ~platform fb_unit in
-       Cascabel.Native.close t;
-       check "cc: fallback run bit-identical, all tasks interpreted"
-         (fbn.Cascabel.Runnable.stdout = fbi.Cascabel.Runnable.stdout
-         && fbn.Cascabel.Runnable.native_tasks = 0
-         && fbn.Cascabel.Runnable.native_fallbacks > 0)
-   | _ ->
-       (* no toolchain: the contract is vacuous, keep the line. *)
-       check "cc: fallback run bit-identical, all tasks interpreted" true);
-  print_endline "cc: all checks passed"
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
 
@@ -1853,309 +1224,6 @@ int main(void) { return 0; }
 module SP = Serve.Protocol
 module SSvc = Serve.Service
 
-let serve_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  let cfg = cfg_of "xeon-2gpu" in
-  let wnames (c : MC.t) =
-    Array.to_list c.MC.workers |> List.map (fun w -> w.MC.w_name)
-  in
-  (* PU sharding: a disjoint, complete cover of the machine. *)
-  let sh = Serve.Shard.split cfg ~shards:2 in
-  check "serve: shards cover every worker exactly once"
-    (List.sort compare (List.concat_map wnames (Array.to_list sh))
-    = List.sort compare (wnames cfg));
-  check "serve: shard count clamps to worker count"
-    (Array.length (Serve.Shard.split cfg ~shards:64)
-    = Array.length cfg.MC.workers);
-  (* Admission control: bounded queue, decreasing credit, OVERLOADED. *)
-  let clock = ref 0.0 in
-  let now () = !clock in
-  let svc = SSvc.create ~shards:2 ~queue_cap:3 ~now cfg in
-  let job seed = SP.Dgemm { n = 32; tiles = 2; seed } in
-  let credits =
-    List.map
-      (fun _ ->
-        match SSvc.submit svc ~tenant:"a" (job 7) with
-        | SP.Accepted { credit; _ } -> credit
-        | _ -> -1)
-      [ (); (); () ]
-  in
-  check "serve: admission hands out decreasing credit" (credits = [ 2; 1; 0 ]);
-  check "serve: full queue answers OVERLOADED"
-    (match SSvc.submit svc ~tenant:"a" (job 7) with
-    | SP.Overloaded { queue = 3; cap = 3; _ } -> true
-    | _ -> false);
-  (* Identical queued jobs coalesce onto one execution. *)
-  let dones = SSvc.run_until_idle svc in
-  let oks =
-    List.filter_map
-      (function
-        | SP.Done { status = SP.Jok { checksum; coalesced; _ }; _ } ->
-            Some (checksum, coalesced)
-        | _ -> None)
-      dones
-  in
-  check "serve: identical jobs coalesce onto one run"
-    (List.length oks = 3
-    && List.map snd oks = [ false; true; true ]
-    && List.sort_uniq compare (List.map fst oks) |> List.length = 1);
-  (* Deficit round robin: a flood cannot starve the other tenant.
-     Distinct flops per job, or coalescing would merge them. *)
-  let gjob i = SP.Graph { width = 2; depth = 2; task_flops = 1e6 +. float_of_int i } in
-  let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-  for i = 1 to 6 do
-    ignore (SSvc.submit svc ~tenant:"a" (gjob i))
-  done;
-  for i = 7 to 8 do
-    ignore (SSvc.submit svc ~tenant:"b" (gjob i))
-  done;
-  let order =
-    List.filter_map
-      (function SP.Done { tenant; _ } -> Some tenant | _ -> None)
-      (SSvc.run_until_idle svc)
-  in
-  check "serve: equal weights alternate tenants"
-    (match order with
-    | "a" :: "b" :: "a" :: "b" :: rest ->
-        List.for_all (String.equal "a") rest
-    | _ -> false);
-  let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-  SSvc.configure_tenant svc ~name:"b" ~weight:2.0 ();
-  for i = 1 to 6 do
-    ignore (SSvc.submit svc ~tenant:"a" (gjob i))
-  done;
-  for i = 7 to 8 do
-    ignore (SSvc.submit svc ~tenant:"b" (gjob i))
-  done;
-  let order =
-    List.filter_map
-      (function SP.Done { tenant; _ } -> Some tenant | _ -> None)
-      (SSvc.run_until_idle svc)
-  in
-  check "serve: a double-weight tenant finishes twice as often"
-    (List.filteri (fun i _ -> i < 3) order
-     |> List.filter (String.equal "b")
-     |> List.length = 2);
-  (* Deadlines: a job whose deadline passed while queued never runs. *)
-  let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-  ignore (SSvc.submit svc ~tenant:"c" ~deadline_ms:10.0 (job 9));
-  clock := !clock +. 0.020;
-  check "serve: expired deadline completes as timeout"
-    (match SSvc.run_until_idle svc with
-    | [ SP.Done { status = SP.Jtimeout; _ } ] -> true
-    | _ -> false);
-  (* Per-tenant fault isolation: tenant a's crashes stay a's. *)
-  let crash =
-    { Fault.none with Fault.events = [ Fault.Crash { pu = "gpu0"; at = 1e-6 } ] }
-  in
-  let b_checksums ~with_a () =
-    let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-    if with_a then SSvc.configure_tenant svc ~name:"a" ~faults:crash ();
-    for i = 1 to 3 do
-      if with_a then
-        ignore (SSvc.submit svc ~tenant:"a" (SP.Dgemm { n = 64; tiles = 4; seed = 100 + i }));
-      ignore (SSvc.submit svc ~tenant:"b" (SP.Dgemm { n = 64; tiles = 4; seed = 200 + i }))
-    done;
-    let sums =
-      List.filter_map
-        (function
-          | SP.Done { tenant = "b"; status = SP.Jok { checksum; _ }; _ } ->
-              Some checksum
-          | _ -> None)
-        (SSvc.run_until_idle svc)
-    in
-    (sums, SSvc.quarantined svc ~tenant:"a", SSvc.quarantined svc ~tenant:"b")
-  in
-  let contended, quar_a, quar_b = b_checksums ~with_a:true () in
-  let alone, _, _ = b_checksums ~with_a:false () in
-  check "serve: tenant b bit-identical under tenant a crashes"
-    (contended = alone && List.length contended = 3);
-  check "serve: the crash quarantines a PU for tenant a only"
-    (quar_a = [ "gpu0" ] && quar_b = []);
-  (* Graceful drain: budget 0 cancels, admission answers DRAINING. *)
-  let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-  for i = 1 to 3 do
-    ignore (SSvc.submit svc ~tenant:"d" (gjob i))
-  done;
-  let dones, final = SSvc.drain svc ~budget_ms:0.0 () in
-  check "serve: zero-budget drain cancels queued jobs"
-    (List.for_all
-       (function SP.Done { status = SP.Jcancelled; _ } -> true | _ -> false)
-       dones
-    && final = SP.Drained { completed = 0; cancelled = 3 });
-  check "serve: draining service refuses new work"
-    (SSvc.submit svc ~tenant:"d" (gjob 9) = SP.Draining);
-  (* Wire protocol: encode/decode inverses, structured errors. *)
-  let reqs =
-    [
-      SP.Submit
-        { tenant = "a"; job = job 3; deadline_ms = Some 12.5; idem = None;
-          trace = None };
-      SP.Submit
-        {
-          tenant = "b\"x";
-          job = SP.Graph { width = 3; depth = 2; task_flops = 0.1 +. 0.2 };
-          deadline_ms = None;
-          idem = Some "req-7.retry_1:a";
-          trace = Some "00000000deadbeef-0000000000000001";
-        };
-      SP.Run; SP.Stats; SP.Drain { budget_ms = Some 0.0 }; SP.Ping;
-    ]
-  in
-  check "serve: requests round-trip through JSON"
-    (List.for_all
-       (fun r -> SP.request_of_string (SP.request_to_string r) = Ok r)
-       reqs);
-  let replies =
-    [
-      SP.Accepted
-        { id = 7; credit = 3; trace = Some "00000000deadbeef-00000000000000aa" };
-      SP.Overloaded { tenant = "a"; queue = 4; cap = 4; retry_ms = 200.0 };
-      SP.Done
-        {
-          id = 9;
-          tenant = "b";
-          latency_ms = 1.5;
-          status =
-            SP.Jok
-              {
-                makespan_s = 0.25;
-                checksum = "00ff";
-                tasks = 4;
-                coalesced = true;
-                shard = 1;
-              };
-          trace = None;
-        };
-      SP.Stats_reply
-        [
-          {
-            SP.tr_tenant = "a"; tr_submitted = 5; tr_completed = 4;
-            tr_rejected = 1; tr_timeouts = 0; tr_cancelled = 0; tr_failed = 0;
-            tr_coalesced = 2; tr_queue = 1; tr_cap = 8; tr_weight = 1.5;
-            tr_busy_vs = 0.75; tr_quarantined = [ "gpu0" ];
-            tr_slo_ms = Some 25.0; tr_slo_good = 4; tr_slo_bad = 1;
-            tr_burn_rate = 20.0;
-          };
-        ];
-      SP.Error { code = SP.Version; reason = "nope" };
-    ]
-  in
-  check "serve: replies round-trip through JSON"
-    (List.for_all
-       (fun r -> SP.reply_of_string (SP.reply_to_string r) = Ok r)
-       replies);
-  let framed = SP.frame "{\"v\":1,\"op\":\"ping\"}" in
-  let buf = Bytes.of_string framed in
-  check "serve: framing round-trips"
-    (SP.deframe buf ~off:0 ~len:(Bytes.length buf)
-    = SP.Frame ("{\"v\":1,\"op\":\"ping\"}", Bytes.length buf));
-  check "serve: a truncated frame asks for more bytes"
-    (SP.deframe buf ~off:0 ~len:(Bytes.length buf - 1) = SP.Need
-    && SP.deframe buf ~off:0 ~len:2 = SP.Need);
-  check "serve: an absurd frame length is corrupt, not a hang"
-    (match
-       SP.deframe (Bytes.of_string "\xFF\xFF\xFF\xFF") ~off:0 ~len:4
-     with
-    | SP.Corrupt _ -> true
-    | _ -> false);
-  check "serve: garbage payload yields a structured parse error"
-    (match SP.request_of_string "{not json" with
-    | Error { SP.e_code = SP.Parse; _ } -> true
-    | _ -> false);
-  check "serve: a version mismatch is refused"
-    (match SP.request_of_string "{\"v\":99,\"op\":\"ping\"}" with
-    | Error { SP.e_code = SP.Version; _ } -> true
-    | _ -> false);
-  (* Engine re-entrancy: interleaving engines changes nothing. *)
-  let pair interleave =
-    let e0 = Engine.create ~policy:Engine.Heft sh.(0)
-    and e1 = Engine.create ~policy:Engine.Heft sh.(1) in
-    let a = Matrix.random ~seed:31 64 64 and b = Matrix.random ~seed:32 64 64 in
-    let go e = fst (TD.run_on ~tiles:4 e ~a ~b) in
-    let cs =
-      if interleave then
-        let c0 = go e0 in
-        let c1 = go e1 in
-        let c0' = go e0 in
-        let c1' = go e1 in
-        [ c0; c0'; c1; c1' ]
-      else
-        let c0 = go e0 in
-        let c0' = go e0 in
-        let c1 = go e1 in
-        let c1' = go e1 in
-        [ c0; c0'; c1; c1' ]
-    in
-    List.map Matrix.checksum cs
-  in
-  check "serve: interleaved engines match sequential runs (bitwise)"
-    (pair true = pair false);
-  (* Observability: request-scoped tracing, decision logs, SLO burn. *)
-  let contains s sub =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    n = 0 || go 0
-  in
-  Obs.Config.set_enabled true;
-  Obs.Export.reset_all ();
-  let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-  let ctx = "00000000cab5f00d-0000000000000001" in
-  let acc_trace =
-    match SSvc.submit svc ~tenant:"t" ~trace:ctx (job 11) with
-    | SP.Accepted { trace; _ } -> trace
-    | _ -> None
-  in
-  let done_traces =
-    List.filter_map
-      (function SP.Done { trace; _ } -> trace | _ -> None)
-      (SSvc.run_until_idle svc)
-  in
-  check "serve: ACCEPTED and DONE echo the client trace id"
-    (acc_trace = Some ctx && done_traces = [ ctx ]);
-  check "serve: scheduler decisions name a PU and a source"
-    (Obs.Decision.count () > 0
-    && List.for_all
-         (fun (d : Obs.Decision.record) ->
-           d.Obs.Decision.d_pu <> ""
-           && List.mem_assoc d.Obs.Decision.d_pu d.Obs.Decision.d_estimates)
-         (Obs.Decision.records ()));
-  let jsonl = Obs.Decision.to_jsonl () in
-  check "serve: decision JSONL carries estimates and a source"
-    (String.length jsonl > 0
-    && contains jsonl "\"source\"" && contains jsonl "\"estimates\"");
-  let doc = Obs.Export.to_chrome_json [] in
-  check "serve: wall trace passes the trace-event schema check"
-    (Obs.Trace_check.validate_string doc = Ok ());
-  check "serve: the traced job renders a connected flow chain"
-    (contains doc "\"ph\":\"s\"" && contains doc "\"ph\":\"f\"");
-  (* SLO window: one Ok finish, one expired deadline -> 50% bad. *)
-  let svc = SSvc.create ~shards:1 ~queue_cap:16 ~now cfg in
-  ignore (SSvc.submit svc ~tenant:"s" (job 12));
-  ignore (SSvc.run_until_idle svc);
-  ignore (SSvc.submit svc ~tenant:"s" ~deadline_ms:1.0 (job 13));
-  clock := !clock +. 0.010;
-  ignore (SSvc.run_until_idle svc);
-  let row = List.find (fun r -> r.SP.tr_tenant = "s") (SSvc.stats svc) in
-  check "serve: STATS carries the SLO window and burn rate"
-    (row.SP.tr_slo_good = 1 && row.SP.tr_slo_bad = 1
-    && row.SP.tr_burn_rate > 1.0);
-  check "serve: burn rate reaches the Prometheus exposition"
-    (contains (Obs.Export.prometheus ()) "obs_slo_burn_rate{slo=\"serve:s\"}");
-  check "serve: a pre-trace submit still decodes"
-    (match
-       SP.request_of_string
-         "{\"v\":1,\"op\":\"submit\",\"tenant\":\"a\",\"job\":{\"kind\":\"dgemm\",\"n\":32,\"tiles\":2,\"seed\":7}}"
-     with
-    | Ok (SP.Submit { trace = None; _ }) -> true
-    | _ -> false);
-  Obs.Export.reset_all ();
-  Obs.Config.set_enabled false;
-  print_endline "serve smoke: all checks passed"
-
 let percentile_exact sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.0
@@ -2167,10 +1235,11 @@ let serve_json path ~jobs ~base ~cont ~rejected ~throughput ~factor ~floor_ms
     J.Obj
       [ ("p50_ms", num (percentile_exact a 50.0));
         ("p95_ms", num (percentile_exact a 95.0));
-        ("p99_ms", num (percentile_exact a 99.0)) ]
+        ("max_ms", num (percentile_exact a 100.0)) ]
   in
   write_json path
     [ ("experiment", str "serve"); ("jobs_per_phase", int jobs);
+      ("samples", int jobs);
       ("baseline", pcts base); ("contended", pcts cont);
       ("rejected", int rejected); ("throughput_jobs_per_s", num throughput);
       ("isolation_guard",
@@ -2220,11 +1289,9 @@ let serve_bench () =
   let base, _, _ = phase ~flood:false in
   let cont, rejected, throughput = phase ~flood:true in
   (* Tracing overhead: the same closed loop with telemetry off vs on
-     (spans, flow events, decision log, SLO windows).  Off and on runs
-     are measured back to back in pairs, so ambient machine noise is
-     correlated within a pair; the reported overhead is the best of
-     five pair ratios. *)
-  let traced_wall ~on =
+     (spans, flow events, decision log, SLO windows), five paired
+     rounds. *)
+  let traced_wall ~on () =
     Obs.Config.set_enabled on;
     Obs.Export.reset_all ();
     let svc = SSvc.create ~shards:2 ~queue_cap:8 cfg in
@@ -2241,16 +1308,9 @@ let serve_bench () =
     Obs.Config.set_enabled false;
     wall
   in
-  ignore (traced_wall ~on:false);
-  ignore (traced_wall ~on:true);
-  let best_ratio = ref infinity in
-  for _ = 1 to 5 do
-    let off = traced_wall ~on:false in
-    let on = traced_wall ~on:true in
-    best_ratio := Float.min !best_ratio (on /. off)
-  done;
   let tracing_overhead_pct =
-    Float.max 0.0 (100.0 *. (!best_ratio -. 1.0))
+    paired_overhead_pct ~rounds:5 ~off:(traced_wall ~on:false)
+      ~on:(traced_wall ~on:true)
   in
   let overhead_limit_pct = 3.0 in
   let overhead_ok = tracing_overhead_pct <= overhead_limit_pct in
@@ -2260,12 +1320,12 @@ let serve_bench () =
   let limit_ms = factor *. Float.max base_p95 floor_ms in
   let ok = cont_p95 <= limit_ms in
   Printf.printf "%-12s %10s %10s %10s\n" "phase" "p50 [ms]" "p95 [ms]"
-    "p99 [ms]";
+    "max [ms]";
   List.iter
     (fun (name, a) ->
       Printf.printf "%-12s %10.3f %10.3f %10.3f\n" name
         (percentile_exact a 50.0) (percentile_exact a 95.0)
-        (percentile_exact a 99.0))
+        (percentile_exact a 100.0))
     [ ("baseline", base); ("contended", cont) ];
   Printf.printf
     "flooding tenant rejected %d submissions; %.1f jobs/s under contention\n"
@@ -2424,9 +1484,7 @@ let chaos_trial ~seed ~jobs tally =
   (exactly_once, bit_identical)
 
 (* Zero-chaos journaling overhead: the same closed loop with and
-   without a Flush-durability journal, measured back to back in pairs
-   (ambient noise is correlated within a pair); report the best of
-   five pair ratios, as the serve bench does for tracing. *)
+   without a Flush-durability journal, five paired rounds. *)
 let chaos_overhead () =
   let cfg = cfg_of "xeon-2gpu" in
   let burst journal =
@@ -2453,15 +1511,7 @@ let chaos_overhead () =
     Sys.remove path;
     w
   in
-  ignore (burst None);
-  ignore (journaled ());
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let off = burst None in
-    let on = journaled () in
-    best := Float.min !best (on /. off)
-  done;
-  Float.max 0.0 (100.0 *. (!best -. 1.0))
+  paired_overhead_pct ~rounds:5 ~off:(fun () -> burst None) ~on:journaled
 
 let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
     ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok =
@@ -2513,140 +1563,7 @@ let chaos_bench () =
   print_endline "wrote BENCH_chaos.json";
   if not (exactly_once && bit_identical && overhead_ok) then exit 1
 
-let chaos_smoke () =
-  let check name ok =
-    Printf.printf "%-52s %s\n" name (if ok then "ok" else "FAIL");
-    if not ok then exit 1
-  in
-  let cfg = cfg_of "xeon-2gpu" in
-  let job seed = SP.Dgemm { n = 32; tiles = 2; seed } in
-  (* Journal line codec: entries round-trip, bit flips are caught. *)
-  let acc =
-    {
-      SJ.a_id = 3;
-      a_tenant = "t";
-      a_job = job 1;
-      a_deadline_ms = Some 5.0;
-      a_idem = Some "k-1";
-      a_trace = Some "00000000cab5f00d-0000000000000003";
-    }
-  in
-  let done_reply =
-    SP.Done
-      {
-        id = 3;
-        tenant = "t";
-        latency_ms = 1.25;
-        status =
-          SP.Jok
-            {
-              makespan_s = 0.5; checksum = "ab12"; tasks = 4;
-              coalesced = false; shard = 0;
-            };
-        trace = None;
-      }
-  in
-  let entries =
-    [ SJ.Accept acc; SJ.Complete { c_idem = Some "k-1"; c_reply = done_reply } ]
-  in
-  check "chaos: journal entries survive the line codec"
-    (List.for_all
-       (fun e ->
-         let line = SJ.entry_to_line e in
-         SJ.entry_of_line (String.sub line 0 (String.length line - 1))
-         = Ok e)
-       entries);
-  check "chaos: a flipped journal byte is caught by the CRC"
-    (let line = SJ.entry_to_line (SJ.Accept acc) in
-     let b = Bytes.of_string (String.sub line 0 (String.length line - 1)) in
-     Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) lxor 1));
-     match SJ.entry_of_line (Bytes.to_string b) with
-     | Error _ -> true
-     | Ok _ -> false);
-  (* Crash mid-burst: the accepted-but-unfinished job replays through
-     a fresh incarnation bit-identically; the completed one is served
-     from the dedup window, not re-run. *)
-  let path = Filename.temp_file "chaos-smoke" ".journal" in
-  let j1 = SJ.open_append path in
-  let clock = ref 0.0 in
-  let now () = !clock in
-  let svc1 = SSvc.create ~shards:1 ~queue_cap:8 ~now ~journal:j1 cfg in
-  ignore (SSvc.submit svc1 ~tenant:"t" ~idem:"done-key" (job 7));
-  let first_sum =
-    match SSvc.run_until_idle svc1 with
-    | [ SP.Done { status = SP.Jok { checksum; _ }; _ } ] -> checksum
-    | _ -> "?"
-  in
-  ignore (SSvc.submit svc1 ~tenant:"t" ~idem:"lost-key" (job 8));
-  SJ.close j1;
-  (* svc1 is never drained: this is the crash. *)
-  let plan = SJ.recover path in
-  check "chaos: recovery splits pending from completed"
-    (List.length plan.SJ.r_pending = 1
-    && List.length plan.SJ.r_completed = 1
-    && (List.hd plan.SJ.r_pending).SJ.a_idem = Some "lost-key"
-    && not plan.SJ.r_torn);
-  let j2 = SJ.open_append path in
-  let svc2 = SSvc.create ~shards:1 ~queue_cap:8 ~now ~journal:j2 cfg in
-  SSvc.restore svc2 plan;
-  let replay_sums =
-    List.filter_map
-      (function
-        | SP.Done { status = SP.Jok { checksum; _ }; _ } -> Some checksum
-        | _ -> None)
-      (SSvc.run_until_idle svc2)
-  in
-  let reference =
-    let svc = SSvc.create ~shards:1 ~queue_cap:8 ~now cfg in
-    ignore (SSvc.submit svc ~tenant:"t" (job 8));
-    List.filter_map
-      (function
-        | SP.Done { status = SP.Jok { checksum; _ }; _ } -> Some checksum
-        | _ -> None)
-      (SSvc.run_until_idle svc)
-  in
-  check "chaos: replay completes the lost job bit-identically"
-    (replay_sums = reference && List.length replay_sums = 1);
-  check "chaos: a completed job is never re-run after replay"
-    (SSvc.completed svc2 = 1);
-  let resub = SSvc.submit svc2 ~tenant:"t" ~idem:"done-key" (job 7) in
-  let replays = SSvc.take_replays svc2 in
-  check "chaos: resubmitting a finished key replays the cached DONE"
-    (match (resub, replays) with
-    | ( SP.Accepted _,
-        [ SP.Done { status = SP.Jok { checksum; _ }; _ } ] ) ->
-        checksum = first_sum && SSvc.completed svc2 = 1
-    | _ -> false);
-  SJ.close j2;
-  (* A torn tail — half the last record chopped, as a kill mid-write
-     leaves — replays to the longest valid prefix, never raises, and
-     the chopped job is recovered by the client's resubmission. *)
-  let sz = (Unix.stat path).Unix.st_size in
-  Unix.truncate path (sz - 7);
-  let torn = SJ.recover path in
-  check "chaos: a torn tail yields the longest valid prefix"
-    (torn.SJ.r_torn && torn.SJ.r_entries >= 2);
-  Sys.remove path;
-  (* Chaos composition: 30 % transient PU faults on top of crash and
-     replay change nothing observable. *)
-  let trial = { ct_replayed = 0; ct_deduped = 0; ct_torn = 0 } in
-  let exactly_once, bit_identical = chaos_trial ~seed:42 ~jobs:12 trial in
-  check "chaos: crash + 30% transient faults keep exactly-once"
-    (exactly_once && trial.ct_replayed > 0);
-  check "chaos: chaotic checksums match the fault-free run" bit_identical;
-  print_endline "chaos smoke: all checks passed"
-
 (* ------------------------------------------------------------------ *)
-
-let all =
-  [
-    ("fig5", fig5); ("sweep", sweep); ("sched", sched); ("tile", tile);
-    ("presel", presel); ("chol", chol); ("eng", eng);
-    ("par", fun () -> par ()); ("kern", fun () -> kern ()); ("obs", obs_exp);
-    ("faults", faults_exp); ("tune", tune); ("cc", fun () -> cc ());
-    ("serve", serve_bench); ("chaos", chaos_bench); ("smoke", smoke);
-    ("micro", micro);
-  ]
 
 let parse_ints what s =
   String.split_on_char ',' s
@@ -2656,6 +1573,38 @@ let parse_ints what s =
          | _ ->
              Printf.eprintf "bad %s list %S (want e.g. 256,512)\n" what s;
              exit 1)
+
+(* Raised by an entry given arguments it does not take; carries the
+   argument syntax it does take. *)
+exception Usage of string
+
+let no_args f = function [] -> f () | _ -> raise (Usage "")
+
+let sizes_arg (f : ?sizes:int list -> unit -> unit) = function
+  | [] -> f ()
+  | [ sizes ] -> f ~sizes:(parse_ints "size" sizes) ()
+  | _ -> raise (Usage "[sizes]")
+
+(* The experiments, in the order a bare run executes them.  Each entry
+   parses its own arguments. *)
+let all =
+  [
+    ("fig5", no_args fig5); ("sweep", no_args sweep); ("sched", no_args sched);
+    ("tile", no_args tile); ("presel", no_args presel); ("chol", no_args chol);
+    ("eng", no_args eng);
+    ( "par",
+      function
+      | [] -> par ()
+      | [ sizes ] -> par ~sizes:(parse_ints "size" sizes) ()
+      | [ sizes; domains ] ->
+          par ~sizes:(parse_ints "size" sizes)
+            ~domains:(parse_ints "domain" domains) ()
+      | _ -> raise (Usage "[sizes [domains]]") );
+    ("kern", sizes_arg kern); ("obs", no_args obs_exp);
+    ("faults", no_args faults_exp); ("tune", no_args tune);
+    ("cc", sizes_arg cc); ("serve", no_args serve_bench);
+    ("chaos", no_args chaos_bench); ("micro", no_args micro);
+  ]
 
 let () =
   (* --trace FILE / --metrics apply to any experiment: strip them
@@ -2672,37 +1621,23 @@ let () =
         strip rest
     | a :: rest -> a :: strip rest
   in
-  let args = strip (Array.to_list Sys.argv) in
+  let args = List.tl (strip (Array.to_list Sys.argv)) in
   if !trace_out <> None || !metrics then Obs.Config.set_enabled true;
   (match args with
-  | [ _ ] -> List.iter (fun (_, f) -> f ()) all
-  | [ _; "par"; sizes ] -> par ~sizes:(parse_ints "size" sizes) ()
-  | [ _; "par"; sizes; domains ] ->
-      par ~sizes:(parse_ints "size" sizes)
-        ~domains:(parse_ints "domain" domains) ()
-  | [ _; "kern"; "smoke" ] -> kern_smoke ()
-  | [ _; "kern"; sizes ] -> kern ~sizes:(parse_ints "size" sizes) ()
-  | [ _; "obs"; "smoke" ] -> obs_smoke ()
-  | [ _; "faults"; "smoke" ] -> faults_smoke ()
-  | [ _; "tune"; "smoke" ] -> tune_smoke ()
-  | [ _; "cc"; "smoke" ] -> cc_smoke ()
-  | [ _; "serve"; "smoke" ] -> serve_smoke ()
-  | [ _; "chaos"; "smoke" ] -> chaos_smoke ()
-  | [ _; "cc"; sizes ] -> cc ~sizes:(parse_ints "size" sizes) ()
-  | [ _; name ] -> (
-      match List.assoc_opt name all with
-      | Some f -> f ()
+  | [] -> List.iter (fun (_, run) -> run []) all
+  | id :: rest -> (
+      match List.assoc_opt id all with
       | None ->
-          Printf.eprintf "unknown experiment %S (known: %s)\n" name
+          Printf.eprintf "unknown experiment %S (known: %s)\n" id
             (String.concat ", " (List.map fst all));
-          exit 1)
-  | _ ->
-      prerr_endline
-        "usage: main.exe [--trace FILE] [--metrics] \
-         [fig5|sweep|sched|tile|presel|chol|eng|par [sizes [domains]]|kern \
-         [sizes|smoke]|obs [smoke]|faults [smoke]|tune [smoke]|cc \
-         [sizes|smoke]|serve [smoke]|chaos [smoke]|smoke|micro]";
-      exit 1);
+          exit 1
+      | Some run -> (
+          try run rest
+          with Usage syntax ->
+            Printf.eprintf "usage: main.exe [--trace FILE] [--metrics] %s%s\n"
+              id
+              (if syntax = "" then "" else " " ^ syntax);
+            exit 1)));
   Option.iter
     (fun path ->
       Obs.Export.write_chrome path [];

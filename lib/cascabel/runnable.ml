@@ -552,7 +552,7 @@ let on_execute ctx (annot : exec_annot) (f : func) argv =
   ctx.site_blocks <- ctx.site_blocks @ [ (interface, blocks) ];
   Some Interp.VUnit
 
-let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?explore_eps ?native ~repo
+let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
     ~platform unit_ =
   match Machine_config.of_platform platform with
   | Error e -> Error e
@@ -561,7 +561,7 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?explore_eps ?native ~repo
         (match Repository.register_unit repo unit_ with
         | Ok _ -> ()
         | Error _ -> ());
-        let engine = Engine.create ?policy ?faults ?tune ?explore_eps cfg in
+        let engine = Engine.create ?policy ?faults ?tune cfg in
         let ctx_ref = ref None in
         let hooks =
           {

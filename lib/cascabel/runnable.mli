@@ -51,7 +51,6 @@ val run :
   ?trace:string ->
   ?faults:Taskrt.Fault.t ->
   ?tune:Tune.Store.t ->
-  ?explore_eps:float ->
   ?native:Native.t ->
   repo:Repository.t ->
   platform:Pdl_model.Machine.platform ->
@@ -76,8 +75,8 @@ val run :
     [tune] attaches a calibration store (see {!Taskrt.Engine.create}):
     Heft placements consult the learned per-(codelet, PU, size-bucket)
     models, every completed task feeds its measured span back, and
-    [explore_eps] controls the deterministic epsilon-greedy sampling
-    of cold variants. The caller persists the store afterwards.
+    cold variants are sampled at the engine's default exploration
+    rate. The caller persists the store afterwards.
 
     [native] attaches a loaded kernels library (see {!Native.build}):
     a variant whose body is one [blas_dgemm] call (see

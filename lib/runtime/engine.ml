@@ -199,7 +199,7 @@ let calibration t =
   |> List.sort (fun a b -> compare a.cs_codelet b.cs_codelet)
 
 let next_random t bound =
-  (* xorshift-ish LCG; deterministic given the seed *)
+  (* xorshift-ish LCG, seeded with 1 at create: deterministic *)
   t.rng <- ((t.rng * 1103515245) + 12345) land 0x3FFFFFFF;
   t.rng mod bound
 
@@ -899,7 +899,7 @@ let install_fault_events t (f : Fault.t) =
     f.Fault.events
 
 let create ?(policy = Eager) ?(execute_kernels = true)
-    ?(dispatch_overhead_us = 20.0) ?(seed = 1) ?pool ?faults ?tune
+    ?(dispatch_overhead_us = 20.0) ?pool ?faults ?tune
     ?(explore_eps = 0.05) ?(true_gflops = []) ?(label = "") cfg =
   List.iter
     (fun (name, g) ->
@@ -987,7 +987,7 @@ let create ?(policy = Eager) ?(execute_kernels = true)
       n_abandoned = 0;
       fault_events = [];
       events = [];
-      rng = seed land 0x3FFFFFFF;
+      rng = 1;
     }
   in
   Option.iter (install_fault_events t) faults;

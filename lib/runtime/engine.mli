@@ -49,7 +49,6 @@ val create :
   ?policy:policy ->
   ?execute_kernels:bool ->
   ?dispatch_overhead_us:float ->
-  ?seed:int ->
   ?pool:Kernels.Domain_pool.t ->
   ?faults:Fault.t ->
   ?tune:Tune.Store.t ->
@@ -74,8 +73,8 @@ val create :
     completed task feeds its measured compute span back, and with
     probability [explore_eps] (default 0.05) a ready task is placed on
     a cold (codelet, PU) pairing so unmeasured variants still get
-    sampled. Exploration draws come from the engine's seeded RNG, so
-    runs stay deterministic.
+    sampled. Exploration and random placement draw from an RNG seeded
+    with a constant, so runs stay deterministic.
 
     [true_gflops] overrides, per worker name or PDL PU id, the rate
     tasks are {e charged} at — the declared [w_gflops] still drives

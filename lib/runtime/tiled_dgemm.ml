@@ -64,12 +64,12 @@ let run_on ?(tiles = 4) ?group rt ~(a : Matrix.t) ~(b : Matrix.t) =
   Data.unpartition hc;
   (Data.read_matrix hc, stats)
 
-let run ?policy ?(tiles = 4) ?group ?pool ?faults ?tune ?true_gflops cfg
+let run ?policy ?(tiles = 4) ?group ?pool ?faults ?tune cfg
     ~(a : Matrix.t) ~(b : Matrix.t) =
   if a.cols <> b.rows then invalid_arg "Tiled_dgemm.run: shape mismatch";
   if tiles < 1 || tiles > a.rows || tiles > b.cols then
     invalid_arg "Tiled_dgemm.run: bad tile count";
-  let rt = Engine.create ?policy ?pool ?faults ?tune ?true_gflops cfg in
+  let rt = Engine.create ?policy ?pool ?faults ?tune cfg in
   let codelet = dgemm_codelet cfg in
   let ha = Data.register_matrix ~name:"A" (Matrix.copy a) in
   let hb = Data.register_matrix ~name:"B" (Matrix.copy b) in
@@ -78,12 +78,10 @@ let run ?policy ?(tiles = 4) ?group ?pool ?faults ?tune ?true_gflops cfg
   finish ~flops:(Kernels.Blas.flops_dgemm a.rows b.cols a.cols) ~hc
     ~materialize:true rt
 
-let run_model ?policy ?(tiles = 8) ?group ?dispatch_overhead_us ?faults ?tune
-    ?true_gflops cfg ~n =
+let run_model ?policy ?(tiles = 8) ?group ?faults ?tune ?true_gflops cfg ~n =
   if tiles < 1 || tiles > n then invalid_arg "Tiled_dgemm.run_model: bad tiles";
   let rt =
-    Engine.create ?policy ~execute_kernels:false ?dispatch_overhead_us ?faults
-      ?tune ?true_gflops cfg
+    Engine.create ?policy ~execute_kernels:false ?faults ?tune ?true_gflops cfg
   in
   let codelet = dgemm_codelet cfg in
   let ha = Data.register_virtual ~name:"A" ~rows:n ~cols:n () in

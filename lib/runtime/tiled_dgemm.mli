@@ -28,16 +28,15 @@ val run :
   ?pool:Kernels.Domain_pool.t ->
   ?faults:Fault.t ->
   ?tune:Tune.Store.t ->
-  ?true_gflops:(string * float) list ->
   Machine_config.t ->
   a:Kernels.Matrix.t ->
   b:Kernels.Matrix.t ->
   result
 (** [pool] is forwarded to {!Engine.create} so the per-tile dgemm
-    kernels run on real domains; [faults], [tune] and [true_gflops]
-    likewise (transient failures drop the attempt's kernel, so the
-    result stays bit-identical to a fault-free run as long as every
-    task eventually completes).
+    kernels run on real domains; [faults] and [tune] likewise
+    (transient failures drop the attempt's kernel, so the result
+    stays bit-identical to a fault-free run as long as every task
+    eventually completes).
     @raise Invalid_argument on shape mismatch or [tiles] exceeding
     the matrix dimensions. *)
 
@@ -60,7 +59,6 @@ val run_model :
   ?policy:Engine.policy ->
   ?tiles:int ->
   ?group:string ->
-  ?dispatch_overhead_us:float ->
   ?faults:Fault.t ->
   ?tune:Tune.Store.t ->
   ?true_gflops:(string * float) list ->

@@ -15,6 +15,14 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let count_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc
+    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
+  in
+  go 0 0
+
 let parse src =
   match Minic.Parser.parse src with
   | Ok u -> u
@@ -568,6 +576,30 @@ let blas_matches_kernel =
         ~a ~aoff:ao ~lda:k ~b ~boff:bo ~ldb:n ~c:want ~coff:co ~ldc:n ();
       bits_equal got want)
 
+(* Translate and lower [unit_] for xeon-2gpu. *)
+let emit_c unit_ =
+  match
+    Result.map_error (String.concat "; ")
+      (Codegen.translate ~repo:(Repository.create ()) ~platform:gpus unit_)
+    |> Fun.flip Result.bind Emit_c.emit
+  with
+  | Ok em -> em
+  | Error e -> Alcotest.failf "translate/emit: %s" e
+
+(* Run [unit_] on xeon-2gpu interpreted, then with the loaded library
+   [nt] attached, and close [nt]. *)
+let run_both nt unit_ =
+  let run ?native () =
+    match
+      Runnable.run ?native ~repo:(Repository.create ()) ~platform:gpus unit_
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "run: %s" e
+  in
+  let interpreted = run () and native = run ~native:nt () in
+  Native.close nt;
+  (interpreted, native)
+
 let library_tests =
   [
     Alcotest.test_case "extents that do not fit are runtime errors" `Quick
@@ -626,35 +658,63 @@ let library_tests =
           |> replace ~sub:"checksum=%.3f" ~by:"checksum=%.17g"
         in
         let unit_ = parse src in
-        let em =
-          match
-            Result.map_error (String.concat "; ")
-              (Codegen.translate ~repo:(Repository.create ()) ~platform:gpus
-                 unit_)
-            |> Fun.flip Result.bind Emit_c.emit
-          with
-          | Ok em -> em
-          | Error e -> Alcotest.failf "translate/emit: %s" e
-        in
+        let em = emit_c unit_ in
         match Native.build em with
         | Native.No_toolchain _ -> () (* no cc: nothing to compare *)
         | Native.Compile_error e -> Alcotest.failf "native build: %s" e
         | Native.Loaded nt ->
-            let run ?native () =
-              match
-                Runnable.run ?native ~repo:(Repository.create ())
-                  ~platform:gpus unit_
-              with
-              | Ok r -> r
-              | Error e -> Alcotest.failf "run: %s" e
-            in
-            let interpreted = run () and native = run ~native:nt () in
-            Native.close nt;
+            let interpreted, native = run_both nt unit_ in
             check int_ "every task native" native.tasks_submitted
               native.native_tasks;
             check int_ "no fallbacks" 0 native.native_fallbacks;
             check bool_ "decomposed" true (native.tasks_submitted > 1);
             check string_ "stdout" interpreted.stdout native.stdout);
+    Alcotest.test_case "a helper-calling variant is emitted but runs interpreted"
+      `Quick (fun () ->
+        let unit_ =
+          parse
+            {|#define N 64
+double twice(double x) { return 2.0 * x; }
+
+#pragma cascabel task : x86 : Iscale : scale_cpu : (A: readwrite)
+void scale(double *A, int n)
+{
+  for (int i = 0; i < n * n; i++)
+    A[i] = twice(A[i]);
+}
+
+int main(void)
+{
+  double *A = malloc(N * N * sizeof(double));
+  for (int i = 0; i < N * N; i++)
+    A[i] = 1.0 * i;
+  #pragma cascabel execute Iscale : executionset01 (A:BLOCK:n)
+  scale(A, N);
+  double sum = 0.0;
+  for (int i = 0; i < N * N; i++)
+    sum += A[i];
+  printf("sum=%.3f\n", sum);
+  return 0;
+}|}
+        in
+        let em = emit_c unit_ in
+        check int_ "one wrapper" 1 (List.length em.all_wrappers);
+        check int_ "but not native-dispatchable" 0
+          (List.length em.native_variants);
+        let kernels =
+          List.find (fun s -> s.Emit_c.file = Emit_c.kernels_file em) em.sources
+        in
+        check bool_ "helper closure emitted" true
+          (contains kernels.contents "double twice(double x)");
+        match Native.build em with
+        | Native.No_toolchain _ -> () (* no cc: nothing to compare *)
+        | Native.Compile_error e -> Alcotest.failf "native build: %s" e
+        | Native.Loaded nt ->
+            let interpreted, fallback = run_both nt unit_ in
+            check int_ "no task native" 0 fallback.native_tasks;
+            check bool_ "every task fell back" true
+              (fallback.native_fallbacks = fallback.tasks_submitted);
+            check string_ "stdout" interpreted.stdout fallback.stdout);
     Alcotest.test_case "only a bare blas_dgemm body is a library call" `Quick
       (fun () ->
         let funcs src =
@@ -1010,7 +1070,42 @@ int main(void)
             if ws.Taskrt.Engine.ws_worker.Taskrt.Machine_config.w_arch = "cpu"
             then
               check int_ "cpu idle" 0 ws.Taskrt.Engine.tasks_run)
-          r.stats.worker_stats);
+          r.stats.worker_stats;
+        (* Both gpus crash before their tasks finish: pre-selection
+           re-runs against the degraded platform view and the x86
+           variant completes the program on the cpus. *)
+        let faults =
+          {
+            Taskrt.Fault.none with
+            Taskrt.Fault.events =
+              [
+                Taskrt.Fault.Crash { pu = "gpu0"; at = 1e-6 };
+                Taskrt.Fault.Crash { pu = "gpu1"; at = 2e-6 };
+              ];
+          }
+        in
+        let trace = Filename.temp_file "cascabel_failover" ".json" in
+        match
+          Runnable.run ~policy:Taskrt.Engine.Heft ~faults ~trace
+            ~repo:(Repository.create ()) ~platform:gpus (parse program)
+        with
+        | Error e -> Alcotest.failf "failover run: %s" e
+        | Ok r ->
+            let json = In_channel.with_open_bin trace In_channel.input_all in
+            Sys.remove trace;
+            check string_ "cpu variant result" "2\n" r.stdout;
+            check bool_ "every failover ran on a degraded view" true
+              (r.failover_log <> []
+              && List.for_all (fun l -> contains l "degraded") r.failover_log);
+            check bool_ "both gpus quarantined" true
+              (List.mem "gpu0" r.stats.quarantined
+              && List.mem "gpu1" r.stats.quarantined);
+            check int_ "two crashes in the trace" 2
+              (count_sub json "\"name\":\"crash\"");
+            check bool_ "a failover in the trace" true
+              (contains json "\"name\":\"failover\"");
+            check bool_ "the trace names the crashed pu" true
+              (contains json "\"detail\":\"gpu0\""));
     Alcotest.test_case "execute on cpu-only group with gpu-only variant fails"
       `Quick (fun () ->
         let program =

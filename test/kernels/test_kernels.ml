@@ -89,7 +89,38 @@ let blas_tests =
         Blas.dgemm ~alpha:2.0 ~beta:3.0 a b c;
         (* c = 2*I + 3*ones *)
         check (float_ 1e-12) "diag" 5.0 (Matrix.get c 0 0);
-        check (float_ 1e-12) "off" 3.0 (Matrix.get c 0 1));
+        check (float_ 1e-12) "off" 3.0 (Matrix.get c 0 1);
+        (* every variant against the reference, across micro-tile edges
+           and a KC boundary (k = 257), and the packed kernel under an
+           odd blocking with either micro-kernel *)
+        let alpha = 1.5 and beta = -0.5 in
+        let odd_blocking bmicro a b c =
+          Gemm_kernel.set_blocking
+            { Gemm_kernel.bmc = 96; bkc = 72; bnc = 120; bmicro };
+          Fun.protect ~finally:Gemm_kernel.reset_blocking (fun () ->
+              Blas.dgemm_packed ~alpha ~beta a b c)
+        in
+        List.iter
+          (fun (m, k, n) ->
+            let a = Matrix.random ~seed:1 m k in
+            let b = Matrix.random ~seed:2 k n in
+            let want = Matrix.random ~seed:3 m n in
+            let c0 = Matrix.copy want in
+            Blas.dgemm_naive ~alpha ~beta a b want;
+            List.iter
+              (fun (name, dgemm) ->
+                let c = Matrix.copy c0 in
+                dgemm a b c;
+                check bool_
+                  (Printf.sprintf "%s %dx%dx%d" name m k n)
+                  true (Matrix.approx_equal want c))
+              [
+                ("packed", fun a b c -> Blas.dgemm_packed ~alpha ~beta a b c);
+                ("blocked", fun a b c -> Blas.dgemm_blocked ~alpha ~beta a b c);
+                ("avx2, odd blocking", odd_blocking Gemm_kernel.Avx2);
+                ("portable, odd blocking", odd_blocking Gemm_kernel.Portable);
+              ])
+          [ (1, 1, 1); (3, 5, 2); (7, 3, 9); (96, 64, 32); (130, 257, 139) ]);
     Alcotest.test_case "blocked agrees with naive (square)" `Quick (fun () ->
         let a = Matrix.random ~seed:1 33 33 in
         let b = Matrix.random ~seed:2 33 33 in

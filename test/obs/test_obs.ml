@@ -548,7 +548,9 @@ let test_dropped_spans () =
   Alcotest.(check bool) "per-domain gauge in prometheus" true
     (contains (Obs.Export.prometheus ()) "obs_span_ring_dropped{domain=");
   Alcotest.(check bool) "summary reports the loss" true
-    (contains (Obs.Export.summary ()) "dropped spans: 50")
+    (contains (Obs.Export.summary ()) "dropped spans: 50");
+  Alcotest.(check bool) "summary has a span-ring section" true
+    (contains (Obs.Export.summary ()) "== span rings ==")
 
 let test_label_escaping () =
   fresh ();

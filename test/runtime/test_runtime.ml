@@ -1171,6 +1171,8 @@ let pool_engine_tests =
   [
     Alcotest.test_case "engine runs kernels on the domain pool" `Quick
       (fun () ->
+        Obs.Config.set_enabled true;
+        Obs.Export.reset_all ();
         Kernels.Domain_pool.with_pool ~num_domains:3 (fun pool ->
             let n = 96 in
             let a = Matrix.random ~seed:1 n n and b = Matrix.random ~seed:2 n n in
@@ -1186,7 +1188,40 @@ let pool_engine_tests =
             (* Pooled execution is bit-identical to the sequential
                kernel, so exact equality is the right check. *)
             check (float_ 0.0) "bitwise equal" 0.0
-              (Matrix.max_abs_diff expected (Data.read_matrix hc))));
+              (Matrix.max_abs_diff expected (Data.read_matrix hc));
+            (* Large enough to split: three MC row panels, and a
+               factorisation past one panel. *)
+            Kernels.Blas.dgemm ~pool (Matrix.random ~seed:3 300 300)
+              (Matrix.random ~seed:4 300 300) (Matrix.create 300 300);
+            Kernels.Lapack.dpotrf ~pool (Kernels.Lapack.random_spd ~seed:5 128));
+        (* The kernels name their phases in the telemetry. *)
+        let events = Obs.Span.events () in
+        Obs.Config.set_enabled false;
+        List.iter
+          (fun name ->
+            check bool_ (name ^ " span") true
+              (List.exists
+                 (fun (e : Obs.Span.event) -> e.ev_name = name)
+                 events))
+          [ "pack_a"; "pack_b"; "micro_kernel"; "panel_factor";
+            "trailing_update"; "chunk"; "exec:dgemm" ];
+        check bool_ "one lane per domain" true
+          (List.length (List.sort_uniq compare (Obs.Span.domains ())) >= 2);
+        check bool_ "exec spans name their PU and group" true
+          (List.for_all
+             (fun (e : Obs.Span.event) ->
+               let fields = String.split_on_char ' ' e.ev_args in
+               (not (String.starts_with ~prefix:"exec:" e.ev_name))
+               || List.for_all
+                    (fun key ->
+                      List.exists (String.starts_with ~prefix:key) fields)
+                    [ "pu="; "group=" ])
+             events);
+        check bool_ "pool chunks counted" true
+          (List.exists
+             (fun c ->
+               Obs.Counter.name c = "pool_chunks" && Obs.Counter.value c > 0)
+             (Obs.Counter.all ())));
     Alcotest.test_case "utilization averages over ever-online workers" `Quick
       (fun () ->
         let rt =
@@ -1565,6 +1600,7 @@ let fault_free_equivalence =
           transient_rate = float_of_int rate_pct /. 100.0;
           retries = 50;
           quarantine_after = 0;
+          events = [ Fault.Crash { pu = "cpu-cores#0"; at = 1e-5 } ];
         }
       in
       let faulty = Tiled_dgemm.run ~tiles:3 ~faults (smp_cfg ()) ~a ~b in

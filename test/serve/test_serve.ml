@@ -14,6 +14,19 @@ let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 let cfg_of name = MC.of_platform_exn (Option.get (Pdl_hwprobe.Zoo.find name))
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* (id, checksum) of every successful DONE among [replies]. *)
+let ok_sums replies =
+  List.filter_map
+    (function
+      | P.Done { id; status = P.Jok { checksum; _ }; _ } -> Some (id, checksum)
+      | _ -> None)
+    replies
+
 (* ------------------------------------------------------------------ *)
 (* Protocol: generators                                                *)
 
@@ -434,22 +447,40 @@ let service_tests =
             Fault.events = [ Fault.Crash { pu = "gpu0"; at = 1e-6 } ];
           }
         in
-        let svc =
-          Service.create ~shards:1 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+        (* tenant b's results, with and without a crashing tenant a *)
+        let run ~with_a =
+          let svc =
+            Service.create ~shards:1 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+          in
+          if with_a then begin
+            Service.configure_tenant svc ~name:"a" ~faults:crash ();
+            ignore
+              (Service.submit svc ~tenant:"a"
+                 (P.Dgemm { n = 64; tiles = 4; seed = 1 }))
+          end;
+          ignore
+            (Service.submit svc ~tenant:"b"
+               (P.Dgemm { n = 64; tiles = 4; seed = 2 }));
+          let b_sums =
+            List.filter_map
+              (function
+                | P.Done { tenant = "b"; status = P.Jok { checksum; _ }; _ } ->
+                    Some checksum
+                | _ -> None)
+              (Service.run_until_idle svc)
+          in
+          (svc, b_sums)
         in
-        Service.configure_tenant svc ~name:"a" ~faults:crash ();
-        ignore
-          (Service.submit svc ~tenant:"a"
-             (P.Dgemm { n = 64; tiles = 4; seed = 1 }));
-        ignore
-          (Service.submit svc ~tenant:"b"
-             (P.Dgemm { n = 64; tiles = 4; seed = 2 }));
-        ignore (Service.run_until_idle svc);
+        let svc, contended = run ~with_a:true in
+        let _, alone = run ~with_a:false in
         check (Alcotest.list Alcotest.string) "a sees its quarantine"
           [ "gpu0" ]
           (Service.quarantined svc ~tenant:"a");
         check (Alcotest.list Alcotest.string) "b sees a clean machine" []
-          (Service.quarantined svc ~tenant:"b"));
+          (Service.quarantined svc ~tenant:"b");
+        check (Alcotest.list Alcotest.string) "b bit-identical beside a" alone
+          contended;
+        check int_ "b's job ran" 1 (List.length contended));
     Alcotest.test_case "oversized direct submits draw bad-request" `Quick
       (fun () ->
         let svc =
@@ -502,13 +533,61 @@ let service_tests =
           ignore (Service.submit svc ~tenant:"a" (gjob i))
         done;
         ignore (Service.run_until_idle svc);
-        match Service.stats svc with
+        (match Service.stats svc with
         | [ row ] ->
             check int_ "submitted" 2 row.P.tr_submitted;
             check int_ "rejected" 1 row.P.tr_rejected;
             check int_ "completed" 2 row.P.tr_completed;
             check int_ "queue empty" 0 row.P.tr_queue
         | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+        (* identical queued jobs coalesce onto one execution *)
+        let svc =
+          Service.create ~queue_cap:3 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+        in
+        let job = P.Dgemm { n = 32; tiles = 2; seed = 7 } in
+        for _ = 1 to 3 do
+          ignore (Service.submit svc ~tenant:"a" job)
+        done;
+        let dones = Service.run_until_idle svc in
+        check (Alcotest.list bool_) "first runs, the rest ride along"
+          [ false; true; true ]
+          (List.filter_map
+             (function
+               | P.Done { status = P.Jok { coalesced; _ }; _ } -> Some coalesced
+               | _ -> None)
+             dones);
+        check int_ "one checksum" 1
+          (List.length (List.sort_uniq compare (List.map snd (ok_sums dones))));
+        match Service.stats svc with
+        | [ row ] -> check int_ "coalesced" 2 row.P.tr_coalesced
+        | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+    Alcotest.test_case "deficit round robin shares dispatch by weight" `Quick
+      (fun () ->
+        (* six jobs from a, then two from b, one shard; distinct flops,
+           or coalescing would merge them.  a is first in DRR order, so
+           only b's weight can put b ahead. *)
+        let order ?b_weight () =
+          let svc =
+            Service.create ~shards:1 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+          in
+          for i = 1 to 8 do
+            let tenant = if i <= 6 then "a" else "b" in
+            ignore (Service.submit svc ~tenant (gjob i))
+          done;
+          Option.iter
+            (fun weight -> Service.configure_tenant svc ~name:"b" ~weight ())
+            b_weight;
+          List.filter_map
+            (function P.Done { tenant; _ } -> Some tenant | _ -> None)
+            (Service.run_until_idle svc)
+        in
+        check (Alcotest.list Alcotest.string) "equal weights alternate"
+          [ "a"; "b"; "a"; "b"; "a"; "a"; "a"; "a" ]
+          (order ());
+        check int_ "weight 2.0 takes 2 of the first 3" 2
+          (List.length
+             (List.filter (String.equal "b")
+                (List.filteri (fun i _ -> i < 3) (order ~b_weight:2.0 ())))));
     Alcotest.test_case "SLO window and burn rate surface in stats" `Quick
       (fun () ->
         let clock = ref 0.0 in
@@ -532,6 +611,9 @@ let service_tests =
             check bool_ "no latency target by default"
               (row.P.tr_slo_ms = None) true
         | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+        check bool_ "burn rate in the Prometheus exposition" true
+          (contains (Obs.Export.prometheus ())
+             "obs_slo_burn_rate{slo=\"serve:slo-tenant\"}");
         (* an unreachable latency target flips Ok finishes to bad; the
            real wall clock makes any finite latency miss 1e-9 ms *)
         let svc2 = Service.create ~shards:1 ~slo_ms:25.0 (cfg_of "xeon-2gpu") in
@@ -643,7 +725,20 @@ let flow_chain =
         | P.Accepted { trace = Some t; _ } -> t = trace
         | _ -> false
       in
-      ignore (Service.run_until_idle svc);
+      let done_echoed =
+        match Service.run_until_idle svc with
+        | [ P.Done { trace = Some t; _ } ] -> t = trace
+        | _ -> false
+      in
+      (* every scheduler decision names the chosen PU among its
+         per-PU estimates *)
+      let decisions_named =
+        Obs.Decision.count () > 0
+        && List.for_all
+             (fun (d : Obs.Decision.record) ->
+               List.mem_assoc d.Obs.Decision.d_pu d.Obs.Decision.d_estimates)
+             (Obs.Decision.records ())
+      in
       let doc = Obs.Export.to_chrome_json [] in
       Obs.Export.reset_all ();
       Obs.Config.set_enabled false;
@@ -682,7 +777,7 @@ let flow_chain =
         String.length n >= String.length p
         && String.sub n 0 (String.length p) = p
       in
-      echoed && schema_ok && flows <> []
+      echoed && done_echoed && decisions_named && schema_ok && flows <> []
       && count "s" = 1 && count "f" = 1
       && List.for_all (fun i -> i = float_of_int tid) ids
       && List.length bound_names = List.length flows
@@ -999,7 +1094,64 @@ let journal_tests =
         (* the recovered completion seeds the dedup window *)
         ignore (Service.submit svc ~tenant:"a" ~idem:"k" job);
         check int_ "retry replays instead of re-running" 1
-          (List.length (Service.take_replays svc)));
+          (List.length (Service.take_replays svc));
+        (* The same under 30% transient PU faults: a crash after a
+           partly run burst, then the client resubmits every key.  Each
+           key draws exactly one DONE, carrying the fault-free bits. *)
+        let faults =
+          {
+            Fault.none with
+            Fault.seed = 42;
+            transient_rate = 0.3;
+            retries = 8;
+            quarantine_after = 0;
+          }
+        in
+        let burst =
+          List.init 6 (fun i ->
+              ( Printf.sprintf "key-%d" i,
+                P.Dgemm { n = 32; tiles = 2; seed = 100 + i } ))
+        in
+        let fault_free =
+          let svc =
+            Service.create ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+          in
+          List.concat_map
+            (fun (_, job) -> checksum_of (submit_done svc ~tenant:"t" job))
+            burst
+        in
+        let incarnation () =
+          let j = Journal.open_append path in
+          let svc =
+            Service.create ~journal:j ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+          in
+          Service.configure_tenant svc ~name:"t" ~faults ();
+          (j, svc)
+        in
+        let submit svc i =
+          let k, job = List.nth burst i in
+          match Service.submit svc ~tenant:"t" ~idem:k job with
+          | P.Accepted { id; _ } -> id
+          | _ -> Alcotest.failf "%s refused" k
+        in
+        let j1, svc1 = incarnation () in
+        List.iter (fun i -> ignore (submit svc1 i)) [ 0; 1 ];
+        ignore (Service.run_until_idle svc1);
+        List.iter (fun i -> ignore (submit svc1 i)) [ 2; 3 ];
+        Journal.close j1;
+        let j2, svc2 = incarnation () in
+        Service.restore svc2 (Journal.recover path);
+        let ids = List.init 6 (submit svc2) in
+        let replies = Service.take_replays svc2 @ Service.run_until_idle svc2 in
+        Journal.close j2;
+        Sys.remove path;
+        List.iter2
+          (fun id want ->
+            check (Alcotest.list Alcotest.string) "one fault-free DONE" [ want ]
+              (List.filter_map
+                 (fun (id', sum) -> if id' = id then Some sum else None)
+                 (ok_sums replies)))
+          ids fault_free);
     Alcotest.test_case "restore never resurrects a completed job" `Quick
       (fun () ->
         let path = tmp_journal () in

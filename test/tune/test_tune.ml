@@ -469,10 +469,13 @@ let gemm_tests =
     Alcotest.test_case "search restores the installed blocking" `Quick
       (fun () ->
         let before = GK.current_blocking () in
-        ignore
-          (Gemm_tune.search ~sizes:[ 64 ] ~screen_size:64 ~reps:1
-             ~candidates:[ GK.default_blocking ] ());
-        check bool_ "restored" true (GK.current_blocking () = before));
+        let r =
+          Gemm_tune.search ~sizes:[ 64 ] ~screen_size:64 ~reps:1
+            ~candidates:[ GK.default_blocking ] ()
+        in
+        check bool_ "restored" true (GK.current_blocking () = before);
+        check bool_ "a lone default candidate wins within the guard" true
+          (r.Gemm_tune.best = GK.default_blocking && r.Gemm_tune.guard_ok));
   ]
 
 let portable_micro_correct =
