@@ -40,19 +40,30 @@ let maybe_parallel ?pool ~work ~min_rows ~lo ~hi f =
         f i
       done
 
+(* A strided view [rows x cols] at [off] with leading dimension [ld]
+   must lie inside [buf]: the loops below index it unchecked. *)
+let view_check name (buf : Matrix.buf) ~off ~ld ~rows ~cols =
+  if rows < 0 || cols < 0 || off < 0 || (rows > 1 && ld < cols)
+     || (rows > 0 && cols > 0 && off + ((rows - 1) * ld) + cols > BA1.dim buf)
+  then
+    invalid_arg
+      (Printf.sprintf "%s: %dx%d view at offset %d (ld %d) exceeds %d elements"
+         name rows cols off ld (BA1.dim buf))
+
 (* Row-wise triangular solve shared by the panel step of [dpotrf]
-   and [dtrsm_rlt]: rows [lo, hi) of [x] (row stride n), columns
-   [j0, j1), solve X * L^T = B against the diagonal block of [l]
-   (rows j0..j1-1, same stride), earlier columns already applied.
-   Four independent rows are interleaved so their dependent
-   subtract chains overlap; every element keeps the exact operation
-   order of the one-row loop, and the parallel unit is a 4-row
-   group, so pooled runs stay bit-identical. *)
-let solve_rows ~pool ~(x : Matrix.buf) ~(l : Matrix.buf) ~n ~j0 ~j1 ~lo ~hi =
+   and [dtrsm_rlt]: rows [lo, hi) of the view [x], columns [j0, j1),
+   solve X * L^T = B against the diagonal block of the view [l]
+   (rows j0..j1-1), earlier columns already applied.  Four
+   independent rows are interleaved so their dependent subtract
+   chains overlap; every element keeps the exact operation order of
+   the one-row loop, and the parallel unit is a 4-row group, so
+   pooled runs stay bit-identical. *)
+let solve_rows ~pool ~(x : Matrix.buf) ~xoff ~ldx ~(l : Matrix.buf) ~loff ~ldl
+    ~j0 ~j1 ~lo ~hi =
   let solve1 r =
-    let ro = r * n in
+    let ro = xoff + (r * ldx) in
     for j = j0 to j1 - 1 do
-      let lj = j * n in
+      let lj = loff + (j * ldl) in
       let acc = ref (BA1.unsafe_get x (ro + j)) in
       for t = j0 to j - 1 do
         acc := !acc -. (BA1.unsafe_get x (ro + t) *. BA1.unsafe_get l (lj + t))
@@ -61,12 +72,12 @@ let solve_rows ~pool ~(x : Matrix.buf) ~(l : Matrix.buf) ~n ~j0 ~j1 ~lo ~hi =
     done
   in
   let solve4 r =
-    let o0 = r * n in
-    let o1 = o0 + n in
-    let o2 = o1 + n in
-    let o3 = o2 + n in
+    let o0 = xoff + (r * ldx) in
+    let o1 = o0 + ldx in
+    let o2 = o1 + ldx in
+    let o3 = o2 + ldx in
     for j = j0 to j1 - 1 do
-      let lj = j * n in
+      let lj = loff + (j * ldl) in
       let a0 = ref (BA1.unsafe_get x (o0 + j))
       and a1 = ref (BA1.unsafe_get x (o1 + j))
       and a2 = ref (BA1.unsafe_get x (o2 + j))
@@ -107,14 +118,13 @@ let solve_rows ~pool ~(x : Matrix.buf) ~(l : Matrix.buf) ~n ~j0 ~j1 ~lo ~hi =
    column <= row) and are zeroed at the end.  Parallel units — panel
    rows and trailing block rows — own their output rows outright, so
    pooled runs are bit-identical to sequential ones. *)
-let dpotrf ?pool (a : Matrix.t) =
-  square_check "dpotrf" a;
-  let n = a.rows in
+let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
+  view_check "dpotrf" a ~off:aoff ~ld:lda ~rows:n ~cols:n;
   (* Direct bigarray indexing throughout: cross-module [Matrix.get]
      calls box every float they return, and the resulting minor-GC
      traffic is pure overhead here (each collection stops the world
      across every domain, including parked pool workers). *)
-  let ad : Matrix.buf = a.data in
+  let at i j = aoff + (i * lda) + j in
   let k0 = ref 0 in
   while !k0 < n do
     let k1 = min (!k0 + nb) n in
@@ -123,20 +133,20 @@ let dpotrf ?pool (a : Matrix.t) =
        trailing updates of earlier steps already applied history). *)
     let sp = Obs.Span.start () in
     for kk = !k0 to k1 - 1 do
-      let pivot = ref ad.{(kk * n) + kk} in
+      let pivot = ref a.{at kk kk} in
       for l = !k0 to kk - 1 do
-        let v = ad.{(kk * n) + l} in
+        let v = a.{at kk l} in
         pivot := !pivot -. (v *. v)
       done;
       if !pivot <= 0.0 then raise (Not_positive_definite kk);
       let lkk = sqrt !pivot in
-      ad.{(kk * n) + kk} <- lkk;
+      a.{at kk kk} <- lkk;
       for i = kk + 1 to k1 - 1 do
-        let acc = ref ad.{(i * n) + kk} in
+        let acc = ref a.{at i kk} in
         for l = !k0 to kk - 1 do
-          acc := !acc -. (ad.{(i * n) + l} *. ad.{(kk * n) + l})
+          acc := !acc -. (a.{at i l} *. a.{at kk l})
         done;
-        ad.{(i * n) + kk} <- !acc /. lkk
+        a.{at i kk} <- !acc /. lkk
       done
     done;
     if k1 >= n then Obs.Span.record ~cat:"chol" ~name:"panel_factor" sp
@@ -144,7 +154,8 @@ let dpotrf ?pool (a : Matrix.t) =
       (* panel solve: rows [k1, n) of columns [k0, k1) against the
          diagonal block's transpose; rows are independent. *)
       let kb = !k0 in
-      solve_rows ~pool ~x:ad ~l:ad ~n ~j0:kb ~j1:k1 ~lo:k1 ~hi:n;
+      solve_rows ~pool ~x:a ~xoff:aoff ~ldx:lda ~l:a ~loff:aoff ~ldl:lda ~j0:kb
+        ~j1:k1 ~lo:k1 ~hi:n;
       (* The span boundary between "panel_factor" (diagonal block +
          panel solve) and "trailing_update" (blocked GEMM) mirrors the
          classic right-looking split, so a trace shows at a glance
@@ -163,88 +174,125 @@ let dpotrf ?pool (a : Matrix.t) =
           let r0 = k1 + (bi * bmc) in
           let r_hi = min n (r0 + bmc) in
           Gemm_kernel.gemm ~trans_b:true ~m:(r_hi - r0) ~n:(r_hi - k1) ~k:w
-            ~alpha:(-1.0) ~beta:1.0 ~a:ad
-            ~aoff:((r0 * n) + kb)
-            ~lda:n ~b:ad
-            ~boff:((k1 * n) + kb)
-            ~ldb:n ~c:ad
-            ~coff:((r0 * n) + k1)
-            ~ldc:n ());
+            ~alpha:(-1.0) ~beta:1.0 ~a ~aoff:(at r0 kb) ~lda ~b:a
+            ~boff:(at k1 kb) ~ldb:lda ~c:a ~coff:(at r0 k1) ~ldc:lda ());
       Obs.Span.record ~cat:"chol" ~name:"trailing_update" sp
     end;
     k0 := k1
   done;
   (* zero the strict upper triangle so the result is exactly L *)
-  Matrix.zero_upper a
+  for i = 0 to n - 2 do
+    BA1.fill (BA1.sub a (at i (i + 1)) (n - i - 1)) 0.0
+  done
+
+let dpotrf ?pool (a : Matrix.t) =
+  square_check "dpotrf" a;
+  dpotrf_view ?pool ~n:a.rows ~a:a.data ~aoff:0 ~lda:a.cols ()
 
 (* Blocked solve of X * L^T = B: per NB column block, one packed GEMM
    applies the already-solved columns, then a small per-row triangular
    solve finishes the block.  Rows of B are independent throughout. *)
-let dtrsm_rlt ?pool ~(l : Matrix.t) (b : Matrix.t) =
-  square_check "dtrsm_rlt" l;
-  if b.cols <> l.rows then invalid_arg "dtrsm_rlt: shape mismatch";
-  let n = l.rows and m = b.rows in
+let dtrsm_rlt_view ?pool ~m ~n ~(l : Matrix.buf) ~loff ~ldl ~(b : Matrix.buf)
+    ~boff ~ldb () =
+  view_check "dtrsm_rlt" l ~off:loff ~ld:ldl ~rows:n ~cols:n;
+  view_check "dtrsm_rlt" b ~off:boff ~ld:ldb ~rows:m ~cols:n;
   let j0 = ref 0 in
   while !j0 < n do
     let j1 = min (!j0 + nb) n in
     let w = j1 - !j0 in
     if !j0 > 0 then
       (* B[:, j0:j1] -= X[:, 0:j0] * L[j0:j1, 0:j0]^T; the A and C
-         views alias b.data on disjoint column ranges. *)
+         views alias b on disjoint column ranges. *)
       Gemm_kernel.gemm ?pool ~trans_b:true ~m ~n:w ~k:!j0 ~alpha:(-1.0)
-        ~beta:1.0 ~a:b.data ~aoff:0 ~lda:n ~b:l.data
-        ~boff:(!j0 * n)
-        ~ldb:n ~c:b.data ~coff:!j0 ~ldc:n ();
-    solve_rows ~pool ~x:b.data ~l:l.data ~n ~j0:!j0 ~j1 ~lo:0 ~hi:m;
+        ~beta:1.0 ~a:b ~aoff:boff ~lda:ldb ~b:l
+        ~boff:(loff + (!j0 * ldl))
+        ~ldb:ldl ~c:b ~coff:(boff + !j0) ~ldc:ldb ();
+    solve_rows ~pool ~x:b ~xoff:boff ~ldx:ldb ~l ~loff ~ldl ~j0:!j0 ~j1 ~lo:0
+      ~hi:m;
     j0 := j1
   done
+
+let dtrsm_rlt ?pool ~(l : Matrix.t) (b : Matrix.t) =
+  square_check "dtrsm_rlt" l;
+  if b.cols <> l.rows then invalid_arg "dtrsm_rlt: shape mismatch";
+  dtrsm_rlt_view ?pool ~m:b.rows ~n:l.rows ~l:l.data ~loff:0 ~ldl:l.cols
+    ~b:b.data ~boff:0 ~ldb:b.cols ()
 
 (* Rank-k update on block rows: each block row bi computes its
    lower-triangle columns [0, r_hi) through the packed GEMM (with the
    same harmless diagonal-block overshoot as dpotrf, overwritten by
    the mirror pass).  Block rows own their output rows: pooled runs
    are bit-identical. *)
-let dsyrk_ln ?pool ~(a : Matrix.t) (c : Matrix.t) =
-  square_check "dsyrk_ln" c;
-  if a.rows <> c.rows then invalid_arg "dsyrk_ln: shape mismatch";
-  let n = c.rows and k = a.cols in
+let dsyrk_ln_view ?pool ~n ~k ~(a : Matrix.buf) ~aoff ~lda ~(c : Matrix.buf)
+    ~coff ~ldc () =
+  view_check "dsyrk_ln" a ~off:aoff ~ld:lda ~rows:n ~cols:k;
+  view_check "dsyrk_ln" c ~off:coff ~ld:ldc ~rows:n ~cols:n;
   let nblocks = (n + bmc - 1) / bmc in
   let work = float_of_int n *. float_of_int n *. float_of_int k in
   maybe_parallel ?pool ~work ~min_rows:2 ~lo:0 ~hi:nblocks (fun bi ->
       let r0 = bi * bmc in
       let r_hi = min n (r0 + bmc) in
       Gemm_kernel.gemm ~trans_b:true ~m:(r_hi - r0) ~n:r_hi ~k ~alpha:(-1.0)
-        ~beta:1.0 ~a:a.data ~aoff:(r0 * k) ~lda:k ~b:a.data ~boff:0 ~ldb:k
-        ~c:c.data ~coff:(r0 * c.cols) ~ldc:c.cols ());
-  let cd : Matrix.buf = c.data in
+        ~beta:1.0 ~a ~aoff:(aoff + (r0 * lda)) ~lda ~b:a ~boff:aoff ~ldb:lda
+        ~c ~coff:(coff + (r0 * ldc)) ~ldc ());
   for i = 0 to n - 1 do
     for j = 0 to i - 1 do
-      cd.{(j * n) + i} <- cd.{(i * n) + j}
+      c.{coff + (j * ldc) + i} <- c.{coff + (i * ldc) + j}
     done
   done
+
+let dsyrk_ln ?pool ~(a : Matrix.t) (c : Matrix.t) =
+  square_check "dsyrk_ln" c;
+  if a.rows <> c.rows then invalid_arg "dsyrk_ln: shape mismatch";
+  dsyrk_ln_view ?pool ~n:c.rows ~k:a.cols ~a:a.data ~aoff:0 ~lda:a.cols
+    ~c:c.data ~coff:0 ~ldc:c.cols ()
+
+let dgemm_nt_view ?pool ~m ~n ~k ~(a : Matrix.buf) ~aoff ~lda
+    ~(b : Matrix.buf) ~boff ~ldb ~(c : Matrix.buf) ~coff ~ldc () =
+  view_check "dgemm_nt" a ~off:aoff ~ld:lda ~rows:m ~cols:k;
+  view_check "dgemm_nt" b ~off:boff ~ld:ldb ~rows:n ~cols:k;
+  view_check "dgemm_nt" c ~off:coff ~ld:ldc ~rows:m ~cols:n;
+  Gemm_kernel.gemm ?pool ~trans_b:true ~m ~n ~k ~alpha:(-1.0) ~beta:1.0 ~a
+    ~aoff ~lda ~b ~boff ~ldb ~c ~coff ~ldc ()
 
 let dgemm_nt ?pool ~(a : Matrix.t) ~(b : Matrix.t) (c : Matrix.t) =
   if a.cols <> b.cols || c.rows <> a.rows || c.cols <> b.rows then
     invalid_arg "dgemm_nt: shape mismatch";
-  Gemm_kernel.gemm ?pool ~trans_b:true ~m:c.rows ~n:c.cols ~k:a.cols
-    ~alpha:(-1.0) ~beta:1.0 ~a:a.data ~aoff:0 ~lda:a.cols ~b:b.data ~boff:0
-    ~ldb:b.cols ~c:c.data ~coff:0 ~ldc:c.cols ()
+  dgemm_nt_view ?pool ~m:c.rows ~n:c.cols ~k:a.cols ~a:a.data ~aoff:0
+    ~lda:a.cols ~b:b.data ~boff:0 ~ldb:b.cols ~c:c.data ~coff:0 ~ldc:c.cols ()
+
+(* m * m^T + n*I through the packed kernel (the naive triple loop took
+   a minute at n = 2048 just to set up a benchmark).  Only the lower
+   triangle is computed, then mirrored: block rows of bmc rows cover
+   the columns left of their diagonal block, and each diagonal block
+   is covered in strips of [spd_strip] rows, each up to its own last
+   column.  The micro-kernel always runs full padded tiles and the
+   KC slicing does not depend on m or n, so every c_ij sums the same
+   products in the same k order whatever the blocking, and the mirror
+   is bit-exact.  The first KC slice (beta = 0) still reads C, so the
+   output starts zero-filled. *)
+let spd_strip = 32
 
 let random_spd ?(seed = 17) n =
   let m = Matrix.random ~seed n n in
   let a = Matrix.create n n in
-  (* a = m * m^T + n*I, through the packed kernel (the naive triple
-     loop took a minute at n = 2048 just to set up a benchmark).  Only
-     the lower block rows are computed, then mirrored: the micro-kernel
-     always runs full padded tiles, so c_ij and c_ji sum the same
-     products in the same k order and the mirror is bit-exact. *)
   let ad : Matrix.buf = a.data in
+  (* rows [r0, r1) x columns [c0, c1) of m * m^T *)
+  let block ~r0 ~r1 ~c0 ~c1 =
+    Gemm_kernel.gemm ~trans_b:true ~m:(r1 - r0) ~n:(c1 - c0) ~k:n ~alpha:1.0
+      ~beta:0.0 ~a:m.data ~aoff:(r0 * n) ~lda:n ~b:m.data ~boff:(c0 * n)
+      ~ldb:n ~c:ad ~coff:((r0 * n) + c0) ~ldc:n ()
+  in
   let r0 = ref 0 in
   while !r0 < n do
     let r_hi = min n (!r0 + bmc) in
-    Gemm_kernel.gemm ~trans_b:true ~m:(r_hi - !r0) ~n:r_hi ~k:n ~alpha:1.0
-      ~beta:0.0 ~a:m.data ~aoff:(!r0 * n) ~lda:n ~b:m.data ~boff:0 ~ldb:n
-      ~c:ad ~coff:(!r0 * n) ~ldc:n ();
+    block ~r0:!r0 ~r1:r_hi ~c0:0 ~c1:!r0;
+    let s0 = ref !r0 in
+    while !s0 < r_hi do
+      let s_hi = min r_hi (!s0 + spd_strip) in
+      block ~r0:!s0 ~r1:s_hi ~c0:!r0 ~c1:s_hi;
+      s0 := s_hi
+    done;
     r0 := r_hi
   done;
   for i = 0 to n - 1 do

@@ -3,7 +3,16 @@
     These four operations are the classic task types of a tiled
     Cholesky (POTRF / TRSM / SYRK / GEMM-update); the runtime's
     dependency tracking sequences them automatically when submitted
-    tile by tile. Only the lower triangle is referenced/produced. *)
+    tile by tile. Only the lower triangle is referenced/produced.
+
+    Each kernel has one implementation, on strided views: a
+    [rows x cols] operand at [buf.{off + i*ld + j}], as
+    {!Gemm_kernel.gemm} takes them.  The [_view] entry points compute
+    in place on such views (a task runtime passes tiles of a
+    registered matrix without copying them); the {!Matrix.t} entry
+    points call them with offset 0 and [ld = cols].  A view that does
+    not fit its buffer raises [Invalid_argument]; the written view
+    must not overlap a read one. *)
 
 exception Not_positive_definite of int
 (** Raised by {!dpotrf} with the failing pivot index. *)
@@ -36,9 +45,34 @@ val dgemm_nt : ?pool:Domain_pool.t -> a:Matrix.t -> b:Matrix.t -> Matrix.t -> un
 (** [dgemm_nt ~a ~b c] computes [c := c - a * b^T] through the packed
     {!Gemm_kernel}.  Pooled runs are bit-identical. *)
 
+val dpotrf_view :
+  ?pool:Domain_pool.t -> n:int -> a:Matrix.buf -> aoff:int -> lda:int ->
+  unit -> unit
+(** {!dpotrf} on the [n x n] view at [aoff]; only the view's strict
+    upper triangle is zeroed. *)
+
+val dtrsm_rlt_view :
+  ?pool:Domain_pool.t -> m:int -> n:int -> l:Matrix.buf -> loff:int ->
+  ldl:int -> b:Matrix.buf -> boff:int -> ldb:int -> unit -> unit
+(** {!dtrsm_rlt} with [l] the [n x n] view at [loff] and [b] the
+    [m x n] view at [boff]. *)
+
+val dsyrk_ln_view :
+  ?pool:Domain_pool.t -> n:int -> k:int -> a:Matrix.buf -> aoff:int ->
+  lda:int -> c:Matrix.buf -> coff:int -> ldc:int -> unit -> unit
+(** {!dsyrk_ln} with [a] the [n x k] view at [aoff] and [c] the
+    [n x n] view at [coff]. *)
+
+val dgemm_nt_view :
+  ?pool:Domain_pool.t -> m:int -> n:int -> k:int -> a:Matrix.buf ->
+  aoff:int -> lda:int -> b:Matrix.buf -> boff:int -> ldb:int ->
+  c:Matrix.buf -> coff:int -> ldc:int -> unit -> unit
+(** {!dgemm_nt} with [a] [m x k], [b] [n x k] and [c] [m x n]. *)
+
 val random_spd : ?seed:int -> int -> Matrix.t
 (** A well-conditioned symmetric positive-definite matrix:
-    [M*M^T + n*I] for a random [M]. *)
+    [M*M^T + n*I] for a random [M].  Only the lower triangle of
+    [M*M^T] is computed; the upper one is its mirror. *)
 
 val cholesky_residual : a:Matrix.t -> l:Matrix.t -> float
 (** [max |(L*L^T - A)_ij|] over the lower triangle, for verification;

@@ -37,14 +37,28 @@ let gpu_impl run = { impl_arch = "gpu"; run }
 let impl_for cl arch = List.find_opt (fun i -> i.impl_arch = arch) cl.impls
 let supports cl arch = impl_for cl arch <> None
 
+(* In-place codelets compute on the registered storage: a written
+   view overlapping a read one would read elements already
+   overwritten, so it is refused, as blas_dgemm refuses it. *)
+let check_disjoint name (wlabel, written) reads =
+  List.iter
+    (fun (rlabel, h) ->
+      if Data.overlaps written h then
+        invalid_arg (Printf.sprintf "%s: %s overlaps %s" name wlabel rlabel))
+    reads
+
 let dgemm_run ?pool handles =
   match handles with
   | [ ha; hb; hc ] ->
-      let a = Data.read_matrix ha
-      and b = Data.read_matrix hb
-      and c = Data.read_matrix hc in
-      Blas.dgemm ?pool a b c;
-      Data.write_matrix hc c
+      let m, k = Data.dims ha and k', n = Data.dims hb in
+      if k <> k' || Data.dims hc <> (m, n) then
+        invalid_arg "dgemm codelet: shape mismatch";
+      check_disjoint "dgemm" ("C", hc) [ ("A", ha); ("B", hb) ];
+      let a, aoff, lda = Data.view ha
+      and b, boff, ldb = Data.view hb
+      and c, coff, ldc = Data.view hc in
+      Kernels.Gemm_kernel.gemm ?pool ~trans_b:false ~m ~n ~k ~alpha:1.0
+        ~beta:1.0 ~a ~aoff ~lda ~b ~boff ~ldb ~c ~coff ~ldc ()
   | _ -> invalid_arg "dgemm codelet expects handles [a; b; c]"
 
 let dgemm =

@@ -40,12 +40,21 @@ val gpu_impl : (?pool:Kernels.Domain_pool.t -> Data.handle list -> unit) -> impl
 val impl_for : t -> string -> impl option
 val supports : t -> string -> bool
 
+val check_disjoint :
+  string -> string * Data.handle -> (string * Data.handle) list -> unit
+(** [check_disjoint name (label, written) reads] raises
+    [Invalid_argument "name: label overlaps r"] when [written]
+    shares storage with a read handle [r] ({!Data.overlaps}).  In-place
+    codelets call it before computing. *)
+
 (** {1 Prebuilt codelets} *)
 
 val dgemm : t
 (** [handles = [a; b; c]]: [c := a*b + c] on CPU and GPU, FLOPs
-    [2mnk]. The GPU implementation runs the same blocked kernel (the
-    simulated CuBLAS — bit-identical results, device-speed timing). *)
+    [2mnk], computed in place on the handles' {!Data.view}s. The GPU
+    implementation runs the same packed kernel (the simulated CuBLAS
+    — bit-identical results, device-speed timing).  Raises
+    [Invalid_argument] when [c] overlaps [a] or [b]. *)
 
 val vector_add : t
 (** [handles = [a; b]]: [a := a + b] — the paper's vecadd task. *)

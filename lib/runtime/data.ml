@@ -146,6 +146,36 @@ let region_of h =
   | Some (p, r) -> Some (p, r.r_row, r.r_col)
   | None -> None
 
+let view h =
+  match h.buffer with
+  | None ->
+      invalid_arg (Printf.sprintf "Data.view: handle %S is virtual" h.h_name)
+  | Some buf -> (buf, h.buffer_off, h.buffer_cols)
+
+(* Views from one registration share its leading dimension and never
+   wrap a row, so they overlap iff their row and column ranges both
+   intersect.  Views with different leading dimensions over one buffer
+   are compared by their flat extents, which may report a false
+   overlap but never miss one. *)
+let overlaps h1 h2 =
+  match (h1.buffer, h2.buffer) with
+  | Some b1, Some b2
+    when b1 == b2 && h1.rows > 0 && h1.cols > 0 && h2.rows > 0 && h2.cols > 0 ->
+      let meet lo1 n1 lo2 n2 = lo1 < lo2 + n2 && lo2 < lo1 + n1 in
+      let ld = h1.buffer_cols in
+      if ld = h2.buffer_cols then
+        meet (h1.buffer_off / ld) h1.rows (h2.buffer_off / ld) h2.rows
+        && meet (h1.buffer_off mod ld) h1.cols (h2.buffer_off mod ld) h2.cols
+      else
+        let extent h = ((h.rows - 1) * h.buffer_cols) + h.cols in
+        meet h1.buffer_off (extent h1) h2.buffer_off (extent h2)
+  | _ -> false
+
+let c_copy_bytes =
+  Obs.Counter.make
+    ~help:"bytes copied between handles and private matrices"
+    "data_copy_bytes"
+
 let read_matrix h =
   match h.buffer with
   | None ->
@@ -157,6 +187,7 @@ let read_matrix h =
         { Matrix.rows = h.rows; cols = h.cols;
           data = Matrix.alloc_buf (h.rows * h.cols) }
       in
+      Obs.Counter.add c_copy_bytes (8 * h.rows * h.cols);
       if h.cols = h.buffer_cols then
         (* contiguous rows: one copy, not one per row *)
         Bigarray.Array1.blit
@@ -180,6 +211,7 @@ let write_matrix h (m : Matrix.t) =
       invalid_arg
         (Printf.sprintf "Data.write_matrix: handle %S is virtual" h.h_name)
   | Some buf ->
+      Obs.Counter.add c_copy_bytes (8 * h.rows * h.cols);
       if h.cols = h.buffer_cols then
         Bigarray.Array1.blit m.data
           (Bigarray.Array1.sub buf h.buffer_off (h.rows * h.cols))

@@ -86,14 +86,27 @@ val region_of : handle -> (handle * int * int) option
 
 (** {1 Buffer access (physical handles only)} *)
 
+val view : handle -> Kernels.Matrix.buf * int * int
+(** [(buf, offset, ld)]: the handle's element [(i, j)] is
+    [buf.{offset + i*ld + j}], in the registered storage itself.
+    Tile codelets compute in place on views, as a StarPU CPU task
+    gets a pointer and a leading dimension into main memory.
+    @raise Invalid_argument on virtual handles. *)
+
+val overlaps : handle -> handle -> bool
+(** Do the two handles' views share an element of one buffer?  An
+    in-place codelet refuses to write a view that overlaps one it
+    reads. *)
+
 val read_matrix : handle -> Kernels.Matrix.t
 (** Materialize the handle's current contents (for children: a copy
-    of the parent region).
+    of the parent region).  Adds the bytes copied to the
+    [data_copy_bytes] counter.
     @raise Invalid_argument on virtual handles. *)
 
 val write_matrix : handle -> Kernels.Matrix.t -> unit
 (** Store contents back (children write through to the parent
-    region). Shape-checked. *)
+    region). Shape-checked; counted like {!read_matrix}. *)
 
 val fresh_namespace : unit -> unit
 (** Reset the id counter — test isolation only. *)

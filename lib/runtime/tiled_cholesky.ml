@@ -11,10 +11,8 @@ let flops n = float_of_int n *. float_of_int n *. float_of_int n /. 3.0
 
 (* --- codelets ---------------------------------------------------------- *)
 
-let with_matrix h f =
-  let m = Data.read_matrix h in
-  f m;
-  Data.write_matrix h m
+(* Each computes in place on its tiles' views; submit_graph passes
+   tiles of matching shapes. *)
 
 let potrf_cl =
   Codelet.create ~name:"potrf"
@@ -27,7 +25,9 @@ let potrf_cl =
     [
       Codelet.cpu_impl (fun ?pool handles ->
           match handles with
-          | [ h ] -> with_matrix h (Lapack.dpotrf ?pool)
+          | [ h ] ->
+              let a, aoff, lda = Data.view h in
+              Lapack.dpotrf_view ?pool ~n:(fst (Data.dims h)) ~a ~aoff ~lda ()
           | _ -> invalid_arg "potrf expects [a]");
     ]
 
@@ -41,8 +41,10 @@ let trsm_cl =
     (let run ?pool handles =
        match handles with
        | [ hl; hb ] ->
-           let l = Data.read_matrix hl in
-           with_matrix hb (fun b -> Lapack.dtrsm_rlt ?pool ~l b)
+           let m, n = Data.dims hb in
+           Codelet.check_disjoint "trsm" ("B", hb) [ ("L", hl) ];
+           let l, loff, ldl = Data.view hl and b, boff, ldb = Data.view hb in
+           Lapack.dtrsm_rlt_view ?pool ~m ~n ~l ~loff ~ldl ~b ~boff ~ldb ()
        | _ -> invalid_arg "trsm expects [l; b]"
      in
      [ Codelet.cpu_impl run; Codelet.gpu_impl run ])
@@ -56,8 +58,10 @@ let syrk_cl =
     (let run ?pool handles =
        match handles with
        | [ ha; hc ] ->
-           let a = Data.read_matrix ha in
-           with_matrix hc (fun c -> Lapack.dsyrk_ln ?pool ~a c)
+           let n, k = Data.dims ha in
+           Codelet.check_disjoint "syrk" ("C", hc) [ ("A", ha) ];
+           let a, aoff, lda = Data.view ha and c, coff, ldc = Data.view hc in
+           Lapack.dsyrk_ln_view ?pool ~n ~k ~a ~aoff ~lda ~c ~coff ~ldc ()
        | _ -> invalid_arg "syrk expects [a; c]"
      in
      [ Codelet.cpu_impl run; Codelet.gpu_impl run ])
@@ -72,8 +76,13 @@ let gemm_cl =
     (let run ?pool handles =
        match handles with
        | [ ha; hb; hc ] ->
-           let a = Data.read_matrix ha and b = Data.read_matrix hb in
-           with_matrix hc (fun c -> Lapack.dgemm_nt ?pool ~a ~b c)
+           let m, k = Data.dims ha and n, _ = Data.dims hb in
+           Codelet.check_disjoint "gemm_nt" ("C", hc) [ ("A", ha); ("B", hb) ];
+           let a, aoff, lda = Data.view ha
+           and b, boff, ldb = Data.view hb
+           and c, coff, ldc = Data.view hc in
+           Lapack.dgemm_nt_view ?pool ~m ~n ~k ~a ~aoff ~lda ~b ~boff ~ldb ~c
+             ~coff ~ldc ()
        | _ -> invalid_arg "gemm_nt expects [a; b; c]"
      in
      [ Codelet.cpu_impl run; Codelet.gpu_impl run ])
@@ -92,8 +101,9 @@ let widen (cfg : Machine_config.t) cl =
   Codelet.create ~name:cl.Codelet.cl_name ~flops:cl.Codelet.flops
     (List.map (fun impl_arch -> { Codelet.impl_arch; run = base_run }) archs)
 
-let submit_graph rt cfg tiles grid =
+let submit_graph rt tiles grid =
   let open Codelet in
+  let cfg = Engine.machine rt in
   let trsm_cl = widen cfg trsm_cl
   and syrk_cl = widen cfg syrk_cl
   and gemm_cl = widen cfg gemm_cl in
@@ -111,18 +121,7 @@ let submit_graph rt cfg tiles grid =
     done
   done
 
-let finish rt ~n ~ha ~materialize =
-  let stats = Engine.wait_all rt in
-  Data.unpartition ha;
-  let l =
-    if not materialize then None
-    else begin
-      let m = Data.read_matrix ha in
-      (* only the lower factor is meaningful *)
-      Matrix.zero_upper m;
-      Some m
-    end
-  in
+let result ~n l (stats : Engine.stats) =
   {
     l;
     stats;
@@ -131,35 +130,43 @@ let finish rt ~n ~ha ~materialize =
        else 0.0);
   }
 
-let run_on ?(tiles = 4) rt (a : Matrix.t) =
-  if a.rows <> a.cols then invalid_arg "Tiled_cholesky.run_on: not square";
-  if tiles < 1 || tiles > a.rows then
-    invalid_arg "Tiled_cholesky.run_on: bad tiles";
-  let ha = Data.register_matrix ~name:"A" (Matrix.copy a) in
-  let grid = Data.partition_tiles ha ~rows:tiles ~cols:tiles in
-  submit_graph rt (Engine.machine rt) tiles grid;
+let check_args who ~tiles ~rows ~cols =
+  if rows <> cols then invalid_arg ("Tiled_cholesky." ^ who ^ ": not square");
+  if tiles < 1 || tiles > rows then
+    invalid_arg ("Tiled_cholesky." ^ who ^ ": bad tiles")
+
+(* Submit the graph on [handle] ([configure] runs after submission,
+   before execution), wait, and reassemble the matrix. *)
+let submit_and_wait ?(configure = ignore) rt ~tiles handle =
+  let grid = Data.partition_tiles handle ~rows:tiles ~cols:tiles in
+  submit_graph rt tiles grid;
+  configure rt;
   let stats = Engine.wait_all rt in
-  Data.unpartition ha;
-  let m = Data.read_matrix ha in
+  Data.unpartition handle;
+  stats
+
+(* The tasks factor a working copy of [a] in place. *)
+let factor ?configure rt ~tiles (a : Matrix.t) =
+  let m = Matrix.copy a in
+  let stats =
+    submit_and_wait ?configure rt ~tiles (Data.register_matrix ~name:"A" m)
+  in
+  (* only the lower factor is meaningful *)
   Matrix.zero_upper m;
   (m, stats)
 
-let run ?policy ?(tiles = 4) ?(configure = ignore) ?pool ?faults cfg
-    (a : Matrix.t) =
-  if a.rows <> a.cols then invalid_arg "Tiled_cholesky.run: not square";
-  if tiles < 1 || tiles > a.rows then invalid_arg "Tiled_cholesky.run: bad tiles";
-  let rt = Engine.create ?policy ?pool ?faults cfg in
-  let ha = Data.register_matrix ~name:"A" (Matrix.copy a) in
-  let grid = Data.partition_tiles ha ~rows:tiles ~cols:tiles in
-  submit_graph rt cfg tiles grid;
-  configure rt;
-  finish rt ~n:a.rows ~ha ~materialize:true
+let run_on ?(tiles = 4) rt (a : Matrix.t) =
+  check_args "run_on" ~tiles ~rows:a.rows ~cols:a.cols;
+  factor rt ~tiles a
 
-let run_model ?policy ?(tiles = 8) ?(configure = ignore) ?faults cfg ~n =
-  if tiles < 1 || tiles > n then invalid_arg "Tiled_cholesky.run_model: bad tiles";
+let run ?policy ?(tiles = 4) ?configure ?pool ?faults cfg (a : Matrix.t) =
+  check_args "run" ~tiles ~rows:a.rows ~cols:a.cols;
+  let rt = Engine.create ?policy ?pool ?faults cfg in
+  let l, stats = factor ?configure rt ~tiles a in
+  result ~n:a.rows (Some l) stats
+
+let run_model ?policy ?(tiles = 8) ?configure ?faults cfg ~n =
+  check_args "run_model" ~tiles ~rows:n ~cols:n;
   let rt = Engine.create ?policy ~execute_kernels:false ?faults cfg in
   let ha = Data.register_virtual ~name:"A" ~rows:n ~cols:n () in
-  let grid = Data.partition_tiles ha ~rows:tiles ~cols:tiles in
-  submit_graph rt cfg tiles grid;
-  configure rt;
-  finish rt ~n ~ha ~materialize:false
+  result ~n None (submit_and_wait ?configure rt ~tiles ha)

@@ -26,7 +26,8 @@ val run :
   Kernels.Matrix.t ->
   result
 (** Factor a symmetric positive-definite matrix (not modified; a copy
-    is factored). Kernels execute for real; the result satisfies
+    is factored, in place by the tile tasks, and returned). Kernels
+    execute for real; the result satisfies
     [l * l^T ~ a]. [configure] runs on the engine after submission
     and before execution — the place to schedule dynamic-resource
     events ({!Engine.at}). [pool] is forwarded to {!Engine.create}

@@ -40,55 +40,60 @@ let submit_graph rt ~codelet ~tiles ?group ~ha ~hb ~hc () =
     done
   done
 
-let finish ~flops ~hc ~materialize rt =
-  let stats = Engine.wait_all rt in
-  Data.unpartition hc;
+let result ~flops c (stats : Engine.stats) =
   {
-    c = (if materialize then Some (Data.read_matrix hc) else None);
+    c;
     stats;
     gflops_effective =
       (if stats.Engine.makespan > 0.0 then flops /. stats.Engine.makespan /. 1e9
        else 0.0);
   }
 
-let run_on ?(tiles = 4) ?group rt ~(a : Matrix.t) ~(b : Matrix.t) =
-  if a.cols <> b.rows then invalid_arg "Tiled_dgemm.run_on: shape mismatch";
-  if tiles < 1 || tiles > a.rows || tiles > b.cols then
-    invalid_arg "Tiled_dgemm.run_on: bad tile count";
+(* Submit the graph over the three handles, wait, and reassemble C. *)
+let submit_and_wait ?group rt ~tiles ~ha ~hb ~hc =
   let codelet = dgemm_codelet (Engine.machine rt) in
-  let ha = Data.register_matrix ~name:"A" (Matrix.copy a) in
-  let hb = Data.register_matrix ~name:"B" (Matrix.copy b) in
-  let hc = Data.register_matrix ~name:"C" (Matrix.create a.rows b.cols) in
   submit_graph rt ~codelet ~tiles ?group ~ha ~hb ~hc ();
   let stats = Engine.wait_all rt in
   Data.unpartition hc;
-  (Data.read_matrix hc, stats)
+  stats
 
-let run ?policy ?(tiles = 4) ?group ?pool ?faults ?tune cfg
-    ~(a : Matrix.t) ~(b : Matrix.t) =
-  if a.cols <> b.rows then invalid_arg "Tiled_dgemm.run: shape mismatch";
+let check_args who ~tiles (a : Matrix.t) (b : Matrix.t) =
+  if a.cols <> b.rows then
+    invalid_arg ("Tiled_dgemm." ^ who ^ ": shape mismatch");
   if tiles < 1 || tiles > a.rows || tiles > b.cols then
-    invalid_arg "Tiled_dgemm.run: bad tile count";
+    invalid_arg ("Tiled_dgemm." ^ who ^ ": bad tile count")
+
+(* A and B are only read, so the tasks read them where they are; the
+   product lands in place in the registered C. *)
+let multiply ?group rt ~tiles (a : Matrix.t) (b : Matrix.t) =
+  let c = Matrix.create a.rows b.cols in
+  let stats =
+    submit_and_wait ?group rt ~tiles
+      ~ha:(Data.register_matrix ~name:"A" a)
+      ~hb:(Data.register_matrix ~name:"B" b)
+      ~hc:(Data.register_matrix ~name:"C" c)
+  in
+  (c, stats)
+
+let run_on ?(tiles = 4) ?group rt ~a ~b =
+  check_args "run_on" ~tiles a b;
+  multiply ?group rt ~tiles a b
+
+let run ?policy ?(tiles = 4) ?group ?pool ?faults ?tune cfg ~(a : Matrix.t)
+    ~(b : Matrix.t) =
+  check_args "run" ~tiles a b;
   let rt = Engine.create ?policy ?pool ?faults ?tune cfg in
-  let codelet = dgemm_codelet cfg in
-  let ha = Data.register_matrix ~name:"A" (Matrix.copy a) in
-  let hb = Data.register_matrix ~name:"B" (Matrix.copy b) in
-  let hc = Data.register_matrix ~name:"C" (Matrix.create a.rows b.cols) in
-  submit_graph rt ~codelet ~tiles ?group ~ha ~hb ~hc ();
-  finish ~flops:(Kernels.Blas.flops_dgemm a.rows b.cols a.cols) ~hc
-    ~materialize:true rt
+  let c, stats = multiply ?group rt ~tiles a b in
+  result ~flops:(Kernels.Blas.flops_dgemm a.rows b.cols a.cols) (Some c) stats
 
 let run_model ?policy ?(tiles = 8) ?group ?faults ?tune ?true_gflops cfg ~n =
   if tiles < 1 || tiles > n then invalid_arg "Tiled_dgemm.run_model: bad tiles";
   let rt =
     Engine.create ?policy ~execute_kernels:false ?faults ?tune ?true_gflops cfg
   in
-  let codelet = dgemm_codelet cfg in
-  let ha = Data.register_virtual ~name:"A" ~rows:n ~cols:n () in
-  let hb = Data.register_virtual ~name:"B" ~rows:n ~cols:n () in
-  let hc = Data.register_virtual ~name:"C" ~rows:n ~cols:n () in
-  submit_graph rt ~codelet ~tiles ?group ~ha ~hb ~hc ();
-  finish ~flops:(Kernels.Blas.flops_dgemm n n n) ~hc ~materialize:false rt
+  let virt name = Data.register_virtual ~name ~rows:n ~cols:n () in
+  submit_and_wait ?group rt ~tiles ~ha:(virt "A") ~hb:(virt "B") ~hc:(virt "C")
+  |> result ~flops:(Kernels.Blas.flops_dgemm n n n) None
 
 let speedup ~baseline result =
   baseline.stats.Engine.makespan /. result.stats.Engine.makespan

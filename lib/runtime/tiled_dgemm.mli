@@ -9,7 +9,9 @@
     Two entry points:
     - {!run} registers real matrices, executes kernels, and returns
       both the result and the engine statistics — used by tests and
-      examples at small sizes;
+      examples at small sizes.  [a] and [b] are registered as they
+      are (the tasks only read them) and every task computes in place
+      on its tiles' {!Data.view}s, so no tile is copied;
     - {!run_model} uses virtual handles (no buffers, no kernel
       execution) so the 8192-size Figure 5 experiment simulates in
       milliseconds. *)
@@ -50,9 +52,9 @@ val run_on :
 (** Submit the same task graph onto an {e existing} engine and wait
     for it: the task service's entry point, where one long-lived
     engine per (tenant, PU shard) carries many jobs and virtual time
-    accumulates across them. Returns the product and the engine's
-    cumulative stats; read {!Engine.now} around the call for the
-    per-job makespan.
+    accumulates across them. Returns the product (the matrix the
+    tasks wrote in place) and the engine's cumulative stats; read
+    {!Engine.now} around the call for the per-job makespan.
     @raise Engine.Stuck as {!Engine.wait_all} does. *)
 
 val run_model :

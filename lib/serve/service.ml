@@ -223,6 +223,15 @@ let engine_for t ten shard =
 
 let hex f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
 
+(* Input synthesis gets its own span on the job's flow, so a trace
+   tells it apart from the engine's own overhead. *)
+let synth f =
+  let sp = Obs.Span.start () in
+  let x = f () in
+  Obs.Span.record ~cat:"serve" ~name:"synth"
+    ~flow:(Obs.Trace_ctx.current_flow ()) sp;
+  x
+
 let execute t ten job =
   let shard = ten.t_next_shard in
   ten.t_next_shard <- (shard + 1) mod Array.length t.shard_cfgs;
@@ -231,12 +240,14 @@ let execute t ten job =
   let checksum =
     match job with
     | P.Dgemm { n; tiles; seed } ->
-        let a = Matrix.random ~seed n n
-        and b = Matrix.random ~seed:(seed + 1) n n in
+        let a, b =
+          synth (fun () ->
+              (Matrix.random ~seed n n, Matrix.random ~seed:(seed + 1) n n))
+        in
         let c, _ = Taskrt.Tiled_dgemm.run_on ~tiles e ~a ~b in
         hex (Matrix.checksum c)
     | P.Cholesky { n; tiles; seed } ->
-        let a = Lapack.random_spd ~seed n in
+        let a = synth (fun () -> Lapack.random_spd ~seed n) in
         let l, _ = Taskrt.Tiled_cholesky.run_on ~tiles e a in
         hex (Matrix.checksum l)
     | P.Graph { width; depth; task_flops } ->

@@ -646,6 +646,35 @@ let library_tests =
         with
         | Ok _ -> Alcotest.fail "expected an overlap error"
         | Error e -> check string_ "message" "blas_dgemm: C overlaps A" e);
+    Alcotest.test_case "a library task copies its buffers in and out" `Quick
+      (fun () ->
+        (* Cascabel tasks still run on private copies: every task of
+           dgemm.c (N = 32) reads its A strip, all of B and its C strip
+           and writes the C strip back, and data_copy_bytes counts
+           each of those bytes *)
+        let src =
+          In_channel.with_open_bin "../../examples/programs/dgemm.c"
+            In_channel.input_all
+        in
+        Obs.Config.set_enabled true;
+        Obs.Counter.reset_all ();
+        let r =
+          Runnable.run ~repo:(Repository.create ()) ~platform:gpus (parse src)
+        in
+        let copied =
+          List.find
+            (fun c -> Obs.Counter.name c = "data_copy_bytes")
+            (Obs.Counter.all ())
+          |> Obs.Counter.value
+        in
+        Obs.Counter.reset_all ();
+        Obs.Config.set_enabled false;
+        match r with
+        | Error e -> Alcotest.failf "run: %s" e
+        | Ok r ->
+            check int_ "one task per PU" 10 r.tasks_submitted;
+            (* 8 bytes * 32^2 * (A + C in + C out + 10 copies of B) *)
+            check int_ "bytes copied" 106496 copied);
     Alcotest.test_case
       "dgemm.c with a random fill: --native runs every task, bit-identical"
       `Quick (fun () ->

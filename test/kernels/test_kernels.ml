@@ -573,6 +573,158 @@ let golden_tests =
           golden_cases golden_expected);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Matrix.random: the 4-stream generator against the one-step LCG     *)
+
+let bits_of (m : Matrix.t) = Array.map Int64.bits_of_float (Matrix.to_array m)
+
+let reference_random ~seed len =
+  let s = ref (seed land 0x3FFFFFFF) in
+  Array.init len (fun _ ->
+      s := ((!s * 1664525) + 1013904223) land 0xFFFFFFFF;
+      Int64.bits_of_float ((float_of_int !s /. 2147483648.0) -. 1.0))
+
+let lcg_tests =
+  [
+    Alcotest.test_case "random equals the one-step LCG at every length"
+      `Quick (fun () ->
+        (* lengths 0-33 cover the 4-stream loop's tails 0-3 *)
+        List.iter
+          (fun seed ->
+            for len = 0 to 33 do
+              check bool_
+                (Printf.sprintf "seed %d, length %d" seed len)
+                true
+                (bits_of (Matrix.random ~seed 1 len)
+                = reference_random ~seed len)
+            done;
+            check bool_
+              (Printf.sprintf "seed %d, 7x5" seed)
+              true
+              (bits_of (Matrix.random ~seed 7 5) = reference_random ~seed 35))
+          [ -1; 0; max_int ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Strided views: each LAPACK kernel in place on a tile of a larger    *)
+(* buffer, against its Matrix.t entry point on a copied-out tile       *)
+
+(* A [rows x cols] tile at (row0, col0) of a buffer [ld] wide, with
+   ld > cols and junk all around the tile. *)
+type placed = { buf : Matrix.buf; off : int; ld : int; rows : int; cols : int }
+
+let place ~seed (row0, col0, pad) (m : Matrix.t) =
+  let ld = col0 + m.cols + pad in
+  let buf = (Matrix.random ~seed (row0 + m.rows + 1) ld).data in
+  let off = (row0 * ld) + col0 in
+  for i = 0 to m.rows - 1 do
+    for j = 0 to m.cols - 1 do
+      buf.{off + (i * ld) + j} <- Matrix.get m i j
+    done
+  done;
+  { buf; off; ld; rows = m.rows; cols = m.cols }
+
+let copy_out p =
+  Matrix.init p.rows p.cols (fun i j -> p.buf.{p.off + (i * p.ld) + j})
+
+let snapshot p = Array.init (Bigarray.Array1.dim p.buf) (fun i -> p.buf.{i})
+
+(* Every element outside the tile is bit-identical to [before]. *)
+let outside_unchanged p before =
+  let inside i =
+    i >= p.off && (i - p.off) / p.ld < p.rows && (i - p.off) mod p.ld < p.cols
+  in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun i x ->
+         inside i || Int64.bits_of_float x = Int64.bits_of_float p.buf.{i})
+       before)
+
+let view_sizes = [ 1; 3; 33; 65; 130 ]
+
+(* Besides free placements, tiles of an uneven grid: n = 130 or 65 in
+   3 tiles, the sizes Data.partition_tiles cuts (44/43, 22/21). *)
+let gen_size = QCheck.Gen.oneofl (view_sizes @ [ 44; 43; 22; 21 ])
+let gen_place = QCheck.Gen.(triple (int_bound 3) (int_bound 3) (int_range 1 5))
+
+let view_pool = Domain_pool.create ~num_domains:2 ()
+
+(* [run ?pool] must hold with no pool and with a 2-domain pool. *)
+let view_property name gen run =
+  QCheck.Test.make ~name ~count:20 (QCheck.make gen) (fun x ->
+      run ?pool:None x && run ?pool:(Some view_pool) x)
+
+(* The written tile matches [want] bit for bit, the junk around it and
+   every read operand's whole buffer are untouched. *)
+let view_ok ~want ~written ~before ~reads =
+  bits_of (copy_out written) = bits_of want
+  && outside_unchanged written before
+  (* an empty tile: nothing is inside, the whole buffer is checked *)
+  && List.for_all
+       (fun (p, snap) -> outside_unchanged { p with rows = 0 } snap)
+       reads
+
+let dpotrf_view_matches =
+  view_property "dpotrf on a strided view = dpotrf on a copy"
+    QCheck.Gen.(pair gen_size gen_place)
+    (fun ?pool (n, pl) ->
+      let a = Lapack.random_spd ~seed:n n in
+      let want = Matrix.copy a in
+      Lapack.dpotrf ?pool want;
+      let p = place ~seed:1 pl a in
+      let before = snapshot p in
+      Lapack.dpotrf_view ?pool ~n ~a:p.buf ~aoff:p.off ~lda:p.ld ();
+      view_ok ~want ~written:p ~before ~reads:[])
+
+let dtrsm_view_matches =
+  view_property "dtrsm_rlt on strided views = dtrsm_rlt on copies"
+    QCheck.Gen.(quad gen_size gen_size gen_place gen_place)
+    (fun ?pool (m, n, pl_l, pl_b) ->
+      let l = Lapack.random_spd ~seed:n n in
+      Lapack.dpotrf l;
+      let b = Matrix.random ~seed:(m + n) m n in
+      let want = Matrix.copy b in
+      Lapack.dtrsm_rlt ?pool ~l want;
+      let pl = place ~seed:2 pl_l l and pb = place ~seed:3 pl_b b in
+      let l_snap = snapshot pl and before = snapshot pb in
+      Lapack.dtrsm_rlt_view ?pool ~m ~n ~l:pl.buf ~loff:pl.off ~ldl:pl.ld
+        ~b:pb.buf ~boff:pb.off ~ldb:pb.ld ();
+      view_ok ~want ~written:pb ~before ~reads:[ (pl, l_snap) ])
+
+let dsyrk_view_matches =
+  view_property "dsyrk_ln on strided views = dsyrk_ln on copies"
+    QCheck.Gen.(quad gen_size gen_size gen_place gen_place)
+    (fun ?pool (n, k, pl_a, pl_c) ->
+      let a = Matrix.random ~seed:(n + k) n k in
+      let c = Lapack.random_spd ~seed:k n in
+      let want = Matrix.copy c in
+      Lapack.dsyrk_ln ?pool ~a want;
+      let pa = place ~seed:4 pl_a a and pc = place ~seed:5 pl_c c in
+      let a_snap = snapshot pa and before = snapshot pc in
+      Lapack.dsyrk_ln_view ?pool ~n ~k ~a:pa.buf ~aoff:pa.off ~lda:pa.ld
+        ~c:pc.buf ~coff:pc.off ~ldc:pc.ld ();
+      view_ok ~want ~written:pc ~before ~reads:[ (pa, a_snap) ])
+
+let dgemm_nt_view_matches =
+  view_property "dgemm_nt on strided views = dgemm_nt on copies"
+    QCheck.Gen.(
+      pair (triple gen_size gen_size gen_size)
+        (triple gen_place gen_place gen_place))
+    (fun ?pool ((m, n, k), (pl_a, pl_b, pl_c)) ->
+      let a = Matrix.random ~seed:m m k
+      and b = Matrix.random ~seed:(n + 1) n k
+      and c = Matrix.random ~seed:(k + 2) m n in
+      let want = Matrix.copy c in
+      Lapack.dgemm_nt ?pool ~a ~b want;
+      let pa = place ~seed:6 pl_a a
+      and pb = place ~seed:7 pl_b b
+      and pc = place ~seed:8 pl_c c in
+      let a_snap = snapshot pa and b_snap = snapshot pb
+      and before = snapshot pc in
+      Lapack.dgemm_nt_view ?pool ~m ~n ~k ~a:pa.buf ~aoff:pa.off ~lda:pa.ld
+        ~b:pb.buf ~boff:pb.off ~ldb:pb.ld ~c:pc.buf ~coff:pc.off ~ldc:pc.ld ();
+      view_ok ~want ~written:pc ~before ~reads:[ (pa, a_snap); (pb, b_snap) ])
+
 (* The packed kernel against the naive reference across random shapes
    and scalars, including dimensions below the micro-tile (mr = 4,
    nr = 8) that exercise the zero-padded packing edges. *)
@@ -644,16 +796,19 @@ let () =
           ("domain_pool", domain_pool_tests);
           ("packed_pooled", packed_pooled_bitwise_tests);
           ("golden", golden_tests);
+          ("lcg", lcg_tests);
           ( "properties",
             qt
               [
                 tiled_equals_whole; blocked_matches_naive;
                 packed_matches_naive; daxpy_linear;
-                pooled_dgemm_matches_sequential;
+                pooled_dgemm_matches_sequential; dpotrf_view_matches;
+                dtrsm_view_matches; dsyrk_view_matches; dgemm_nt_view_matches;
               ] );
         ];
       None
     with e -> Some e
   in
   Domain_pool.shutdown property_pool;
+  Domain_pool.shutdown view_pool;
   match result with Some e -> raise e | None -> ()

@@ -265,6 +265,33 @@ let engine_tests =
         check bool_ "correct result" true
           (Matrix.approx_equal expected (Data.read_matrix hc));
         check bool_ "time advanced" true (stats.makespan > 0.0));
+    Alcotest.test_case "in-place codelets refuse a written view that \
+                        overlaps a read one" `Quick (fun () ->
+        (* one matrix registered twice, read as A and written as C:
+           computing in place would read rows already overwritten *)
+        let rt = Engine.create (smp_cfg ()) in
+        let m = Matrix.random ~seed:1 8 8 in
+        let before = Matrix.copy m in
+        let ha = Data.register_matrix m and hc = Data.register_matrix m in
+        let hb = Data.register_matrix (Matrix.random ~seed:2 8 8) in
+        Engine.submit rt Codelet.dgemm
+          [ (ha, Codelet.R); (hb, Codelet.R); (hc, Codelet.RW) ];
+        (match Engine.wait_all rt with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            check Alcotest.string "message" "dgemm: C overlaps A" msg);
+        check (float_ 0.0) "nothing written" 0.0 (Matrix.max_abs_diff before m);
+        (* tiles of one registration: a shared row band is not an
+           overlap, a shared element is *)
+        let h = Data.register_matrix (Matrix.create 8 8) in
+        let t = Data.partition_tiles h ~rows:2 ~cols:2 in
+        check bool_ "same row band" false (Data.overlaps t.(1).(0) t.(1).(1));
+        check bool_ "same column band" false
+          (Data.overlaps t.(0).(1) t.(1).(1));
+        check bool_ "tile and itself" true (Data.overlaps t.(1).(1) t.(1).(1));
+        let rows = Data.partition_rows (Data.register_matrix m) 2 in
+        check bool_ "row strip and the whole matrix" true
+          (Data.overlaps rows.(1) (Data.register_matrix m)));
     Alcotest.test_case "finished tasks do not keep job buffers alive" `Quick
       (fun () ->
         (* A long-lived engine (one per tenant and shard in the task

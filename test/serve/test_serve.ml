@@ -625,6 +625,30 @@ let service_tests =
             check bool_ "target echoed" (row.P.tr_slo_ms = Some 1e-9) true;
             check int_ "missed target counts bad" 1 row.P.tr_slo_bad
         | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
+    Alcotest.test_case "tile jobs copy no matrix data" `Quick (fun () ->
+        (* the tile codelets compute in place on views of the job's
+           matrices: Data.read_matrix/write_matrix, which count every
+           byte they copy, never run for a DGEMM or Cholesky job *)
+        Obs.Config.set_enabled true;
+        Obs.Counter.reset_all ();
+        let svc = Service.create ~shards:1 (cfg_of "xeon-2gpu") in
+        List.iter
+          (fun job -> ignore (Service.submit svc ~tenant:"t" job))
+          [
+            P.Dgemm { n = 256; tiles = 2; seed = 3 };
+            P.Cholesky { n = 512; tiles = 4; seed = 4 };
+          ];
+        let replies = Service.run_until_idle svc in
+        let copied =
+          List.find
+            (fun c -> Obs.Counter.name c = "data_copy_bytes")
+            (Obs.Counter.all ())
+          |> Obs.Counter.value
+        in
+        Obs.Export.reset_all ();
+        Obs.Config.set_enabled false;
+        check int_ "two ok jobs" 2 (List.length (ok_sums replies));
+        check int_ "bytes copied" 0 copied);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -718,10 +742,11 @@ let flow_chain =
       in
       let trace = Printf.sprintf "%016x-0000000000000001" tid in
       let echoed =
-        match
-          Service.submit svc ~tenant:"t" ~trace
-            (P.Dgemm { n = 48; tiles = 2; seed })
-        with
+        let job =
+          if seed mod 2 = 0 then P.Dgemm { n = 48; tiles = 2; seed }
+          else P.Cholesky { n = 48; tiles = 2; seed }
+        in
+        match Service.submit svc ~tenant:"t" ~trace job with
         | P.Accepted { trace = Some t; _ } -> t = trace
         | _ -> false
       in
@@ -773,6 +798,7 @@ let flow_chain =
                 Option.bind (J.member "name" x) J.to_string))
           flows
       in
+      let named n = List.filter (fun x -> J.member "name" x = Some (J.Str n)) in
       let has_prefix p n =
         String.length n >= String.length p
         && String.sub n 0 (String.length p) = p
@@ -782,7 +808,10 @@ let flow_chain =
       && List.for_all (fun i -> i = float_of_int tid) ids
       && List.length bound_names = List.length flows
       && List.exists (has_prefix "queue:") bound_names
-      && List.exists (has_prefix "exec:") bound_names)
+      && List.exists (has_prefix "exec:") bound_names
+      (* input synthesis: one span per job, on the job's flow *)
+      && List.length (named "synth" slices) = 1
+      && List.mem "synth" bound_names)
 
 (* ------------------------------------------------------------------ *)
 (* Backward compatibility: the pre-durability wire dialect             *)
