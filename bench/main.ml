@@ -12,6 +12,7 @@
 module MC = Taskrt.Machine_config
 module TD = Taskrt.Tiled_dgemm
 module Engine = Taskrt.Engine
+module GK = Kernels.Gemm_kernel
 
 let line = String.make 72 '-'
 let header title = Printf.printf "\n%s\n%s\n%s\n" line title line
@@ -273,6 +274,25 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Median and spread, (q3 - q1) / median, of a sample list. *)
+let median_spread xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  let med = a.(n / 2) in
+  (med, (a.(3 * n / 4) -. a.(n / 4)) /. med)
+
+(* The machine a BENCH file was measured on. *)
+let host_json () =
+  let cpu =
+    try
+      In_channel.with_open_text "/proc/cpuinfo" In_channel.input_lines
+      |> List.find (String.starts_with ~prefix:"model name")
+      |> fun l -> String.trim (List.nth (String.split_on_char ':' l) 1)
+    with _ -> "unknown"
+  in
+  J.Obj
+    [ ("nproc", int (Domain.recommended_domain_count ())); ("cpu", str cpu) ]
+
 (* Wall-clock cost of a feature, in percent: [off ()] and [on ()] each
    time one run without and with it.  Run-to-run swing on a shared
    host is up to ~10% -- far above the effects guarded here -- and the
@@ -531,54 +551,121 @@ let par ?(sizes = [ 256; 512; 1024; 2048 ]) ?(domains = [ 1; 2; 4 ]) () =
 
 type kern_row = {
   kn_variant : string;
+  kn_micro : string;  (** packed rows: the micro-kernel; [""] otherwise *)
   kn_n : int;
-  kn_wall_s : float;
+  kn_wall_s : float;  (** median of [kern_samples] *)
+  kn_spread : float;
   kn_gflops : float;
 }
 
-let kern_json path rows ratios ~overhead_pct =
+(* Timed runs per variant and size; the reported figure is their
+   median. *)
+let kern_samples = 5
+
+let kern_json path rows ratios shares ~overhead_pct =
   write_json path
-    [ ("experiment", str "kern");
+    [ ("experiment", str "kern"); ("host", host_json ());
+      ("samples", int kern_samples);
       ("telemetry_overhead_pct", num overhead_pct);
       ("rows",
        J.Arr
          (List.map
             (fun r ->
               J.Obj
-                [ ("variant", str r.kn_variant); ("n", int r.kn_n);
-                  ("wall_s", num r.kn_wall_s); ("gflops", num r.kn_gflops) ])
+                ([ ("variant", str r.kn_variant) ]
+                @ (if r.kn_micro = "" then [] else [ ("micro", str r.kn_micro) ])
+                @ [ ("n", int r.kn_n); ("wall_s", num r.kn_wall_s);
+                    ("spread", num r.kn_spread); ("gflops", num r.kn_gflops) ]))
             rows));
       ("packed_over_blocked",
        J.Arr
          (List.map
             (fun (n, ratio) -> J.Obj [ ("n", int n); ("ratio", num ratio) ])
-            ratios)) ]
+            ratios));
+      ("pack_share_128",
+       J.Arr
+         (List.map
+            (fun (micro, (share, spread)) ->
+              J.Obj
+                [ ("micro", str micro); ("share", num share);
+                  ("spread", num spread) ])
+            shares)) ]
 
-(* Single-domain throughput of the three DGEMM variants.  The naive
-   kernel is only run up to n = 512 (a 2048-cubed naive run costs a
-   minute and teaches nothing new). *)
+let with_micro bmicro f =
+  GK.set_blocking { (GK.default_blocking ()) with bmicro };
+  Fun.protect ~finally:GK.reset_blocking f
+
+(* Share of one packed 128^3 call spent packing A and B, from the
+   call's own pack_a / pack_b spans (telemetry on) over its wall
+   time; median and spread of [kern_samples] calls after a warm-up. *)
+let pack_share_128 bmicro =
+  let n = 128 in
+  let a = Matrix.random ~seed:1 n n and b = Matrix.random ~seed:2 n n in
+  let c = Matrix.create n n in
+  let was_on = Obs.Config.on () in
+  Obs.Config.set_enabled true;
+  let share () =
+    Obs.Span.clear ();
+    let (), dt = wall (fun () -> Blas.dgemm_packed a b c) in
+    let packing =
+      List.fold_left
+        (fun acc (e : Obs.Span.event) ->
+          if e.ev_cat = "gemm" && (e.ev_name = "pack_a" || e.ev_name = "pack_b")
+          then acc + (e.ev_t1 - e.ev_t0)
+          else acc)
+        0 (Obs.Span.events ())
+    in
+    Obs.Clock.to_s packing /. dt
+  in
+  let r =
+    with_micro bmicro (fun () ->
+        ignore (share ());
+        median_spread (List.init kern_samples (fun _ -> share ())))
+  in
+  Obs.Span.clear ();
+  Obs.Config.set_enabled was_on;
+  r
+
+(* Single-domain throughput of the three DGEMM variants, the packed
+   one with every micro-kernel this CPU runs.  The naive kernel is
+   only run up to n = 512 (a 2048-cubed naive run costs a minute and
+   teaches nothing new). *)
 let kern ?(sizes = [ 256; 512; 1024; 2048 ]) () =
   header "KERN  DGEMM kernel variants, single domain (wall seconds)";
-  Printf.printf "%-8s %10s %12s %12s %18s\n" "n" "variant" "wall [s]"
-    "GFLOP/s" "packed/blocked";
+  let micros = GK.supported_micros () in
+  let default_micro = (GK.default_blocking ()).GK.bmicro in
+  Printf.printf "micro-kernels this CPU runs: %s; median of %d runs\n\n"
+    (String.concat ", " (List.map GK.micro_to_string micros))
+    kern_samples;
+  Printf.printf "%-8s %18s %12s %8s %12s %18s\n" "n" "variant" "wall [s]"
+    "spread" "GFLOP/s" "packed/blocked";
   let mismatches = ref 0 in
   let rows, ratios =
     List.fold_left
       (fun (rows, ratios) n ->
         let a = Matrix.random ~seed:1 n n and b = Matrix.random ~seed:2 n n in
         let flops = Blas.flops_dgemm n n n in
-        let time variant f =
+        let time ?(micro = "") variant f =
           let c = Matrix.create n n in
-          let (), dt = wall (fun () -> f a b c) in
+          let walls =
+            List.init kern_samples (fun _ ->
+                Bigarray.Array1.fill c.Matrix.data 0.0;
+                snd (wall (fun () -> f a b c)))
+          in
+          let med, spread = median_spread walls in
           let row =
             {
               kn_variant = variant;
+              kn_micro = micro;
               kn_n = n;
-              kn_wall_s = dt;
-              kn_gflops = flops /. dt /. 1e9;
+              kn_wall_s = med;
+              kn_spread = spread;
+              kn_gflops = flops /. med /. 1e9;
             }
           in
-          Printf.printf "%-8d %10s %12.3f %12.2f\n" n variant dt row.kn_gflops;
+          Printf.printf "%-8d %18s %12.4f %8.2f %12.2f\n" n
+            (if micro = "" then variant else variant ^ "/" ^ micro)
+            med spread row.kn_gflops;
           (row, c)
         in
         let naive_rows =
@@ -589,20 +676,42 @@ let kern ?(sizes = [ 256; 512; 1024; 2048 ]) () =
         let blocked, c_blocked =
           time "blocked" (fun a b c -> Blas.dgemm_blocked a b c)
         in
-        let packed, c_packed =
-          time "packed" (fun a b c -> Blas.dgemm_packed a b c)
+        let packed =
+          List.map
+            (fun bmicro ->
+              let micro = GK.micro_to_string bmicro in
+              let row, c =
+                with_micro bmicro (fun () ->
+                    time ~micro "packed" (fun a b c -> Blas.dgemm_packed a b c))
+              in
+              if not (Matrix.approx_equal c_blocked c) then begin
+                Printf.printf "n=%d: packed/%s result DIVERGES from blocked\n" n
+                  micro;
+                incr mismatches
+              end;
+              (bmicro, row))
+            micros
         in
-        if not (Matrix.approx_equal c_blocked c_packed) then begin
-          Printf.printf "n=%d: packed result DIVERGES from blocked\n" n;
-          incr mismatches
-        end;
-        let ratio = packed.kn_gflops /. blocked.kn_gflops in
-        Printf.printf "%-8s %10s %12s %12s %17.1fx\n" "" "" "" "" ratio;
-        (rows @ naive_rows @ [ blocked; packed ], ratios @ [ (n, ratio) ]))
+        let ratio =
+          (List.assoc default_micro packed).kn_gflops /. blocked.kn_gflops
+        in
+        Printf.printf "%-8s %18s %12s %8s %12s %17.1fx\n" "" "" "" "" "" ratio;
+        ( rows @ naive_rows @ (blocked :: List.map snd packed),
+          ratios @ [ (n, ratio) ] ))
       ([], []) sizes
   in
   Printf.printf "\npacked ~= blocked everywhere (approx_equal): %s\n"
     (if !mismatches = 0 then "yes" else "NO");
+  let shares =
+    List.map
+      (fun m -> (GK.micro_to_string m, pack_share_128 m))
+      micros
+  in
+  List.iter
+    (fun (m, (share, spread)) ->
+      Printf.printf "packing share of a 128^3 call, %s: %.2f (spread %.2f)\n"
+        m share spread)
+    shares;
   (* With telemetry on (--trace), also push the packed kernel through
      a 4-domain pool so the trace shows distinct per-domain lanes next
      to the single-domain variant runs. *)
@@ -619,7 +728,7 @@ let kern ?(sizes = [ 256; 512; 1024; 2048 ]) () =
   if overhead_bad then
     Printf.printf "telemetry overhead guard (<= 3%%): NO (%.2f%%)\n"
       overhead_pct;
-  kern_json "BENCH_kern.json" rows ratios ~overhead_pct;
+  kern_json "BENCH_kern.json" rows ratios shares ~overhead_pct;
   print_endline "wrote BENCH_kern.json";
   if !mismatches > 0 || overhead_bad then exit 1
 
@@ -813,7 +922,6 @@ let faults_exp () =
 (* TUNE: measurement-driven cost models + GEMM block autotuning        *)
 
 module GT = Tune.Gemm_tune
-module GK = Kernels.Gemm_kernel
 
 (* A deliberately mis-declared platform: the descriptor still
    advertises the GPUs' full DGEMM_THROUGHPUT, but the charged rate is
@@ -1002,13 +1110,6 @@ let cc_pool_seconds ~n =
    slow minute on the host hits all three alike. *)
 let cc_samples = 7
 
-(* Median and spread, (q3 - q1) / median, of a sample list. *)
-let cc_stats xs =
-  let a = Array.of_list (List.sort compare xs) in
-  let n = Array.length a in
-  let med = a.(n / 2) in
-  (med, (a.(3 * n / 4) -. a.(n / 4)) /. med)
-
 type cc_row = {
   cc_n : int;
   cc_interp : float * float;  (** median, spread *)
@@ -1023,21 +1124,10 @@ type cc_row = {
    library speed, within 1.5x of the pooled kernel at n >= 1024. *)
 let cc_guard_max = 1.5
 
-let cc_host () =
-  let cpu =
-    try
-      In_channel.with_open_text "/proc/cpuinfo" In_channel.input_lines
-      |> List.find (String.starts_with ~prefix:"model name")
-      |> fun l -> String.trim (List.nth (String.split_on_char ':' l) 1)
-    with _ -> "unknown"
-  in
-  J.Obj
-    [ ("nproc", int (Domain.recommended_domain_count ())); ("cpu", str cpu) ]
-
 let cc_json path rows ~guard_n ~guard_ratio ~guard_ok =
   write_json path
     [ ("experiment", str "cc"); ("platform", str "xeon-2gpu");
-      ("host", cc_host ()); ("samples", int cc_samples);
+      ("host", host_json ()); ("samples", int cc_samples);
       ("guard",
        J.Obj
          [ ("n", int guard_n); ("max_ratio", num cc_guard_max);
@@ -1105,7 +1195,7 @@ let cc ?(sizes = [ 256; 512; 1024 ]) () =
                   && rn.Cascabel.Runnable.native_fallbacks = 0)
                 samples
             in
-            let col f = cc_stats (List.map f samples) in
+            let col f = median_spread (List.map f samples) in
             let interp = col (fun (_, _, s, _, _) -> s)
             and native_ = col (fun (_, _, _, s, _) -> s)
             and pool = col (fun (_, _, _, _, s) -> s) in

@@ -4,8 +4,10 @@
    slices of the reduction dimension; for each (MC, KC) block the A
    panel is packed once into a contiguous buffer of MR-row
    micro-panels, and each NC-wide slice of B is packed into NR-column
-   micro-panels.  The C micro-kernel (dgemm_stubs.c) then runs a
-   register-blocked MR x NR rank-1-update loop over the packed data.
+   micro-panels (both packed by C routines).  A C micro-kernel
+   (dgemm_stubs.c) then runs a register-blocked MR x NR
+   rank-1-update loop over the packed data: 16 x 8 with AVX-512 where
+   the CPU has it, else 4 x 8 with AVX2, bit-identical to each other.
 
    Packing buffers live in domain-local storage and are grown on
    demand, so the hot path performs no allocation after warm-up and
@@ -20,41 +22,78 @@
 
 module BA1 = Bigarray.Array1
 
-let mr = 4
-let nr = 8
 let mc = 128
 let kc = 256
 let nc = 1024
 
-type micro = Avx2 | Portable
+type micro = Avx512 | Avx2 | Portable
 
-let micro_to_string = function Avx2 -> "avx2" | Portable -> "portable"
+let micro_to_string = function
+  | Avx512 -> "avx512"
+  | Avx2 -> "avx2"
+  | Portable -> "portable"
 
 let micro_of_string = function
+  | "avx512" -> Some Avx512
   | "avx2" -> Some Avx2
   | "portable" -> Some Portable
   | _ -> None
 
+let micro_tile = function Avx512 -> (16, 8) | Avx2 | Portable -> (4, 8)
+
+external cpu_has_avx512f : unit -> bool = "cas_cpu_has_avx512f" [@@noalloc]
+
+(* The CPU-flag probe, read once.  [as_avx2_host] lowers it for a
+   test; nothing raises it. *)
+let host_avx512f = ref (cpu_has_avx512f ())
+
+let micro_supported = function
+  | Avx512 -> !host_avx512f
+  | Avx2 | Portable -> true
+
+let supported_micros () = List.filter micro_supported [ Avx512; Avx2; Portable ]
+
 type blocking = { bmc : int; bkc : int; bnc : int; bmicro : micro }
 
-let default_blocking = { bmc = mc; bkc = kc; bnc = nc; bmicro = Avx2 }
+let default_blocking () =
+  {
+    bmc = mc;
+    bkc = kc;
+    bnc = nc;
+    bmicro = (if micro_supported Avx512 then Avx512 else Avx2);
+  }
 
 (* Single-writer: the tuner (or CLI startup) sets this before any
    compute; concurrent panel workers only read it. *)
-let blocking = ref default_blocking
+let blocking = ref (default_blocking ())
 
 let set_blocking b =
   if b.bmc <= 0 || b.bkc <= 0 || b.bnc <= 0 then
     invalid_arg "Gemm_kernel.set_blocking: blocks must be positive";
+  if not (micro_supported b.bmicro) then
+    invalid_arg
+      (Printf.sprintf
+         "Gemm_kernel.set_blocking: this CPU cannot run the %s micro-kernel"
+         (micro_to_string b.bmicro));
   blocking := b
 
 let current_blocking () = !blocking
-let reset_blocking () = blocking := default_blocking
+let reset_blocking () = blocking := default_blocking ()
+
+let as_avx2_host f =
+  let flag = !host_avx512f and installed = !blocking in
+  host_avx512f := false;
+  reset_blocking ();
+  Fun.protect
+    ~finally:(fun () ->
+      host_avx512f := flag;
+      blocking := installed)
+    f
 
 (* Minimum 2mnk flops before a pool is worth one parallel_for. *)
 let par_flop_threshold = 1e6
 
-external macro_kernel :
+external macro_avx2 :
   int ->
   int ->
   int ->
@@ -68,12 +107,46 @@ external macro_kernel :
   unit = "cas_dgemm_macro_bytecode" "cas_dgemm_macro"
 [@@noalloc]
 
+external macro_avx512 :
+  int ->
+  int ->
+  int ->
+  float ->
+  float ->
+  Matrix.buf ->
+  Matrix.buf ->
+  Matrix.buf ->
+  int ->
+  int ->
+  unit = "cas_dgemm_macro_avx512_bytecode" "cas_dgemm_macro_avx512"
+[@@noalloc]
+
+(* [pack_rows src off ld r0 c0 rows cols mr dst]: rows [r0, r0+rows)
+   x cols [c0, c0+cols) of the view into mr-row micro-panels,
+   dst.{ir*cols + l*mr + i} = src[r0+ir+i][c0+l], zero-padded to a
+   multiple of mr rows.  Packs A, and B read transposed. *)
+external pack_rows :
+  Matrix.buf -> int -> int -> int -> int -> int -> int -> int -> Matrix.buf ->
+  unit = "cas_pack_rows_bytecode" "cas_pack_rows"
+[@@noalloc]
+
+(* [pack_cols src off ld r0 c0 rows cols nr dst]: the same block into
+   nr-column micro-panels, dst.{jr*rows + l*nr + j} =
+   src[r0+l][c0+jr+j], zero-padded to a multiple of nr columns.
+   Packs B. *)
+external pack_cols :
+  Matrix.buf -> int -> int -> int -> int -> int -> int -> int -> Matrix.buf ->
+  unit = "cas_pack_cols_bytecode" "cas_pack_cols"
+[@@noalloc]
+
 (* Same loop structure and summation order as [dgemm_macro] in
    dgemm_stubs.c, in plain OCaml — the autotuner's portable candidate
    for hosts where the vectorized stub loses, and a reference
-   implementation for cross-checking it. *)
+   implementation for cross-checking it.  Without FMA its sums round
+   differently from the C kernels. *)
 let portable_macro mcc ncc kcc alpha beta (ap : Matrix.buf) (bp : Matrix.buf)
     (c : Matrix.buf) coff ldc =
+  let mr, nr = micro_tile Portable in
   let acc = Array.make (mr * nr) 0.0 in
   let jr = ref 0 in
   while !jr < ncc do
@@ -137,72 +210,6 @@ let get_bufs ~ap_len ~bp_len =
   Obs.Counter.incr (if grew then c_pack_alloc else c_pack_reuse);
   b
 
-(* Pack rows [ic, ic+mcc) x cols [pc, pc+kcc) of a into MR-row
-   micro-panels: ap.{ir*kcc + l*mr + i} = a[ic+ir+i][pc+l], rows
-   beyond mcc zero-padded to the next multiple of MR. *)
-let pack_a ~(a : Matrix.buf) ~aoff ~lda ~ic ~pc ~mcc ~kcc ~(ap : Matrix.buf) =
-  let mpad = (mcc + mr - 1) / mr * mr in
-  let ir = ref 0 in
-  while !ir < mpad do
-    let base = !ir * kcc in
-    for i = 0 to mr - 1 do
-      if !ir + i < mcc then begin
-        let src = aoff + ((ic + !ir + i) * lda) + pc in
-        for l = 0 to kcc - 1 do
-          BA1.unsafe_set ap (base + (l * mr) + i) (BA1.unsafe_get a (src + l))
-        done
-      end
-      else
-        for l = 0 to kcc - 1 do
-          BA1.unsafe_set ap (base + (l * mr) + i) 0.0
-        done
-    done;
-    ir := !ir + mr
-  done
-
-(* Pack rows [pc, pc+kcc) x cols [jc, jc+ncc) of b into NR-column
-   micro-panels: bp.{jr*kcc + l*nr + j} = b[pc+l][jc+jr+j], columns
-   beyond ncc zero-padded to the next multiple of NR. *)
-let pack_b ~(b : Matrix.buf) ~boff ~ldb ~pc ~jc ~kcc ~ncc ~(bp : Matrix.buf) =
-  let npad = (ncc + nr - 1) / nr * nr in
-  let jr = ref 0 in
-  while !jr < npad do
-    let base = !jr * kcc in
-    let jrem = ncc - !jr in
-    for l = 0 to kcc - 1 do
-      let src = boff + ((pc + l) * ldb) + jc + !jr in
-      let dst = base + (l * nr) in
-      for j = 0 to nr - 1 do
-        BA1.unsafe_set bp (dst + j)
-          (if j < jrem then BA1.unsafe_get b (src + j) else 0.0)
-      done
-    done;
-    jr := !jr + nr
-  done
-
-(* Same, reading b transposed: the logical (pc+l, jc+j) element is
-   b[jc+j][pc+l], i.e. micro-panel columns are contiguous rows of b. *)
-let pack_b_trans ~(b : Matrix.buf) ~boff ~ldb ~pc ~jc ~kcc ~ncc
-    ~(bp : Matrix.buf) =
-  let npad = (ncc + nr - 1) / nr * nr in
-  let jr = ref 0 in
-  while !jr < npad do
-    let base = !jr * kcc in
-    for j = 0 to nr - 1 do
-      if !jr + j < ncc then begin
-        let src = boff + ((jc + !jr + j) * ldb) + pc in
-        for l = 0 to kcc - 1 do
-          BA1.unsafe_set bp (base + (l * nr) + j) (BA1.unsafe_get b (src + l))
-        done
-      end
-      else
-        for l = 0 to kcc - 1 do
-          BA1.unsafe_set bp (base + (l * nr) + j) 0.0
-        done
-    done;
-    jr := !jr + nr
-  done
-
 (* c[i][j] := beta * c[i][j] for the m x n block at coff. *)
 let scale_c ~m ~n ~beta ~(c : Matrix.buf) ~coff ~ldc =
   if beta <> 1.0 then
@@ -223,9 +230,12 @@ let gemm ?pool ~trans_b ~m ~n ~k ~alpha ~beta ~(a : Matrix.buf) ~aoff ~lda
        purpose. *)
     let { bmc = mc; bkc = kc; bnc = nc; bmicro } = !blocking in
     let run_macro =
-      match bmicro with Avx2 -> macro_kernel | Portable -> portable_macro
+      match bmicro with
+      | Avx512 -> macro_avx512
+      | Avx2 -> macro_avx2
+      | Portable -> portable_macro
     in
-    let pack = if trans_b then pack_b_trans else pack_b in
+    let mr, nr = micro_tile bmicro in
     let kc_used = min k kc in
     let nc_used = min n nc in
     let ap_len = (mc + mr - 1) / mr * mr * kc_used in
@@ -238,7 +248,7 @@ let gemm ?pool ~trans_b ~m ~n ~k ~alpha ~beta ~(a : Matrix.buf) ~aoff ~lda
       while !pc < k do
         let kcc = min kc (k - !pc) in
         let sp = Obs.Span.start () in
-        pack_a ~a ~aoff ~lda ~ic ~pc:!pc ~mcc ~kcc ~ap:bufs.ap;
+        pack_rows a aoff lda ic !pc mcc kcc mr bufs.ap;
         Obs.Span.record ~cat:"gemm" ~name:"pack_a" sp;
         Obs.Counter.add c_bytes_packed (8 * mcc * kcc);
         (* beta applies on the first KC slice only; later slices
@@ -248,7 +258,8 @@ let gemm ?pool ~trans_b ~m ~n ~k ~alpha ~beta ~(a : Matrix.buf) ~aoff ~lda
         while !jc < n do
           let ncc = min nc (n - !jc) in
           let sp = Obs.Span.start () in
-          pack ~b ~boff ~ldb ~pc:!pc ~jc:!jc ~kcc ~ncc ~bp:bufs.bp;
+          if trans_b then pack_rows b boff ldb !jc !pc ncc kcc nr bufs.bp
+          else pack_cols b boff ldb !pc !jc kcc ncc nr bufs.bp;
           Obs.Span.record ~cat:"gemm" ~name:"pack_b" sp;
           Obs.Counter.add c_bytes_packed (8 * kcc * ncc);
           let sp = Obs.Span.start () in

@@ -50,64 +50,31 @@ let view_check name (buf : Matrix.buf) ~off ~ld ~rows ~cols =
       (Printf.sprintf "%s: %dx%d view at offset %d (ld %d) exceeds %d elements"
          name rows cols off ld (BA1.dim buf))
 
+external solve_rows_c :
+  Matrix.buf -> int -> int -> Matrix.buf -> int -> int -> int -> int -> int ->
+  int -> unit = "cas_solve_rows_bytecode" "cas_solve_rows"
+[@@noalloc]
+
+(* Rows per parallel unit of [solve_rows]; each call also copies the
+   diagonal block once. *)
+let solve_chunk = 32
+
 (* Row-wise triangular solve shared by the panel step of [dpotrf]
    and [dtrsm_rlt]: rows [lo, hi) of the view [x], columns [j0, j1),
    solve X * L^T = B against the diagonal block of the view [l]
-   (rows j0..j1-1), earlier columns already applied.  Four
-   independent rows are interleaved so their dependent subtract
-   chains overlap; every element keeps the exact operation order of
-   the one-row loop, and the parallel unit is a 4-row group, so
-   pooled runs stay bit-identical. *)
-let solve_rows ~pool ~(x : Matrix.buf) ~xoff ~ldx ~(l : Matrix.buf) ~loff ~ldl
-    ~j0 ~j1 ~lo ~hi =
-  let solve1 r =
-    let ro = xoff + (r * ldx) in
-    for j = j0 to j1 - 1 do
-      let lj = loff + (j * ldl) in
-      let acc = ref (BA1.unsafe_get x (ro + j)) in
-      for t = j0 to j - 1 do
-        acc := !acc -. (BA1.unsafe_get x (ro + t) *. BA1.unsafe_get l (lj + t))
-      done;
-      BA1.unsafe_set x (ro + j) (!acc /. BA1.unsafe_get l (lj + j))
-    done
-  in
-  let solve4 r =
-    let o0 = xoff + (r * ldx) in
-    let o1 = o0 + ldx in
-    let o2 = o1 + ldx in
-    let o3 = o2 + ldx in
-    for j = j0 to j1 - 1 do
-      let lj = loff + (j * ldl) in
-      let a0 = ref (BA1.unsafe_get x (o0 + j))
-      and a1 = ref (BA1.unsafe_get x (o1 + j))
-      and a2 = ref (BA1.unsafe_get x (o2 + j))
-      and a3 = ref (BA1.unsafe_get x (o3 + j)) in
-      for t = j0 to j - 1 do
-        let lv = BA1.unsafe_get l (lj + t) in
-        a0 := !a0 -. (BA1.unsafe_get x (o0 + t) *. lv);
-        a1 := !a1 -. (BA1.unsafe_get x (o1 + t) *. lv);
-        a2 := !a2 -. (BA1.unsafe_get x (o2 + t) *. lv);
-        a3 := !a3 -. (BA1.unsafe_get x (o3 + t) *. lv)
-      done;
-      let d = BA1.unsafe_get l (lj + j) in
-      BA1.unsafe_set x (o0 + j) (!a0 /. d);
-      BA1.unsafe_set x (o1 + j) (!a1 /. d);
-      BA1.unsafe_set x (o2 + j) (!a2 /. d);
-      BA1.unsafe_set x (o3 + j) (!a3 /. d)
-    done
-  in
+   (rows j0..j1-1), earlier columns already applied.  The C loop
+   (exact_stubs.c) keeps each element's subtract-then-divide chain of
+   the left-looking dot product, and rows are independent, so pooled
+   runs, one call per row chunk, are bit-identical. *)
+let solve_rows ?pool ~(x : Matrix.buf) ~xoff ~ldx ~(l : Matrix.buf) ~loff ~ldl
+    ~j0 ~j1 ~lo ~hi () =
   let w = j1 - j0 in
   let work = float_of_int (hi - lo) *. float_of_int (w * w) in
-  (* min_rows counts 4-row groups here: 8 groups = 32 rows *)
-  maybe_parallel ?pool ~work ~min_rows:8 ~lo:0
-    ~hi:((hi - lo + 3) / 4)
+  maybe_parallel ?pool ~work ~min_rows:2 ~lo:0
+    ~hi:((hi - lo + solve_chunk - 1) / solve_chunk)
     (fun g ->
-      let r = lo + (4 * g) in
-      if r + 4 <= hi then solve4 r
-      else
-        for r = r to hi - 1 do
-          solve1 r
-        done)
+      let r = lo + (solve_chunk * g) in
+      solve_rows_c x xoff ldx l loff ldl j0 j1 r (min hi (r + solve_chunk)))
 
 (* Blocked right-looking Cholesky.  Per NB-wide step: factor the
    diagonal block unblocked, solve the panel below it, then apply the
@@ -154,8 +121,8 @@ let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
       (* panel solve: rows [k1, n) of columns [k0, k1) against the
          diagonal block's transpose; rows are independent. *)
       let kb = !k0 in
-      solve_rows ~pool ~x:a ~xoff:aoff ~ldx:lda ~l:a ~loff:aoff ~ldl:lda ~j0:kb
-        ~j1:k1 ~lo:k1 ~hi:n;
+      solve_rows ?pool ~x:a ~xoff:aoff ~ldx:lda ~l:a ~loff:aoff ~ldl:lda ~j0:kb
+        ~j1:k1 ~lo:k1 ~hi:n ();
       (* The span boundary between "panel_factor" (diagonal block +
          panel solve) and "trailing_update" (blocked GEMM) mirrors the
          classic right-looking split, so a trace shows at a glance
@@ -207,8 +174,8 @@ let dtrsm_rlt_view ?pool ~m ~n ~(l : Matrix.buf) ~loff ~ldl ~(b : Matrix.buf)
         ~beta:1.0 ~a:b ~aoff:boff ~lda:ldb ~b:l
         ~boff:(loff + (!j0 * ldl))
         ~ldb:ldl ~c:b ~coff:(boff + !j0) ~ldc:ldb ();
-    solve_rows ~pool ~x:b ~xoff:boff ~ldx:ldb ~l ~loff ~ldl ~j0:!j0 ~j1 ~lo:0
-      ~hi:m;
+    solve_rows ?pool ~x:b ~xoff:boff ~ldx:ldb ~l ~loff ~ldl ~j0:!j0 ~j1 ~lo:0
+      ~hi:m ();
     j0 := j1
   done
 

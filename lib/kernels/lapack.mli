@@ -69,6 +69,21 @@ val dgemm_nt_view :
   c:Matrix.buf -> coff:int -> ldc:int -> unit -> unit
 (** {!dgemm_nt} with [a] [m x k], [b] [n x k] and [c] [m x n]. *)
 
+val solve_rows :
+  ?pool:Domain_pool.t -> x:Matrix.buf -> xoff:int -> ldx:int -> l:Matrix.buf ->
+  loff:int -> ldl:int -> j0:int -> j1:int -> lo:int -> hi:int -> unit ->
+  unit
+(** The triangular solve inside {!dpotrf} and {!dtrsm_rlt}: for rows
+    [lo <= r < hi] of the view [x] at [xoff] (leading dimension
+    [ldx]), solve columns [j0 <= j < j1] of [X * L^T = B] in place
+    against the lower-triangular diagonal block of the view [l]
+    (rows and columns [j0, j1)), columns before [j0] already applied.
+    Element [x[r][j]] is [(x[r][j] - x[r][j0]*l[j][j0] - ... -
+    x[r][j-1]*l[j][j-1]) / l[j][j]], each subtraction rounded in that
+    order, whatever the pool.  [x] and [l] may share a buffer if the
+    solved region and the diagonal block are disjoint.  Unchecked:
+    callers pass views that fit their buffers. *)
+
 val random_spd : ?seed:int -> int -> Matrix.t
 (** A well-conditioned symmetric positive-definite matrix:
     [M*M^T + n*I] for a random [M].  Only the lower triangle of

@@ -25,52 +25,16 @@ let init rows cols f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-(* Numerical Recipes LCG, s' = (a*s + c) mod 2^32; deterministic
-   across runs and platforms.  One step keeps a*s + c below 2^53. *)
-let lcg_a = 1664525
-let lcg_c = 1013904223
-let mask32 = 0xFFFFFFFF
+external lcg_fill : buf -> int -> int -> unit = "cas_lcg_fill" [@@noalloc]
 
-(* Four steps at once: s_{i+4} = a4*s_i + c4 with a4 = a^4 and
-   c4 = c*(a^3 + a^2 + a + 1), both mod 2^32. *)
-let lcg_a4, lcg_c4 =
-  let step (a', c') =
-    ((a' * lcg_a) land mask32, ((c' * lcg_a) + lcg_c) land mask32)
-  in
-  step (step (step (step (1, 0))))
-
-(* Element i holds state s_{i+1} mapped to [-1, 1).  Four interleaved
-   streams, each advanced by the 4-step constants, break the serial
-   multiply chain; a4*s reaches 2^64 and wraps modulo 2^63, which
-   leaves the low 32 bits exact.  Multiplying by 2^-31 equals dividing
-   by 2^31 bit for bit. *)
+(* Element i holds state s_{i+1} of the Numerical Recipes LCG
+   s' = (a*s + c) mod 2^32 from s_0 = seed (low 30 bits), mapped to
+   [-1, 1) as s * 2^-31 - 1: deterministic across runs and platforms.
+   The fill runs in C on sixteen jump-ahead lanes (exact_stubs.c). *)
 let random ?(seed = 42) rows cols =
-  if rows < 0 || cols < 0 then invalid_arg "Matrix.create: negative dimension";
-  let len = rows * cols in
-  let d = alloc_buf len in
-  let next s = ((s * lcg_a) + lcg_c) land mask32 in
-  let s0 = ref (next (seed land 0x3FFFFFFF)) in
-  let s1 = ref (next !s0) in
-  let s2 = ref (next !s1) in
-  let s3 = ref (next !s2) in
-  let i = ref 0 in
-  while !i + 4 <= len do
-    BA1.unsafe_set d !i ((float_of_int !s0 *. 0x1p-31) -. 1.0);
-    BA1.unsafe_set d (!i + 1) ((float_of_int !s1 *. 0x1p-31) -. 1.0);
-    BA1.unsafe_set d (!i + 2) ((float_of_int !s2 *. 0x1p-31) -. 1.0);
-    BA1.unsafe_set d (!i + 3) ((float_of_int !s3 *. 0x1p-31) -. 1.0);
-    s0 := ((lcg_a4 * !s0) + lcg_c4) land mask32;
-    s1 := ((lcg_a4 * !s1) + lcg_c4) land mask32;
-    s2 := ((lcg_a4 * !s2) + lcg_c4) land mask32;
-    s3 := ((lcg_a4 * !s3) + lcg_c4) land mask32;
-    i := !i + 4
-  done;
-  (* fewer than four left: stream j holds element !i + j *)
-  if !i < len then BA1.unsafe_set d !i ((float_of_int !s0 *. 0x1p-31) -. 1.0);
-  if !i + 1 < len then
-    BA1.unsafe_set d (!i + 1) ((float_of_int !s1 *. 0x1p-31) -. 1.0);
-  if !i + 2 < len then
-    BA1.unsafe_set d (!i + 2) ((float_of_int !s2 *. 0x1p-31) -. 1.0);
+  if rows < 0 || cols < 0 then invalid_arg "Matrix.random: negative dimension";
+  let d = alloc_buf (rows * cols) in
+  lcg_fill d (rows * cols) (seed land 0x3FFFFFFF);
   { rows; cols; data = d }
 
 let get m i j = m.data.{(i * m.cols) + j}

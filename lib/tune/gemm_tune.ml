@@ -24,8 +24,7 @@ type result = {
 let guard_ratio = 1.02
 let default_sizes = [ 512; 1024; 2048 ]
 
-let candidates =
-  let micros = [ GK.Avx2; GK.Portable ] in
+let candidates () =
   List.concat_map
     (fun bmicro ->
       List.concat_map
@@ -37,7 +36,7 @@ let candidates =
                 [ 512; 1024; 2048 ])
             [ 128; 256; 512 ])
         [ 64; 128; 256 ])
-    micros
+    (GK.supported_micros ())
 
 let blocking_to_string (b : GK.blocking) =
   Printf.sprintf "mc=%d kc=%d nc=%d micro=%s" b.GK.bmc b.GK.bkc b.GK.bnc
@@ -54,7 +53,9 @@ let cfg_of_blocking ~gflops (b : GK.blocking) =
 
 let blocking_of_cfg (c : Store.gemm_cfg) =
   match GK.micro_of_string c.Store.g_micro with
-  | Some bmicro when c.g_mc > 0 && c.g_kc > 0 && c.g_nc > 0 ->
+  | Some bmicro
+    when GK.micro_supported bmicro && c.g_mc > 0 && c.g_kc > 0 && c.g_nc > 0
+    ->
       Some { GK.bmc = c.g_mc; bkc = c.g_kc; bnc = c.g_nc; bmicro }
   | _ -> None
 
@@ -77,7 +78,9 @@ let with_blocking blk f =
   Fun.protect ~finally:(fun () -> GK.set_blocking saved) f
 
 let search ?pool ?(sizes = default_sizes) ?(screen_size = 512) ?(reps = 3)
-    ?(candidates = candidates) () =
+    ?candidates:cands () =
+  let candidates = match cands with Some c -> c | None -> candidates () in
+  let default = GK.default_blocking () in
   let sizes = List.sort_uniq compare sizes in
   let mats = Hashtbl.create 4 in
   let mat_for n =
@@ -108,8 +111,7 @@ let search ?pool ?(sizes = default_sizes) ?(screen_size = 512) ?(reps = 3)
     List.filteri (fun i _ -> i < 3) screened |> List.map fst
   in
   let finalists =
-    if List.exists (fun b -> b = GK.default_blocking) top then top
-    else GK.default_blocking :: top
+    if List.exists (fun b -> b = default) top then top else default :: top
   in
   (* Stage 2: full size sweep over the finalists. *)
   let table =
@@ -123,7 +125,7 @@ let search ?pool ?(sizes = default_sizes) ?(screen_size = 512) ?(reps = 3)
   in
   let total t = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 t.t_secs in
   let baseline_t =
-    List.find (fun t -> t.t_blocking = GK.default_blocking) table
+    List.find (fun t -> t.t_blocking = default) table
   in
   let best_t =
     List.fold_left

@@ -31,9 +31,10 @@ val guard_ratio : float
 val default_sizes : int list
 (** [[512; 1024; 2048]]. *)
 
-val candidates : Kernels.Gemm_kernel.blocking list
+val candidates : unit -> Kernels.Gemm_kernel.blocking list
 (** The full search space: MC in 64/128/256, KC in 128/256/512, NC in
-    512/1024/2048, both micro-kernels. *)
+    512/1024/2048, and every micro-kernel this CPU can run
+    ({!Kernels.Gemm_kernel.supported_micros}). *)
 
 val blocking_to_string : Kernels.Gemm_kernel.blocking -> string
 
@@ -42,7 +43,8 @@ val cfg_of_blocking :
 
 val blocking_of_cfg : Store.gemm_cfg -> Kernels.Gemm_kernel.blocking option
 (** [None] when the stored record is invalid (unknown micro-kernel
-    name, non-positive block). *)
+    name, non-positive block) or names a micro-kernel this CPU cannot
+    run. *)
 
 val search :
   ?pool:Kernels.Domain_pool.t ->
@@ -52,7 +54,8 @@ val search :
   ?candidates:Kernels.Gemm_kernel.blocking list ->
   unit ->
   result
-(** Run the measurement sweep.  The previously installed blocking is
+(** Run the measurement sweep over [candidates] (default
+    {!candidates}[ ()]).  The previously installed blocking is
     restored afterwards — the caller decides whether to install
     [best] (see {!ensure}). *)
 

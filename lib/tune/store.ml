@@ -278,6 +278,11 @@ let of_json ~expect_hash json =
                 Ok t
               with Exit -> Error "malformed cell entry")))
 
+let runnable_micro g =
+  match Kernels.Gemm_kernel.micro_of_string g.g_micro with
+  | Some m -> Kernels.Gemm_kernel.micro_supported m
+  | None -> true (* an unknown name is refused by Gemm_tune.blocking_of_cfg *)
+
 let load ?(dir = ".") ~pdl_hash ~platform () =
   let p = Filename.concat dir (filename ~pdl_hash) in
   let fresh () = create ~pdl_hash ~platform () in
@@ -296,6 +301,15 @@ let load ?(dir = ".") ~pdl_hash ~platform () =
         )
     | Ok json -> (
         match of_json ~expect_hash:pdl_hash json with
+        | Ok ({ gemm = Some g; _ } as t) when not (runnable_micro g) ->
+            (* recorded on a CPU with more vector units than this one *)
+            t.gemm <- None;
+            ( t,
+              Some
+                (Printf.sprintf
+                   "calibration store %s: GEMM blocking ignored (this CPU \
+                    cannot run the %s micro-kernel)"
+                   p g.g_micro) )
         | Ok t -> (t, None)
         | Error e ->
             ( fresh (),

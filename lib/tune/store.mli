@@ -89,4 +89,5 @@ val load : ?dir:string -> pdl_hash:string -> platform:string -> unit -> t * stri
 (** Load the store for a platform. A missing file yields a cold store
     and no warning; a corrupt, truncated, mismatched-hash or
     wrong-version file yields a cold store {e and} a warning message —
-    never an exception. *)
+    never an exception.  A GEMM blocking naming a micro-kernel this CPU
+    cannot run is dropped, with a warning; the rest of the store loads. *)

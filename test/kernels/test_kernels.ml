@@ -32,7 +32,10 @@ let matrix_tests =
     Alcotest.test_case "random entries bounded" `Quick (fun () ->
         let a = Matrix.random ~seed:3 20 20 in
         check bool_ "in [-1,1)" true
-          (Array.for_all (fun x -> x >= -1.0 && x < 1.0) (Matrix.to_array a)));
+          (Array.for_all (fun x -> x >= -1.0 && x < 1.0) (Matrix.to_array a));
+        Alcotest.check_raises "negative dimension"
+          (Invalid_argument "Matrix.random: negative dimension") (fun () ->
+            ignore (Matrix.random 3 (-1))));
     Alcotest.test_case "sub_block / set_block round trip" `Quick (fun () ->
         let m = Matrix.random ~seed:1 8 8 in
         let b = Matrix.sub_block m ~row:2 ~col:4 ~rows:3 ~cols:2 in
@@ -92,7 +95,7 @@ let blas_tests =
         check (float_ 1e-12) "off" 3.0 (Matrix.get c 0 1);
         (* every variant against the reference, across micro-tile edges
            and a KC boundary (k = 257), and the packed kernel under an
-           odd blocking with either micro-kernel *)
+           odd blocking with every micro-kernel this CPU runs *)
         let alpha = 1.5 and beta = -0.5 in
         let odd_blocking bmicro a b c =
           Gemm_kernel.set_blocking
@@ -114,12 +117,16 @@ let blas_tests =
                 check bool_
                   (Printf.sprintf "%s %dx%dx%d" name m k n)
                   true (Matrix.approx_equal want c))
-              [
-                ("packed", fun a b c -> Blas.dgemm_packed ~alpha ~beta a b c);
-                ("blocked", fun a b c -> Blas.dgemm_blocked ~alpha ~beta a b c);
-                ("avx2, odd blocking", odd_blocking Gemm_kernel.Avx2);
-                ("portable, odd blocking", odd_blocking Gemm_kernel.Portable);
-              ])
+              ([
+                 ("packed", fun a b c -> Blas.dgemm_packed ~alpha ~beta a b c);
+                 ( "blocked",
+                   fun a b c -> Blas.dgemm_blocked ~alpha ~beta a b c );
+               ]
+              @ List.map
+                  (fun mi ->
+                    ( Gemm_kernel.micro_to_string mi ^ ", odd blocking",
+                      odd_blocking mi ))
+                  (Gemm_kernel.supported_micros ())))
           [ (1, 1, 1); (3, 5, 2); (7, 3, 9); (96, 64, 32); (130, 257, 139) ]);
     Alcotest.test_case "blocked agrees with naive (square)" `Quick (fun () ->
         let a = Matrix.random ~seed:1 33 33 in
@@ -562,19 +569,27 @@ let golden_expected =
       ("dtrsm_rlt 130x129", "a17adbe2425f8b81814fe8a8af59e9bf");
   ]
 
+let check_golden () =
+  List.iter2
+    (fun (label, f) (label', want) ->
+      check Alcotest.string "case" label' label;
+      check Alcotest.string label want (digest (f ())))
+    golden_cases golden_expected
+
 let golden_tests =
   [
     Alcotest.test_case "inputs and tile kernels match golden digests" `Quick
-      (fun () ->
-        List.iter2
-          (fun (label, f) (label', want) ->
-            check Alcotest.string "case" label' label;
-            check Alcotest.string label want (digest (f ())))
-          golden_cases golden_expected);
+      check_golden;
+    (* the kernel of AVX2-only hosts gives the same bits *)
+    Alcotest.test_case "golden digests hold with the avx2 micro-kernel forced"
+      `Quick (fun () ->
+        Gemm_kernel.set_blocking
+          { (Gemm_kernel.default_blocking ()) with bmicro = Gemm_kernel.Avx2 };
+        Fun.protect ~finally:Gemm_kernel.reset_blocking check_golden);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Matrix.random: the 4-stream generator against the one-step LCG     *)
+(* Matrix.random: the 16-lane generator against the one-step LCG     *)
 
 let bits_of (m : Matrix.t) = Array.map Int64.bits_of_float (Matrix.to_array m)
 
@@ -588,10 +603,11 @@ let lcg_tests =
   [
     Alcotest.test_case "random equals the one-step LCG at every length"
       `Quick (fun () ->
-        (* lengths 0-33 cover the 4-stream loop's tails 0-3 *)
+        (* lengths 0-48: two full groups of 16 lanes and every tail
+           length 0-15 after zero, one and two groups *)
         List.iter
           (fun seed ->
-            for len = 0 to 33 do
+            for len = 0 to 48 do
               check bool_
                 (Printf.sprintf "seed %d, length %d" seed len)
                 true
@@ -726,14 +742,15 @@ let dgemm_nt_view_matches =
       view_ok ~want ~written:pc ~before ~reads:[ (pa, a_snap); (pb, b_snap) ])
 
 (* The packed kernel against the naive reference across random shapes
-   and scalars, including dimensions below the micro-tile (mr = 4,
-   nr = 8) that exercise the zero-padded packing edges. *)
+   and scalars, including dimensions below the micro-tile (16 x 8 with
+   Avx512, 4 x 8 with Avx2) that exercise the zero-padded packing
+   edges. *)
 let packed_matches_naive =
   QCheck.Test.make ~name:"packed dgemm = naive dgemm for random shapes"
     ~count:60
     QCheck.(
       pair
-        (triple (int_range 1 40) (int_range 1 40) (int_range 1 40))
+        (triple (int_range 1 50) (int_range 1 50) (int_range 1 50))
         (pair (float_range (-2.) 2.) (float_range (-2.) 2.)))
     (fun ((m, k, n), (alpha, beta)) ->
       let a = Matrix.random ~seed:(m + k) m k
@@ -743,6 +760,116 @@ let packed_matches_naive =
       Blas.dgemm_naive ~alpha ~beta a b c1;
       Blas.dgemm_packed ~alpha ~beta a b c2;
       Matrix.approx_equal ~tol:1e-12 c1 c2)
+
+let copy_buf (b : Matrix.buf) =
+  let b' = Matrix.alloc_buf (Bigarray.Array1.dim b) in
+  Bigarray.Array1.blit b b';
+  b'
+
+(* Avx512 against Avx2 on random views: both kernels must write the
+   same bits everywhere in C's buffer.  Sizes reach below the 16 x 8
+   tile and past KC = 256. *)
+let avx512_matches_avx2 =
+  let dim =
+    QCheck.Gen.(frequency [ (1, int_range 1 17); (2, int_range 1 300) ])
+  in
+  let scalar =
+    QCheck.Gen.(oneof [ oneofl [ 0.0; 1.0; -1.0 ]; float_range (-2.) 2. ])
+  in
+  QCheck.Test.make ~name:"avx512 micro-kernel = avx2 micro-kernel bit for bit"
+    ~count:30
+    (QCheck.make
+       QCheck.Gen.(
+         pair (triple dim dim dim)
+           (quad bool (float_range (-2.) 2.) scalar
+              (triple gen_place gen_place gen_place))))
+    (fun ((m, n, k), (trans_b, alpha, beta, (pl_a, pl_b, pl_c))) ->
+      (not (Gemm_kernel.micro_supported Gemm_kernel.Avx512))
+      ||
+      let a = place ~seed:1 pl_a (Matrix.random ~seed:m m k)
+      and b =
+        place ~seed:2 pl_b
+          (if trans_b then Matrix.random ~seed:n n k
+           else Matrix.random ~seed:n k n)
+      and c = place ~seed:3 pl_c (Matrix.random ~seed:k m n) in
+      let run bmicro =
+        let cbuf = copy_buf c.buf in
+        Gemm_kernel.set_blocking
+          { (Gemm_kernel.default_blocking ()) with bmicro };
+        Fun.protect ~finally:Gemm_kernel.reset_blocking (fun () ->
+            Gemm_kernel.gemm ~trans_b ~m ~n ~k ~alpha ~beta ~a:a.buf ~aoff:a.off
+              ~lda:a.ld ~b:b.buf ~boff:b.off ~ldb:b.ld ~c:cbuf ~coff:c.off
+              ~ldc:c.ld ());
+        snapshot { c with buf = cbuf } |> Array.map Int64.bits_of_float
+      in
+      run Gemm_kernel.Avx512 = run Gemm_kernel.Avx2)
+
+(* The left-looking row solve the C loop replaced, kept as the
+   reference: x[r][j] = (x[r][j] - sum_t x[r][t]*l[j][t]) / l[j][j],
+   subtracting for t ascending. *)
+let reference_solve_rows ~(x : Matrix.buf) ~ldx ~(l : Matrix.buf) ~ldl ~j0 ~j1
+    ~lo ~hi =
+  for r = lo to hi - 1 do
+    let ro = r * ldx in
+    for j = j0 to j1 - 1 do
+      let lj = j * ldl in
+      let acc = ref x.{ro + j} in
+      for t = j0 to j - 1 do
+        acc := !acc -. (x.{ro + t} *. l.{lj + t})
+      done;
+      x.{ro + j} <- !acc /. l.{lj + j}
+    done
+  done
+
+let buf_bits (b : Matrix.buf) =
+  Array.init (Bigarray.Array1.dim b) (fun i -> Int64.bits_of_float b.{i})
+
+(* Widths up to the panel width nb = 64, 1-70 rows (and 500-600, where
+   a 2-domain pool really splits the rows), the diagonal block at a
+   column offset j0 in a buffer wider than the block, and the dpotrf
+   case where X and L are one buffer. *)
+let solve_rows_matches_reference =
+  QCheck.Test.make ~name:"C solve_rows = left-looking OCaml loop bit for bit"
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_range 1 64)
+           (frequency [ (4, int_range 1 70); (1, int_range 500 600) ])
+           (int_bound 5) bool))
+    (fun (w, rows, j0, aliased) ->
+      let j1 = j0 + w in
+      let ld = j1 + 3 in
+      let lo = if aliased then j1 else 2 in
+      let hi = lo + rows in
+      let x0 = (Matrix.random ~seed:(w + rows) (hi + 1) ld).data in
+      let l0 =
+        if aliased then x0 else (Matrix.random ~seed:w (j1 + 1) ld).data
+      in
+      let fac = Lapack.random_spd ~seed:w w in
+      Lapack.dpotrf fac;
+      for i = 0 to w - 1 do
+        for j = 0 to w - 1 do
+          l0.{((j0 + i) * ld) + j0 + j} <- Matrix.get fac i j
+        done
+      done;
+      let solve f =
+        let x = copy_buf x0 in
+        f ~x ~l:(if aliased then x else l0);
+        buf_bits x
+      in
+      let want =
+        solve (fun ~x ~l ->
+            reference_solve_rows ~x ~ldx:ld ~l ~ldl:ld ~j0 ~j1 ~lo ~hi)
+      in
+      let l_before = buf_bits l0 in
+      List.for_all
+        (fun pool ->
+          solve (fun ~x ~l ->
+              Lapack.solve_rows ?pool ~x ~xoff:0 ~ldx:ld ~l ~loff:0 ~ldl:ld ~j0
+                ~j1 ~lo ~hi ())
+          = want)
+        [ None; Some view_pool ]
+      && buf_bits l0 = l_before)
 
 let packed_pooled_bitwise_tests =
   [
@@ -786,6 +913,10 @@ let pooled_dgemm_matches_sequential =
       Matrix.max_abs_diff c1 c2 = 0.0)
 
 let () =
+  if not (Gemm_kernel.micro_supported Gemm_kernel.Avx512) then
+    print_endline
+      "kernels: this CPU reports no avx512f; the avx512 = avx2 property is \
+       vacuous";
   let qt = List.map QCheck_alcotest.to_alcotest in
   let result =
     try
@@ -804,6 +935,7 @@ let () =
                 packed_matches_naive; daxpy_linear;
                 pooled_dgemm_matches_sequential; dpotrf_view_matches;
                 dtrsm_view_matches; dsyrk_view_matches; dgemm_nt_view_matches;
+                avx512_matches_avx2; solve_rows_matches_reference;
               ] );
         ];
       None

@@ -197,6 +197,34 @@ let persistence_tests =
         check bool_ "warned" true (warn <> None);
         check int_ "cold" 0 (Store.total_samples l);
         Sys.remove (Store.filename ~pdl_hash:other));
+    Alcotest.test_case "a GEMM blocking this CPU cannot run warns, is ignored"
+      `Quick (fun () ->
+        let s = populated () in
+        Store.set_gemm_config s
+          { Store.g_mc = 128; g_kc = 256; g_nc = 1024; g_micro = "avx512";
+            g_gflops = 40.0 };
+        Store.save s;
+        let load () =
+          Store.load ~pdl_hash:(Store.pdl_hash s) ~platform:(Store.platform s)
+            ()
+        in
+        GK.as_avx2_host (fun () ->
+            let l, warn = load () in
+            check bool_ "warned" true (warn <> None);
+            check bool_ "blocking dropped" true (Store.gemm_config l = None);
+            check int_ "samples kept" (Store.total_samples s)
+              (Store.total_samples l);
+            check bool_ "apply has nothing to install" false
+              (Gemm_tune.apply l);
+            check bool_ "blocking_of_cfg refuses it" true
+              (Gemm_tune.blocking_of_cfg (Option.get (Store.gemm_config s))
+              = None));
+        if GK.micro_supported GK.Avx512 then begin
+          let l, warn = load () in
+          check (Alcotest.option string_) "runnable here: no warning" None warn;
+          check bool_ "kept" true (Store.gemm_config l <> None)
+        end;
+        Sys.remove (Store.path s));
     Alcotest.test_case "wrong version warns and starts cold" `Quick (fun () ->
         let s = mk_store () in
         write_file (Store.path s)
@@ -419,7 +447,7 @@ let gemm_tests =
             let cfg = Gemm_tune.cfg_of_blocking ~gflops:1.0 b in
             check bool_ "round-trips" true
               (Gemm_tune.blocking_of_cfg cfg = Some b))
-          Gemm_tune.candidates);
+          (Gemm_tune.candidates ()));
     Alcotest.test_case "invalid stored config is rejected" `Quick (fun () ->
         check bool_ "bad micro" true
           (Gemm_tune.blocking_of_cfg
@@ -438,7 +466,43 @@ let gemm_tests =
         | () -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ ->
             check bool_ "unchanged" true
-              (GK.current_blocking () = GK.default_blocking));
+              (GK.current_blocking () = (GK.default_blocking ())));
+    Alcotest.test_case "set_blocking refuses a micro-kernel the CPU lacks"
+      `Quick (fun () ->
+        GK.as_avx2_host (fun () ->
+            check bool_ "avx2 default" true
+              ((GK.default_blocking ()).GK.bmicro = GK.Avx2);
+            match
+              GK.set_blocking
+                { (GK.default_blocking ()) with GK.bmicro = GK.Avx512 }
+            with
+            | () -> Alcotest.fail "expected Invalid_argument"
+            | exception Invalid_argument _ ->
+                check bool_ "unchanged" true
+                  (GK.current_blocking () = GK.default_blocking ()));
+        check bool_ "probed default restored" true
+          (GK.current_blocking () = GK.default_blocking ()));
+    Alcotest.test_case "the tuner screens only micro-kernels the CPU runs"
+      `Quick (fun () ->
+        check bool_ "host candidates" true
+          (List.for_all
+             (fun b -> GK.micro_supported b.GK.bmicro)
+             (Gemm_tune.candidates ()));
+        GK.as_avx2_host (fun () ->
+            let r =
+              Gemm_tune.search ~sizes:[ 32 ] ~screen_size:32 ~reps:1 ()
+            in
+            let micros =
+              List.map (fun t -> t.Gemm_tune.t_blocking.GK.bmicro) r.table
+            in
+            check bool_ "no avx512 candidate" true
+              (List.for_all
+                 (fun b -> b.GK.bmicro <> GK.Avx512)
+                 (Gemm_tune.candidates ()));
+            check bool_ "no avx512 finalist" true
+              (not (List.mem GK.Avx512 micros));
+            check bool_ "winner runnable" true
+              (r.Gemm_tune.best.GK.bmicro <> GK.Avx512)));
     Alcotest.test_case "apply installs the stored blocking" `Quick (fun () ->
         let s = mk_store () in
         check bool_ "nothing to apply" false (Gemm_tune.apply s);
@@ -451,18 +515,18 @@ let gemm_tests =
           = { GK.bmc = 128; bkc = 256; bnc = 512; bmicro = GK.Portable });
         GK.reset_blocking ();
         check bool_ "reset" true
-          (GK.current_blocking () = GK.default_blocking));
+          (GK.current_blocking () = (GK.default_blocking ())));
     Alcotest.test_case "ensure searches once, then applies" `Quick (fun () ->
         let s = mk_store () in
         let r =
           Gemm_tune.ensure ~sizes:[ 64 ] ~screen_size:64 ~reps:1
-            ~candidates:[ GK.default_blocking ] s
+            ~candidates:[ (GK.default_blocking ()) ] s
         in
         check bool_ "first call searched" true (r <> None);
         check bool_ "winner recorded" true (Store.gemm_config s <> None);
         let r2 =
           Gemm_tune.ensure ~sizes:[ 64 ] ~screen_size:64 ~reps:1
-            ~candidates:[ GK.default_blocking ] s
+            ~candidates:[ (GK.default_blocking ()) ] s
         in
         check bool_ "second call applied the record" true (r2 = None);
         GK.reset_blocking ());
@@ -471,11 +535,11 @@ let gemm_tests =
         let before = GK.current_blocking () in
         let r =
           Gemm_tune.search ~sizes:[ 64 ] ~screen_size:64 ~reps:1
-            ~candidates:[ GK.default_blocking ] ()
+            ~candidates:[ (GK.default_blocking ()) ] ()
         in
         check bool_ "restored" true (GK.current_blocking () = before);
         check bool_ "a lone default candidate wins within the guard" true
-          (r.Gemm_tune.best = GK.default_blocking && r.Gemm_tune.guard_ok));
+          (r.Gemm_tune.best = (GK.default_blocking ()) && r.Gemm_tune.guard_ok));
   ]
 
 let portable_micro_correct =
