@@ -50,27 +50,25 @@ let fig5 () =
     "FIG5  DGEMM 8192x8192 speedup over the single-threaded input (paper \
      Figure 5)";
   let n = 8192 in
-  let single =
-    TD.run_model ~policy:Engine.Eager ~tiles:1 (cfg_of "xeon-single") ~n
+  let model ~policy ~tiles pf =
+    TD.model_on ~tiles (Engine.create ~policy (cfg_of pf)) ~n
   in
+  let single = model ~policy:Engine.Eager ~tiles:1 "xeon-single" in
   let rows =
     [
       ("single", single);
-      ( "starpu",
-        TD.run_model ~policy:Engine.Eager ~tiles:8 (cfg_of "xeon-x5550-smp")
-          ~n );
-      ( "starpu+2gpus",
-        TD.run_model ~policy:Engine.Heft ~tiles:8 (cfg_of "xeon-2gpu") ~n );
+      ("starpu", model ~policy:Engine.Eager ~tiles:8 "xeon-x5550-smp");
+      ("starpu+2gpus", model ~policy:Engine.Heft ~tiles:8 "xeon-2gpu");
     ]
   in
   Printf.printf "%-14s %12s %10s %12s %8s\n" "version" "time [s]" "speedup"
     "GFLOP/s" "tasks";
   List.iter
-    (fun (name, (r : TD.result)) ->
-      Printf.printf "%-14s %12.2f %9.2fx %12.1f %8d\n" name
-        r.stats.Engine.makespan
-        (TD.speedup ~baseline:single r)
-        r.gflops_effective r.stats.Engine.tasks)
+    (fun (name, (s : Engine.stats)) ->
+      Printf.printf "%-14s %12.2f %9.2fx %12.1f %8d\n" name s.makespan
+        (single.makespan /. s.makespan)
+        (Engine.gflops ~flops:(Kernels.Blas.flops_dgemm n n n) s)
+        s.tasks)
     rows;
   print_newline ();
   print_endline
@@ -90,24 +88,19 @@ let sweep () =
   List.iter
     (fun n ->
       let tiles = min 8 n in
-      let smp =
-        TD.run_model ~policy:Engine.Eager ~tiles (cfg_of "xeon-x5550-smp") ~n
+      let model ?group ~policy pf =
+        TD.model_on ~tiles ?group (Engine.create ~policy (cfg_of pf)) ~n
       in
-      let gpu =
-        TD.run_model ~policy:Engine.Heft ~tiles (cfg_of "xeon-2gpu") ~n
-      in
+      let smp = model ~policy:Engine.Eager "xeon-x5550-smp" in
+      let gpu = model ~policy:Engine.Heft "xeon-2gpu" in
       (* Forced offload (the execution group contains only the GPUs)
          exposes the raw transfer-bound crossover that HEFT otherwise
          dodges by keeping small problems on the CPUs. *)
-      let gpu_only =
-        TD.run_model ~policy:Engine.Heft ~tiles ~group:"gpus"
-          (cfg_of "xeon-2gpu") ~n
-      in
+      let gpu_only = model ~policy:Engine.Heft ~group:"gpus" "xeon-2gpu" in
       Printf.printf "%-8d %13.6f %13.6f %13.6f %7.2fx %12.1f\n" n
-        smp.stats.Engine.makespan gpu.stats.Engine.makespan
-        gpu_only.stats.Engine.makespan
-        (smp.stats.Engine.makespan /. gpu.stats.Engine.makespan)
-        (gpu.stats.Engine.bytes_transferred /. 1e6))
+        smp.Engine.makespan gpu.Engine.makespan gpu_only.Engine.makespan
+        (smp.Engine.makespan /. gpu.Engine.makespan)
+        (gpu.Engine.bytes_transferred /. 1e6))
     [ 256; 512; 1024; 2048; 4096; 8192 ];
   print_newline ();
   print_endline
@@ -126,20 +119,22 @@ let sched () =
     "bytes [MB]" "gpu tasks";
   List.iter
     (fun policy ->
-      let r = TD.run_model ~policy ~tiles:8 (cfg_of "xeon-2gpu") ~n in
+      let r =
+        TD.model_on ~tiles:8 (Engine.create ~policy (cfg_of "xeon-2gpu")) ~n
+      in
       let gpu_tasks =
         Array.fold_left
           (fun acc ws ->
             if ws.Engine.ws_worker.MC.w_arch = "gpu" then
               acc + ws.Engine.tasks_run
             else acc)
-          0 r.stats.Engine.worker_stats
+          0 r.Engine.worker_stats
       in
       Printf.printf "%-10s %12.2f %12.1f %14.1f %12d\n"
         (Engine.policy_to_string policy)
-        r.stats.Engine.makespan
-        (100.0 *. Engine.utilization r.stats)
-        (r.stats.Engine.bytes_transferred /. 1e6)
+        r.Engine.makespan
+        (100.0 *. Engine.utilization r)
+        (r.Engine.bytes_transferred /. 1e6)
         gpu_tasks)
     [ Engine.Eager; Engine.Heft; Engine.Locality_ws; Engine.Random_place ];
   print_newline ();
@@ -149,10 +144,14 @@ let sched () =
   print_endline "\ncontrol on the homogeneous smp target:";
   List.iter
     (fun policy ->
-      let r = TD.run_model ~policy ~tiles:8 (cfg_of "xeon-x5550-smp") ~n in
+      let r =
+        TD.model_on ~tiles:8
+          (Engine.create ~policy (cfg_of "xeon-x5550-smp"))
+          ~n
+      in
       Printf.printf "  %-10s %12.2f s\n"
         (Engine.policy_to_string policy)
-        r.stats.Engine.makespan)
+        r.Engine.makespan)
     [ Engine.Eager; Engine.Heft; Engine.Locality_ws; Engine.Random_place ]
 
 (* ------------------------------------------------------------------ *)
@@ -165,12 +164,14 @@ let tile () =
   List.iter
     (fun tiles ->
       let r =
-        TD.run_model ~policy:Engine.Heft ~tiles (cfg_of "xeon-2gpu") ~n:8192
+        TD.model_on ~tiles
+          (Engine.create ~policy:Engine.Heft (cfg_of "xeon-2gpu"))
+          ~n:8192
       in
-      Printf.printf "%-8d %8d %12.2f %12.1f %14.1f\n" tiles
-        r.stats.Engine.tasks r.stats.Engine.makespan
-        (100.0 *. Engine.utilization r.stats)
-        (r.stats.Engine.bytes_transferred /. 1e6))
+      Printf.printf "%-8d %8d %12.2f %12.1f %14.1f\n" tiles r.Engine.tasks
+        r.Engine.makespan
+        (100.0 *. Engine.utilization r)
+        (r.Engine.bytes_transferred /. 1e6))
     [ 1; 2; 4; 8; 16; 32 ];
   print_newline ();
   print_endline
@@ -247,12 +248,16 @@ let chol () =
     "time [s]" "GFLOP/s";
   List.iter
     (fun (pf, policy) ->
+      let n = 8192 in
       let r =
-        Taskrt.Tiled_cholesky.run_model ~policy ~tiles:16 (cfg_of pf) ~n:8192
+        Taskrt.Tiled_cholesky.model_on ~tiles:16
+          (Engine.create ~policy (cfg_of pf))
+          ~n
       in
       Printf.printf "%-18s %-8s %10d %12.2f %12.1f\n" pf
         (Engine.policy_to_string policy)
-        r.stats.Engine.tasks r.stats.Engine.makespan r.gflops_effective)
+        r.Engine.tasks r.Engine.makespan
+        (Engine.gflops ~flops:(Taskrt.Tiled_cholesky.flops n) r))
     [
       ("xeon-single", Engine.Eager);
       ("xeon-x5550-smp", Engine.Eager);
@@ -323,9 +328,7 @@ let paired_overhead_pct ~rounds ~off ~on =
    re-scans it. *)
 let eng_wide ?faults n =
   let cfg = cfg_of "xeon-2gpu" in
-  let rt =
-    Engine.create ~policy:Engine.Eager ~execute_kernels:false ?faults cfg
-  in
+  let rt = Engine.create ~policy:Engine.Eager ?faults cfg in
   let cl = Taskrt.Codelet.noop ~name:"tiny" ~flops:1e6 ~archs:[ "cpu"; "gpu" ] in
   for _ = 1 to n do
     let h = Taskrt.Data.register_virtual ~rows:1 ~cols:8 () in
@@ -343,7 +346,7 @@ let eng_steal n =
     |> List.find (fun w -> w.MC.w_name = "gpu0"))
       .MC.w_node
   in
-  let rt = Engine.create ~policy:Engine.Locality_ws ~execute_kernels:false cfg in
+  let rt = Engine.create ~policy:Engine.Locality_ws cfg in
   let cl = Taskrt.Codelet.noop ~name:"tiny" ~flops:1e6 ~archs:[ "cpu"; "gpu" ] in
   let hot = Taskrt.Data.register_virtual ~rows:1000 ~cols:1000 () in
   Taskrt.Data.write_at hot gpu0_node;
@@ -356,7 +359,7 @@ let eng_steal n =
 (* [n]-task dependency chain: one ready task at a time. *)
 let eng_chain n =
   let cfg = cfg_of "xeon-2gpu" in
-  let rt = Engine.create ~policy:Engine.Eager ~execute_kernels:false cfg in
+  let rt = Engine.create ~policy:Engine.Eager cfg in
   let cl = Taskrt.Codelet.noop ~name:"tiny" ~flops:1e6 ~archs:[ "cpu"; "gpu" ] in
   let h = Taskrt.Data.register_virtual ~rows:1 ~cols:8 () in
   for _ = 1 to n do
@@ -439,7 +442,7 @@ let telemetry_overhead_pct () =
   let timed enabled () =
     Obs.Config.set_enabled enabled;
     Bigarray.Array1.fill c.Matrix.data 0.0;
-    snd (wall (fun () -> Blas.dgemm_packed a b c))
+    snd (wall (fun () -> Blas.dgemm a b c))
   in
   let pct = paired_overhead_pct ~rounds:5 ~off:(timed false) ~on:(timed true) in
   Obs.Config.set_enabled was_on;
@@ -606,7 +609,7 @@ let pack_share_128 bmicro =
   Obs.Config.set_enabled true;
   let share () =
     Obs.Span.clear ();
-    let (), dt = wall (fun () -> Blas.dgemm_packed a b c) in
+    let (), dt = wall (fun () -> Blas.dgemm a b c) in
     let packing =
       List.fold_left
         (fun acc (e : Obs.Span.event) ->
@@ -682,7 +685,7 @@ let kern ?(sizes = [ 256; 512; 1024; 2048 ]) () =
               let micro = GK.micro_to_string bmicro in
               let row, c =
                 with_micro bmicro (fun () ->
-                    time ~micro "packed" (fun a b c -> Blas.dgemm_packed a b c))
+                    time ~micro "packed" (fun a b c -> Blas.dgemm a b c))
               in
               if not (Matrix.approx_equal c_blocked c) then begin
                 Printf.printf "n=%d: packed/%s result DIVERGES from blocked\n" n
@@ -749,7 +752,8 @@ let obs_workload () =
       Lapack.dpotrf ~pool l);
   let m = 96 in
   let a = Matrix.random ~seed:4 m m and b = Matrix.random ~seed:5 m m in
-  ignore (TD.run ~policy:Engine.Heft ~tiles:2 (cfg_of "xeon-2gpu") ~a ~b)
+  let rt = Engine.create ~policy:Engine.Heft (cfg_of "xeon-2gpu") in
+  ignore (TD.run_on ~tiles:2 rt ~a ~b)
 
 let obs_exp () =
   header "OBS  wall-clock telemetry: spans, counters, latency quantiles";
@@ -778,8 +782,10 @@ let total_run (stats : Engine.stats) =
 let faults_crash_scenario ~n ~tiles =
   let cfg = cfg_of "xeon-2gpu" in
   let a = Matrix.random ~seed:41 n n and b = Matrix.random ~seed:42 n n in
-  let clean = TD.run ~policy:Engine.Heft ~tiles cfg ~a ~b in
-  let mid = clean.TD.stats.Engine.makespan /. 2.0 in
+  let clean_c, clean =
+    TD.run_on ~tiles (Engine.create ~policy:Engine.Heft cfg) ~a ~b
+  in
+  let mid = clean.Engine.makespan /. 2.0 in
   let faults =
     {
       Fault.none with
@@ -790,11 +796,10 @@ let faults_crash_scenario ~n ~tiles =
       events = [ Fault.Crash { pu = "gpu0"; at = mid } ];
     }
   in
-  let faulty = TD.run ~policy:Engine.Heft ~tiles ~faults cfg ~a ~b in
-  let diff =
-    Matrix.max_abs_diff (Option.get clean.TD.c) (Option.get faulty.TD.c)
+  let faulty_c, faulty =
+    TD.run_on ~tiles (Engine.create ~policy:Engine.Heft ~faults cfg) ~a ~b
   in
-  (clean, faulty, diff)
+  (clean, faulty, Matrix.max_abs_diff clean_c faulty_c)
 
 (* Virtual makespan as a function of the transient rate (model runs,
    so arbitrarily large problems simulate in milliseconds). *)
@@ -810,20 +815,18 @@ let faults_rate_sweep () =
           quarantine_after = 0;
         }
       in
-      let r =
-        TD.run_model ~policy:Engine.Heft ~tiles:8 ~faults (cfg_of "xeon-2gpu")
-          ~n:2048
+      let rt =
+        Engine.create ~policy:Engine.Heft ~faults (cfg_of "xeon-2gpu")
       in
-      (rate, r))
+      (rate, TD.model_on ~tiles:8 rt ~n:2048))
     [ 0.0; 0.05; 0.1; 0.2; 0.4 ]
 
 (* The fault layer must be pay-for-what-you-use: a zero-rate,
    zero-event spec must not perturb the virtual schedule at all... *)
 let faults_virtual_overhead_pct () =
   let run faults =
-    (TD.run_model ~policy:Engine.Heft ~tiles:8 ?faults (cfg_of "xeon-2gpu")
-       ~n:2048)
-      .TD.stats.Engine.makespan
+    let rt = Engine.create ~policy:Engine.Heft ?faults (cfg_of "xeon-2gpu") in
+    (TD.model_on ~tiles:8 rt ~n:2048).Engine.makespan
   in
   let base = run None and guarded = run (Some Fault.none) in
   100.0 *. Float.abs (guarded -. base) /. base
@@ -834,9 +837,8 @@ let faults_wall_overhead_pct () =
   let timed faults () = snd (wall (fun () -> eng_wide ?faults 20_000)) in
   paired_overhead_pct ~rounds:7 ~off:(timed None) ~on:(timed (Some Fault.none))
 
-let faults_json path ~clean ~faulty ~diff ~sweep ~virtual_overhead_pct
-    ~wall_overhead_pct =
-  let cs = (clean : TD.result).TD.stats and fs = (faulty : TD.result).TD.stats in
+let faults_json path ~clean:(cs : Engine.stats) ~faulty:(fs : Engine.stats)
+    ~diff ~sweep ~virtual_overhead_pct ~wall_overhead_pct =
   write_json path
     [ ("experiment", str "faults");
       ("virtual_overhead_pct", num virtual_overhead_pct);
@@ -855,12 +857,12 @@ let faults_json path ~clean ~faulty ~diff ~sweep ~virtual_overhead_pct
       ("rate_sweep",
        J.Arr
          (List.map
-            (fun (rate, (r : TD.result)) ->
+            (fun (rate, (r : Engine.stats)) ->
               J.Obj
                 [ ("rate", num rate);
-                  ("makespan_s", num r.TD.stats.Engine.makespan);
-                  ("failures", int r.TD.stats.Engine.failures_injected);
-                  ("retries", int r.TD.stats.Engine.retries) ])
+                  ("makespan_s", num r.makespan);
+                  ("failures", int r.failures_injected);
+                  ("retries", int r.retries) ])
             sweep)) ]
 
 let faults_exp () =
@@ -872,8 +874,7 @@ let faults_exp () =
     Printf.printf "%-56s %s\n" name (if ok then "ok" else "VIOLATION");
     if not ok then incr violations
   in
-  let clean, faulty, diff = faults_crash_scenario ~n:192 ~tiles:6 in
-  let cs = clean.TD.stats and fs = faulty.TD.stats in
+  let cs, fs, diff = faults_crash_scenario ~n:192 ~tiles:6 in
   Printf.printf
     "crash gpu0 @ %.6fs + 30%% transients on %d tasks:\n\
     \  makespan %.6fs -> %.6fs, %d failures, %d retries, %d reassigned\n\
@@ -892,18 +893,16 @@ let faults_exp () =
   Printf.printf "\n%-8s %14s %10s %10s\n" "rate" "makespan [s]" "failures"
     "retries";
   List.iter
-    (fun (rate, (r : TD.result)) ->
-      Printf.printf "%-8.2f %14.6f %10d %10d\n" rate
-        r.TD.stats.Engine.makespan r.TD.stats.Engine.failures_injected
-        r.TD.stats.Engine.retries)
+    (fun (rate, (r : Engine.stats)) ->
+      Printf.printf "%-8.2f %14.6f %10d %10d\n" rate r.makespan
+        r.failures_injected r.retries)
     sweep;
   (match sweep with
   | (_, r0) :: rest ->
       guard "makespan grows monotonically with the rate"
         (List.for_all
-           (fun (_, (r : TD.result)) ->
-             r.TD.stats.Engine.makespan
-             >= r0.TD.stats.Engine.makespan -. 1e-12)
+           (fun (_, (r : Engine.stats)) ->
+             r.makespan >= r0.Engine.makespan -. 1e-12)
            rest)
   | [] -> ());
   let virtual_overhead_pct = faults_virtual_overhead_pct () in
@@ -913,7 +912,7 @@ let faults_exp () =
     virtual_overhead_pct wall_overhead_pct;
   guard "zero-fault virtual makespan within 2%" (virtual_overhead_pct <= 2.0);
   guard "zero-fault wall overhead within 2%" (wall_overhead_pct <= 2.0);
-  faults_json "BENCH_faults.json" ~clean ~faulty ~diff ~sweep
+  faults_json "BENCH_faults.json" ~clean:cs ~faulty:fs ~diff ~sweep
     ~virtual_overhead_pct ~wall_overhead_pct;
   print_endline "wrote BENCH_faults.json";
   if !violations > 0 then exit 1
@@ -945,20 +944,16 @@ let tune_sched ~n ~tiles ~passes =
   let cfg = MC.of_platform_exn platform in
   let true_gflops = tune_true_gflops cfg in
   let hash = Pdl.Codec.descriptor_hash platform in
-  let static =
-    (TD.run_model ~policy:Engine.Heft ~tiles ~true_gflops cfg ~n).TD.stats
-      .Engine.makespan
+  let makespan ?tune () =
+    let rt = Engine.create ~policy:Engine.Heft ?tune ~true_gflops cfg in
+    (TD.model_on ~tiles rt ~n).Engine.makespan
   in
+  let static = makespan () in
   let store = Tune.Store.create ~pdl_hash:hash ~platform:"xeon-2gpu" () in
   for _ = 1 to passes do
-    ignore
-      (TD.run_model ~policy:Engine.Heft ~tiles ~true_gflops ~tune:store cfg
-         ~n)
+    ignore (makespan ~tune:store ())
   done;
-  let learned =
-    (TD.run_model ~policy:Engine.Heft ~tiles ~true_gflops ~tune:store cfg ~n)
-      .TD.stats.Engine.makespan
-  in
+  let learned = makespan ~tune:store () in
   (static, learned, store)
 
 let tune_json path ~hash ~static_s ~learned_s ~improvement_pct ~samples
@@ -1104,7 +1099,8 @@ let cc_pool_seconds ~n =
   DP.with_pool ~num_domains:4 (fun pool ->
       snd
         (wall (fun () ->
-             TD.run ~policy:Engine.Heft ~tiles:4 ~pool cfg ~a ~b)))
+             TD.run_on ~tiles:4 (Engine.create ~policy:Engine.Heft ~pool cfg)
+               ~a ~b)))
 
 (* Timed runs per executor and size; the executors take turns so a
    slow minute on the host hits all three alike. *)
@@ -1277,11 +1273,12 @@ int main(void) { return 0; }
       Test.make ~name:"dgemm_128_packed"
         (Staged.stage (fun () ->
              let c = Kernels.Matrix.create 128 128 in
-             Kernels.Blas.dgemm_packed a128 b128 c));
+             Kernels.Blas.dgemm a128 b128 c));
       Test.make ~name:"sim_fig5_model"
         (Staged.stage (fun () ->
              ignore
-               (TD.run_model ~policy:Engine.Heft ~tiles:8 (cfg_of "xeon-2gpu")
+               (TD.model_on ~tiles:8
+                  (Engine.create ~policy:Engine.Heft (cfg_of "xeon-2gpu"))
                   ~n:8192)));
     ]
   in

@@ -370,7 +370,7 @@ let run_cmd =
           in
           Option.iter (Printf.eprintf "# warning: %s\n") warning;
           (* Tuned GEMM blocking rides in the same store; install it
-             so Blas.dgemm_packed picks it up transparently. *)
+             so Blas.dgemm picks it up transparently. *)
           ignore (Tune.Gemm_tune.apply store);
           Some (store, Tune.Store.total_samples store)
         end

@@ -17,27 +17,25 @@ let () =
   let a = Kernels.Lapack.random_spd ~seed:42 n in
 
   (* --- 1. a healthy run ------------------------------------------ *)
-  let healthy = Taskrt.Tiled_cholesky.run ~policy:Engine.Heft ~tiles:8 cfg a in
+  let rt = Engine.create ~policy:Engine.Heft cfg in
+  let l, healthy = Taskrt.Tiled_cholesky.run_on ~tiles:8 rt a in
   Printf.printf "healthy run: %d tasks in %.6f virtual s, residual %.2e\n"
-    healthy.stats.Engine.tasks healthy.stats.Engine.makespan
-    (Kernels.Lapack.cholesky_residual ~a ~l:(Option.get healthy.l));
+    healthy.Engine.tasks healthy.Engine.makespan
+    (Kernels.Lapack.cholesky_residual ~a ~l);
 
   (* --- 2. same run with failures injected ------------------------- *)
-  let disturbed =
-    Taskrt.Tiled_cholesky.run ~policy:Engine.Heft ~tiles:8
-      ~configure:(fun rt ->
-        Engine.at rt ~time:(healthy.stats.Engine.makespan /. 4.0) (fun () ->
-            Engine.set_offline rt ~worker:"gpu0");
-        Engine.at rt ~time:(healthy.stats.Engine.makespan /. 2.0) (fun () ->
-            Engine.set_gflops rt ~worker:"gpu1" 35.0))
-      cfg a
-  in
+  let rt = Engine.create ~policy:Engine.Heft cfg in
+  Engine.at rt ~time:(healthy.Engine.makespan /. 4.0) (fun () ->
+      Engine.set_offline rt ~worker:"gpu0");
+  Engine.at rt ~time:(healthy.Engine.makespan /. 2.0) (fun () ->
+      Engine.set_gflops rt ~worker:"gpu1" 35.0);
+  let l, disturbed = Taskrt.Tiled_cholesky.run_on ~tiles:8 rt a in
   Printf.printf
     "with gpu0 failure + gpu1 throttled: %.6f virtual s (%.2fx slower), \
      residual %.2e\n"
-    disturbed.stats.Engine.makespan
-    (disturbed.stats.Engine.makespan /. healthy.stats.Engine.makespan)
-    (Kernels.Lapack.cholesky_residual ~a ~l:(Option.get disturbed.l));
+    disturbed.Engine.makespan
+    (disturbed.Engine.makespan /. healthy.Engine.makespan)
+    (Kernels.Lapack.cholesky_residual ~a ~l);
 
   (* --- 3. per-worker accounting ----------------------------------- *)
   print_endline "\nper-worker task counts (disturbed run):";
@@ -45,19 +43,20 @@ let () =
     (fun ws ->
       Printf.printf "  %-12s %4d tasks, busy %.6f s\n"
         ws.Engine.ws_worker.MC.w_name ws.Engine.tasks_run ws.Engine.busy_s)
-    disturbed.stats.Engine.worker_stats;
+    disturbed.Engine.worker_stats;
 
   (* --- 4. DAG-shape comparison: the model at scale ----------------- *)
   print_endline "\nCholesky 8192 (timing model), smp vs 2gpu:";
   List.iter
     (fun (name, cfg_name) ->
-      let r =
-        Taskrt.Tiled_cholesky.run_model ~policy:Engine.Heft ~tiles:16
+      let n = 8192 in
+      let rt =
+        Engine.create ~policy:Engine.Heft
           (MC.of_platform_exn (Option.get (Pdl_hwprobe.Zoo.find cfg_name)))
-          ~n:8192
       in
-      Printf.printf "  %-14s %8.2f s  %8.1f GFLOP/s\n" name
-        r.stats.Engine.makespan r.gflops_effective)
+      let s = Taskrt.Tiled_cholesky.model_on ~tiles:16 rt ~n in
+      Printf.printf "  %-14s %8.2f s  %8.1f GFLOP/s\n" name s.Engine.makespan
+        (Engine.gflops ~flops:(Taskrt.Tiled_cholesky.flops n) s))
     [ ("xeon-x5550-smp", "xeon-x5550-smp"); ("xeon-2gpu", "xeon-2gpu") ];
 
   (* --- 5. trace export --------------------------------------------- *)

@@ -116,8 +116,8 @@ let () =
   let n = 8192 in
   let model name platform ~tiles ~policy =
     let cfg = Taskrt.Machine_config.of_platform_exn platform in
-    Taskrt.Tiled_dgemm.run_model ~policy ~tiles cfg ~n
-    |> fun r -> (name, r)
+    let rt = Taskrt.Engine.create ~policy cfg in
+    (name, Taskrt.Tiled_dgemm.model_on ~tiles rt ~n)
   in
   let single =
     model "single" Pdl_hwprobe.Zoo.single_core ~tiles:1
@@ -132,9 +132,9 @@ let () =
       ~policy:Taskrt.Engine.Heft
   in
   List.iter
-    (fun (name, (r : Taskrt.Tiled_dgemm.result)) ->
+    (fun (name, (s : Taskrt.Engine.stats)) ->
       Printf.printf "%-14s %8.2f s   speedup %5.2fx   %7.1f GFLOP/s\n" name
-        r.stats.makespan
-        (Taskrt.Tiled_dgemm.speedup ~baseline:(snd single) r)
-        r.gflops_effective)
+        s.makespan
+        ((snd single).makespan /. s.makespan)
+        (Taskrt.Engine.gflops ~flops:(Kernels.Blas.flops_dgemm n n n) s))
     [ single; smp; gpu ]

@@ -53,14 +53,15 @@ let () =
           let cfg = MC.of_platform_exn platform in
           let bounds = Taskrt.Predict.dgemm_bounds cfg ~n in
           let sim =
-            Taskrt.Tiled_dgemm.run_model ~policy:Engine.Heft
+            Taskrt.Tiled_dgemm.model_on
               ~tiles:(min 8 (Array.length cfg.workers))
-              cfg ~n
+              (Engine.create ~policy:Engine.Heft cfg)
+              ~n
           in
           Printf.printf "%-18s %-14s %10.3f %12.3f %12.1f %9.2fx\n" name
-            chosen bounds.lower_bound_s sim.stats.Engine.makespan
-            sim.gflops_effective
-            (sim.stats.Engine.makespan /. bounds.lower_bound_s)
+            chosen bounds.lower_bound_s sim.Engine.makespan
+            (Engine.gflops ~flops:(Kernels.Blas.flops_dgemm n n n) sim)
+            (sim.Engine.makespan /. bounds.lower_bound_s)
       | Ok _ -> assert false)
     Pdl_hwprobe.Zoo.all;
   print_newline ();

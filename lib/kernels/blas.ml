@@ -61,7 +61,7 @@ let dgemm_blocked_panel ~alpha ~beta ~block ~k ~n (ad : Matrix.buf)
   done
 
 (* Blocked ikj DGEMM (no packing, no register blocking) — kept as the
-   mid-tier variant between [dgemm_naive] and [dgemm_packed].  With
+   mid-tier variant between [dgemm_naive] and [dgemm].  With
    [pool], row panels of [block] rows are factored out across the
    pool's domains; each panel owns its rows of C outright, so the
    result is bit-identical to the sequential run. *)
@@ -82,19 +82,12 @@ let dgemm_blocked ?(alpha = 1.0) ?(beta = 1.0) ?(block = 64) ?pool
   | _ -> panel 0 m
 
 (* Packed, cache-blocked DGEMM — the fast path (see Gemm_kernel). *)
-let dgemm_packed ?(alpha = 1.0) ?(beta = 1.0) ?pool (a : Matrix.t)
-    (b : Matrix.t) (c : Matrix.t) =
+let dgemm ?(alpha = 1.0) ?(beta = 1.0) ?pool (a : Matrix.t) (b : Matrix.t)
+    (c : Matrix.t) =
   shape_check a b c;
   Gemm_kernel.gemm ?pool ~trans_b:false ~m:a.rows ~n:b.cols ~k:a.cols ~alpha
     ~beta ~a:a.data ~aoff:0 ~lda:a.cols ~b:b.data ~boff:0 ~ldb:b.cols
     ~c:c.data ~coff:0 ~ldc:c.cols ()
-
-(* Dispatch: an explicit [?block] selects the blocked ikj variant
-   (legacy callers and ablation); otherwise the packed kernel runs. *)
-let dgemm ?(alpha = 1.0) ?(beta = 1.0) ?block ?pool a b c =
-  match block with
-  | Some block -> dgemm_blocked ~alpha ~beta ~block ?pool a b c
-  | None -> dgemm_packed ~alpha ~beta ?pool a b c
 
 let dgemv ?(alpha = 1.0) ?(beta = 1.0) ?pool (a : Matrix.t) x y =
   if Array.length x <> a.cols || Array.length y <> a.rows then

@@ -10,7 +10,7 @@
     - {!dgemm_naive} — triple loop, the accuracy reference;
     - {!dgemm_blocked} — cache-blocked ikj over raw storage, no
       packing (the previous default, kept for ablation);
-    - {!dgemm_packed} — BLIS-style packed panels + register-blocked
+    - {!dgemm} — BLIS-style packed panels + register-blocked
       micro-kernel ({!Gemm_kernel}), the fast path.
 
     Accuracy contract: blocked and packed each match the naive kernel
@@ -45,31 +45,18 @@ val dgemm_blocked :
     [pool], row panels of [block] rows run in parallel; results are
     bit-identical to the sequential run. *)
 
-val dgemm_packed :
-  ?alpha:float ->
-  ?beta:float ->
-  ?pool:Domain_pool.t ->
-  Matrix.t ->
-  Matrix.t ->
-  Matrix.t ->
-  unit
-(** BLIS-style packed, cache-blocked DGEMM ({!Gemm_kernel}): MC/KC/NC
-    blocking, contiguous per-domain packing buffers, register-blocked
-    micro-kernel.  With [pool], MC row panels run in parallel;
-    bit-identical to the sequential packed run. *)
-
 val dgemm :
   ?alpha:float ->
   ?beta:float ->
-  ?block:int ->
   ?pool:Domain_pool.t ->
   Matrix.t ->
   Matrix.t ->
   Matrix.t ->
   unit
-(** The default DGEMM entry point: {!dgemm_packed} unless an explicit
-    [?block] is given, which selects {!dgemm_blocked} with that block
-    size. *)
+(** The DGEMM entry point: BLIS-style packed, cache-blocked
+    ({!Gemm_kernel}): MC/KC/NC blocking, contiguous per-domain packing
+    buffers, register-blocked micro-kernel.  With [pool], MC row
+    panels run in parallel; bit-identical to the sequential run. *)
 
 val dgemv :
   ?alpha:float -> ?beta:float -> ?pool:Domain_pool.t -> Matrix.t ->

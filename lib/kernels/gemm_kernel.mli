@@ -4,8 +4,7 @@
     the identity or (with [trans_b]) transposition, on row-major
     sub-views described by a (buffer, offset, leading dimension)
     triple each.  It is the single compute engine behind
-    {!Blas.dgemm_packed}, {!Blas.dgemm}, and the blocked {!Lapack}
-    factorizations.
+    {!Blas.dgemm} and the blocked {!Lapack} factorizations.
 
     Blocking: C row panels of {!mc} rows x reduction slices of {!kc} x
     B column slices of {!nc}; within a block, A is packed into MR-row

@@ -37,6 +37,16 @@ let gpu_impl run = { impl_arch = "gpu"; run }
 let impl_for cl arch = List.find_opt (fun i -> i.impl_arch = arch) cl.impls
 let supports cl arch = impl_for cl arch <> None
 
+let widen (cfg : Machine_config.t) cl =
+  let base_run = (Option.get (impl_for cl "cpu")).run in
+  let archs =
+    Array.to_list cfg.Machine_config.workers
+    |> List.map (fun (w : Machine_config.worker) -> w.w_arch)
+    |> List.sort_uniq compare
+  in
+  create ~name:cl.cl_name ~flops:cl.flops
+    (List.map (fun impl_arch -> { impl_arch; run = base_run }) archs)
+
 (* In-place codelets compute on the registered storage: a written
    view overlapping a read one would read elements already
    overwritten, so it is refused, as blas_dgemm refuses it. *)

@@ -40,6 +40,11 @@ val gpu_impl : (?pool:Kernels.Domain_pool.t -> Data.handle list -> unit) -> impl
 val impl_for : t -> string -> impl option
 val supports : t -> string -> bool
 
+val widen : Machine_config.t -> t -> t
+(** The codelet with its cpu implementation cloned to every
+    architecture class the machine has (e.g. Cell SPEs), so a task
+    graph can use the whole machine. *)
+
 val check_disjoint :
   string -> string * Data.handle -> (string * Data.handle) list -> unit
 (** [check_disjoint name (label, written) reads] raises

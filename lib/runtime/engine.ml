@@ -59,6 +59,8 @@ type task = {
   t_id : int;
   mutable codelet : Codelet.t;  (** mutable: failover swaps the variant set *)
   buffers : (Data.handle * Codelet.access) list;
+  priced_only : bool;
+      (** every handle is virtual: the task is timed, its kernel never runs *)
   mutable t_group : string option;  (** mutable: failover may lift it *)
   mutable deps_remaining : int;
   mutable dependents : task list;
@@ -147,8 +149,6 @@ type t = {
   cfg : Machine_config.t;
   pol : policy;
   label : string;  (** decision-log tag, e.g. "tenant/shard0"; "" standalone *)
-  execute_kernels : bool;
-  overhead_s : float;
   domain_pool : Kernels.Domain_pool.t option;
       (** real multicore substrate handed to kernel implementations *)
   workers : worker_state array;
@@ -205,28 +205,26 @@ let next_random t bound =
 
 (* --- eligibility ---------------------------------------------------- *)
 
-let worker_eligible _t ws (task : task) =
-  ws.online
-  && (not (List.mem ws.w.Machine_config.w_id task.excluded))
-  && Codelet.supports task.codelet ws.w.Machine_config.w_arch
+(* Can [ws]'s architecture run the task, within its group? *)
+let capable ws (task : task) =
+  Codelet.supports task.codelet ws.w.Machine_config.w_arch
   &&
   match task.t_group with
   | None -> true
   | Some g -> List.mem g ws.w.Machine_config.w_groups
 
+let worker_eligible ws (task : task) =
+  ws.online
+  && (not (List.mem ws.w.Machine_config.w_id task.excluded))
+  && capable ws task
+
 let eligible_workers t task =
-  Array.to_list t.workers |> List.filter (fun ws -> worker_eligible t ws task)
+  Array.to_list t.workers |> List.filter (fun ws -> worker_eligible ws task)
 
 (* Submission-time capability check ignores the online flag: a worker
    may come back before the task becomes ready. *)
 let statically_eligible t task =
-  Array.to_list t.workers
-  |> List.exists (fun ws ->
-         Codelet.supports task.codelet ws.w.Machine_config.w_arch
-         &&
-         match task.t_group with
-         | None -> true
-         | Some g -> List.mem g ws.w.Machine_config.w_groups)
+  Array.exists (fun ws -> capable ws task) t.workers
 
 (* Retry-time variant of the above: is there any capable worker left
    once exclusions and permanent crashes are respected?  (Temporarily
@@ -237,11 +235,7 @@ let has_unexcluded_candidate t (task : task) =
     (fun ws ->
       (not ws.crashed)
       && (not (List.mem ws.w.Machine_config.w_id task.excluded))
-      && Codelet.supports task.codelet ws.w.Machine_config.w_arch
-      &&
-      match task.t_group with
-      | None -> true
-      | Some g -> List.mem g ws.w.Machine_config.w_groups)
+      && capable ws task)
     t.workers
 
 (* --- fault bookkeeping ----------------------------------------------- *)
@@ -290,6 +284,11 @@ let apply_gflops t ws gflops =
   ws.gflops <- gflops
 
 (* --- time modeling --------------------------------------------------- *)
+
+(* Runtime cost charged per task before its transfers start: 20 µs.
+   The product 20 *. 1e-6 is one ulp below the literal 20e-6, and the
+   pinned virtual times (cram tables, example output) carry its bits. *)
+let dispatch_overhead_s = 20.0 *. 1e-6
 
 let task_flops (task : task) =
   task.codelet.Codelet.flops (List.map fst task.buffers)
@@ -405,7 +404,7 @@ and take_from_pool t ws =
   (* The pool may hold tasks this worker cannot run; take the oldest
      eligible one.  The deque stops at the first hit (O(1) on
      homogeneous machines) instead of rotating the whole queue. *)
-  Deque.take_first t.pool ~f:(fun task -> worker_eligible t ws task)
+  Deque.take_first t.pool ~f:(fun task -> worker_eligible ws task)
 
 and steal t ws =
   (* Steal from the rear of the longest eligible queue. *)
@@ -422,7 +421,7 @@ and steal t ws =
   | Some v -> (
       (* The most recently enqueued eligible task; the victim's queue
          order is untouched otherwise. *)
-      match Deque.steal v.queue ~f:(fun task -> worker_eligible t ws task) with
+      match Deque.steal v.queue ~f:(fun task -> worker_eligible ws task) with
       | Some task as stolen ->
           Obs.Counter.incr c_steal;
           if Obs.Config.on () then
@@ -442,7 +441,7 @@ and start_task t ws task =
   ws.running <- Some task;
   let attempt = task.attempt in
   let dispatched = Sim.now t.sim in
-  let after_overhead = dispatched +. t.overhead_s in
+  let after_overhead = dispatched +. dispatch_overhead_s in
   let transfers_done, bytes_in = book_transfers t ws task ~at:after_overhead in
   let finish = transfers_done +. compute_time ws task in
   t.bytes_transferred <- t.bytes_transferred +. bytes_in;
@@ -461,7 +460,7 @@ and complete_task t ws task ~attempt ~dispatched ~compute_start ~bytes_in =
     ws.running <- None;
     (* Functional execution happens at completion so that writes land
        in dependency order (the sim completes tasks in time order). *)
-    if t.execute_kernels then begin
+    if not task.priced_only then begin
       match Codelet.impl_for task.codelet ws.w.Machine_config.w_arch with
       | Some impl ->
           let sp = Obs.Span.start () in
@@ -717,7 +716,7 @@ and dispatch t task =
       let woken = ref false in
       Array.iter
         (fun ws ->
-          if (not !woken) && ws.idle && worker_eligible t ws task then begin
+          if (not !woken) && ws.idle && worker_eligible ws task then begin
             woken := true;
             worker_kick t ws
           end)
@@ -733,7 +732,7 @@ and dispatch t task =
         let ready = Float.max now ws.free_estimate in
         let data_ready = estimate_transfers t ws task ~at:ready in
         let est, from_model = estimated_time t ws task in
-        (data_ready +. est +. t.overhead_s, est, from_model)
+        (data_ready +. est +. dispatch_overhead_s, est, from_model)
       in
       (* Decision log: the chosen PU, every candidate's EFT, and the
          estimate's provenance; completion back-fills queue wait and
@@ -898,9 +897,8 @@ let install_fault_events t (f : Fault.t) =
               List.iter (fun ws -> recover_worker t ws) (workers_of_pu t pu)))
     f.Fault.events
 
-let create ?(policy = Eager) ?(execute_kernels = true)
-    ?(dispatch_overhead_us = 20.0) ?pool ?faults ?tune
-    ?(explore_eps = 0.05) ?(true_gflops = []) ?(label = "") cfg =
+let create ?(policy = Eager) ?pool ?faults ?tune ?(explore_eps = 0.05)
+    ?(true_gflops = []) ?(label = "") cfg =
   List.iter
     (fun (name, g) ->
       if g <= 0.0 then
@@ -938,8 +936,6 @@ let create ?(policy = Eager) ?(execute_kernels = true)
       cfg;
       pol = policy;
       label;
-      execute_kernels;
-      overhead_s = dispatch_overhead_us *. 1e-6;
       domain_pool = pool;
       workers =
         Array.map
@@ -1010,19 +1006,32 @@ let submit_id ?group t codelet buffers =
         invalid_arg
           (Printf.sprintf
              "Engine.submit: handle %S is partitioned; submit its children"
-             (Data.name h));
-      if t.execute_kernels && Data.is_virtual h then
-        invalid_arg
-          (Printf.sprintf
-             "Engine.submit: virtual handle %S cannot be used while kernels \
-              execute; create the engine with ~execute_kernels:false"
              (Data.name h)))
     buffers;
+  let priced_only =
+    match buffers with
+    | [] -> false
+    | (h0, _) :: _ ->
+        let virt = Data.is_virtual h0 in
+        List.iter
+          (fun (h, _) ->
+            if Data.is_virtual h <> virt then
+              invalid_arg
+                (Printf.sprintf
+                   "Engine.submit: handle %S is %svirtual, unlike %S: a \
+                    task's handles are all virtual or none"
+                   (Data.name h)
+                   (if virt then "not " else "")
+                   (Data.name h0)))
+          buffers;
+        virt
+  in
   let task =
     {
       t_id = t.next_task;
       codelet;
       buffers;
+      priced_only;
       t_group = group;
       deps_remaining = 0;
       dependents = [];
@@ -1256,6 +1265,9 @@ let wait_all t =
     abandoned = t.n_abandoned;
     quarantined = quarantined_workers t;
   }
+
+let gflops ~flops stats =
+  if stats.makespan > 0.0 then flops /. stats.makespan /. 1e9 else 0.0
 
 let trace t = List.rev t.events
 

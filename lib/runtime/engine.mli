@@ -47,8 +47,6 @@ type t
 
 val create :
   ?policy:policy ->
-  ?execute_kernels:bool ->
-  ?dispatch_overhead_us:float ->
   ?pool:Kernels.Domain_pool.t ->
   ?faults:Fault.t ->
   ?tune:Tune.Store.t ->
@@ -57,15 +55,16 @@ val create :
   ?label:string ->
   Machine_config.t ->
   t
-(** [execute_kernels] (default [true]) runs codelet implementations
-    for real as tasks complete; switch it off for model-only runs at
-    sizes too large to compute. [dispatch_overhead_us] (default 20)
-    is charged per task. [pool] is handed to every codelet
-    implementation the engine runs, so multi-core kernels spread
-    across real OCaml domains. [faults] installs a deterministic
-    {!Fault} model: transient failures roll per attempt, and the
-    spec's timed crash/slowdown/recover events are scheduled into the
-    simulation.
+(** Every task is charged a 20 µs dispatch overhead. A task whose
+    handles are all virtual ({!Data.register_virtual}) is timed but
+    its implementation never runs, which is how model-only runs reach
+    sizes too large to compute; every other task, handle-less ones
+    included, runs its implementation for real as it completes.
+    [pool] is handed to every codelet implementation the engine
+    runs, so multi-core kernels spread across real OCaml domains.
+    [faults] installs a deterministic {!Fault} model: transient
+    failures roll per attempt, and the spec's timed
+    crash/slowdown/recover events are scheduled into the simulation.
 
     [tune] attaches a calibration store (StarPU dmda style): {!Heft}
     consults its learned per-(codelet, PU, size-bucket) model instead
@@ -117,8 +116,8 @@ val submit :
     carries that [LogicGroupAttribute] (the paper's execution
     groups).
     @raise Invalid_argument when no worker (in the group) has an
-    implementation, when a handle is partitioned, or when a virtual
-    handle is submitted while [execute_kernels] is on. *)
+    implementation, when a handle is partitioned, or when the task
+    mixes virtual and storage-backed handles. *)
 
 val submit_id :
   ?group:string -> t -> Codelet.t -> (Data.handle * Codelet.access) list ->
@@ -195,6 +194,10 @@ val wait_all : t -> stats
     so schedules are unchanged, and a long-lived engine holds no
     finished task, nor the data its handles reference.
     @raise Stuck when tasks cannot make progress. *)
+
+val gflops : flops:float -> stats -> float
+(** [flops] divided by the makespan, in GFLOP/s; [0.] when nothing
+    ran. The effective rate of a task graph run on a fresh engine. *)
 
 (** {1 Dynamic resources}
 

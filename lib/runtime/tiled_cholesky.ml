@@ -1,12 +1,6 @@
 module Matrix = Kernels.Matrix
 module Lapack = Kernels.Lapack
 
-type result = {
-  l : Matrix.t option;
-  stats : Engine.stats;
-  gflops_effective : float;
-}
-
 let flops n = float_of_int n *. float_of_int n *. float_of_int n /. 3.0
 
 (* --- codelets ---------------------------------------------------------- *)
@@ -89,21 +83,12 @@ let gemm_cl =
 
 (* --- the task graph ----------------------------------------------------- *)
 
-(* Widen a cpu/gpu codelet to every architecture class of the machine
-   (POTRF deliberately stays cpu-only). *)
-let widen (cfg : Machine_config.t) cl =
-  let base_run = (Option.get (Codelet.impl_for cl "cpu")).Codelet.run in
-  let archs =
-    Array.to_list cfg.Machine_config.workers
-    |> List.map (fun (w : Machine_config.worker) -> w.w_arch)
-    |> List.sort_uniq compare
-  in
-  Codelet.create ~name:cl.Codelet.cl_name ~flops:cl.Codelet.flops
-    (List.map (fun impl_arch -> { Codelet.impl_arch; run = base_run }) archs)
-
-let submit_graph rt tiles grid =
+(* Submit the graph on [handle], wait, and reassemble the matrix. *)
+let submit_and_wait rt ~tiles handle =
   let open Codelet in
+  let grid = Data.partition_tiles handle ~rows:tiles ~cols:tiles in
   let cfg = Engine.machine rt in
+  (* POTRF deliberately stays cpu-only. *)
   let trsm_cl = widen cfg trsm_cl
   and syrk_cl = widen cfg syrk_cl
   and gemm_cl = widen cfg gemm_cl in
@@ -119,54 +104,25 @@ let submit_graph rt tiles grid =
           [ (grid.(i).(k), R); (grid.(j).(k), R); (grid.(i).(j), RW) ]
       done
     done
-  done
-
-let result ~n l (stats : Engine.stats) =
-  {
-    l;
-    stats;
-    gflops_effective =
-      (if stats.Engine.makespan > 0.0 then flops n /. stats.Engine.makespan /. 1e9
-       else 0.0);
-  }
+  done;
+  let stats = Engine.wait_all rt in
+  Data.unpartition handle;
+  stats
 
 let check_args who ~tiles ~rows ~cols =
   if rows <> cols then invalid_arg ("Tiled_cholesky." ^ who ^ ": not square");
   if tiles < 1 || tiles > rows then
     invalid_arg ("Tiled_cholesky." ^ who ^ ": bad tiles")
 
-(* Submit the graph on [handle] ([configure] runs after submission,
-   before execution), wait, and reassemble the matrix. *)
-let submit_and_wait ?(configure = ignore) rt ~tiles handle =
-  let grid = Data.partition_tiles handle ~rows:tiles ~cols:tiles in
-  submit_graph rt tiles grid;
-  configure rt;
-  let stats = Engine.wait_all rt in
-  Data.unpartition handle;
-  stats
-
-(* The tasks factor a working copy of [a] in place. *)
-let factor ?configure rt ~tiles (a : Matrix.t) =
+let run_on ?(tiles = 4) rt (a : Matrix.t) =
+  check_args "run_on" ~tiles ~rows:a.rows ~cols:a.cols;
+  (* The tasks factor a working copy of [a] in place. *)
   let m = Matrix.copy a in
-  let stats =
-    submit_and_wait ?configure rt ~tiles (Data.register_matrix ~name:"A" m)
-  in
+  let stats = submit_and_wait rt ~tiles (Data.register_matrix ~name:"A" m) in
   (* only the lower factor is meaningful *)
   Matrix.zero_upper m;
   (m, stats)
 
-let run_on ?(tiles = 4) rt (a : Matrix.t) =
-  check_args "run_on" ~tiles ~rows:a.rows ~cols:a.cols;
-  factor rt ~tiles a
-
-let run ?policy ?(tiles = 4) ?configure ?pool ?faults cfg (a : Matrix.t) =
-  check_args "run" ~tiles ~rows:a.rows ~cols:a.cols;
-  let rt = Engine.create ?policy ?pool ?faults cfg in
-  let l, stats = factor ?configure rt ~tiles a in
-  result ~n:a.rows (Some l) stats
-
-let run_model ?policy ?(tiles = 8) ?configure ?faults cfg ~n =
-  check_args "run_model" ~tiles ~rows:n ~cols:n;
-  let rt = Engine.create ?policy ~execute_kernels:false ?faults cfg in
-  let ha = Data.register_virtual ~name:"A" ~rows:n ~cols:n () in
-  result ~n None (submit_and_wait ?configure rt ~tiles ha)
+let model_on ?(tiles = 8) rt ~n =
+  check_args "model_on" ~tiles ~rows:n ~cols:n;
+  submit_and_wait rt ~tiles (Data.register_virtual ~name:"A" ~rows:n ~cols:n ())

@@ -59,13 +59,13 @@ let blocking_of_cfg (c : Store.gemm_cfg) =
       Some { GK.bmc = c.g_mc; bkc = c.g_kc; bnc = c.g_nc; bmicro }
   | _ -> None
 
-(* Best-of-[reps] wall seconds for one dgemm_packed call at size [n]
+(* Best-of-[reps] wall seconds for one Blas.dgemm call at size [n]
    under the currently installed blocking. *)
 let time_once ?pool ~reps ~a ~b ~c n =
   let best = ref infinity in
   for _ = 1 to max 1 reps do
     let t0 = Obs.Clock.now_ns () in
-    Kernels.Blas.dgemm_packed ?pool ~beta:0.0 a b c;
+    Kernels.Blas.dgemm ?pool ~beta:0.0 a b c;
     let dt = Obs.Clock.to_s (Obs.Clock.now_ns () - t0) in
     if dt < !best then best := dt
   done;
@@ -99,7 +99,7 @@ let search ?pool ?(sizes = default_sizes) ?(screen_size = 512) ?(reps = 3)
     let a, b, c = mat_for n in
     with_blocking blk (fun () ->
         (* one warm-up rep grows the packing buffers *)
-        Kernels.Blas.dgemm_packed ?pool ~beta:0.0 a b c;
+        Kernels.Blas.dgemm ?pool ~beta:0.0 a b c;
         time_once ?pool ~reps ~a ~b ~c n)
   in
   (* Stage 1: screen every candidate quickly at one size. *)

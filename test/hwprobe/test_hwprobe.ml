@@ -200,11 +200,9 @@ let multimaster_tests =
         let cfg =
           Taskrt.Machine_config.of_platform_exn Pdl_hwprobe.Zoo.dual_host
         in
-        let r =
-          Taskrt.Tiled_dgemm.run_model ~policy:Taskrt.Engine.Heft ~tiles:8
-            cfg ~n:4096
-        in
-        check bool_ "completes" true (r.stats.makespan > 0.0));
+        let rt = Taskrt.Engine.create ~policy:Taskrt.Engine.Heft cfg in
+        let r = Taskrt.Tiled_dgemm.model_on ~tiles:8 rt ~n:4096 in
+        check bool_ "completes" true (r.makespan > 0.0));
   ]
 
 let () =

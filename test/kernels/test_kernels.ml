@@ -101,7 +101,7 @@ let blas_tests =
           Gemm_kernel.set_blocking
             { Gemm_kernel.bmc = 96; bkc = 72; bnc = 120; bmicro };
           Fun.protect ~finally:Gemm_kernel.reset_blocking (fun () ->
-              Blas.dgemm_packed ~alpha ~beta a b c)
+              Blas.dgemm ~alpha ~beta a b c)
         in
         List.iter
           (fun (m, k, n) ->
@@ -118,7 +118,7 @@ let blas_tests =
                   (Printf.sprintf "%s %dx%dx%d" name m k n)
                   true (Matrix.approx_equal want c))
               ([
-                 ("packed", fun a b c -> Blas.dgemm_packed ~alpha ~beta a b c);
+                 ("packed", fun a b c -> Blas.dgemm ~alpha ~beta a b c);
                  ( "blocked",
                    fun a b c -> Blas.dgemm_blocked ~alpha ~beta a b c );
                ]
@@ -133,7 +133,7 @@ let blas_tests =
         let b = Matrix.random ~seed:2 33 33 in
         let c1 = Matrix.create 33 33 and c2 = Matrix.create 33 33 in
         Blas.dgemm_naive a b c1;
-        Blas.dgemm ~block:8 a b c2;
+        Blas.dgemm_blocked ~block:8 a b c2;
         check bool_ "equal" true (Matrix.approx_equal ~tol:1e-12 c1 c2));
     Alcotest.test_case "blocked agrees with naive (rectangular)" `Quick
       (fun () ->
@@ -141,7 +141,7 @@ let blas_tests =
         let b = Matrix.random ~seed:4 29 23 in
         let c1 = Matrix.create 17 23 and c2 = Matrix.create 17 23 in
         Blas.dgemm_naive a b c1;
-        Blas.dgemm ~block:7 a b c2;
+        Blas.dgemm_blocked ~block:7 a b c2;
         check bool_ "equal" true (Matrix.approx_equal ~tol:1e-12 c1 c2));
     Alcotest.test_case "dgemm rejects shape mismatches" `Quick (fun () ->
         let a = Matrix.create 2 3 and b = Matrix.create 2 3 in
@@ -213,7 +213,7 @@ let blocked_matches_naive =
       let c1 = Matrix.init m n (fun i j -> float_of_int (i - j)) in
       let c2 = Matrix.copy c1 in
       Blas.dgemm_naive ~alpha:1.5 ~beta:0.5 a b c1;
-      Blas.dgemm ~alpha:1.5 ~beta:0.5 ~block a b c2;
+      Blas.dgemm_blocked ~alpha:1.5 ~beta:0.5 ~block a b c2;
       Matrix.approx_equal ~tol:1e-12 c1 c2)
 
 let daxpy_linear =
@@ -758,7 +758,7 @@ let packed_matches_naive =
       let c1 = Matrix.init m n (fun i j -> float_of_int (i - j) *. 0.5) in
       let c2 = Matrix.copy c1 in
       Blas.dgemm_naive ~alpha ~beta a b c1;
-      Blas.dgemm_packed ~alpha ~beta a b c2;
+      Blas.dgemm ~alpha ~beta a b c2;
       Matrix.approx_equal ~tol:1e-12 c1 c2)
 
 let copy_buf (b : Matrix.buf) =
@@ -882,12 +882,12 @@ let packed_pooled_bitwise_tests =
         and b = Matrix.random ~seed:12 k n in
         let c_seq = Matrix.init m n (fun i j -> float_of_int (i + j)) in
         let c_ref = Matrix.copy c_seq in
-        Blas.dgemm_packed ~alpha:1.25 ~beta:(-0.5) a b c_ref;
+        Blas.dgemm ~alpha:1.25 ~beta:(-0.5) a b c_ref;
         List.iter
           (fun num_domains ->
             Domain_pool.with_pool ~num_domains (fun pool ->
                 let c = Matrix.copy c_seq in
-                Blas.dgemm_packed ~alpha:1.25 ~beta:(-0.5) ~pool a b c;
+                Blas.dgemm ~alpha:1.25 ~beta:(-0.5) ~pool a b c;
                 check (float_ 0.0)
                   (Printf.sprintf "%d domains identical" num_domains)
                   0.0
@@ -908,8 +908,8 @@ let pooled_dgemm_matches_sequential =
       let a = Matrix.random ~seed:m m k and b = Matrix.random ~seed:n k n in
       let c1 = Matrix.init m n (fun i j -> float_of_int (i - j)) in
       let c2 = Matrix.copy c1 in
-      Blas.dgemm ~alpha:1.5 ~beta:0.5 ~block a b c1;
-      Blas.dgemm ~alpha:1.5 ~beta:0.5 ~block ~pool:property_pool a b c2;
+      Blas.dgemm_blocked ~alpha:1.5 ~beta:0.5 ~block a b c1;
+      Blas.dgemm_blocked ~alpha:1.5 ~beta:0.5 ~block ~pool:property_pool a b c2;
       Matrix.max_abs_diff c1 c2 = 0.0)
 
 let () =

@@ -373,11 +373,12 @@ let engine_tests =
         Kernels.Blas.dgemm a b expected;
         List.iter
           (fun policy ->
-            let r = Tiled_dgemm.run ~policy ~tiles:3 (gpu_cfg ()) ~a ~b in
+            let rt = Engine.create ~policy (gpu_cfg ()) in
+            let c, _ = Tiled_dgemm.run_on ~tiles:3 rt ~a ~b in
             check bool_
               (Engine.policy_to_string policy ^ " correct")
               true
-              (Matrix.approx_equal expected (Option.get r.c)))
+              (Matrix.approx_equal expected c))
           [ Engine.Eager; Engine.Heft; Engine.Locality_ws; Engine.Random_place ]);
     Alcotest.test_case "execution groups restrict placement" `Quick
       (fun () ->
@@ -425,6 +426,46 @@ let engine_tests =
         with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    Alcotest.test_case "a task mixing virtual and real handles is refused"
+      `Quick (fun () ->
+        let rt = Engine.create (smp_cfg ()) in
+        let real = Data.register_matrix ~name:"real" (Matrix.create 4 4) in
+        let virt = Data.register_virtual ~name:"virt" ~rows:4 ~cols:4 () in
+        List.iter
+          (fun (first, second, msg) ->
+            match
+              Engine.submit rt Codelet.vector_add
+                [ (first, Codelet.RW); (second, Codelet.R) ]
+            with
+            | _ -> Alcotest.fail "expected Invalid_argument"
+            | exception Invalid_argument m ->
+                check Alcotest.string "message" msg m)
+          [
+            ( real,
+              virt,
+              "Engine.submit: handle \"virt\" is virtual, unlike \"real\": \
+               a task's handles are all virtual or none" );
+            ( virt,
+              real,
+              "Engine.submit: handle \"real\" is not virtual, unlike \
+               \"virt\": a task's handles are all virtual or none" );
+          ];
+        check int_ "nothing queued" 0 (Engine.wait_all rt).tasks);
+    Alcotest.test_case "a task runs its implementation unless every handle \
+                        is virtual" `Quick (fun () ->
+        let rt = Engine.create (smp_cfg ()) in
+        let ran = ref 0 in
+        let cl =
+          Codelet.create ~name:"tick"
+            [ Codelet.cpu_impl (fun ?pool:_ _ -> incr ran) ]
+        in
+        Engine.submit rt cl [];
+        Engine.submit rt cl
+          [ (Data.register_matrix (Matrix.create 1 1), Codelet.RW) ];
+        Engine.submit rt cl
+          [ (Data.register_virtual ~rows:1 ~cols:1 (), Codelet.RW) ];
+        check int_ "three tasks timed" 3 (Engine.wait_all rt).tasks;
+        check int_ "the handle-less and the real one ran" 2 !ran);
     Alcotest.test_case "gpu offload transfers data and counts bytes" `Quick
       (fun () ->
         let rt = Engine.create ~policy:Engine.Eager (gpu_cfg ()) in
@@ -503,27 +544,29 @@ let dgemm_tests =
         let a = Matrix.random ~seed:11 25 25 and b = Matrix.random ~seed:12 25 25 in
         let expected = Matrix.create 25 25 in
         Kernels.Blas.dgemm a b expected;
-        let r = Tiled_dgemm.run ~tiles:4 (gpu_cfg ()) ~a ~b in
-        check bool_ "correct" true
-          (Matrix.approx_equal expected (Option.get r.c));
-        check int_ "16 tasks" 16 r.stats.tasks);
+        let rt = Engine.create (gpu_cfg ()) in
+        let c, stats = Tiled_dgemm.run_on ~tiles:4 rt ~a ~b in
+        check bool_ "correct" true (Matrix.approx_equal expected c);
+        check int_ "16 tasks" 16 stats.tasks);
     Alcotest.test_case "model run produces no matrix but sane stats" `Quick
       (fun () ->
-        let r = Tiled_dgemm.run_model ~tiles:8 (smp_cfg ()) ~n:1024 in
-        check bool_ "no matrix" true (r.c = None);
-        check int_ "64 tasks" 64 r.stats.tasks;
-        check bool_ "positive time" true (r.stats.makespan > 0.0);
+        let n = 1024 in
+        let r = Tiled_dgemm.model_on ~tiles:8 (Engine.create (smp_cfg ())) ~n in
+        let gflops = Engine.gflops ~flops:(Kernels.Blas.flops_dgemm n n n) r in
+        check int_ "64 tasks" 64 r.tasks;
+        check bool_ "positive time" true (r.makespan > 0.0);
         check bool_ "gflops sane" true
-          (r.gflops_effective > 1.0 && r.gflops_effective < 8.0 *. 9.5 +. 1.0));
+          (gflops > 1.0 && gflops < 8.0 *. 9.5 +. 1.0));
     Alcotest.test_case "figure 5 shape: smp ~6-8x, gpus ~15-30x" `Quick
       (fun () ->
         let single_cfg, smp, gpus = fig5_targets () in
         let n = 8192 in
-        let single = Tiled_dgemm.run_model ~tiles:1 single_cfg ~n in
-        let smp = Tiled_dgemm.run_model ~tiles:8 smp ~n in
-        let gpu = Tiled_dgemm.run_model ~policy:Engine.Heft ~tiles:8 gpus ~n in
-        let s_smp = Tiled_dgemm.speedup ~baseline:single smp in
-        let s_gpu = Tiled_dgemm.speedup ~baseline:single gpu in
+        let model ?policy ~tiles cfg =
+          (Tiled_dgemm.model_on ~tiles (Engine.create ?policy cfg) ~n).makespan
+        in
+        let single = model ~tiles:1 single_cfg in
+        let s_smp = single /. model ~tiles:8 smp in
+        let s_gpu = single /. model ~policy:Engine.Heft ~tiles:8 gpus in
         check bool_
           (Printf.sprintf "smp speedup %.2f in [6,8]" s_smp)
           true
@@ -536,35 +579,51 @@ let dgemm_tests =
     Alcotest.test_case "heft beats random on heterogeneous machines" `Quick
       (fun () ->
         let gpus = gpu_cfg () in
-        let heft =
-          Tiled_dgemm.run_model ~policy:Engine.Heft ~tiles:8 gpus ~n:8192
+        let model policy =
+          Tiled_dgemm.model_on ~tiles:8 (Engine.create ~policy gpus) ~n:8192
         in
-        let random =
-          Tiled_dgemm.run_model ~policy:Engine.Random_place ~tiles:8 gpus
-            ~n:8192
-        in
+        let heft = model Engine.Heft and random = model Engine.Random_place in
         check bool_ "heft at least as fast" true
-          (heft.stats.makespan <= random.stats.makespan));
+          (heft.makespan <= random.makespan));
     Alcotest.test_case "group restriction: gpus-only uses no cpu" `Quick
       (fun () ->
-        let r =
-          Tiled_dgemm.run_model ~policy:Engine.Eager ~tiles:4 ~group:"gpus"
-            (gpu_cfg ()) ~n:2048
-        in
+        let rt = Engine.create ~policy:Engine.Eager (gpu_cfg ()) in
+        let r = Tiled_dgemm.model_on ~tiles:4 ~group:"gpus" rt ~n:2048 in
         let cpu_tasks =
           Array.fold_left
             (fun acc ws ->
               if ws.Engine.ws_worker.Machine_config.w_arch = "cpu" then
                 acc + ws.Engine.tasks_run
               else acc)
-            0 r.stats.worker_stats
+            0 r.worker_stats
         in
         check int_ "cpu did nothing" 0 cpu_tasks);
-    Alcotest.test_case "speedup helper" `Quick (fun () ->
+    Alcotest.test_case "gflops helper" `Quick (fun () ->
         let single_cfg, _, _ = fig5_targets () in
-        let r = Tiled_dgemm.run_model ~tiles:1 single_cfg ~n:512 in
-        check (float_ 1e-9) "self speedup" 1.0
-          (Tiled_dgemm.speedup ~baseline:r r));
+        let n = 512 in
+        let flops = Kernels.Blas.flops_dgemm n n n in
+        let r =
+          Tiled_dgemm.model_on ~tiles:1 (Engine.create single_cfg) ~n
+        in
+        check (float_ 1e-9) "flops over makespan"
+          (flops /. r.makespan /. 1e9)
+          (Engine.gflops ~flops r);
+        check (float_ 0.0) "nothing ran" 0.0
+          (Engine.gflops ~flops (Engine.wait_all (Engine.create single_cfg))));
+    Alcotest.test_case "one default engine runs a model graph, then a real \
+                        one" `Quick (fun () ->
+        let rt = Engine.create (gpu_cfg ()) in
+        let model = Tiled_dgemm.model_on ~tiles:4 rt ~n:1024 in
+        let a = Matrix.random ~seed:13 24 24
+        and b = Matrix.random ~seed:14 24 24 in
+        let expected = Matrix.create 24 24 in
+        Kernels.Blas.dgemm a b expected;
+        let c, stats = Tiled_dgemm.run_on ~tiles:3 rt ~a ~b in
+        check int_ "16 + 9 tasks" 25 stats.tasks;
+        check bool_ "virtual time accumulates" true
+          (stats.makespan > model.makespan);
+        check (float_ 0.0) "product equals Blas.dgemm's" 0.0
+          (Matrix.max_abs_diff expected c));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -576,8 +635,8 @@ let cholesky_tests =
       `Quick (fun () ->
         let n = 32 in
         let a = Kernels.Lapack.random_spd ~seed:3 n in
-        let r = Tiled_cholesky.run ~policy:Engine.Heft ~tiles:4 (gpu_cfg ()) a in
-        let l = Option.get r.l in
+        let rt = Engine.create ~policy:Engine.Heft (gpu_cfg ()) in
+        let l, _ = Tiled_cholesky.run_on ~tiles:4 rt a in
         check bool_ "residual small" true
           (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8));
     Alcotest.test_case "task count follows the DAG formula" `Quick
@@ -585,37 +644,45 @@ let cholesky_tests =
         (* t potrf + t(t-1)/2 trsm + t(t-1)/2 syrk + t(t-1)(t-2)/6 gemm *)
         let t = 4 in
         let a = Kernels.Lapack.random_spd ~seed:5 16 in
-        let r = Tiled_cholesky.run ~tiles:t (smp_cfg ()) a in
+        let rt = Engine.create (smp_cfg ()) in
+        let _, stats = Tiled_cholesky.run_on ~tiles:t rt a in
         let expected = t + (t * (t - 1)) + (t * (t - 1) * (t - 2) / 6) in
-        check int_ "tasks" expected r.stats.tasks);
+        check int_ "tasks" expected stats.tasks);
     Alcotest.test_case "every policy factors correctly" `Quick (fun () ->
         let n = 24 in
         let a = Kernels.Lapack.random_spd ~seed:7 n in
         List.iter
           (fun policy ->
-            let r = Tiled_cholesky.run ~policy ~tiles:3 (gpu_cfg ()) a in
+            let rt = Engine.create ~policy (gpu_cfg ()) in
+            let l, _ = Tiled_cholesky.run_on ~tiles:3 rt a in
             check bool_
               (Engine.policy_to_string policy)
               true
-              (Kernels.Lapack.cholesky_residual ~a ~l:(Option.get r.l) < 1e-8))
+              (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8))
           Engine.[ Eager; Heft; Locality_ws; Random_place ]);
     Alcotest.test_case "dependencies serialize the critical path" `Quick
       (fun () ->
         (* With one tile the graph is a single POTRF; with many tiles
            the critical path still bounds makespan below perfect
            parallelism. *)
-        let r1 = Tiled_cholesky.run_model ~tiles:1 (smp_cfg ()) ~n:4096 in
-        let r8 = Tiled_cholesky.run_model ~tiles:8 (smp_cfg ()) ~n:4096 in
-        check bool_ "tiling helps" true
-          (r8.stats.makespan < r1.stats.makespan);
+        let model tiles =
+          (Tiled_cholesky.model_on ~tiles (Engine.create (smp_cfg ())) ~n:4096)
+            .makespan
+        in
+        let r1 = model 1 and r8 = model 8 in
+        check bool_ "tiling helps" true (r8 < r1);
         check bool_ "but not perfectly (dag critical path)" true
-          (r8.stats.makespan > r1.stats.makespan /. 8.0));
+          (r8 > r1 /. 8.0));
     Alcotest.test_case "model and real runs submit identical graphs"
       `Quick (fun () ->
         let a = Kernels.Lapack.random_spd ~seed:9 16 in
-        let real = Tiled_cholesky.run ~tiles:4 (smp_cfg ()) a in
-        let model = Tiled_cholesky.run_model ~tiles:4 (smp_cfg ()) ~n:16 in
-        check int_ "same task count" real.stats.tasks model.stats.tasks);
+        let _, real =
+          Tiled_cholesky.run_on ~tiles:4 (Engine.create (smp_cfg ())) a
+        in
+        let model =
+          Tiled_cholesky.model_on ~tiles:4 (Engine.create (smp_cfg ())) ~n:16
+        in
+        check int_ "same task count" real.tasks model.tasks);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -744,22 +811,19 @@ let dynamic_tests =
       (fun () ->
         let n = 32 in
         let a = Kernels.Lapack.random_spd ~seed:11 n in
-        let result =
-          Tiled_cholesky.run ~policy:Engine.Heft ~tiles:4
-            ~configure:(fun rt ->
-              Engine.at rt ~time:1e-6 (fun () ->
-                  Engine.set_offline rt ~worker:"gpu0"))
-            (gpu_cfg ()) a
-        in
+        let rt = Engine.create ~policy:Engine.Heft (gpu_cfg ()) in
+        Engine.at rt ~time:1e-6 (fun () ->
+            Engine.set_offline rt ~worker:"gpu0");
+        let l, stats = Tiled_cholesky.run_on ~tiles:4 rt a in
         check bool_ "still correct" true
-          (Kernels.Lapack.cholesky_residual ~a ~l:(Option.get result.l) < 1e-8);
+          (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8);
         (* the dead gpu must not have run anything after the failure;
            with the failure at t~0 it ran nothing at all *)
         Array.iter
           (fun ws ->
             if ws.Engine.ws_worker.Machine_config.w_name = "gpu0" then
               check int_ "gpu0 idle" 0 ws.Engine.tasks_run)
-          result.stats.worker_stats);
+          stats.worker_stats);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -850,7 +914,7 @@ let timing_tests =
         let cl = Codelet.noop ~name:"consume" ~flops:1.0 ~archs:[ "gpu" ] in
         let mb100 = Data.register_virtual ~rows:1 ~cols:12_500_000 () in
         let mb100' = Data.register_virtual ~rows:1 ~cols:12_500_000 () in
-        let rt = Engine.create ~policy:Engine.Eager ~execute_kernels:false cfg in
+        let rt = Engine.create ~policy:Engine.Eager cfg in
         Engine.submit rt cl [ (mb100, Codelet.R) ];
         Engine.submit rt cl [ (mb100', Codelet.R) ];
         let stats = Engine.wait_all rt in
@@ -866,7 +930,7 @@ let timing_tests =
            distinct links and overlap, so the makespan is ~one
            transfer, not two. *)
         let cfg = gpu_cfg () in
-        let rt = Engine.create ~policy:Engine.Heft ~execute_kernels:false cfg in
+        let rt = Engine.create ~policy:Engine.Heft cfg in
         let cl = Codelet.noop ~name:"consume" ~flops:1.0 ~archs:[ "gpu" ] in
         let h1 = Data.register_virtual ~rows:1 ~cols:12_500_000 () in
         let h2 = Data.register_virtual ~rows:1 ~cols:12_500_000 () in
@@ -910,21 +974,17 @@ let timing_tests =
         check (float_ 0.001) "2 seconds" 2.0 stats.makespan);
     Alcotest.test_case "dispatch overhead is charged per task" `Quick
       (fun () ->
-        let cfg = smp_cfg () in
-        let run overhead =
-          let rt =
-            Engine.create ~policy:Engine.Eager
-              ~dispatch_overhead_us:overhead cfg
-          in
-          let cl = Codelet.noop ~name:"tiny" ~flops:1.0 ~archs:[ "cpu" ] in
-          let h = Data.register_matrix (Matrix.create 1 1) in
-          for _ = 1 to 10 do
-            Engine.submit rt cl [ (h, Codelet.RW) ]
-          done;
-          (Engine.wait_all rt).makespan
-        in
-        let cheap = run 1.0 and dear = run 1000.0 in
-        check bool_ "overhead visible" true (dear > 100.0 *. cheap));
+        (* 10 chained 1-flop tasks on 9.5 GFLOP/s cores: each costs
+           the 20 us dispatch charge plus its compute time. *)
+        let rt = Engine.create ~policy:Engine.Eager (smp_cfg ()) in
+        let cl = Codelet.noop ~name:"tiny" ~flops:1.0 ~archs:[ "cpu" ] in
+        let h = Data.register_matrix (Matrix.create 1 1) in
+        for _ = 1 to 10 do
+          Engine.submit rt cl [ (h, Codelet.RW) ]
+        done;
+        check (float_ 1e-12) "10 x (20 us + compute)"
+          (10.0 *. (20e-6 +. (1.0 /. 9.5e9)))
+          (Engine.wait_all rt).makespan);
   ]
 
 (* Invariant: in every trace, group-restricted tasks only ever appear
@@ -962,10 +1022,10 @@ let busy_bounded =
           pol_idx
       in
       let cfg = Machine_config.of_platform_exn Pdl_hwprobe.Zoo.xeon_2gpu in
-      let r = Tiled_dgemm.run_model ~policy ~tiles cfg ~n:1024 in
+      let r = Tiled_dgemm.model_on ~tiles (Engine.create ~policy cfg) ~n:1024 in
       Array.for_all
-        (fun ws -> ws.Engine.busy_s <= r.stats.makespan +. 1e-9)
-        r.stats.worker_stats)
+        (fun ws -> ws.Engine.busy_s <= r.makespan +. 1e-9)
+        r.worker_stats)
 
 (* ------------------------------------------------------------------ *)
 (* Prediction                                                          *)
@@ -1001,11 +1061,11 @@ let predict_tests =
            bound for the large, well-balanced case. *)
         let cfg = gpu_cfg () in
         let b = Predict.dgemm_bounds cfg ~n:8192 in
-        let r = Tiled_dgemm.run_model ~policy:Engine.Heft ~tiles:8 cfg ~n:8192 in
-        check bool_ "bound <= sim" true
-          (b.work_bound_s <= r.stats.makespan +. 1e-9);
+        let rt = Engine.create ~policy:Engine.Heft cfg in
+        let r = Tiled_dgemm.model_on ~tiles:8 rt ~n:8192 in
+        check bool_ "bound <= sim" true (b.work_bound_s <= r.makespan +. 1e-9);
         check bool_ "sim within 2x of bound" true
-          (r.stats.makespan <= 2.0 *. b.lower_bound_s));
+          (r.makespan <= 2.0 *. b.lower_bound_s));
     Alcotest.test_case "report is readable" `Quick (fun () ->
         let s = Predict.report (Predict.dgemm_bounds (gpu_cfg ()) ~n:1024) in
         check bool_ "mentions speedup" true (String.length s > 40));
@@ -1030,8 +1090,8 @@ let work_conservation =
           ~flops:(2.0 *. float_of_int n ** 3.0)
           ~device_bytes:0.0
       in
-      let r = Tiled_dgemm.run_model ~policy ~tiles cfg ~n in
-      r.stats.makespan >= b.work_bound_s -. 1e-9)
+      let r = Tiled_dgemm.model_on ~tiles (Engine.create ~policy cfg) ~n in
+      r.makespan >= b.work_bound_s -. 1e-9)
 
 (* Determinism property: same inputs, same policy => same makespan. *)
 let deterministic_sim =
@@ -1044,10 +1104,11 @@ let deterministic_sim =
           pol_idx
       in
       let cfg () = Machine_config.of_platform_exn Pdl_hwprobe.Zoo.xeon_2gpu in
-      let r1 = Tiled_dgemm.run_model ~policy ~tiles (cfg ()) ~n:1024 in
-      let r2 = Tiled_dgemm.run_model ~policy ~tiles (cfg ()) ~n:1024 in
-      r1.stats.makespan = r2.stats.makespan
-      && r1.stats.bytes_transferred = r2.stats.bytes_transferred)
+      let model () =
+        Tiled_dgemm.model_on ~tiles (Engine.create ~policy (cfg ())) ~n:1024
+      in
+      let r1 = model () and r2 = model () in
+      r1.makespan = r2.makespan && r1.bytes_transferred = r2.bytes_transferred)
 
 (* Correctness property: tiled execution equals the reference product
    for random shapes and tile counts, on the heterogeneous target. *)
@@ -1059,12 +1120,11 @@ let tiled_correct =
       let a = Matrix.random ~seed:n n n and b = Matrix.random ~seed:(n * 7) n n in
       let expected = Matrix.create n n in
       Kernels.Blas.dgemm a b expected;
-      let r =
-        Tiled_dgemm.run ~policy:Engine.Heft ~tiles
+      let rt =
+        Engine.create ~policy:Engine.Heft
           (Machine_config.of_platform_exn Pdl_hwprobe.Zoo.xeon_2gpu)
-          ~a ~b
       in
-      Matrix.approx_equal expected (Option.get r.c))
+      Matrix.approx_equal expected (fst (Tiled_dgemm.run_on ~tiles rt ~a ~b)))
 
 (* ------------------------------------------------------------------ *)
 (* Deque (the scheduler's worker-queue backbone)                       *)
@@ -1581,29 +1641,24 @@ let fault_tests =
         check bool_ "faults actually fired" true (f1 > 0));
     Alcotest.test_case "a zero-rate fault layer changes nothing" `Quick
       (fun () ->
-        let base = Tiled_dgemm.run_model ~tiles:4 (smp_cfg ()) ~n:256 in
-        let guarded =
-          Tiled_dgemm.run_model ~tiles:4 ~faults:Fault.none (smp_cfg ())
-            ~n:256
+        let model ?faults () =
+          let rt = Engine.create ?faults (smp_cfg ()) in
+          Tiled_dgemm.model_on ~tiles:4 rt ~n:256
         in
-        check (float_ 0.0) "bit-identical makespan" base.stats.makespan
-          guarded.stats.makespan;
-        check int_ "same event count" base.stats.sim_events
-          guarded.stats.sim_events);
+        let base = model () and guarded = model ~faults:Fault.none () in
+        check (float_ 0.0) "bit-identical makespan" base.makespan
+          guarded.makespan;
+        check int_ "same event count" base.sim_events guarded.sim_events);
     Alcotest.test_case "faulty cholesky still factors correctly" `Quick
       (fun () ->
         let n = 32 in
         let a = Kernels.Lapack.random_spd ~seed:11 n in
         let faults = faults_of "seed=5,transient=0.3,retries=20,quarantine=0" in
-        let result =
-          Tiled_cholesky.run ~policy:Engine.Heft ~tiles:4 ~faults (gpu_cfg ())
-            a
-        in
-        check bool_ "injection happened" true
-          (result.stats.failures_injected > 0);
+        let rt = Engine.create ~policy:Engine.Heft ~faults (gpu_cfg ()) in
+        let l, stats = Tiled_cholesky.run_on ~tiles:4 rt a in
+        check bool_ "injection happened" true (stats.failures_injected > 0);
         check bool_ "still correct" true
-          (Kernels.Lapack.cholesky_residual ~a ~l:(Option.get result.l)
-          < 1e-8));
+          (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8));
   ]
 
 (* For any bounded-rate transient schedule with a generous retry
@@ -1613,8 +1668,7 @@ let fault_free_equivalence =
   let a = Matrix.random ~seed:21 48 48 and b = Matrix.random ~seed:22 48 48 in
   let clean =
     lazy
-      (let r = Tiled_dgemm.run ~tiles:3 (smp_cfg ()) ~a ~b in
-       Option.get r.c)
+      (fst (Tiled_dgemm.run_on ~tiles:3 (Engine.create (smp_cfg ())) ~a ~b))
   in
   QCheck.Test.make ~name:"faulty runs are bit-identical to fault-free runs"
     ~count:15
@@ -1630,9 +1684,9 @@ let fault_free_equivalence =
           events = [ Fault.Crash { pu = "cpu-cores#0"; at = 1e-5 } ];
         }
       in
-      let faulty = Tiled_dgemm.run ~tiles:3 ~faults (smp_cfg ()) ~a ~b in
-      faulty.stats.abandoned = 0
-      && Matrix.max_abs_diff (Lazy.force clean) (Option.get faulty.c) = 0.0)
+      let rt = Engine.create ~faults (smp_cfg ()) in
+      let c, stats = Tiled_dgemm.run_on ~tiles:3 rt ~a ~b in
+      stats.abandoned = 0 && Matrix.max_abs_diff (Lazy.force clean) c = 0.0)
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in

@@ -552,7 +552,7 @@ let portable_micro_correct =
       Kernels.Blas.dgemm_naive ~alpha:1.25 ~beta:0.5 a b c1;
       GK.set_blocking { GK.bmc = 8; bkc = 12; bnc = 16; bmicro = GK.Portable };
       Fun.protect ~finally:GK.reset_blocking (fun () ->
-          Kernels.Blas.dgemm_packed ~alpha:1.25 ~beta:0.5 a b c2);
+          Kernels.Blas.dgemm ~alpha:1.25 ~beta:0.5 a b c2);
       Matrix.approx_equal c1 c2)
 
 (* ------------------------------------------------------------------ *)
@@ -560,8 +560,8 @@ let portable_micro_correct =
 
 let run_noops ?tune ?explore_eps ?true_gflops n =
   let rt =
-    Engine.create ~policy:Engine.Heft ~execute_kernels:false ?tune
-      ?explore_eps ?true_gflops (cfg_2gpu ())
+    Engine.create ~policy:Engine.Heft ?tune ?explore_eps ?true_gflops
+      (cfg_2gpu ())
   in
   let cl =
     Taskrt.Codelet.noop ~name:"cal" ~flops:1e9 ~archs:[ "cpu"; "gpu" ]
@@ -628,10 +628,8 @@ let engine_tests =
                  else None)
         in
         let model ?tune () =
-          (Taskrt.Tiled_dgemm.run_model ~policy:Engine.Heft ~tiles:8
-             ~true_gflops ?tune cfg ~n:8192)
-            .Taskrt.Tiled_dgemm.stats
-            .Engine.makespan
+          let rt = Engine.create ~policy:Engine.Heft ?tune ~true_gflops cfg in
+          (Taskrt.Tiled_dgemm.model_on ~tiles:8 rt ~n:8192).Engine.makespan
         in
         let static = model () in
         let s = mk_store () in
@@ -651,14 +649,13 @@ let calibrated_runs_deterministic =
       let once () =
         let s = mk_store () in
         let cfg = cfg_2gpu () in
-        ignore
-          (Taskrt.Tiled_dgemm.run_model ~policy:Engine.Heft ~tiles ~tune:s
-             cfg ~n);
-        let r =
-          Taskrt.Tiled_dgemm.run_model ~policy:Engine.Heft ~tiles ~tune:s cfg
-            ~n
+        let model () =
+          let rt = Engine.create ~policy:Engine.Heft ~tune:s cfg in
+          Taskrt.Tiled_dgemm.model_on ~tiles rt ~n
         in
-        (r.Taskrt.Tiled_dgemm.stats.Engine.makespan, Store.total_samples s)
+        ignore (model ());
+        let r = model () in
+        (r.Engine.makespan, Store.total_samples s)
       in
       once () = once ())
 
@@ -670,19 +667,14 @@ let warm_bit_identical =
       let a = Matrix.random ~seed:n n n
       and b = Matrix.random ~seed:(n * 3) n n in
       let cfg = cfg_2gpu () in
-      let cold =
-        Option.get
-          (Taskrt.Tiled_dgemm.run ~policy:Engine.Heft ~tiles cfg ~a ~b)
-            .Taskrt.Tiled_dgemm.c
+      let run ?tune () =
+        let rt = Engine.create ~policy:Engine.Heft ?tune cfg in
+        fst (Taskrt.Tiled_dgemm.run_on ~tiles rt ~a ~b)
       in
+      let cold = run () in
       let s = mk_store () in
-      ignore (Taskrt.Tiled_dgemm.run ~policy:Engine.Heft ~tiles ~tune:s cfg ~a ~b);
-      let warm =
-        Option.get
-          (Taskrt.Tiled_dgemm.run ~policy:Engine.Heft ~tiles ~tune:s cfg ~a
-             ~b)
-            .Taskrt.Tiled_dgemm.c
-      in
+      ignore (run ~tune:s ());
+      let warm = run ~tune:s () in
       Matrix.max_abs_diff cold warm = 0.0)
 
 (* ------------------------------------------------------------------ *)
