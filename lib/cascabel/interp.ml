@@ -1228,40 +1228,20 @@ let call t fname argv =
 let library_call (f : func) =
   match f.f_body with
   | Some [ Expr_stmt (Some (Call (Ident "blas_dgemm", [ m; n; k; a; b; c ]))) ]
-    -> (
-      let params = Array.of_list f.f_params in
-      let param name =
-        let rec find i =
-          if i = Array.length params then None
-          else if params.(i).p_name = name then Some i
-          else find (i + 1)
-        in
-        find 0
+    ->
+      let param = function
+        | Ident name -> List.exists (fun p -> p.p_name = name) f.f_params
+        | _ -> false
       in
       let extent = function
-        | Ident name -> Option.map (fun i -> `Param i) (param name)
         | Int_lit s -> (
             match int_literal s with
-            | n -> Some (`Const n)
-            | exception Runtime_error _ -> None)
-        | _ -> None
+            | _ -> true
+            | exception Runtime_error _ -> false)
+        | e -> param e
       in
-      let matrix = function Ident name -> param name | _ -> None in
-      match (extent m, extent n, extent k, matrix a, matrix b, matrix c) with
-      | Some m, Some n, Some k, Some a, Some b, Some c ->
-          let run argv =
-            let argv =
-              Array.of_list (List.mapi (fun i v -> coerce params.(i).p_type v) argv)
-            in
-            let int = function `Param i -> as_int argv.(i) | `Const n -> n in
-            let m = int m and n = int n and k = int k in
-            match (argv.(a), argv.(b), argv.(c)) with
-            | VBuf a, VBuf b, VBuf c -> blas_dgemm ~m ~n ~k a b c
-            | _ -> fail "call to unknown function %S" "blas_dgemm"
-          in
-          Some run
-      | _ -> None)
-  | _ -> None
+      List.for_all extent [ m; n; k ] && List.for_all param [ a; b; c ]
+  | _ -> false
 
 let run_main t =
   match Hashtbl.find_opt t.funcs "main" with

@@ -74,14 +74,12 @@ val call_function : t -> Minic.Ast.func -> value list -> value
     function from another unit is compiled on its first call; its own
     calls resolve in this interpreter's unit. *)
 
-val library_call : Minic.Ast.func -> (value list -> unit) option
-(** [Some run] when the function's body is exactly one [blas_dgemm]
-    call whose extents are its parameters or integer literals and whose
-    matrices are its parameters. [run argv] performs the call on the argument values the function would
-    receive, with the builtin's checks, but without fuel, hooks or an
-    interpreter. It runs the same kernel as the interpreted body, so
-    the results are bit-identical.
-    @raise Runtime_error where the interpreted call would. *)
+val library_call : Minic.Ast.func -> bool
+(** Whether the function's body is exactly one [blas_dgemm] call whose
+    extents are its parameters or integer literals and whose matrices
+    are its parameters. Such a body costs a few units of fuel before
+    the packed kernel runs, so {!Runnable} runs it through
+    {!call_function} and counts it as a native task under [native]. *)
 
 val run_main : t -> (int, string) result
 (** Run [main(void)]; the [int] is its return value (0 when main

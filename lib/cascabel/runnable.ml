@@ -32,13 +32,8 @@ exception Abort of string
 let abort fmt = Printf.ksprintf (fun s -> raise (Abort s)) fmt
 
 (* Per-allocation runtime state: the registered handle for an
-   interpreter buffer, and whether it is currently partitioned for
-   in-flight tasks. *)
-type tracked = {
-  tr_handle : Data.handle;
-  tr_rows : int;
-  tr_cols : int;
-}
+   interpreter buffer, and the row count it was registered with. *)
+type tracked = { tr_handle : Data.handle; tr_rows : int }
 
 (* What a failover needs to rebuild a task's codelet against a
    degraded platform: the interface plus the parameter spec the
@@ -104,92 +99,47 @@ let tracked_for ctx (b : Interp.buf) ~rows =
   | None ->
       if rows < 1 || b.len mod rows <> 0 then
         abort "distribution rows %d do not divide buffer length %d" rows b.len;
-      let cols = b.len / rows in
       let handle =
         Data.register_matrix
           ~name:(Printf.sprintf "buf%d" b.tag)
-          { Matrix.rows; cols; data = b.data }
+          { Matrix.rows; cols = b.len / rows; data = b.data }
       in
-      let tr = { tr_handle = handle; tr_rows = rows; tr_cols = cols } in
+      let tr = { tr_handle = handle; tr_rows = rows } in
       Hashtbl.replace ctx.handles b.tag tr;
       tr
 
-(* The codelet implementation: read the task's buffers, interpret the
-   variant's body, write back what the annotation says is written. *)
-let run_variant ctx (v : Repository.variant) handles_spec handles =
-  let param_values =
-    List.map2
-      (fun (pname, kind) handle_opt ->
-        match (kind, handle_opt) with
-        | `Pointer, Some h ->
-            let m = Data.read_matrix h in
-            ( pname,
-              Interp.VBuf (Interp.buf_of_bigarray m.Matrix.data),
-              Some (h, m) )
-        | `Scalar v, None -> (pname, v, None)
-        | _ -> assert false)
-      handles_spec
-      (let hs = ref handles in
-       List.map
-         (fun (_, kind) ->
-           match kind with
-           | `Pointer ->
-               let h = List.hd !hs in
-               hs := List.tl !hs;
-               Some h
-           | `Scalar _ -> None)
-         handles_spec)
-  in
-  let argv = List.map (fun (_, v, _) -> v) param_values in
-  (* The variant span nests inside the engine's [exec:*] span (same
-     domain): the trace shows interpreter time within each task. *)
-  let sp = Obs.Span.start () in
-  let _ = Interp.call_function ctx.interp v.v_func argv in
-  Obs.Span.record ~cat:"cascabel" ~name:("variant:" ^ v.v_func.f_name)
-    ~flow:(Obs.Trace_ctx.current_flow ()) sp;
-  (* write back written buffers *)
-  List.iter
-    (fun (pname, value, hm) ->
-      match (hm, value) with
-      | Some (h, m), Interp.VBuf _ -> (
-          match Repository.access_of v pname with
-          | Some (Write | Readwrite) -> Data.write_matrix h m
-          | _ -> ())
-      | _ -> ())
-    param_values
+(* A pointer argument is its handle's rows in place. Runnable only
+   row-partitions full-width matrices, so the block is contiguous. The
+   sub-array copies nothing and keeps the block's own bounds: an index
+   before or past the block still fails in the interpreter. *)
+let rows_in_place h =
+  let buf, off, ld = Data.view h in
+  let rows, cols = Data.dims h in
+  assert (ld = cols);
+  Interp.buf_of_bigarray (Bigarray.Array1.sub buf off (rows * cols))
 
-(* How a task body runs natively: through the variant's dlopened
-   wrapper, or — for a variant whose body is one library-kernel call —
-   through that kernel in process. *)
-type native_body =
-  | Compiled of Capi.fn
-  | Library of (Interp.value list -> unit)
+(* How a variant's body runs, chosen once per variant: through its
+   dlopened wrapper, or through the interpreter. *)
+type body = Compiled of Capi.fn | Interpreted
 
-let native_body ctx (v : Repository.variant) =
-  Option.bind ctx.native (fun nt ->
-      match Interp.library_call v.v_func with
-      | Some run -> Some (Library run)
-      | None -> Option.map (fun fn -> Compiled fn) (Native.fn_for nt v.v_name))
-
-(* The native codelet implementation: same data flow as
-   [run_variant], but the body runs as machine code instead of through
-   the interpreter. The matrices are read and written through the exact
-   same {!Data.read_matrix}/{!Data.write_matrix} path, so the two
-   executors see identical buffers — bit-identity then only depends on
-   the kernel arithmetic: a library variant runs the very kernel its
-   interpreted body calls, and compiled C is pinned by -ffp-contract=off
-   to the interpreter's strict IEEE evaluation order. *)
-let run_variant_native (v : Repository.variant) body handles_spec handles =
+(* The codelet implementation. The body runs on the program's own
+   buffers, as a StarPU task gets pointers into them: nothing is copied
+   in or written back. Compiled C is pinned by -ffp-contract=off to the
+   interpreter's strict IEEE evaluation order, so both bodies give the
+   same bits. [native] tasks record a [native_exec] span, the others a
+   [variant:<f>] span; either nests inside the engine's [exec:*] span
+   (same domain), so the trace shows the body's time within each task. *)
+let run_task ctx (v : Repository.variant) body ~native handles_spec handles =
   let hs = ref handles in
-  let slots =
+  let argv =
     List.map
-      (fun (pname, kind) ->
+      (fun (_, kind) ->
         match kind with
         | `Pointer ->
             let h = List.hd !hs in
             hs := List.tl !hs;
-            (pname, `Buf (h, Data.read_matrix h))
-        | `Scalar value -> (pname, `Scalar value))
+            Interp.VBuf (rows_in_place h)
+        | `Scalar value -> value)
       handles_spec
   in
   let sp = Obs.Span.start () in
@@ -197,34 +147,21 @@ let run_variant_native (v : Repository.variant) body handles_spec handles =
   | Compiled fn ->
       Capi.call fn
         (List.map
-           (fun (_, slot) ->
-             match slot with
-             | `Buf (_, (m : Matrix.t)) -> Capi.Buf m.Matrix.data
-             | `Scalar (Interp.VInt n) -> Capi.Int n
-             | `Scalar (Interp.VFloat x) -> Capi.Float x
-             | `Scalar _ -> abort "native task arguments must be numbers")
-           slots
+           (function
+             | Interp.VBuf b -> Capi.Buf b.Interp.data
+             | Interp.VInt n -> Capi.Int n
+             | Interp.VFloat x -> Capi.Float x
+             | _ -> abort "native task arguments must be numbers")
+           argv
         |> Array.of_list)
-  | Library run ->
-      run
-        (List.map
-           (fun (_, slot) ->
-             match slot with
-             | `Buf (_, (m : Matrix.t)) ->
-                 Interp.VBuf (Interp.buf_of_bigarray m.Matrix.data)
-             | `Scalar value -> value)
-           slots));
-  Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
-    ~flow:(Obs.Trace_ctx.current_flow ()) sp;
-  List.iter
-    (fun (pname, slot) ->
-      match slot with
-      | `Buf (h, m) -> (
-          match Repository.access_of v pname with
-          | Some (Write | Readwrite) -> Data.write_matrix h m
-          | _ -> ())
-      | `Scalar _ -> ())
-    slots
+  | Interpreted -> ignore (Interp.call_function ctx.interp v.v_func argv));
+  let flow = Obs.Trace_ctx.current_flow () in
+  if native then
+    Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
+      ~flow sp
+  else
+    Obs.Span.record ~cat:"cascabel" ~name:("variant:" ^ v.v_func.f_name) ~flow
+      sp
 
 (* Measurement-driven preselection: price a variant as the fastest
    learned estimate for (interface, PU) over the PUs whose arch class
@@ -267,22 +204,33 @@ let codelet_for ctx (sel : Preselect.selection) ~interface ~handles_spec
   let impls =
     Hashtbl.fold
       (fun arch v acc ->
-        let body = native_body ctx v in
+        (* Under [native], a body that is one library-kernel call runs
+           through the interpreter in a few fuel ticks and counts as
+           native; so does a compiled wrapper. Any other body is an
+           interpreted fallback. *)
+        let body, native =
+          match ctx.native with
+          | None -> (Interpreted, false)
+          | Some _ when Interp.library_call v.Repository.v_func ->
+              (Interpreted, true)
+          | Some nt -> (
+              match Native.fn_for nt v.v_name with
+              | Some fn -> (Compiled fn, true)
+              | None -> (Interpreted, false))
+        in
         {
           Codelet.impl_arch = arch;
           run =
             (fun ?pool:_ handles ->
-              match body with
-              | Some body ->
-                  ctx.native_tasks <- ctx.native_tasks + 1;
-                  Obs.Counter.incr c_native_exec;
-                  run_variant_native v body handles_spec handles
-              | None ->
-                  if ctx.native <> None then begin
-                    ctx.native_fallbacks <- ctx.native_fallbacks + 1;
-                    Obs.Counter.incr c_native_fallbacks
-                  end;
-                  run_variant ctx v handles_spec handles);
+              if native then begin
+                ctx.native_tasks <- ctx.native_tasks + 1;
+                Obs.Counter.incr c_native_exec
+              end
+              else if ctx.native <> None then begin
+                ctx.native_fallbacks <- ctx.native_fallbacks + 1;
+                Obs.Counter.incr c_native_fallbacks
+              end;
+              run_task ctx v body ~native handles_spec handles);
         }
         :: acc)
       by_arch []
@@ -464,11 +412,6 @@ let on_execute ctx (annot : exec_annot) (f : func) argv =
         (pname, parts))
       tracked
   in
-  (* Whole handles for undistributed pointers. *)
-  let whole_handle pname b =
-    ignore pname;
-    (tracked_for ctx b ~rows:1).tr_handle
-  in
   let chosen_variant =
     match sel.Preselect.chosen with
     | Some v -> v
@@ -492,16 +435,16 @@ let on_execute ctx (annot : exec_annot) (f : func) argv =
       List.map2
         (fun p v ->
           match v with
-          | Interp.VBuf b -> (
-              match List.assoc_opt p.p_name partitions with
-              | Some parts ->
-                  let h = parts.(block) in
-                  handles := (h, p.p_name) :: !handles;
-                  (p.p_name, `Pointer)
-              | None ->
-                  let h = whole_handle p.p_name b in
-                  handles := (h, p.p_name) :: !handles;
-                  (p.p_name, `Pointer))
+          | Interp.VBuf b ->
+              let h =
+                match List.assoc_opt p.p_name partitions with
+                | Some parts -> parts.(block)
+                | None ->
+                    (* undistributed pointers pass whole *)
+                    (tracked_for ctx b ~rows:1).tr_handle
+              in
+              handles := (h, p.p_name) :: !handles;
+              (p.p_name, `Pointer)
           | Interp.VInt n when List.mem p.p_name dist_size_params ->
               (* The size parameter is rewritten to this block's row
                  count, taken from the common partition. *)

@@ -8,6 +8,14 @@
     interpreter on the runtime's buffers, so any C the programmer
     wrote runs — on whichever worker the scheduler picked.
 
+    Tasks run in place, as a StarPU task gets pointers into the
+    program's registered arrays: each pointer argument is a view of its
+    block of the program's own buffer, bounded by that block, and
+    nothing is copied in or written back. The access modes declared in
+    the task annotation order the tasks; they do not filter writes. A
+    body that writes a [read]-declared parameter changes the program's
+    buffer, as the serial program would.
+
     Decomposition: a [BLOCK]-distributed pointer parameter is treated
     as a row-major matrix whose row count is the value of the
     annotation's size argument (e.g. [A:BLOCK:m] with parameter
@@ -79,14 +87,16 @@ val run :
     rate. The caller persists the store afterwards.
 
     [native] attaches a loaded kernels library (see {!Native.build}):
-    a variant whose body is one [blas_dgemm] call (see
-    {!Interp.library_call}) runs the packed kernel in process; task
-    bodies whose variant has a resolved wrapper symbol run as compiled
-    machine code; every other variant falls back to the interpreter,
-    counted in [native_fallbacks] and in the [native_fallbacks]
-    telemetry counter. Scheduling, telemetry, faults and calibration
-    are unchanged — only the codelet body's executor differs, and its
-    outputs are bit-identical.
+    task bodies whose variant has a resolved wrapper symbol run as
+    compiled machine code on the same views; a variant whose body is
+    one [blas_dgemm] call (see {!Interp.library_call}) runs through the
+    interpreter, where the call reaches the packed kernel after a few
+    units of fuel. Both count in [native_tasks] and record a
+    [native_exec] span. Every other variant falls back to the
+    interpreter, counted in [native_fallbacks] and in the
+    [native_fallbacks] telemetry counter. Scheduling, telemetry, faults
+    and calibration are unchanged — only the codelet body's executor
+    differs, and its outputs are bit-identical.
 
     A malformed program literal or any other interpreter error is
     returned as [Error]. *)

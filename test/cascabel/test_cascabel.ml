@@ -646,35 +646,50 @@ let library_tests =
         with
         | Ok _ -> Alcotest.fail "expected an overlap error"
         | Error e -> check string_ "message" "blas_dgemm: C overlaps A" e);
-    Alcotest.test_case "a library task copies its buffers in and out" `Quick
+    Alcotest.test_case "a library task copies no matrix data" `Quick
       (fun () ->
-        (* Cascabel tasks still run on private copies: every task of
-           dgemm.c (N = 32) reads its A strip, all of B and its C strip
-           and writes the C strip back, and data_copy_bytes counts
-           each of those bytes *)
-        let src =
-          In_channel.with_open_bin "../../examples/programs/dgemm.c"
-            In_channel.input_all
+        (* Cascabel tasks compute in place on views of the program's
+           own buffers: Data.read_matrix/write_matrix, which count every
+           byte they copy, never run for dgemm.c (N = 32), interpreted
+           or with --native *)
+        let unit_ =
+          parse
+            (In_channel.with_open_bin "../../examples/programs/dgemm.c"
+               In_channel.input_all)
         in
-        Obs.Config.set_enabled true;
-        Obs.Counter.reset_all ();
-        let r =
-          Runnable.run ~repo:(Repository.create ()) ~platform:gpus (parse src)
+        let run ?native () =
+          Obs.Config.set_enabled true;
+          Obs.Counter.reset_all ();
+          let r =
+            Runnable.run ?native ~repo:(Repository.create ()) ~platform:gpus
+              unit_
+          in
+          let copied =
+            List.find
+              (fun c -> Obs.Counter.name c = "data_copy_bytes")
+              (Obs.Counter.all ())
+            |> Obs.Counter.value
+          in
+          Obs.Counter.reset_all ();
+          Obs.Config.set_enabled false;
+          match r with
+          | Error e -> Alcotest.failf "run: %s" e
+          | Ok r -> (r, copied)
         in
-        let copied =
-          List.find
-            (fun c -> Obs.Counter.name c = "data_copy_bytes")
-            (Obs.Counter.all ())
-          |> Obs.Counter.value
-        in
-        Obs.Counter.reset_all ();
-        Obs.Config.set_enabled false;
-        match r with
-        | Error e -> Alcotest.failf "run: %s" e
-        | Ok r ->
-            check int_ "one task per PU" 10 r.tasks_submitted;
-            (* 8 bytes * 32^2 * (A + C in + C out + 10 copies of B) *)
-            check int_ "bytes copied" 106496 copied);
+        let r, copied = run () in
+        check int_ "one task per PU" 10 r.tasks_submitted;
+        check int_ "bytes copied" 0 copied;
+        match Native.build (emit_c unit_) with
+        | Native.No_toolchain _ -> () (* no cc: nothing to run natively *)
+        | Native.Compile_error e -> Alcotest.failf "native build: %s" e
+        | Native.Loaded nt ->
+            let r, copied =
+              Fun.protect
+                ~finally:(fun () -> Native.close nt)
+                (run ~native:nt)
+            in
+            check int_ "every task native" 10 r.native_tasks;
+            check int_ "bytes copied under --native" 0 copied);
     Alcotest.test_case
       "dgemm.c with a random fill: --native runs every task, bit-identical"
       `Quick (fun () ->
@@ -761,9 +776,9 @@ int main(void)
               { blas_dgemm(m, n, n + 1, A, B, C); }|}
         with
         | [ lib; mixed; computed ] ->
-            check bool_ "lib" true (Interp.library_call lib <> None);
-            check bool_ "mixed" true (Interp.library_call mixed = None);
-            check bool_ "computed" true (Interp.library_call computed = None)
+            check bool_ "lib" true (Interp.library_call lib);
+            check bool_ "mixed" false (Interp.library_call mixed);
+            check bool_ "computed" false (Interp.library_call computed)
         | _ -> Alcotest.fail "expected three functions");
   ]
 
@@ -1263,6 +1278,55 @@ int main(void) {
            must simply have progressed in virtual time. *)
         check bool_ "both advanced time" true
           (r_gpu.stats.makespan > 0.0 && r_smp.stats.makespan > 0.0));
+    Alcotest.test_case "in-place task views keep per-task bounds" `Quick
+      (fun () ->
+        (* A 6x2 matrix in three row blocks of four elements, filled
+           with A[i] = i. Each task sees only its own block: the
+           variant's extreme in-bounds writes land at its block's edges
+           and nowhere else, and one index before or past the block is
+           the interpreter's out-of-bounds error. *)
+        let program body =
+          Printf.sprintf
+            {|#pragma cascabel task : x86 : Iv : v1 : (A: readwrite)
+void edges(double *A, int n)
+{
+  %s
+}
+int main(void) {
+  double *A = malloc(12 * sizeof(double));
+  for (int i = 0; i < 12; i++) A[i] = 1.0 * i;
+  #pragma cascabel execute Iv : executionset01 (A:BLOCK:n)
+  edges(A, 6);
+  for (int i = 0; i < 12; i++) printf("%%g ", A[i]);
+  return 0;
+}
+|}
+            body
+        in
+        let run body =
+          Runnable.run ~blocks:3 ~repo:(Repository.create ()) ~platform:smp
+            (parse (program body))
+        in
+        (match run "A[0] = -1.0; A[n * 2 - 1] = -2.0;" with
+        | Error e -> Alcotest.failf "run: %s" e
+        | Ok r ->
+            check int_ "three tasks" 3 r.tasks_submitted;
+            check string_ "only block edges written"
+              "-1 1 2 -2 -1 5 6 -2 -1 9 10 -2 " r.stdout);
+        List.iter
+          (fun (what, body, want) ->
+            match run body with
+            | Ok _ -> Alcotest.failf "%s: expected a runtime error" what
+            | Error e -> check string_ what want e)
+          [
+            (* only the first block starts with element 0 *)
+            ( "one past the block",
+              "if (A[0] == 0.0) A[0] = A[n * 2];",
+              "buffer read out of bounds (index 4 of 4)" );
+            ( "one before the block",
+              "if (A[0] != 0.0) A[-1] = 7.0;",
+              "buffer write out of bounds (index -1 of 4)" );
+          ]);
   ]
 
 (* Property: translated vecadd equals serial for random sizes and

@@ -4,8 +4,9 @@
 # For every example program, asserts that:
 #   1. `cascabelc run --native` produces bit-identical stdout (and the
 #      same exit code) as the interpreted translated run,
-#   2. `--native --stats` reports zero interpreted fallbacks: every
-#      task ran as compiled code or on an in-process library kernel, and
+#   2. `--native --stats` reports at least one native task and zero
+#      interpreted fallbacks: every task ran as compiled code or as a
+#      library-kernel call, and a run that submits no task fails, and
 #   3. the standalone executable built from the `--emit-c` sources via
 #      the emitted Makefile prints exactly what the serial interpreter
 #      prints. The standalone runtime's `blas_dgemm` is a plain triple
@@ -51,9 +52,16 @@ for prog in "$root"/examples/programs/*.c; do
   else
     echo "native: $name: compiled run bit-identical"
   fi
+  tasks=$(printf '%s\n' "$summary" | sed -n 's/.*; \([0-9][0-9]*\) tasks native,.*/\1/p')
   case "$summary" in
     *", 0 interpreted fallbacks")
-      echo "native: $name: zero interpreted fallbacks" ;;
+      if [ "${tasks:-0}" -ge 1 ]; then
+        echo "native: $name: zero interpreted fallbacks"
+      else
+        echo "native: $name: no task ran natively under --native"
+        echo "  $summary"
+        bad=1
+      fi ;;
     *)
       echo "native: $name: interpreted fallbacks under --native"
       echo "  $summary"
