@@ -1033,10 +1033,11 @@ let tune () =
 (* The paper's case study, examples/programs/dgemm.c (embedded at
    build time), at size [n]: one annotated source, three executors.
    The interpreted and compiled columns run the exact same translated
-   program through Runnable; only the codelet body's executor differs.
-   Both variants call the blas_dgemm library kernel, so the interpreted
-   column runs it from the interpreter and the compiled one in process
-   from the native dispatch. The pooled column is the hand-built
+   program through Runnable. The compiled column runs main (the fill
+   and checksum loops) as the kernels library's compiled entry, the
+   interpreted one in the interpreter. Both variants call the
+   blas_dgemm library kernel, which both columns reach in process. The
+   pooled column is the hand-built
    Tiled_dgemm task graph over the same packed kernel on a domain
    pool, the reference for what the library achieves. *)
 let cc_program ~n =

@@ -401,7 +401,12 @@ let run_cmd =
                    %d interpreted fallbacks\n"
                   (Cascabel.Native.native_count nt)
                   (Filename.basename (Cascabel.Native.so_path nt))
-                  r.native_tasks r.native_fallbacks)
+                  r.native_tasks r.native_fallbacks;
+                Printf.eprintf "# native main: %s\n"
+                  (match Cascabel.Native.entry nt with
+                  | Ok _ when r.native_main -> "compiled"
+                  | Ok _ -> "interpreted"
+                  | Error why -> Printf.sprintf "interpreted (%s)" why))
               native_lib;
             if faults <> None then begin
               Printf.eprintf

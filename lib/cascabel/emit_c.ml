@@ -1,6 +1,8 @@
 open Minic.Ast
 
 type source = { file : string; contents : string }
+type slot = Slot_buf | Slot_long | Slot_double
+type entry_site = { es_site : Codegen.execute_site; es_slots : slot list }
 
 type t = {
   program_name : string;
@@ -9,6 +11,7 @@ type t = {
   sources : source list;
   native_variants : (string * string) list;
   all_wrappers : (string * string) list;
+  entry : (entry_site array, string) result;
   plan : Compile_plan.t;
 }
 
@@ -35,12 +38,11 @@ let wrapper_symbol v_name = "cascabel_call_" ^ sanitize v_name
 let header_text =
   {|/* Cascabel runtime C API (generated by cascabelc --emit-c).
  *
- * Generated programs and kernel libraries compile against this
- * header.  Two runtimes implement it: cascabel_rt.c (serial,
- * standalone, immediate execution) for self-contained executables,
- * and the OCaml engine (scheduling, telemetry, faults, calibration)
- * which loads only the kernels shared object and dispatches through
- * the cascabel_call_* wrappers.
+ * The standalone build compiles against this header: the generated
+ * program plus cascabel_rt.c, a serial runtime with immediate
+ * execution.  The kernels shared object the OCaml engine dlopens does
+ * not include it; its own prelude declares prototypes only, and its
+ * cascabel_main reaches the engine through a host table.
  */
 #ifndef CASCABEL_RT_H
 #define CASCABEL_RT_H
@@ -68,24 +70,9 @@ void cascabel_wait_all(void);
 double rand_double(void);
 void assert_true(long cond);
 
-/* C[m x n] += A[m x k] * B[k x n], row-major: a plain reference for
- * the blas_dgemm library kernel, kept small so it compiles fast.  The
- * OCaml engine never calls it: it runs blas_dgemm-bodied variants on
- * its packed kernel in process, whose k-blocked, FMA-enabled sums agree
- * with this loop's only to rounding. */
-__attribute__((noinline, unused)) static void
-blas_dgemm(long m, long n, long k, const double *A, const double *B,
-           double *C)
-{
-  long i, j, l;
-  for (i = 0; i < m; i++)
-    for (j = 0; j < n; j++) {
-      double acc = 0.0;
-      for (l = 0; l < k; l++)
-        acc += A[i * k + l] * B[l * n + j];
-      C[i * n + j] += acc;
-    }
-}
+/* C[m x n] += A[m x k] * B[k x n], row-major (cascabel_rt.c). */
+void blas_dgemm(long m, long n, long k, const double *A, const double *B,
+                double *C);
 
 #endif /* CASCABEL_RT_H */
 |}
@@ -215,7 +202,139 @@ void assert_true(long cond)
     exit(1);
   }
 }
+
+/* The blas_dgemm library kernel as a plain reference loop, kept small
+ * so it compiles fast.  The engine never calls it: there the kernel is
+ * the host's packed DGEMM, whose k-blocked, FMA-enabled sums agree with
+ * this loop's only to rounding. */
+void blas_dgemm(long m, long n, long k, const double *A, const double *B,
+                double *C)
+{
+  long i, j, l;
+  for (i = 0; i < m; i++)
+    for (j = 0; j < n; j++) {
+      double acc = 0.0;
+      for (l = 0; l < k; l++)
+        acc += A[i * k + l] * B[l * n + j];
+      C[i * n + j] += acc;
+    }
+}
 |}
+
+(* The kernels translation unit's prelude: prototypes only, no system
+   headers, so the one [cc] run per build stays short. [malloc] maps
+   to [calloc] as in the header. A compiled main reaches even
+   [vsnprintf] through the host table: a library that references no
+   libc symbol links faster. The table's layout is mirrored by
+   [struct cascabel_host] in the runtime's capi_stubs.c. *)
+let kernels_prelude =
+  {|/* Cascabel kernels library (generated by cascabelc).
+ *
+ * The kept task variants, one fixed-ABI wrapper cascabel_call_<variant>
+ * per variant and, when the program's main qualifies, main itself as
+ * the entry cascabel_main.  The engine dlopens the shared object built
+ * from this file; main's runtime calls go through the host table the
+ * engine passes in.  Prototypes only: no system headers.
+ */
+void *calloc(unsigned long, unsigned long);
+void free(void *);
+int printf(const char *, ...);
+double sqrt(double);
+double fabs(double);
+double fmax(double, double);
+double fmin(double, double);
+double pow(double, double);
+double exp(double);
+double log(double);
+int abs(int);
+double rand_double(void);
+void assert_true(long);
+
+/* The interpreter's malloc zero-fills; compiled code must agree. */
+#define malloc(n) calloc(1, (n))
+
+struct cascabel_host {
+  void *(*alloc)(long bytes);
+  void (*free)(void *p);
+  void (*out)(const char *s, long len);
+  void (*submit)(int site, int argc, void **argv);
+  void (*wait_all)(void);
+  void (*blas_dgemm)(long m, long n, long k, const double *A,
+                     const double *B, double *C);
+  int (*vsnprintf)(char *s, unsigned long n, const char *fmt,
+                   __builtin_va_list ap);
+};
+
+static const struct cascabel_host *cascabel_host;
+
+/* The library kernel is the host's packed DGEMM. */
+__attribute__((unused)) static void
+blas_dgemm(long m, long n, long k, const double *A, const double *B,
+           double *C)
+{
+  cascabel_host->blas_dgemm(m, n, k, A, B, C);
+}
+|}
+
+(* What the lowered main calls instead of the runtime API and the
+   allocators: every call goes to the engine through the host table. *)
+let entry_shims =
+  {|
+static void *cascabel_host_alloc(long bytes)
+{
+  return cascabel_host->alloc(bytes);
+}
+
+static void cascabel_host_free(void *p)
+{
+  cascabel_host->free(p);
+}
+
+static void cascabel_host_submit(int site, int argc, void **argv)
+{
+  cascabel_host->submit(site, argc, argv);
+}
+
+static void cascabel_host_wait_all(void)
+{
+  cascabel_host->wait_all();
+}
+
+static int cascabel_host_printf(const char *fmt, ...)
+{
+  char small[256];
+  __builtin_va_list ap;
+  int n;
+  __builtin_va_start(ap, fmt);
+  n = cascabel_host->vsnprintf(small, sizeof small, fmt, ap);
+  __builtin_va_end(ap);
+  if (n < 0) return 0;
+  if (n < (int)sizeof small) {
+    cascabel_host->out(small, n);
+  } else {
+    char big[n + 1];
+    __builtin_va_start(ap, fmt);
+    cascabel_host->vsnprintf(big, sizeof big, fmt, ap);
+    __builtin_va_end(ap);
+    cascabel_host->out(big, n);
+  }
+  return 0;
+}
+|}
+
+let entry_symbol = "cascabel_main"
+let host_main_name = "cascabel_host_main"
+
+let entry_text =
+  Printf.sprintf
+    {|
+int %s(const struct cascabel_host *host)
+{
+  cascabel_host = host;
+  return %s();
+}
+|}
+    entry_symbol host_main_name
 
 (* ------------------------------------------------------------------ *)
 (* Selections and signatures                                           *)
@@ -246,8 +365,6 @@ let signature_of (out : Codegen.output) interface =
 
 (* ------------------------------------------------------------------ *)
 (* Argument slots: how one parameter travels through void *argv[].     *)
-
-type slot = Slot_buf | Slot_long | Slot_double
 
 let slot_of_type = function
   | Pointer _ | Array _ -> Ok Slot_buf
@@ -325,23 +442,22 @@ let define_name line =
   in
   String.sub rest 0 (stop 0)
 
-let rec decl_names_of_stmt acc = function
-  | Decl_stmt ds -> List.fold_left (fun a d -> d.d_name :: a) acc ds
-  | Block ss -> List.fold_left decl_names_of_stmt acc ss
+let rec decls_of_stmt acc = function
+  | Decl_stmt ds -> List.rev_append ds acc
+  | Block ss -> List.fold_left decls_of_stmt acc ss
   | If (_, a, b) ->
-      let acc = decl_names_of_stmt acc a in
-      Option.fold ~none:acc ~some:(decl_names_of_stmt acc) b
-  | While (_, s) | Do_while (s, _) | Pragma_stmt (_, s) ->
-      decl_names_of_stmt acc s
+      let acc = decls_of_stmt acc a in
+      Option.fold ~none:acc ~some:(decls_of_stmt acc) b
+  | While (_, s) | Do_while (s, _) | Pragma_stmt (_, s) -> decls_of_stmt acc s
   | For (init, _, _, s) ->
       let acc =
-        match init with
-        | Some (For_decl ds) ->
-            List.fold_left (fun a d -> d.d_name :: a) acc ds
-        | _ -> acc
+        match init with Some (For_decl ds) -> List.rev_append ds acc | _ -> acc
       in
-      decl_names_of_stmt acc s
+      decls_of_stmt acc s
   | Expr_stmt _ | Return _ | Break | Continue -> acc
+
+let locals_of (f : func) =
+  Option.fold ~none:[] ~some:(List.fold_left decls_of_stmt []) f.f_body
 
 (* Collect value identifiers and called function names; [clean]
    flips to false on constructs outside the checkable subset. *)
@@ -365,7 +481,11 @@ let scan_func (f : func) =
     | Member (e, _) | Arrow (e, _) ->
         clean := false;
         expr e
-    | Unary (_, e) | Post_inc e | Post_dec e | Cast (_, e) | Sizeof_expr e ->
+    | Unary (_, e) | Post_inc e | Post_dec e | Cast (_, e) -> expr e
+    | Sizeof_expr e ->
+        (* The interpreter sizes every expression at 8 bytes; C does
+           not, e.g. for an int. *)
+        clean := false;
         expr e
     | Assign (_, a, b) ->
         expr a;
@@ -403,8 +523,7 @@ let scan_func (f : func) =
   Option.iter (List.iter stmt) f.f_body;
   (!idents, !calls, !clean)
 
-let native_dispatchable ~defines (v : Repository.variant) =
-  let f = v.v_func in
+let func_dispatchable ~defines (f : func) =
   let param_ok (p : param) =
     match p.p_type with
     | Pointer Double | Array (Double, _) | Int | Long | Double -> true
@@ -415,9 +534,7 @@ let native_dispatchable ~defines (v : Repository.variant) =
   && f.f_body <> None
   &&
   let idents, calls, clean = scan_func f in
-  let locals =
-    Option.fold ~none:[] ~some:(List.fold_left decl_names_of_stmt []) f.f_body
-  in
+  let locals = List.map (fun d -> d.d_name) (locals_of f) in
   let known n =
     List.exists (fun (p : param) -> p.p_name = n) f.f_params
     || List.mem n locals || List.mem n defines
@@ -425,6 +542,9 @@ let native_dispatchable ~defines (v : Repository.variant) =
   clean
   && List.for_all (fun c -> List.mem c native_builtins) calls
   && List.for_all known idents
+
+let native_dispatchable ~defines (v : Repository.variant) =
+  func_dispatchable ~defines v.v_func
 
 (* ------------------------------------------------------------------ *)
 (* Program lowering: packed argv submits + wrapper function pointers.  *)
@@ -438,6 +558,8 @@ let lower_register_variant ~wrappers args =
           Error (Printf.sprintf "no wrapper for registered variant %S" name))
   | _ -> Error "cascabel_register_variant has unexpected arguments"
 
+let argv_name site = Printf.sprintf "__cascabel_argv%d" site
+
 let lower_submit ~signature ~site iface group args =
   let n = List.length args in
   if n <> List.length signature then
@@ -447,7 +569,7 @@ let lower_submit ~signature ~site iface group args =
           signature has %d parameters"
          site iface n (List.length signature))
   else begin
-    let argv_name = Printf.sprintf "__cascabel_argv%d" site in
+    let argv_name = argv_name site in
     let errors = ref [] in
     let scalar_decls = ref [] in
     let packs = ref [] in
@@ -486,8 +608,12 @@ let lower_submit ~signature ~site iface group args =
       (List.combine args signature);
     if !errors <> [] then Error (String.concat "; " (List.rev !errors))
     else
+      let slots =
+        List.map (fun (p : param) -> Result.get_ok (slot_of_type p.p_type))
+          signature
+      in
       Ok
-        (Block
+        ( Block
            (Decl_stmt
               [
                 {
@@ -510,12 +636,16 @@ let lower_submit ~signature ~site iface group args =
                            Int_lit (string_of_int n);
                            Ident argv_name;
                          ] )));
-             ]))
+             ]),
+          slots )
   end
 
+(* Returns the lowered unit and, per execute site in order, its number,
+   interface, group and argument slots. *)
 let lower_program (out : Codegen.output) ~wrappers =
   let errors = ref [] in
   let site = ref 0 in
+  let sites = ref [] in
   (* The mini-C registration call carries the distribution size as an
      advisory symbol that may name a *callee* parameter (e.g. [m] in
      [A:BLOCK:m]) — not a name in scope at the call site. The serial
@@ -557,7 +687,9 @@ let lower_program (out : Codegen.output) ~wrappers =
             s
         | Some signature -> (
             match lower_submit ~signature ~site:!site iface group args with
-            | Ok s' -> s'
+            | Ok (s', slots) ->
+                sites := (!site, iface, group, slots) :: !sites;
+                s'
             | Error e ->
                 errors := e :: !errors;
                 s))
@@ -578,7 +710,7 @@ let lower_program (out : Codegen.output) ~wrappers =
       out.Codegen.gen_unit
   in
   if !errors <> [] then Error (String.concat "\n" (List.rev !errors))
-  else Ok lowered
+  else Ok (lowered, List.rev !sites)
 
 (* Wrapper prototypes go before the first function so main's
    register_variant calls see them; definitions go last so they can
@@ -596,17 +728,294 @@ let splice_wrappers unit_ wrapper_funcs =
   insert unit_ @ defs
 
 (* ------------------------------------------------------------------ *)
+(* The entry: main compiled into the kernels unit.                     *)
+
+(* Calls a lowered main may make besides native-dispatchable unit
+   functions: the host-table shims that the runtime calls, the
+   allocators and printf became, the math builtins, and [blas_dgemm],
+   the host's packed kernel. [rand_double] and [assert_true] are
+   missing on purpose: the LCG state and a failed assertion belong to
+   the interpreter. *)
+let entry_calls =
+  [ "cascabel_host_alloc"; "cascabel_host_free"; "cascabel_host_submit";
+    "cascabel_host_wait_all"; "cascabel_host_printf"; "blas_dgemm"; "sqrt";
+    "fabs"; "fmax"; "fmin"; "pow"; "exp"; "log"; "abs" ]
+
+let handle_type = Named "cascabel_handle_t"
+
+(* Local types whose C values match the interpreter's: [int] and
+   [long] are its integers (while they do not overflow), [double] its
+   floats, and every pointer is a view into a double buffer. *)
+let entry_local_types = [ Int; Long; Double; Pointer Double ]
+
+(* Why [main] must stay interpreted, or [None]. [entry] is its lowered
+   form, whose packed submits declare [__cascabel_*] scratch locals. *)
+let entry_obstacle ~defines ~callable (main : func) (entry : func) =
+  let idents, calls, clean = scan_func entry in
+  let locals = locals_of entry in
+  let user_locals =
+    List.filter
+      (fun d -> not (String.starts_with ~prefix:"__cascabel_" d.d_name))
+      locals
+  in
+  let known n =
+    List.exists (fun d -> d.d_name = n) locals || List.mem n defines
+  in
+  if main.f_params <> [] then Some "main takes parameters"
+  else if not (List.mem main.f_return [ Int; Void ]) then
+    Some ("main returns " ^ Minic.Printer.type_to_string main.f_return)
+  else if not clean then
+    Some "main uses a construct C would size or call differently"
+  else
+    match
+      List.find_opt
+        (fun d -> not (List.mem d.d_type entry_local_types))
+        user_locals
+    with
+    | Some d ->
+        Some
+          (Printf.sprintf "main declares %s %s"
+             (Minic.Printer.type_to_string d.d_type) d.d_name)
+    | None -> (
+        match List.find_opt (fun n -> not (known n)) idents with
+        | Some n -> Some ("main reads " ^ n ^ ", not a local or #define")
+        | None ->
+            List.find_opt (fun c -> not (callable c)) (List.rev calls)
+            |> Option.map (fun c -> "main calls " ^ c))
+
+(* A printf format for C, mirroring the interpreter's printf: [%d],
+   [%i] and [%u] print the argument as a signed integer, [%f], [%e]
+   and [%g] as a double, [%c] its low byte; [l] modifiers are dropped.
+   Each argument is cast to what its conversion reads, as the
+   interpreter coerces it. Escapes other than the five the interpreter
+   expands, and conversions it does not know, keep main interpreted. *)
+let entry_printf fmt args =
+  let n = String.length fmt in
+  let out = Buffer.create n in
+  let rec go i args acc =
+    if i >= n then
+      (* Arguments past the format are evaluated, then ignored. *)
+      Ok (Buffer.contents out, List.rev_append acc args)
+    else
+      match fmt.[i] with
+      | '\\' when i + 1 < n ->
+          if String.contains "ntr\\\"" fmt.[i + 1] then begin
+            Buffer.add_string out (String.sub fmt i 2);
+            go (i + 2) args acc
+          end
+          else Error (Printf.sprintf "printf escape \\%c" fmt.[i + 1])
+      | '\\' -> Error "printf format ends in a backslash"
+      | '%' when i + 1 >= n ->
+          Buffer.add_string out "%%";
+          go (i + 1) args acc
+      | '%' -> (
+          let j = ref (i + 1) in
+          while !j < n && String.contains "0123456789.-+ #l" fmt.[!j] do
+            incr j
+          done;
+          if !j >= n then Error "printf format ends inside a conversion"
+          else
+            let flags =
+              String.concat ""
+                (String.split_on_char 'l' (String.sub fmt (i + 1) (!j - i - 1)))
+            in
+            let conv = fmt.[!j] in
+            let take spec ty =
+              match args with
+              | [] -> Error "printf has fewer arguments than conversions"
+              | a :: rest ->
+                  Buffer.add_string out ("%" ^ flags ^ spec);
+                  go (!j + 1) rest (Cast (ty, a) :: acc)
+            in
+            match conv with
+            | 'd' | 'i' | 'u' -> take "ld" Long
+            | 'f' | 'e' | 'g' -> take (String.make 1 conv) Double
+            | 'c' -> take "c" Int
+            | '%' ->
+                Buffer.add_string out "%%";
+                go (!j + 1) args acc
+            | c -> Error (Printf.sprintf "printf conversion %%%c" c))
+      | c ->
+          Buffer.add_char out c;
+          go (i + 1) args acc
+  in
+  go 0 args []
+
+let rec map_expr f e =
+  let m = map_expr f in
+  f
+    (match e with
+    | Call (g, args) -> Call (m g, List.map m args)
+    | Index (a, b) -> Index (m a, m b)
+    | Binary (op, a, b) -> Binary (op, m a, m b)
+    | Comma (a, b) -> Comma (m a, m b)
+    | Assign (op, a, b) -> Assign (op, m a, m b)
+    | Member (a, n) -> Member (m a, n)
+    | Arrow (a, n) -> Arrow (m a, n)
+    | Unary (op, a) -> Unary (op, m a)
+    | Post_inc a -> Post_inc (m a)
+    | Post_dec a -> Post_dec (m a)
+    | Cast (t, a) -> Cast (t, m a)
+    | Sizeof_expr a -> Sizeof_expr (m a)
+    | Ternary (a, b, c) -> Ternary (m a, m b, m c)
+    | Int_lit _ | Float_lit _ | Char_lit _ | String_lit _ | Ident _
+    | Sizeof_type _ ->
+        e)
+
+(* The lowered main as [int cascabel_host_main(void)]: registrations
+   vanish, a handle is its data pointer, each packed submit names its
+   site index, and waits, allocations and printf go to the host. *)
+let lower_entry_main (main : func) ~site_of_argv =
+  let errors = ref [] in
+  let call name args = Call (Ident name, args) in
+  let expr =
+    map_expr (function
+      | Call (Ident "cascabel_register", [ x ])
+      | Call (Ident "cascabel_register_distributed", x :: _)
+      | Call (Ident "cascabel_data_ptr", [ x ]) ->
+          x
+      | Call (Ident "cascabel_submit", [ _; _; argc; (Ident argv as a) ]) ->
+          call "cascabel_host_submit"
+            [ Int_lit (string_of_int (site_of_argv argv)); argc; a ]
+      | Call (Ident "cascabel_wait_all", []) -> call "cascabel_host_wait_all" []
+      | Call (Ident "malloc", [ x ]) -> call "cascabel_host_alloc" [ x ]
+      | Call (Ident "calloc", [ n; sz ]) ->
+          call "cascabel_host_alloc" [ Binary (Mul, n, sz) ]
+      | Call (Ident "free", [ x ]) -> call "cascabel_host_free" [ x ]
+      | Call (Ident "printf", String_lit fmt :: args) as e -> (
+          match entry_printf fmt args with
+          | Ok (fmt, args) ->
+              call "cascabel_host_printf" (String_lit fmt :: args)
+          | Error why ->
+              errors := why :: !errors;
+              e)
+      | Call (Ident "printf", _) as e ->
+          errors := "printf without a literal format" :: !errors;
+          e
+      | e -> e)
+  in
+  let decl d =
+    {
+      d with
+      d_type = (if d.d_type = handle_type then Pointer Double else d.d_type);
+      d_init = Option.map expr d.d_init;
+    }
+  in
+  let rec stmts ss = List.concat_map stmt ss
+  and one s = match stmt s with [ s ] -> s | ss -> Block ss
+  and stmt = function
+    | Expr_stmt
+        (Some
+          (Call
+            ( Ident
+                ( "cascabel_init" | "cascabel_shutdown"
+                | "cascabel_register_variant" ),
+              _ ))) ->
+        []
+    | Expr_stmt e -> [ Expr_stmt (Option.map expr e) ]
+    | Decl_stmt ds -> [ Decl_stmt (List.map decl ds) ]
+    | Block ss -> [ Block (stmts ss) ]
+    | If (c, a, b) -> [ If (expr c, one a, Option.map one b) ]
+    | While (c, s) -> [ While (expr c, one s) ]
+    | Do_while (s, c) -> [ Do_while (one s, expr c) ]
+    | For (init, c, st, s) ->
+        let init =
+          Option.map
+            (function
+              | For_expr e -> For_expr (expr e)
+              | For_decl ds -> For_decl (List.map decl ds))
+            init
+        in
+        [ For (init, Option.map expr c, Option.map expr st, one s) ]
+    | Return e ->
+        [ Return (Some (Option.fold ~none:(Int_lit "0") ~some:expr e)) ]
+    | Pragma_stmt (p, s) -> [ Pragma_stmt (p, one s) ]
+    | (Break | Continue) as s -> [ s ]
+  in
+  let body = stmts (Option.value ~default:[] main.f_body) in
+  match !errors with
+  | [] ->
+      Ok
+        {
+          f_name = host_main_name;
+          f_return = Int;
+          f_params = [];
+          f_body =
+            Some
+              (match List.rev body with
+              | Return _ :: _ -> body
+              | _ -> body @ [ Return (Some (Int_lit "0")) ]);
+          f_task = None;
+        }
+  | why :: _ -> Error why
+
+let unit_funcs (out : Codegen.output) =
+  List.filter_map
+    (function
+      | Func ({ f_body = Some _; f_name; _ } as f) when f_name <> "main" ->
+          Some (f.f_name, f)
+      | _ -> None)
+    out.Codegen.gen_unit
+
+(* The compiled main for the kernels unit, or why main stays
+   interpreted: the lowered main, its entry form, and one [entry_site]
+   per execute site, indexed as the lowered submits name them. *)
+let entry_of (out : Codegen.output) ~defines ~lowered ~lowered_sites =
+  let find_main unit_ =
+    List.find_map
+      (function
+        | Func ({ f_name = "main"; f_body = Some _; _ } as f) -> Some f
+        | _ -> None)
+      unit_
+  in
+  let unit_funcs = unit_funcs out in
+  let callable c =
+    List.mem c entry_calls
+    ||
+    match List.assoc_opt c unit_funcs with
+    | Some f ->
+        func_dispatchable ~defines f
+        && List.mem f.f_return [ Void; Int; Long; Double ]
+    | None -> false
+  in
+  match find_main lowered with
+  | None -> Error "the program has no main"
+  | Some main -> (
+      let lines_up =
+            List.length lowered_sites = List.length out.Codegen.sites
+            && List.for_all2
+                 (fun (x : Codegen.execute_site) (_, iface, group, _) ->
+                   x.x_interface = iface && x.x_group = group)
+                 out.Codegen.sites lowered_sites
+          in
+      if not lines_up then
+        Error "execute sites do not line up with the translation"
+      else
+        let site_of_argv name =
+          Option.get
+            (List.find_index
+               (fun (site, _, _, _) -> argv_name site = name)
+               lowered_sites)
+        in
+        Result.bind (lower_entry_main main ~site_of_argv) (fun entry ->
+            match entry_obstacle ~defines ~callable main entry with
+            | Some why -> Error why
+            | None ->
+                Ok
+                  ( entry,
+                    Array.of_list
+                      (List.map2
+                         (fun es_site (_, _, _, es_slots) ->
+                           { es_site; es_slots })
+                         out.Codegen.sites lowered_sites) )))
+
+(* ------------------------------------------------------------------ *)
 (* Kernels translation unit: variants, their helpers, wrappers.        *)
 
-let kernels_unit (out : Codegen.output) variants wrapper_funcs =
-  let unit_funcs =
-    List.filter_map
-      (function
-        | Func ({ f_body = Some _; f_name; _ } as f) when f_name <> "main" ->
-            Some (f.f_name, f)
-        | _ -> None)
-      out.Codegen.gen_unit
-  in
+(* [roots] are the functions the unit must define besides the
+   variants: those a compiled main calls. [entry] is that main. *)
+let kernels_unit (out : Codegen.output) variants wrapper_funcs ~roots ~entry =
+  let unit_funcs = unit_funcs out in
   (* Transitive closure over called helpers so the shared object is
      self-contained under RTLD_NOW. *)
   let included = Hashtbl.create 8 in
@@ -614,6 +1023,9 @@ let kernels_unit (out : Codegen.output) variants wrapper_funcs =
     (fun (v : Repository.variant) ->
       Hashtbl.replace included v.v_func.f_name ())
     variants;
+  List.iter
+    (fun c -> if List.mem_assoc c unit_funcs then Hashtbl.replace included c ())
+    roots;
   let rec close () =
     let added = ref false in
     List.iter
@@ -651,10 +1063,11 @@ let kernels_unit (out : Codegen.output) variants wrapper_funcs =
         | Include _ | Func _ -> false)
       out.Codegen.gen_unit
   in
-  (Include "#include \"cascabel_rt.h\"" :: statics)
+  statics
   @ List.map (fun f -> Func { f with f_body = None }) funcs
   @ List.map (fun f -> Func f) funcs
   @ List.map (fun f -> Func f) wrapper_funcs
+  @ Option.fold ~none:[] ~some:(fun f -> [ Func f ]) entry
 
 (* ------------------------------------------------------------------ *)
 
@@ -677,7 +1090,7 @@ let makefile_text ~program_name (plan : Compile_plan.t) =
       "";
       Printf.sprintf "native: %s" sh.so_output;
       "";
-      Printf.sprintf "%s: %s %s" sh.so_output sh.so_input header_file;
+      Printf.sprintf "%s: %s" sh.so_output sh.so_input;
       Printf.sprintf "\t%s %s -I. -o $@ %s" sh.so_compiler
         (String.concat " " sh.so_flags)
         sh.so_input;
@@ -698,10 +1111,9 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
   in
   match lower_program out ~wrappers with
   | Error e -> Error e
-  | Ok lowered ->
+  | Ok (lowered, lowered_sites) ->
       let wrapper_funcs = List.map wrapper_func variants in
       let program_unit = splice_wrappers lowered wrapper_funcs in
-      let kernels = kernels_unit out variants wrapper_funcs in
       let defines =
         List.filter_map
           (function
@@ -710,6 +1122,17 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
                 if n = "" then None else Some n
             | _ -> None)
           out.Codegen.gen_unit
+      in
+      let entry = entry_of out ~defines ~lowered ~lowered_sites in
+      let kernels =
+        kernels_unit out variants wrapper_funcs
+          ~roots:
+            (match entry with
+            | Ok (f, _) ->
+                let _, calls, _ = scan_func f in
+                calls
+            | Error _ -> [])
+          ~entry:(Result.to_option entry |> Option.map fst)
       in
       let native_variants =
         List.filter_map
@@ -730,7 +1153,14 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
           };
           {
             file = plan.Compile_plan.shared.so_input;
-            contents = Minic.Printer.unit_to_string kernels;
+            contents =
+              String.concat "\n"
+                (match entry with
+                | Ok _ ->
+                    [ kernels_prelude; entry_shims;
+                      Minic.Printer.unit_to_string kernels; entry_text ]
+                | Error _ ->
+                    [ kernels_prelude; Minic.Printer.unit_to_string kernels ]);
           };
           { file = "Makefile"; contents = makefile_text ~program_name plan };
         ]
@@ -743,6 +1173,7 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
           sources;
           native_variants;
           all_wrappers = wrappers;
+          entry = Result.map snd entry;
           plan;
         }
 

@@ -1254,6 +1254,7 @@ let run_main t =
       | exception Runtime_error msg -> Error msg)
 
 let output t = Buffer.contents t.out
+let add_output t s = Buffer.add_string t.out s
 
 let global_int t name =
   match Hashtbl.find_opt t.global_slots name with

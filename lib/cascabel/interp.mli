@@ -88,6 +88,9 @@ val run_main : t -> (int, string) result
 val output : t -> string
 (** Everything [printf]ed so far. *)
 
+val add_output : t -> string -> unit
+(** Append to {!output}: what a compiled [main] prints. *)
+
 val global_int : t -> string -> int option
 (** Value of a global integer variable or [#define] constant. *)
 

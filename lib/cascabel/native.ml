@@ -4,6 +4,7 @@ type t = {
   keep_dir : bool;
   so_path : string;
   fns : (string, Taskrt.Capi.fn) Hashtbl.t;  (** variant -> wrapper *)
+  entry : (Taskrt.Capi.fn * Emit_c.entry_site array, string) result;
   mutable closed : bool;
 }
 
@@ -98,6 +99,15 @@ let build ?cc ?dir:build_dir (emitted : Emit_c.t) =
                     | Some fn -> Hashtbl.replace fns v_name fn
                     | None -> ())
                   emitted.Emit_c.native_variants;
+                let entry =
+                  Result.bind emitted.Emit_c.entry (fun sites ->
+                      match Taskrt.Capi.sym lib Emit_c.entry_symbol with
+                      | Some fn -> Ok (fn, sites)
+                      | None ->
+                          Error
+                            (Emit_c.entry_symbol ^ " missing from "
+                           ^ Filename.basename so))
+                in
                 Loaded
                   {
                     lib;
@@ -105,11 +115,14 @@ let build ?cc ?dir:build_dir (emitted : Emit_c.t) =
                     keep_dir = build_dir <> None;
                     so_path = so;
                     fns;
+                    entry;
                     closed = false;
                   }))
 
 let fn_for t v_name =
   if t.closed then None else Hashtbl.find_opt t.fns v_name
+
+let entry t = if t.closed then Error "the library is closed" else t.entry
 
 let close t =
   if not t.closed then begin

@@ -2,11 +2,14 @@
 
     Takes an {!Emit_c} result, compiles the kernels translation unit
     into the plan's shared object ([cc -O3 -shared -fPIC
-    -ffp-contract=off]), dlopens it via {!Taskrt.Capi}, and resolves
-    one wrapper symbol per native-dispatchable variant. {!Runnable}
-    then dispatches codelet implementations through these symbols and
-    falls back to the interpreter per variant when a symbol (or the
-    whole toolchain) is missing.
+    -ffp-contract=off], one [cc] run), dlopens it via {!Taskrt.Capi},
+    and resolves one wrapper symbol per native-dispatchable variant
+    and, when the unit carries the program's [main], the entry
+    {!Emit_c.entry_symbol}. {!Runnable} then runs [main] through the
+    entry, dispatches codelet implementations through the wrappers,
+    and falls back to the interpreter per variant when a symbol (or
+    the whole toolchain) is missing. The compiled [main] has no fuel
+    bound and no bounds checks, the same trust as a compiled variant.
 
     Telemetry: the compile and dlopen steps record [compile] and
     [dlopen] spans under the [native] category. *)
@@ -31,6 +34,10 @@ val build : ?cc:string -> ?dir:string -> Emit_c.t -> outcome
 val fn_for : t -> string -> Taskrt.Capi.fn option
 (** Loaded wrapper for a variant name; [None] means the caller must
     interpret (unsupported variant, or symbol missing). *)
+
+val entry : t -> (Taskrt.Capi.fn * Emit_c.entry_site array, string) result
+(** The compiled [main] and its execute sites, or why [main] runs
+    interpreted (see {!Emit_c.t.entry}). *)
 
 val native_count : t -> int
 (** Number of variants with a loaded native wrapper. *)

@@ -25,6 +25,7 @@ type report = {
   calibration : Engine.cal_stat list;
   native_tasks : int;
   native_fallbacks : int;
+  native_main : bool;
 }
 
 exception Abort of string
@@ -299,6 +300,16 @@ let failover ctx (sd : Engine.stranded) =
                         ];
                     Some (codelet, None))))
 
+(* A scalar argument in its parameter's type, as a call coerces it. A
+   compiled wrapper reads the slot in that type: an [int] literal
+   passed for a [double] must travel as a double. *)
+let scalar_arg (p : param) v =
+  match (p.p_type, v) with
+  | (Float | Double), Interp.VInt n -> Interp.VFloat (float_of_int n)
+  | (Char | Short | Int | Long | Unsigned _), Interp.VFloat x ->
+      Interp.VInt (int_of_float x)
+  | _ -> v
+
 (* Handle one execute-annotated call. *)
 let on_execute ctx (annot : exec_annot) (f : func) argv =
   let interface = annot.ea_interface in
@@ -454,7 +465,7 @@ let on_execute ctx (annot : exec_annot) (f : func) argv =
                 | [] -> n
               in
               (p.p_name, `Scalar (Interp.VInt block_rows))
-          | v -> (p.p_name, `Scalar v))
+          | v -> (p.p_name, `Scalar (scalar_arg p v)))
         f.f_params argv
     in
     let buffers =
@@ -494,6 +505,87 @@ let on_execute ctx (annot : exec_annot) (f : func) argv =
   ctx.dirty <- true;
   ctx.site_blocks <- ctx.site_blocks @ [ (interface, blocks) ];
   Some Interp.VUnit
+
+(* The compiled [main]. Its runtime calls come back through the host
+   table: allocations are interpreter buffers keyed by data address, so
+   a submit maps each pointer back to the buffer it points into and goes
+   through [on_execute] like an interpreted execute site. An interior
+   pointer is an interior view, which [on_execute] refuses as it does
+   for the interpreter. The generated code waits after every submit, so
+   main never reads a buffer with tasks pending. *)
+let run_entry ctx unit_ fn (sites : Emit_c.entry_site array) =
+  let allocs = Hashtbl.create 8 in
+  let buf_at addr =
+    match Hashtbl.find_opt allocs addr with
+    | Some b -> b
+    | None -> (
+        let inside base (b : Interp.buf) found =
+          if addr > base && addr <= base + (8 * b.len) then
+            let off = (addr - base) / 8 in
+            Some { b with Interp.off; len = b.len - off }
+          else found
+        in
+        match Hashtbl.fold inside allocs None with
+        | Some b -> b
+        | None -> abort "execute argument %#x is not an allocation" addr)
+  in
+  (* As in the interpreter, the last definition of a name wins. *)
+  let callee (x : Codegen.execute_site) =
+    match
+      List.fold_left
+        (fun found top ->
+          match top with
+          | Func f when f.f_name = x.x_function && f.f_body <> None -> Some f
+          | _ -> found)
+        None unit_
+    with
+    | Some f -> f
+    | None -> abort "execute pragma on unknown function %S" x.x_function
+  in
+  let host =
+    {
+      Capi.alloc =
+        (fun bytes ->
+          let b = Interp.alloc ctx.interp (bytes / 8) in
+          let addr = Capi.address b.data in
+          Hashtbl.replace allocs addr b;
+          addr);
+      out = Interp.add_output ctx.interp;
+      submit =
+        (fun site addrs ->
+          let { Emit_c.es_site = x; es_slots } = sites.(site) in
+          let argv =
+            List.mapi
+              (fun i slot ->
+                match slot with
+                | Emit_c.Slot_buf -> Interp.VBuf (buf_at addrs.(i))
+                | Slot_long -> Interp.VInt (Capi.peek_long addrs.(i))
+                | Slot_double -> Interp.VFloat (Capi.peek_double addrs.(i)))
+              es_slots
+          in
+          let annot =
+            {
+              ea_interface = x.x_interface;
+              ea_group = x.x_group;
+              ea_dists = x.x_dists;
+            }
+          in
+          ignore (on_execute ctx annot (callee x) argv));
+      wait_all = (fun () -> drain ctx);
+      dgemm =
+        (fun m n k a b c ->
+          Kernels.Gemm_kernel.gemm ~trans_b:false ~m ~n ~k ~alpha:1.0
+            ~beta:1.0 ~a:(Capi.view a (m * k)) ~aoff:0 ~lda:k
+            ~b:(Capi.view b (k * n)) ~boff:0 ~ldb:n
+            ~c:(Capi.view c (m * n)) ~coff:0 ~ldc:n ());
+    }
+  in
+  let sp = Obs.Span.start () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Span.record ~cat:"native" ~name:"native_main"
+        ~flow:(Obs.Trace_ctx.current_flow ()) sp)
+    (fun () -> Capi.run_main fn host)
 
 let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
     ~platform unit_ =
@@ -554,8 +646,15 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
           | Some c -> c
           | None -> Obs.Trace_ctx.make ()
         in
-        match Obs.Trace_ctx.with_current run_ctx (fun () ->
-                  Interp.run_main interp) with
+        let entry =
+          Option.bind native (fun nt -> Result.to_option (Native.entry nt))
+        in
+        let run_main () =
+          match entry with
+          | Some (fn, sites) -> Ok (run_entry ctx unit_ fn sites)
+          | None -> Interp.run_main interp
+        in
+        match Obs.Trace_ctx.with_current run_ctx run_main with
         | Error msg -> Error msg
         | exception Abort msg -> Error msg
         | exception Engine.Stuck stuck -> Error (Engine.stuck_to_string stuck)
@@ -585,6 +684,7 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
                     calibration = Engine.calibration engine;
                     native_tasks = ctx.native_tasks;
                     native_fallbacks = ctx.native_fallbacks;
+                    native_main = Option.is_some entry;
                   }
             | exception Failure msg -> Error msg
             | exception Engine.Stuck stuck ->

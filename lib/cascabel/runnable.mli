@@ -6,7 +6,10 @@
     turning it into runtime task submissions on the simulated machine
     of the target PDL descriptor. Task bodies execute through the
     interpreter on the runtime's buffers, so any C the programmer
-    wrote runs — on whichever worker the scheduler picked.
+    wrote runs — on whichever worker the scheduler picked. With a
+    native library that carries [main] (see [run]'s [native]), [main]
+    runs compiled and its execute sites come back here through a host
+    table.
 
     Tasks run in place, as a StarPU task gets pointers into the
     program's registered arrays: each pointer argument is a view of its
@@ -50,6 +53,8 @@ type report = {
       (** task executions that fell back to the interpreter while a
           native library was attached (unsupported variant or missing
           symbol) *)
+  native_main : bool;
+      (** whether [main] ran as the library's compiled entry *)
 }
 
 val run :
@@ -64,7 +69,7 @@ val run :
   platform:Pdl_model.Machine.platform ->
   Minic.Ast.unit_ ->
   (report, string) result
-(** Interpret the program's [main] against the platform. [trace]
+(** Run the program's [main] against the platform. [trace]
     writes a Chrome trace of the execution to a file. [blocks]
     overrides the decomposition width (default: number of workers
     eligible for the site's execution group). The repository must
@@ -86,8 +91,21 @@ val run :
     cold variants are sampled at the engine's default exploration
     rate. The caller persists the store afterwards.
 
-    [native] attaches a loaded kernels library (see {!Native.build}):
-    task bodies whose variant has a resolved wrapper symbol run as
+    [native] attaches a loaded kernels library (see {!Native.build}).
+    When the library carries the program's [main] ({!Native.entry}),
+    [main] runs as that compiled entry instead of through the
+    interpreter, inside a [native_main] span, and [native_main] is
+    set. Its allocations are interpreter buffers, its output goes to
+    [stdout], and each execute site comes back through the same
+    submission path as an interpreted one, so an interior pointer or an
+    unknown group fails with the same [Error] text. The compiled [main]
+    waits for its tasks after every execute site, where the interpreted
+    one waits only when serial code touches a pending buffer; two
+    independent sites in a row can therefore overlap in the simulated
+    schedule only when [main] is interpreted. [fuel] does not bound a
+    compiled [main], and it has no bounds checks.
+
+    Task bodies whose variant has a resolved wrapper symbol run as
     compiled machine code on the same views; a variant whose body is
     one [blas_dgemm] call (see {!Interp.library_call}) runs through the
     interpreter, where the call reaches the packed kernel after a few
@@ -95,8 +113,8 @@ val run :
     [native_exec] span. Every other variant falls back to the
     interpreter, counted in [native_fallbacks] and in the
     [native_fallbacks] telemetry counter. Scheduling, telemetry, faults
-    and calibration are unchanged — only the codelet body's executor
-    differs, and its outputs are bit-identical.
+    and calibration are unchanged, and stdout is byte for byte that of
+    the interpreted run.
 
     A malformed program literal or any other interpreter error is
     returned as [Error]. *)

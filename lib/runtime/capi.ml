@@ -3,10 +3,23 @@ type fn = int64
 
 type arg = Buf of Kernels.Matrix.buf | Int of int | Float of float
 
+type host = {
+  alloc : int -> int;
+  out : string -> unit;
+  submit : int -> int array -> unit;
+  wait_all : unit -> unit;
+  dgemm : int -> int -> int -> int -> int -> int -> unit;
+}
+
 external capi_dlopen : string -> library = "caml_capi_dlopen"
 external capi_dlsym : library -> string -> fn = "caml_capi_dlsym"
 external capi_dlclose : library -> unit = "caml_capi_dlclose"
 external capi_call : fn -> arg array -> unit = "caml_capi_call"
+external run_main : fn -> host -> int = "caml_capi_run_main"
+external address : Kernels.Matrix.buf -> int = "caml_capi_address"
+external view : int -> int -> Kernels.Matrix.buf = "caml_capi_view"
+external peek_long : int -> int = "caml_capi_peek_long"
+external peek_double : int -> float = "caml_capi_peek_double"
 
 let load path =
   match capi_dlopen path with

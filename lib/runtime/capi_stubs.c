@@ -12,10 +12,14 @@
  */
 
 #include <dlfcn.h>
+#include <setjmp.h>
+#include <stdarg.h>
+#include <stdio.h>
 #include <string.h>
 
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
+#include <caml/callback.h>
 #include <caml/fail.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
@@ -99,4 +103,146 @@ CAMLprim value caml_capi_call(value vfn, value vargs)
   caml_acquire_runtime_system();
 
   CAMLreturn(Val_unit);
+}
+
+/* ------------------------------------------------------------------ */
+/* Compiled program entries.                                           */
+/*                                                                     */
+/*     int cascabel_main(const struct cascabel_host *host);            */
+/*                                                                     */
+/* The generated kernels unit declares the same table; its runtime     */
+/* calls come back here and go on to the closures of a Capi.host       */
+/* record: alloc (0), out (1), submit (2), wait_all (3), dgemm (4).    */
+/* The library formats printf output with the table's vsnprintf.       */
+
+struct cascabel_host {
+  void *(*alloc)(long bytes);
+  void (*free)(void *p);
+  void (*out)(const char *s, long len);
+  void (*submit)(int site, int argc, void **argv);
+  void (*wait_all)(void);
+  void (*blas_dgemm)(long m, long n, long k, const double *A,
+                     const double *B, double *C);
+  int (*vsnprintf)(char *s, unsigned long n, const char *fmt, va_list ap);
+};
+
+/* One running entry: its closures, the exception a callback raised,
+ * and where to unwind to.  Runs nest (a callback may start another)
+ * and each domain has its own. */
+struct capi_run {
+  value host;
+  value exn;
+  jmp_buf unwind;
+  struct capi_run *outer;
+};
+
+static __thread struct capi_run *capi_current;
+
+/* A raised exception leaves the entry's C frames through longjmp.  No
+ * OCaml frame is skipped (the callback has returned) and the shims
+ * register no local roots, so the runtime's state is intact. */
+static value capi_checked(value r)
+{
+  if (Is_exception_result(r)) {
+    caml_modify_generational_global_root(&capi_current->exn,
+                                         Extract_exception(r));
+    longjmp(capi_current->unwind, 1);
+  }
+  return r;
+}
+
+static void *capi_host_alloc(long bytes)
+{
+  value f = Field(capi_current->host, 0);
+  return (void *)Long_val(capi_checked(caml_callback_exn(f, Val_long(bytes))));
+}
+
+static void capi_host_free(void *p) { (void)p; }
+
+static void capi_host_out(const char *s, long len)
+{
+  value str = caml_alloc_initialized_string(len, s);
+  capi_checked(caml_callback_exn(Field(capi_current->host, 1), str));
+}
+
+static void capi_host_submit(int site, int argc, void **argv)
+{
+  value addrs = argc > 0 ? caml_alloc_tuple(argc) : Atom(0);
+  /* Immediates in a fresh block: no write barrier needed. */
+  for (int i = 0; i < argc; i++)
+    Field(addrs, i) = Val_long((intnat)argv[i]);
+  capi_checked(caml_callback2_exn(Field(capi_current->host, 2),
+                                  Val_int(site), addrs));
+}
+
+static void capi_host_wait_all(void)
+{
+  capi_checked(caml_callback_exn(Field(capi_current->host, 3), Val_unit));
+}
+
+static void capi_host_dgemm(long m, long n, long k, const double *A,
+                            const double *B, double *C)
+{
+  value args[6] = { Val_long(m), Val_long(n), Val_long(k),
+                    Val_long((intnat)A), Val_long((intnat)B),
+                    Val_long((intnat)C) };
+  capi_checked(caml_callbackN_exn(Field(capi_current->host, 4), 6, args));
+}
+
+static const struct cascabel_host capi_host_table = {
+  capi_host_alloc,    capi_host_free,  capi_host_out, capi_host_submit,
+  capi_host_wait_all, capi_host_dgemm, vsnprintf,
+};
+
+CAMLprim value caml_capi_run_main(value vfn, value vhost)
+{
+  CAMLparam2(vfn, vhost);
+  int (*entry)(const struct cascabel_host *) =
+      (int (*)(const struct cascabel_host *))(intnat)Int64_val(vfn);
+  struct capi_run run;
+  volatile int rc = 0;
+  volatile int unwound = 0;
+
+  if (entry == NULL) caml_invalid_argument("Capi.run_main: null function");
+  run.host = vhost;
+  run.exn = Val_unit;
+  run.outer = capi_current;
+  caml_register_generational_global_root(&run.host);
+  caml_register_generational_global_root(&run.exn);
+  capi_current = &run;
+  if (setjmp(run.unwind) == 0)
+    rc = entry(&capi_host_table);
+  else
+    unwound = 1;
+  capi_current = run.outer;
+  if (unwound) {
+    value exn = run.exn;
+    caml_remove_generational_global_root(&run.host);
+    caml_remove_generational_global_root(&run.exn);
+    caml_raise(exn);
+  }
+  caml_remove_generational_global_root(&run.host);
+  caml_remove_generational_global_root(&run.exn);
+  CAMLreturn(Val_int(rc));
+}
+
+CAMLprim value caml_capi_address(value vbuf)
+{
+  return Val_long((intnat)Caml_ba_data_val(vbuf));
+}
+
+CAMLprim value caml_capi_view(value vaddr, value vlen)
+{
+  return caml_ba_alloc_dims(CAML_BA_FLOAT64 | CAML_BA_C_LAYOUT, 1,
+                            (void *)Long_val(vaddr), Long_val(vlen));
+}
+
+CAMLprim value caml_capi_peek_long(value vaddr)
+{
+  return Val_long(*(long *)Long_val(vaddr));
+}
+
+CAMLprim value caml_capi_peek_double(value vaddr)
+{
+  return caml_copy_double(*(double *)Long_val(vaddr));
 }

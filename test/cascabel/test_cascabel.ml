@@ -783,6 +783,198 @@ int main(void)
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Compiled main: the entry in the kernels library                     *)
+
+(* Build [unit_] for xeon-2gpu and hand the loaded library to [k];
+   without cc there is nothing to compare. *)
+let with_native unit_ k =
+  match Native.build (emit_c unit_) with
+  | Native.No_toolchain _ -> ()
+  | Native.Compile_error e -> Alcotest.failf "native build: %s" e
+  | Native.Loaded nt ->
+      Fun.protect ~finally:(fun () -> Native.close nt) (fun () -> k nt)
+
+let run_on ?native platform unit_ =
+  Runnable.run ?native ~repo:(Repository.create ()) ~platform unit_
+
+let expect_ok what = function
+  | Ok (r : Runnable.report) -> r
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let entry_compiled nt =
+  match Native.entry nt with
+  | Ok _ -> ()
+  | Error why -> Alcotest.failf "main stays interpreted: %s" why
+
+(* Both modes fail with the same text, and the process can run a
+   compiled main again afterwards. *)
+let same_error ?(platform = gpus) unit_ ~mentions ~after =
+  with_native unit_ (fun nt ->
+      entry_compiled nt;
+      match (run_on platform unit_, run_on ~native:nt platform unit_) with
+      | Error interpreted, Error native ->
+          check string_ "error text" interpreted native;
+          check bool_ ("mentions " ^ mentions) true (contains native mentions);
+          after nt
+      | Ok _, _ -> Alcotest.fail "the interpreted run succeeded"
+      | _, Ok _ -> Alcotest.fail "the compiled run succeeded")
+
+let dgemm_source () =
+  In_channel.with_open_bin "../../examples/programs/dgemm.c"
+    In_channel.input_all
+
+(* A loop of submits, serial reads and writes between them, every
+   printf conversion the host reproduces, an output longer than the
+   entry's stack buffer, and a direct blas_dgemm call. *)
+let loop_program =
+  {|#define N 64
+#pragma cascabel task : x86 : Iv : addone_cpu : (A: readwrite)
+void addone(double *A, int n)
+{
+  for (int i = 0; i < n; i++) A[i] += 1.0;
+}
+double half(double x) { return 0.5 * x; }
+int main(void)
+{
+  double *A = malloc(N * sizeof(double));
+  double *B = calloc(N, sizeof(double));
+  for (int i = 0; i < N; i++) A[i] = i * 0.5;
+  for (int k = 0; k < 5; k++) {
+    #pragma cascabel execute Iv : executionset01 (A:BLOCK:n)
+    addone(A, N);
+    B[k] = half(A[k] + A[N - 1]);
+    printf("k=%d i=%i u=%u a=%.2f b=%g e=%e %c 100%%\n",
+           k, k * 3, k - 3, A[k], B[k], B[k], 65 + k);
+  }
+  blas_dgemm(4, 4, 4, A, A + 16, B + 16);
+  free(B);
+  double s = 0.0;
+  for (int i = 0; i < N; i++) s += sqrt(A[i]) + B[i];
+  printf("s=%300.12f|\n", s);
+  return 3;
+}
+|}
+
+let entry_tests =
+  [
+    Alcotest.test_case "an interior pointer fails alike in both modes" `Quick
+      (fun () ->
+        same_error
+          (parse
+             {|#define N 16
+#pragma cascabel task : x86 : Iv : v1 : (A: readwrite)
+void addone(double *A, int n)
+{
+  for (int i = 0; i < n; i++) A[i] += 1.0;
+}
+int main(void) {
+  double *A = malloc(N * sizeof(double));
+  #pragma cascabel execute Iv : executionset01 (A:BLOCK:n)
+  addone(A + 1, 4);
+  return 0;
+}
+|})
+          ~mentions:"interior pointer" ~after:(fun _ ->
+            let unit_ = parse (dgemm_source ()) in
+            with_native unit_ (fun nt ->
+                let r = expect_ok "second run" (run_on ~native:nt gpus unit_) in
+                check bool_ "compiled main" true r.native_main;
+                check string_ "stdout" "checksum=408625.500\n" r.stdout)));
+    Alcotest.test_case "an unknown execution group fails alike in both modes"
+      `Quick (fun () ->
+        (* Translated for xeon-2gpu, run on xeon-single, which has no
+           "gpus" group. *)
+        let unit_ =
+          parse
+            (replace ~sub:": executionset01" ~by:": gpus" (dgemm_source ()))
+        in
+        same_error
+          ~platform:(Option.get (Pdl_hwprobe.Zoo.find "xeon-single"))
+          unit_ ~mentions:"\"gpus\" is not a LogicGroupAttribute"
+          ~after:(fun nt ->
+            let r = expect_ok "second run" (run_on ~native:nt gpus unit_) in
+            check bool_ "compiled main" true r.native_main;
+            check string_ "stdout" "checksum=408625.500\n" r.stdout));
+    Alcotest.test_case "rand_double or assert_true keeps main interpreted"
+      `Quick (fun () ->
+        List.iter
+          (fun (fill, why) ->
+            let unit_ =
+              parse
+                (dgemm_source ()
+                |> replace ~sub:"1.0 + i % 9" ~by:fill
+                |> replace ~sub:"checksum=%.3f" ~by:"checksum=%.17g")
+            in
+            with_native unit_ (fun nt ->
+                (match Native.entry nt with
+                | Ok _ -> Alcotest.fail "main compiled"
+                | Error reason -> check string_ "reason" why reason);
+                let interpreted = expect_ok "interpreted" (run_on gpus unit_)
+                and native =
+                  expect_ok "native" (run_on ~native:nt gpus unit_)
+                in
+                check bool_ "native_main" false native.native_main;
+                check int_ "every task native" native.tasks_submitted
+                  native.native_tasks;
+                check string_ "stdout" interpreted.stdout native.stdout))
+          [
+            ("rand_double()", "main calls rand_double");
+            ("(assert_true(i >= 0), 1.0)", "main calls assert_true");
+          ]);
+    Alcotest.test_case "an int argument reaches a double parameter as a double"
+      `Quick (fun () ->
+        (* main stays interpreted (rand_double), so the argument reaches
+           the compiled wrapper of scale_cpu from the interpreter *)
+        let unit_ =
+          parse
+            (In_channel.with_open_bin "../../examples/programs/vecadd.c"
+               In_channel.input_all
+            |> replace ~sub:"scale(Y, N, 0.5);" ~by:"scale(Y, N, 2);"
+            |> replace ~sub:"Y[i] = 1.0 + i % 5;"
+                 ~by:"Y[i] = 1.0 + i % 5 + 0.0 * rand_double();")
+        in
+        with_native unit_ (fun nt ->
+            let interpreted = expect_ok "interpreted" (run_on gpus unit_)
+            and native = expect_ok "native" (run_on ~native:nt gpus unit_) in
+            check bool_ "native_main" false native.native_main;
+            check int_ "every task native" native.tasks_submitted
+              native.native_tasks;
+            check string_ "stdout" interpreted.stdout native.stdout));
+    Alcotest.test_case "submits in a loop with reads between print alike"
+      `Quick (fun () ->
+        let unit_ = parse loop_program in
+        with_native unit_ (fun nt ->
+            entry_compiled nt;
+            let interpreted = expect_ok "interpreted" (run_on gpus unit_)
+            and native = expect_ok "native" (run_on ~native:nt gpus unit_) in
+            check bool_ "native_main" true native.native_main;
+            check bool_ "interpreted main" false interpreted.native_main;
+            check int_ "exit code" interpreted.exit_code native.exit_code;
+            check int_ "tasks" interpreted.tasks_submitted
+              native.tasks_submitted;
+            check bool_ "long line" true (String.length native.stdout > 300);
+            check string_ "stdout" interpreted.stdout native.stdout));
+    Alcotest.test_case "a compiled main records a native_main span" `Quick
+      (fun () ->
+        let unit_ = parse (dgemm_source ()) in
+        with_native unit_ (fun nt ->
+            Obs.Config.set_enabled true;
+            Obs.Export.reset_all ();
+            let r = run_on ~native:nt gpus unit_ in
+            let spans = Obs.Span.events () in
+            Obs.Config.set_enabled false;
+            ignore (expect_ok "run" r);
+            let named n = List.filter (fun e -> e.Obs.Span.ev_name = n) spans in
+            check int_ "one native_main" 1 (List.length (named "native_main"));
+            let main = List.hd (named "native_main") in
+            check bool_ "the drain nests inside it" true
+              (List.for_all
+                 (fun (d : Obs.Span.event) ->
+                   d.ev_t0 >= main.ev_t0 && d.ev_t1 <= main.ev_t1)
+                 (named "drain"))));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Codegen                                                             *)
 
 let translate platform src =
@@ -1551,6 +1743,7 @@ let () =
       ("repository", repo_tests);
       ("interp", interp_tests);
       ("library", library_tests @ qt [ blas_matches_kernel ]);
+      ("entry", entry_tests);
       ("codegen", codegen_tests);
       ("mapping", mapping_tests);
       ("e2e", e2e_tests);

@@ -6,11 +6,13 @@
 #      same exit code) as the interpreted translated run,
 #   2. `--native --stats` reports at least one native task and zero
 #      interpreted fallbacks: every task ran as compiled code or as a
-#      library-kernel call, and a run that submits no task fails, and
-#   3. the standalone executable built from the `--emit-c` sources via
+#      library-kernel call, and a run that submits no task fails,
+#   3. `--native --stats` reports `# native main: compiled`: the
+#      program's host code ran as the library's compiled entry, and
+#   4. the standalone executable built from the `--emit-c` sources via
 #      the emitted Makefile prints exactly what the serial interpreter
 #      prints. The standalone runtime's `blas_dgemm` is a plain triple
-#      loop, not the packed kernel the interpreter runs, so step 3 holds
+#      loop, not the packed kernel the interpreter runs, so step 4 holds
 #      bit for bit only for inputs where every sum is exact, as in
 #      dgemm.c's small-integer fill; otherwise the two agree to rounding.
 #
@@ -38,6 +40,7 @@ for prog in "$root"/examples/programs/*.c; do
   native=$("$cascabelc" run "$prog" --zoo xeon-2gpu --native --stats 2>"$stats")
   rc_n=$?
   summary=$(grep '^# native:' "$stats")
+  main=$(grep '^# native main:' "$stats")
   rm -f "$stats"
   if [ "$rc_n" -eq 3 ]; then
     # cc vanished between the probe above and the run; treat as skip.
@@ -67,6 +70,13 @@ for prog in "$root"/examples/programs/*.c; do
       echo "  $summary"
       bad=1 ;;
   esac
+  if [ "$main" = "# native main: compiled" ]; then
+    echo "native: $name: main compiled"
+  else
+    echo "native: $name: main not compiled under --native"
+    echo "  ${main:-no '# native main:' line}"
+    bad=1
+  fi
 done
 
 # Standalone executables need make as well; skip quietly when absent.
