@@ -1601,10 +1601,160 @@ let chaos_overhead () =
   in
   paired_overhead_pct ~rounds:5 ~off:(fun () -> burst None) ~on:journaled
 
+(* Recovery at scale: a journal shaped like perfbench serve-durable's
+   preseed, accept and keyed completion pairs of small jobs with a bare
+   trace id each. *)
+let recovery_journal records =
+  let path = Filename.temp_file "chaos-rec" ".journal" in
+  let j = SJ.open_append ~durability:SJ.Buffer path in
+  for i = 1 to records / 2 do
+    let tenant = Printf.sprintf "t%d" (i mod 4)
+    and idem = Some (Printf.sprintf "pre-%d" i)
+    and trace = Some (Printf.sprintf "%016x" i) in
+    let job =
+      match i mod 3 with
+      | 0 -> SP.Dgemm { n = 32; tiles = 2; seed = i }
+      | 1 -> SP.Cholesky { n = 64; tiles = 4; seed = i }
+      | _ -> SP.Graph { width = 8; depth = 8; task_flops = 1e6 }
+    in
+    let status =
+      SP.Jok
+        {
+          makespan_s = float_of_int (1 + (i mod 97)) /. 7e4;
+          checksum =
+            Printf.sprintf "%016x" (i * 0x9e3779b1 land 0xffff_ffff_ffff);
+          tasks = 4 + (i mod 29);
+          coalesced = i mod 5 = 0;
+          shard = i mod 2;
+        }
+    in
+    SJ.append j
+      (SJ.Accept
+         { a_id = i; a_tenant = tenant; a_job = job; a_deadline_ms = None;
+           a_idem = idem; a_trace = trace });
+    SJ.append j
+      (SJ.Complete
+         { c_idem = idem;
+           c_reply =
+             SP.Done { id = i; tenant; latency_ms = 0.5; status; trace } })
+  done;
+  SJ.close j;
+  path
+
+(* The largest major heap seen while [f] runs, in MiB: sampled at the
+   end of every major cycle and once more when [f] returns. *)
+let peak_heap_mib f =
+  Gc.full_major ();
+  let peak = ref 0 in
+  let sample () = peak := max !peak (Gc.quick_stat ()).Gc.heap_words in
+  sample ();
+  let alarm = Gc.create_alarm sample in
+  let r = f () in
+  sample ();
+  Gc.delete_alarm alarm;
+  (r, float_of_int (!peak * (Sys.word_size / 8)) /. 1048576.0)
+
+type recovery_row = {
+  rr_records : int;
+  rr_samples : int;
+  rr_us_per_record : float;
+  rr_spread : float;
+  rr_heap_small_mib : float;  (* peak heap recovering a tenth as many *)
+  rr_heap_mib : float;
+  rr_stages : (string * float) list;  (* us per record *)
+}
+
+(* Per-stage cost of decoding the journal's records, each stage timed
+   over every record: the CRC, the outer record JSON, the embedded
+   SUBMIT/DONE JSON, the protocol's field handling on top of that
+   parse, and the whole [entry_of_line]. *)
+let recovery_stages path =
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> Array.of_list
+  in
+  let n = float_of_int (Array.length lines) in
+  let payloads =
+    Array.map (fun l -> String.sub l 9 (String.length l - 9)) lines
+  in
+  let embedded =
+    Array.map
+      (fun p ->
+        match J.parse p with
+        | Ok o -> (
+            match (J.member "req" o, J.member "reply" o) with
+            | Some (J.Str s), _ -> `Req s
+            | _, Some (J.Str s) -> `Reply s
+            | _ -> `None)
+        | Error _ -> `None)
+      payloads
+  in
+  (* the quickest of three passes: a stage is a few hundred ms *)
+  let per f xs =
+    List.init 3 (fun _ ->
+        snd
+          (wall (fun () ->
+               Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs)))
+    |> List.fold_left Float.min infinity
+    |> fun s -> s *. 1e6 /. n
+  in
+  let inner = function `Req s | `Reply s -> J.parse s | `None -> Error "" in
+  let protocol = function
+    | `Req s -> Result.is_ok (SP.request_of_string s)
+    | `Reply s -> Result.is_ok (SP.reply_of_string s)
+    | `None -> false
+  in
+  let inner_us = per inner embedded in
+  [ ("crc", per SJ.crc32 payloads);
+    ("outer_json", per J.parse payloads);
+    ("inner_json", inner_us);
+    ("protocol_fields", per protocol embedded -. inner_us);
+    ("entry_of_line", per SJ.entry_of_line lines) ]
+
+let recovery_row ~records ~samples =
+  let small = recovery_journal (records / 10) in
+  let path = recovery_journal records in
+  let window = SSvc.default_dedup_cap in
+  let recover p () = SJ.recover ~window p in
+  let _, heap_small = peak_heap_mib (recover small) in
+  let r, heap = peak_heap_mib (recover path) in
+  let times =
+    List.init samples (fun _ ->
+        snd (wall (recover path)) *. 1e6 /. float_of_int records)
+  in
+  let us_per_record, spread = median_spread times in
+  let stages = recovery_stages path in
+  Sys.remove small;
+  Sys.remove path;
+  if r.SJ.r_entries <> records then
+    failwith
+      (Printf.sprintf "recovered %d of %d records" r.SJ.r_entries records);
+  {
+    rr_records = records;
+    rr_samples = samples;
+    rr_us_per_record = us_per_record;
+    rr_spread = spread;
+    rr_heap_small_mib = heap_small;
+    rr_heap_mib = heap;
+    rr_stages = stages;
+  }
+
+(* Recovery's peak heap at the long history may exceed the short one's
+   by this factor plus [heap_slack_mib]: GC pacing and the line in
+   flight, not history. *)
+let heap_slack_factor = 1.25
+let heap_slack_mib = 2.0
+
 let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
-    ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok =
+    ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok ~recovery
+    ~heap_ok =
   write_json path
-    [ ("experiment", str "chaos"); ("trials", int trials);
+    [ ("experiment", str "chaos"); ("host", host_json ());
+      (* samples and spread of the recovery row's timing *)
+      ("samples", int recovery.rr_samples);
+      ("spread", num recovery.rr_spread); ("trials", int trials);
       ("jobs_per_trial", int jobs);
       ("fault_model",
        str
@@ -1617,13 +1767,26 @@ let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
       ("journal_overhead_pct", num overhead_pct);
       ("overhead_guard",
        J.Obj
-         [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ])
-    ]
+         [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ]);
+      ("recovery",
+       J.Obj
+         [ ("records", int recovery.rr_records);
+           ("window", int SSvc.default_dedup_cap);
+           ("us_per_record", num recovery.rr_us_per_record);
+           ("stages_us_per_record",
+            J.Obj (List.map (fun (k, v) -> (k, num v)) recovery.rr_stages)) ]);
+      ("recovery_heap_guard",
+       J.Obj
+         [ ("peak_heap_mib_at_tenth", num recovery.rr_heap_small_mib);
+           ("peak_heap_mib", num recovery.rr_heap_mib);
+           ("slack_factor", num heap_slack_factor);
+           ("slack_mib", num heap_slack_mib); ("ok", J.Bool heap_ok) ]) ]
 
 let chaos_bench () =
   header
     "CHAOS  crash-durable serving: seeded crash/replay under transient PU \
-     faults, idempotent resubmission, journaling overhead (BENCH_chaos.json)";
+     faults, idempotent resubmission, journaling overhead, recovery at \
+     100k records (BENCH_chaos.json)";
   let trials = 5 and jobs = 24 in
   let tally = { ct_replayed = 0; ct_deduped = 0; ct_torn = 0 } in
   let results =
@@ -1645,11 +1808,30 @@ let chaos_bench () =
   Printf.printf "journal overhead (zero chaos): %.2f%% <= %.1f%%: %s\n"
     overhead_pct overhead_limit_pct
     (if overhead_ok then "ok" else "VIOLATED");
+  let recovery = recovery_row ~records:100_000 ~samples:5 in
+  Printf.printf
+    "recovery: %d records in %.2f us/record (median of %d, spread %.2f)\n"
+    recovery.rr_records recovery.rr_us_per_record recovery.rr_samples
+    recovery.rr_spread;
+  List.iter
+    (fun (stage, us) -> Printf.printf "  %-16s %6.2f us/record\n" stage us)
+    recovery.rr_stages;
+  let heap_ok =
+    recovery.rr_heap_mib
+    <= (recovery.rr_heap_small_mib *. heap_slack_factor) +. heap_slack_mib
+  in
+  Printf.printf
+    "recovery heap guard: %.1f MiB at %d records vs %.1f MiB at %d \
+     (<= x%.2f + %.0f MiB): %s\n"
+    recovery.rr_heap_mib recovery.rr_records recovery.rr_heap_small_mib
+    (recovery.rr_records / 10) heap_slack_factor heap_slack_mib
+    (if heap_ok then "ok" else "VIOLATED");
   chaos_json "BENCH_chaos.json" ~trials ~jobs ~replayed:tally.ct_replayed
     ~deduped:tally.ct_deduped ~torn:tally.ct_torn ~exactly_once
-    ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok;
+    ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok ~recovery
+    ~heap_ok;
   print_endline "wrote BENCH_chaos.json";
-  if not (exactly_once && bit_identical && overhead_ok) then exit 1
+  if not (exactly_once && bit_identical && overhead_ok && heap_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 

@@ -360,17 +360,19 @@ let serve pdl zoo socket stdio shards policy queue_cap quantum weights caps
         tune_dir
     in
     (* recover BEFORE opening for append, so the plan reflects exactly
-       the bytes the previous incarnation left behind *)
+       the bytes the previous incarnation left behind; only the keyed
+       completions the service's dedup window can hold are kept *)
+    let dedup_cap = Serve.Service.default_dedup_cap in
     let recovery, journal =
       match journal_path with
       | None -> (Serve.Journal.empty_recovery, None)
       | Some path ->
-          let r = Serve.Journal.recover path in
+          let r = Serve.Journal.recover ~window:dedup_cap path in
           (r, Some (Serve.Journal.open_append ~durability path))
     in
     let svc =
       Serve.Service.create ~policy ~shards ~queue_cap ~quantum ?tune ?slo_ms
-        ?journal cfg
+        ?journal ~dedup_cap cfg
     in
     List.iter
       (fun s ->

@@ -45,6 +45,16 @@ let read_head path =
       close_in_noerr ic;
       String.trim (Buffer.contents buf)
 
+(* The build directory holds only the flat files [Emit_c.write_dir]
+   and the compiler write. *)
+let remove_dir dir =
+  (try
+     Array.iter
+       (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
+       (Sys.readdir dir)
+   with Sys_error _ -> ());
+  try Sys.rmdir dir with Sys_error _ -> ()
+
 let build ?cc ?dir:build_dir (emitted : Emit_c.t) =
   let plan_cc = emitted.Emit_c.plan.Compile_plan.shared.so_compiler in
   let candidates =
@@ -61,8 +71,14 @@ let build ?cc ?dir:build_dir (emitted : Emit_c.t) =
         | Some d -> d
         | None -> Filename.temp_dir "cascabel_native" ""
       in
+      (* a failed build removes the directory it created, not one the
+         caller gave *)
+      let failed e =
+        if build_dir = None then remove_dir dir;
+        Compile_error e
+      in
       match Emit_c.write_dir emitted ~dir with
-      | Error e -> Compile_error e
+      | Error e -> failed e
       | Ok _ -> (
           let sh = emitted.Emit_c.plan.Compile_plan.shared in
           let so = Filename.concat dir sh.so_output in
@@ -80,15 +96,14 @@ let build ?cc ?dir:build_dir (emitted : Emit_c.t) =
           Obs.Span.record ~cat:"native" ~name:"compile"
             ~args:(Filename.basename sh.so_input) sp;
           if rc <> 0 then
-            Compile_error
+            failed
               (match read_head log with
               | "" -> Printf.sprintf "%s exited %d" compiler rc
               | head -> Printf.sprintf "%s exited %d\n%s" compiler rc head)
           else
             let sp = Obs.Span.start () in
             match Taskrt.Capi.load so with
-            | Error e ->
-                Compile_error (Printf.sprintf "dlopen %s: %s" so e)
+            | Error e -> failed (Printf.sprintf "dlopen %s: %s" so e)
             | Ok lib ->
                 Obs.Span.record ~cat:"native" ~name:"dlopen"
                   ~args:(Filename.basename so) sp;
@@ -128,12 +143,5 @@ let close t =
   if not t.closed then begin
     t.closed <- true;
     Taskrt.Capi.close t.lib;
-    if not t.keep_dir then begin
-      (try
-         Array.iter
-           (fun f -> try Sys.remove (Filename.concat t.dir f) with _ -> ())
-           (Sys.readdir t.dir)
-       with Sys_error _ -> ());
-      try Sys.rmdir t.dir with Sys_error _ -> ()
-    end
+    if not t.keep_dir then remove_dir t.dir
   end

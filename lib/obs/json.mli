@@ -10,11 +10,17 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val max_depth : int
+(** Arrays and objects nested deeper than this (512) are refused. *)
+
 val parse : string -> (t, string) result
 (** Strict parse of a complete document (rejects trailing input).
     Accepts exactly the JSON grammar: numbers as JSON spells them (no
     [+1], [01], [1.] or [.5]), [\uXXXX] escapes with four hex digits
-    (decoded to UTF-8), and no raw control characters in strings. *)
+    (decoded to UTF-8), and no raw control characters in strings.
+    Nesting beyond {!max_depth} is an [Error], found before the reader
+    descends any further, so rejecting a megabyte of ['['] costs
+    microseconds.  Never raises. *)
 
 val to_text : t -> string
 (** Compact text, object keys in the given order.  Strings escape

@@ -39,30 +39,59 @@ let next_id () =
 let make () = { trace_id = next_id (); span_id = next_id () }
 let child t = { t with span_id = next_id () }
 
-let to_string t = Printf.sprintf "%016Lx-%016Lx" t.trace_id t.span_id
+let hex_digits = "0123456789abcdef"
 
-let is_hex s =
-  s <> ""
-  && String.for_all
-       (function 'a' .. 'f' | 'A' .. 'F' | '0' .. '9' -> true | _ -> false)
-       s
+(* "%016Lx-%016Lx", nibble by nibble: this runs on every submit and
+   every journal record, where Printf's format interpretation was most
+   of the cost. *)
+let to_string t =
+  let b = Bytes.create 33 in
+  let put off x =
+    for k = 0 to 15 do
+      let nib = Int64.to_int (Int64.shift_right_logical x (4 * (15 - k))) in
+      Bytes.unsafe_set b (off + k) hex_digits.[nib land 15]
+    done
+  in
+  put 0 t.trace_id;
+  Bytes.unsafe_set b 16 '-';
+  put 17 t.span_id;
+  Bytes.unsafe_to_string b
 
-let parse_hex64 s =
-  if String.length s > 16 || not (is_hex s) then None
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* The unsigned value of the 1-16 hex digits in [s.[off .. off+len-1]],
+   or [None].  The high and low 32 bits accumulate in two native ints,
+   so no [int64] is boxed per digit. *)
+let parse_hex64 s off len =
+  if len < 1 || len > 16 then None
   else
-    (* Scan as unsigned: %Lx rejects nothing we feed it after is_hex. *)
-    try Some (Scanf.sscanf s "%Lx%!" Fun.id) with _ -> None
+    let rec go i hi lo =
+      if i = off + len then
+        Some
+          (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      else
+        let h = hex_value (String.unsafe_get s i) in
+        if h < 0 then None
+        else
+          go (i + 1)
+            ((hi lsl 4) lor (lo lsr 28))
+            (((lo lsl 4) lor h) land 0xffff_ffff)
+    in
+    go off 0 0
 
 let of_string s =
+  let n = String.length s in
   match String.index_opt s '-' with
   | None -> (
-      match parse_hex64 s with
+      match parse_hex64 s 0 n with
       | Some id when id <> 0L -> Some { trace_id = id; span_id = 0L }
       | _ -> None)
   | Some i -> (
-      let a = String.sub s 0 i in
-      let b = String.sub s (i + 1) (String.length s - i - 1) in
-      match (parse_hex64 a, parse_hex64 b) with
+      match (parse_hex64 s 0 i, parse_hex64 s (i + 1) (n - i - 1)) with
       | Some tid, Some sid when tid <> 0L -> Some { trace_id = tid; span_id = sid }
       | _ -> None)
 

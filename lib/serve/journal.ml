@@ -23,24 +23,17 @@
 
 module P = Protocol
 
-(* --- CRC-32 (IEEE), table-driven ---------------------------------------- *)
+(* --- CRC-32 (IEEE), sliced by 8 in C ----------------------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+external crc32_init : unit -> unit = "cas_crc32_init"
 
-let crc32 s =
-  let t = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := t.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+external crc32_sub :
+  string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "cas_crc32_sub" "cas_crc32_sub_untagged"
+[@@noalloc]
+
+let () = crc32_init ()
+let crc32 s = crc32_sub s 0 (String.length s)
 
 (* --- records ------------------------------------------------------------ *)
 
@@ -131,24 +124,32 @@ let entry_of_payload s =
       | Some r -> fail "unknown record kind %S" r
       | None -> fail "record needs an \"r\" field")
 
-let hex8 s =
-  String.length s = 8
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       s
+(* The stored CRC: eight lowercase hex digits at the start of [line],
+   or -1. *)
+let stored_crc line =
+  let rec go i acc =
+    if i = 8 then acc
+    else
+      match String.unsafe_get line i with
+      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 48))
+      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 87))
+      | _ -> -1
+  in
+  go 0 0
 
 let entry_of_line line =
-  if String.length line < 10 || line.[8] <> ' ' then
+  let n = String.length line in
+  if n < 10 || line.[8] <> ' ' then
     fail "line is not CRC-framed (want \"<crc8> <json>\")"
   else
-    let crc_hex = String.sub line 0 8 in
-    if not (hex8 crc_hex) then fail "bad CRC field %S" crc_hex
+    let crc = stored_crc line in
+    if crc < 0 then fail "bad CRC field %S" (String.sub line 0 8)
     else
-      let payload = String.sub line 9 (String.length line - 9) in
-      let crc = int_of_string ("0x" ^ crc_hex) in
-      if crc <> crc32 payload then
-        fail "CRC mismatch (stored %s, computed %08x)" crc_hex (crc32 payload)
-      else entry_of_payload payload
+      let computed = crc32_sub line 9 (n - 9) in
+      if crc <> computed then
+        fail "CRC mismatch (stored %s, computed %08x)" (String.sub line 0 8)
+          computed
+      else entry_of_payload (String.sub line 9 (n - 9))
 
 (* --- the writer --------------------------------------------------------- *)
 
@@ -235,44 +236,42 @@ let close t =
   sync t;
   close_out_noerr t.oc
 
-(* --- replay ------------------------------------------------------------- *)
+(* --- the reader ------------------------------------------------------- *)
 
-let read_file path =
+(* Fold [f] over the records of the valid prefix, one line at a time:
+   only the current line is held, never the file or a list of its
+   lines.  Returns the fold, the number of records and whether the
+   journal was torn.  A final line without its newline is the torn
+   tail and is never decoded: reading it ends past the file's length,
+   so a line is complete iff its newline lies inside the file. *)
+let fold_valid_prefix path f init =
   match open_in_bin path with
-  | exception Sys_error _ -> None
+  | exception Sys_error _ -> (init, 0, false)
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let n = in_channel_length ic in
-          Some (really_input_string ic n))
-
-(* Split into complete lines; a final segment without its newline is
-   the torn tail and is never parsed. *)
-let complete_lines s =
-  let rec go acc i =
-    match String.index_from_opt s i '\n' with
-    | None -> (List.rev acc, i < String.length s)
-    | Some j -> go (String.sub s i (j - i) :: acc) (j + 1)
-  in
-  go [] 0
+          let size = try in_channel_length ic with Sys_error _ -> 0 in
+          let rec go acc n pos =
+            match input_line ic with
+            | exception End_of_file -> (acc, n, false)
+            | exception Sys_error _ -> (acc, n, true)
+            | line -> (
+                let next = pos + String.length line + 1 in
+                if next > size then (acc, n, true)
+                else
+                  match entry_of_line line with
+                  | Ok e -> go (f acc e) (n + 1) next
+                  | Error _ ->
+                      (* first bad record: everything after it is
+                         beyond the valid prefix, whatever it holds *)
+                      (acc, n, true))
+          in
+          go init 0 0)
 
 let replay path =
-  match read_file path with
-  | None -> ([], false)
-  | Some contents ->
-      let lines, unterminated = complete_lines contents in
-      let rec go acc = function
-        | [] -> (List.rev acc, unterminated)
-        | line :: rest -> (
-            match entry_of_line line with
-            | Ok e -> go (e :: acc) rest
-            | Error _ ->
-                (* first bad record: everything after it is beyond the
-                   valid prefix, whatever it contains *)
-                (List.rev acc, true))
-      in
-      go [] lines
+  let rev, _, torn = fold_valid_prefix path (fun acc e -> e :: acc) [] in
+  (List.rev rev, torn)
 
 type recovery = {
   r_pending : accepted list;
@@ -286,37 +285,41 @@ let empty_recovery =
   { r_pending = []; r_completed = []; r_next_id = 0; r_entries = 0;
     r_torn = false }
 
-let recover path =
-  let entries, torn = replay path in
-  let pending = Hashtbl.create 32 in
-  let order = ref [] in
-  let completed = ref [] in
+let recover ?(window = max_int) path =
+  (* All recovery holds while it reads: the accepts not yet completed,
+     each with its record number, and the newest [window] keyed
+     completions.  Both follow the daemon's live state, not the
+     journal's history.  The fold's accumulator is the record number. *)
+  let pending = Hashtbl.create 64 and completed = Queue.create () in
   let next_id = ref 0 in
-  List.iter
-    (fun e ->
-      match e with
-      | Accept a ->
-          next_id := max !next_id a.a_id;
-          if not (Hashtbl.mem pending a.a_id) then begin
-            Hashtbl.replace pending a.a_id a;
-            order := a.a_id :: !order
-          end
-      | Complete { c_idem; c_reply } -> (
-          match c_reply with
-          | P.Done { id; tenant; _ } ->
-              next_id := max !next_id id;
-              Hashtbl.remove pending id;
-              (match c_idem with
-              | Some k -> completed := (tenant, k, c_reply) :: !completed
-              | None -> ())
-          | _ -> ()))
-    entries;
+  let step seq = function
+    | Accept a ->
+        next_id := max !next_id a.a_id;
+        if not (Hashtbl.mem pending a.a_id) then
+          Hashtbl.replace pending a.a_id (seq, a);
+        seq + 1
+    | Complete { c_idem; c_reply } ->
+        (match c_reply with
+        | P.Done { id; tenant; _ } -> (
+            next_id := max !next_id id;
+            Hashtbl.remove pending id;
+            match c_idem with
+            | Some k ->
+                Queue.add (tenant, k, c_reply) completed;
+                if Queue.length completed > window then
+                  ignore (Queue.pop completed)
+            | None -> ())
+        | _ -> ());
+        seq + 1
+  in
+  let _, entries, torn = fold_valid_prefix path step 0 in
   {
     r_pending =
-      List.rev !order
-      |> List.filter_map (fun id -> Hashtbl.find_opt pending id);
-    r_completed = List.rev !completed;
+      Hashtbl.fold (fun _ p acc -> p :: acc) pending []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd;
+    r_completed = List.of_seq (Queue.to_seq completed);
     r_next_id = !next_id;
-    r_entries = List.length entries;
+    r_entries = entries;
     r_torn = torn;
   }

@@ -22,7 +22,8 @@
     survives in the prefix is never resurrected as pending. *)
 
 val crc32 : string -> int
-(** CRC-32 (IEEE) of a byte string, in [0, 0xFFFFFFFF]. *)
+(** CRC-32 (IEEE) of a byte string, in [0, 0xFFFFFFFF].  Sliced by 8 in
+    C; appends and replay both use it. *)
 
 type accepted = {
   a_id : int;  (** daemon-assigned job id *)
@@ -75,23 +76,30 @@ val append : t -> entry -> unit
 val sync : t -> unit
 val close : t -> unit
 
-(** {2 Replay} *)
+(** {2 Replay}
+
+    {!replay} and {!recover} share one streaming reader: it reads the
+    journal a line at a time, decodes and validates every record of
+    the valid prefix once, and never holds the file or its list of
+    lines.  A last line without its newline is the torn tail and is
+    not decoded. *)
 
 val replay : string -> entry list * bool
 (** All entries in the valid prefix, in append order, and whether the
     file was torn (truncated tail, CRC mismatch, or any undecodable
     record — everything after the first bad record is ignored).  A
     missing file is [([], false)]: an empty journal is not a torn
-    one. *)
+    one.  Holds every entry; a restart wants {!recover}. *)
 
 type recovery = {
   r_pending : accepted list;
       (** accepted but not completed, in acceptance order — the jobs a
           restarted daemon must re-run *)
   r_completed : (string * string * Protocol.reply) list;
-      (** [(tenant, idem_key, done_reply)] for completed jobs that
-          carried an idempotency key — seeds the dedup window so a
-          client retrying across the restart gets the cached DONE *)
+      (** [(tenant, idem_key, done_reply)] for the newest completed
+          jobs that carried an idempotency key, oldest first, at most
+          the [window] given to {!recover} — seeds the dedup window so
+          a client retrying across the restart gets the cached DONE *)
   r_next_id : int;  (** highest job id seen; allocate from [r_next_id + 1] *)
   r_entries : int;  (** valid records read *)
   r_torn : bool;
@@ -99,5 +107,12 @@ type recovery = {
 
 val empty_recovery : recovery
 
-val recover : string -> recovery
-(** {!replay} folded into a restart plan.  Never raises. *)
+val recover : ?window:int -> string -> recovery
+(** The valid prefix folded into a restart plan, as it is read.
+    [window] (default: unbounded) is how many keyed completions the
+    caller's dedup window holds: [cascabeld] passes its service's
+    [dedup_cap], and recovery keeps only the newest [window] of them.
+    Memory is then bounded by the pending jobs, [window] completions
+    and one line, whatever the journal's length.  A job accepted more
+    than once while pending keeps its first acceptance; pending jobs
+    come back in acceptance order, each once.  Never raises. *)

@@ -65,14 +65,17 @@ type t = {
   journal : Journal.t option;  (* WAL: accept on admit, done on finish *)
   dedup_cap : int;  (* completed idempotency keys remembered *)
   idem : (string, idem_state) Hashtbl.t;  (* "tenant\x00key" -> state *)
-  idem_done : string Queue.t;  (* completed keys in completion order *)
+  idem_done : (string * idem_state) Queue.t;
+      (* completed keys in completion order, each with the state it set *)
   replays : P.reply Queue.t;  (* cached DONEs owed to retried clients *)
 }
+
+let default_dedup_cap = 512
 
 let create ?(policy = Engine.Heft) ?(shards = 2) ?(queue_cap = 16)
     ?(quantum = 1e6) ?tune ?(now = Unix.gettimeofday) ?slo_ms
     ?(slo_objective = 0.99) ?(slo_window_s = 300.0) ?journal
-    ?(dedup_cap = 512) cfg =
+    ?(dedup_cap = default_dedup_cap) cfg =
   if queue_cap < 1 then invalid_arg "Service.create: queue_cap must be >= 1";
   if quantum <= 0.0 then invalid_arg "Service.create: quantum must be > 0";
   if dedup_cap < 1 then invalid_arg "Service.create: dedup_cap must be >= 1";
@@ -107,13 +110,17 @@ let idem_key tenant k = tenant ^ "\x00" ^ k
 
 let idem_complete t tenant_name k reply =
   let key = idem_key tenant_name k in
-  Hashtbl.replace t.idem key (Idone reply);
-  Queue.add key t.idem_done;
+  let state = Idone reply in
+  Hashtbl.replace t.idem key state;
+  Queue.add (key, state) t.idem_done;
   while Queue.length t.idem_done > t.dedup_cap do
-    let old = Queue.pop t.idem_done in
-    (* never evict a pending entry: the window bounds completed keys *)
+    let old, old_state = Queue.pop t.idem_done in
+    (* evict only the completion this entry recorded: a pending entry,
+       or a newer completion of the same key, stays.  So the window
+       holds exactly the keys whose newest completion is among the last
+       [dedup_cap], however long the history replayed into it. *)
     match Hashtbl.find_opt t.idem old with
-    | Some (Idone _) -> Hashtbl.remove t.idem old
+    | Some cur when cur == old_state -> Hashtbl.remove t.idem old
     | _ -> ()
   done
 

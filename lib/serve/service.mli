@@ -46,9 +46,9 @@ val create :
     log: every admission appends an accept record {e before} ACCEPTED
     is emitted, every terminal outcome a completion record before
     DONE, so a crash between the two re-runs the job on {!restore}
-    instead of losing it.  [dedup_cap] (default 512) bounds the
-    remembered {e completed} idempotency keys (pending keys are never
-    evicted).
+    instead of losing it.  [dedup_cap] (default
+    {!default_dedup_cap}) bounds the remembered {e completed}
+    idempotency keys (pending keys are never evicted).
     @raise Invalid_argument on a non-positive cap, quantum or target. *)
 
 val configure_tenant :
@@ -101,10 +101,14 @@ val take_replays : t -> Protocol.reply list
     submissions, in retry order.  The daemon sends these through the
     same path as fresh completion frames. *)
 
+val default_dedup_cap : int
+(** 512 completed idempotency keys. *)
+
 val restore : t -> Journal.recovery -> unit
 (** Adopt a journal {!Journal.recover} plan: advance the id counter
     past every journaled id, seed the dedup window with completed
-    (tenant, key, DONE) triples, and re-enqueue unfinished jobs in
+    (tenant, key, DONE) triples (a plan recovered with
+    [~window:dedup_cap] leaves the same window as an unbounded one), and re-enqueue unfinished jobs in
     their original acceptance order — bypassing the tenant cap (they
     were admitted under it before the crash) and without re-appending
     journal records.  Deadlines rebase on the restore clock.  Call

@@ -759,6 +759,36 @@ int main(void)
             check bool_ "every task fell back" true
               (fallback.native_fallbacks = fallback.tasks_submitted);
             check string_ "stdout" interpreted.stdout fallback.stdout);
+    Alcotest.test_case
+      "a variant calling an interpreter builtin stays out of the object"
+      `Quick (fun () ->
+        (* rand_double and assert_true live in the interpreter: a
+           variant that calls one cannot load under RTLD_NOW, so it
+           must not be compiled into the kernels object at all, or the
+           dlopen fails for every variant *)
+        let src =
+          In_channel.with_open_text "../../examples/programs/vecadd.c"
+            In_channel.input_all
+          |> replace ~sub:"Y[i] = beta * Y[i];"
+               ~by:"Y[i] = beta * Y[i] + 0.0 * rand_double();"
+        in
+        let unit_ = parse src in
+        let em = emit_c unit_ in
+        check bool_ "no rand_double in the kernels unit" false
+          (contains
+             (List.find (fun s -> s.Emit_c.file = Emit_c.kernels_file em)
+                em.sources)
+               .contents "rand_double");
+        check bool_ "scale is not native-dispatchable" false
+          (List.mem_assoc "scale_cpu" em.native_variants);
+        match Native.build em with
+        | Native.No_toolchain _ -> () (* no cc: nothing to compare *)
+        | Native.Compile_error e -> Alcotest.failf "native build: %s" e
+        | Native.Loaded nt ->
+            let interpreted, native = run_both nt unit_ in
+            check bool_ "scale fell back" true (native.native_fallbacks > 0);
+            check bool_ "axpy still native" true (native.native_tasks > 0);
+            check string_ "stdout" interpreted.stdout native.stdout);
     Alcotest.test_case "only a bare blas_dgemm body is a library call" `Quick
       (fun () ->
         let funcs src =

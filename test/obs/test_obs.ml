@@ -317,6 +317,78 @@ let test_json_roundtrip =
       | Ok v' -> same_json v v'
       | Error _ -> false)
 
+(* Mutations of written documents, and soup over JSON's own alphabet,
+   reach the reader's error paths far more often than uniform bytes. *)
+let mutate_gen text =
+  let open QCheck.Gen in
+  let alphabet = "{}[]\",:0123456789-+.eE \t\n\\/ubfnrtalse\x00\x1f\xc3" in
+  let one s =
+    let n = String.length s in
+    int_bound (max 0 n) >>= fun i ->
+    let rest k = String.sub s k (n - k) in
+    oneof
+      [ (* delete *)
+        return (if i < n then String.sub s 0 i ^ rest (i + 1) else s);
+        (* insert *)
+        map
+          (fun c -> String.sub s 0 i ^ String.make 1 c ^ rest i)
+          (oneofl (List.init (String.length alphabet) (String.get alphabet)));
+        (* truncate *)
+        return (String.sub s 0 i) ]
+  in
+  int_range 1 4 >>= fun k ->
+  let rec go k s = if k = 0 then return s else one s >>= go (k - 1) in
+  go k text
+
+let gen_json_bytes =
+  let open QCheck.Gen in
+  let soup =
+    let alphabet = "{}[]\",:0123456789-+.eE \t\n\\/utrfalsn" in
+    string_size
+      ~gen:(oneofl (List.init (String.length alphabet) (String.get alphabet)))
+      (int_bound 40)
+  in
+  frequency
+    [ (3, gen_json >>= fun v -> mutate_gen (Obs.Json.to_text v));
+      (2, soup);
+      (1, string_size ~gen:char (int_bound 40)) ]
+
+let arb_json_bytes = QCheck.make ~print:(Printf.sprintf "%S") gen_json_bytes
+
+let test_json_total =
+  QCheck.Test.make ~count:2000 ~name:"parse never raises on mutated bytes"
+    arb_json_bytes (fun s ->
+      match Obs.Json.parse s with Ok _ | Error _ -> true)
+
+(* The scanning reader against the byte-at-a-time one it replaced: the
+   same value (floats compared bit for bit) or the same error text. *)
+let test_json_oracle =
+  QCheck.Test.make ~count:2000 ~name:"parse agrees with the reference reader"
+    arb_json_bytes (fun s ->
+      match (Obs.Json.parse s, Json_oracle.parse s) with
+      | Ok a, Ok b -> same_json a b
+      | Error a, Error b ->
+          a = b || QCheck.Test.fail_reportf "errors differ: %S vs %S" a b
+      | Ok _, Error e ->
+          QCheck.Test.fail_reportf "only the reference refused: %s" e
+      | Error e, Ok _ ->
+          QCheck.Test.fail_reportf "only the reference accepted: %s" e)
+
+let test_json_depth () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  let cap = Obs.Json.max_depth in
+  (match Obs.Json.parse (nest cap) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "depth %d refused: %s" cap e);
+  (match Obs.Json.parse (nest (cap + 1)) with
+  | Ok _ -> Alcotest.failf "depth %d accepted" (cap + 1)
+  | Error e ->
+      Alcotest.(check string) "error text"
+        (Printf.sprintf "at offset %d: nesting deeper than %d" cap cap) e);
+  match Obs.Json.parse (String.make (1 lsl 20) '{') with
+  | Ok _ -> Alcotest.fail "a megabyte of '{' accepted"
+  | Error _ -> ()
+
 (* --- Chrome export round-trip --------------------------------------- *)
 
 let test_chrome_roundtrip () =
@@ -412,6 +484,51 @@ let test_trace_ctx_codec () =
       "-0000000000000001"; "00000000deadbeef-00000000000000010";
       "00000000deadbeef 0000000000000001";
     ]
+
+(* The Printf/Scanf codec the hand-written hex replaced, as an oracle. *)
+let ref_to_string (t : Obs.Trace_ctx.t) =
+  Printf.sprintf "%016Lx-%016Lx" t.trace_id t.span_id
+
+let ref_of_string s =
+  let hex64 s =
+    if s = "" || String.length s > 16
+       || not (String.for_all (function
+                 | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                 | _ -> false) s)
+    then None
+    else try Some (Scanf.sscanf s "%Lx%!" Fun.id) with _ -> None
+  in
+  let ctx tid sid =
+    if tid = 0L then None
+    else Some { Obs.Trace_ctx.trace_id = tid; span_id = sid }
+  in
+  match String.index_opt s '-' with
+  | None -> Option.bind (hex64 s) (fun t -> ctx t 0L)
+  | Some i -> (
+      match
+        ( hex64 (String.sub s 0 i),
+          hex64 (String.sub s (i + 1) (String.length s - i - 1)) )
+      with
+      | Some t, Some sp -> ctx t sp
+      | _ -> None)
+
+let test_trace_ctx_oracle =
+  let open QCheck.Gen in
+  let hex = oneofl (String.to_seq "0123456789abcdefABCDEF-xg " |> List.of_seq) in
+  let text =
+    oneof
+      [ map2
+          (fun a b -> ref_to_string { Obs.Trace_ctx.trace_id = a; span_id = b })
+          ui64 ui64;
+        string_size ~gen:hex (int_bound 36) ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"hex codec agrees with Printf/Scanf"
+    (QCheck.make ~print:(Printf.sprintf "%S") text) (fun s ->
+      let parsed = Obs.Trace_ctx.of_string s in
+      parsed = ref_of_string s
+      && Option.fold ~none:true
+           ~some:(fun c -> Obs.Trace_ctx.to_string c = ref_to_string c)
+           parsed)
 
 let test_trace_ctx_ambient () =
   let ctx = Option.get (Obs.Trace_ctx.of_string "00000000000000ff-01") in
@@ -669,6 +786,9 @@ let () =
           Alcotest.test_case "strict grammar" `Quick test_json_strict;
           Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
           QCheck_alcotest.to_alcotest test_json_roundtrip;
+          Alcotest.test_case "nesting cap" `Quick test_json_depth;
+          QCheck_alcotest.to_alcotest test_json_total;
+          QCheck_alcotest.to_alcotest test_json_oracle;
         ] );
       ( "export",
         [
@@ -681,6 +801,7 @@ let () =
       ( "trace-ctx",
         [
           Alcotest.test_case "codec" `Quick test_trace_ctx_codec;
+          QCheck_alcotest.to_alcotest test_trace_ctx_oracle;
           Alcotest.test_case "ambient flow" `Quick test_trace_ctx_ambient;
         ] );
       ( "decisions",

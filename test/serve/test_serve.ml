@@ -227,6 +227,19 @@ let protocol_tests =
         with
         | Error { P.e_code = P.Bad_request; _ } -> ()
         | _ -> Alcotest.fail "expected bad-request for negative n");
+    Alcotest.test_case "a megabyte of '[' is refused in milliseconds" `Quick
+      (fun () ->
+        (* the largest frame the daemon accepts, nested as deep as it
+           goes: without a nesting cap the decoder recursed through all
+           of it, and held the single-threaded daemon for a second *)
+        let payload = String.make P.max_frame '[' in
+        let t0 = Unix.gettimeofday () in
+        let r = P.request_of_string payload in
+        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        (match r with
+        | Error { P.e_code = P.Parse; _ } -> ()
+        | _ -> Alcotest.fail "expected a parse error");
+        if ms > 50.0 then Alcotest.failf "took %.1f ms to refuse" ms);
     Alcotest.test_case "oversized frame length is corrupt" `Quick (fun () ->
         match
           P.deframe (Bytes.of_string "\x7f\xff\xff\xff....") ~off:0 ~len:8
@@ -1279,6 +1292,232 @@ let journal_truncation_safe =
       && List.length (List.sort_uniq compare pending_ids)
          = List.length pending_ids)
 
+(* Byte-level damage to a valid document: deletions, insertions of
+   JSON punctuation and truncation, one to four of them. *)
+let mutate text =
+  let open QCheck.Gen in
+  let alphabet = "{}[]\",:0123456789-.e \\u\n\x00" in
+  let one s =
+    let n = String.length s in
+    int_bound n >>= fun i ->
+    let rest k = String.sub s k (n - k) in
+    oneof
+      [ return (if i < n then String.sub s 0 i ^ rest (i + 1) else s);
+        map
+          (fun c -> String.sub s 0 i ^ String.make 1 c ^ rest i)
+          (oneofl (List.init (String.length alphabet) (String.get alphabet)));
+        return (String.sub s 0 i) ]
+  in
+  int_range 1 4 >>= fun k ->
+  let rec go k s = if k = 0 then return s else one s >>= go (k - 1) in
+  go k text
+
+let request_total =
+  QCheck.Test.make ~name:"requests decode totally when mutated" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(gen_request >>= fun r -> mutate (P.request_to_string r)))
+    (fun s ->
+      match P.request_of_string s with Ok _ | Error _ -> true)
+
+(* Mutated journal lines, half of them re-framed with a matching CRC so
+   the damage reaches the record decoder rather than the checksum. *)
+let entry_total =
+  let gen =
+    QCheck.Gen.(
+      pair gen_history bool >>= fun (h, reframe) ->
+      match history_entries h with
+      | [] -> return ""
+      | es ->
+          oneofl es >>= fun e ->
+          let line = Journal.entry_to_line e in
+          let payload = String.sub line 9 (String.length line - 10) in
+          if reframe then
+            map
+              (fun p -> Printf.sprintf "%08x %s" (Journal.crc32 p) p)
+              (mutate payload)
+          else mutate line)
+  in
+  QCheck.Test.make ~name:"journal lines decode totally when mutated"
+    ~count:1000 (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun line ->
+      match Journal.entry_of_line line with Ok _ | Error _ -> true)
+
+(* Journals with the irregularities a real one can hold: duplicate
+   accepts, completions with no accept, keys completed more than once,
+   ids out of order. *)
+type jop =
+  | Acc of int * string * string option
+  | Fin of int * string * string option
+
+let gen_jops =
+  QCheck.Gen.(
+    list_size (int_range 0 24)
+      (map3
+         (fun accept (id, tenant) idem ->
+           if accept then Acc (id, tenant, idem) else Fin (id, tenant, idem))
+         (frequency [ (3, return true); (2, return false) ])
+         (pair (int_range 1 8) (oneofl [ "a"; "b" ]))
+         (oneofl [ None; Some "k1"; Some "k2"; Some "k3"; Some "k4" ])))
+
+let jop_entries =
+  List.map (function
+    | Acc (id, tenant, idem) -> mk_accept ~id ~tenant ?idem (gjob id)
+    | Fin (id, tenant, idem) -> mk_done ~id ~tenant ?idem ())
+
+type damage = Intact | Cut of int | Unterminated | Flip of int | Empty | Missing
+
+let gen_damage =
+  QCheck.Gen.(
+    oneof
+      [ return Intact; map (fun i -> Cut i) (int_bound 4000);
+        return Unterminated; map (fun i -> Flip i) (int_bound 4000);
+        return Empty; return Missing ])
+
+let write_damaged path bytes = function
+  | Missing -> ()
+  | Empty -> write_raw path ""
+  | Intact -> write_raw path bytes
+  | Cut i -> write_raw path (String.sub bytes 0 (min i (String.length bytes)))
+  | Unterminated ->
+      let n = String.length bytes in
+      write_raw path (if n > 0 then String.sub bytes 0 (n - 1) else bytes)
+  | Flip i ->
+      (* one payload byte: a CRC mismatch somewhere mid-file *)
+      let b = Bytes.of_string bytes in
+      let n = Bytes.length b in
+      if n > 0 then begin
+        let i = i mod n in
+        if Bytes.get b i <> '\n' then
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20))
+      end;
+      write_raw path (Bytes.to_string b)
+
+let show_jops (ops, damage, window) =
+  Printf.sprintf "%s / %s / window %s"
+    (String.concat " "
+       (List.map
+          (function
+            | Acc (id, t, k) ->
+                Printf.sprintf "A%d%s%s" id t (Option.value ~default:"" k)
+            | Fin (id, t, k) ->
+                Printf.sprintf "D%d%s%s" id t (Option.value ~default:"" k))
+          ops))
+    (match damage with
+    | Intact -> "intact" | Cut i -> Printf.sprintf "cut %d" i
+    | Unterminated -> "unterminated" | Flip i -> Printf.sprintf "flip %d" i
+    | Empty -> "empty" | Missing -> "missing")
+    (match window with None -> "unbounded" | Some w -> string_of_int w)
+
+let arb_journal =
+  QCheck.make ~print:show_jops
+    QCheck.Gen.(
+      triple gen_jops gen_damage (opt (int_range 0 5)))
+
+(* A journal file in a fresh path, per [damage]; removed after [k]. *)
+let with_journal (ops, damage) k =
+  let path = tmp_journal () in
+  Sys.remove path;
+  write_damaged path
+    (String.concat "" (List.map Journal.entry_to_line (jop_entries ops)))
+    damage;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> k path)
+
+(* The reader's reference: the whole file split at its newlines, every
+   complete line decoded until the first bad one. *)
+let reference_replay path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> ([], false)
+  | contents ->
+      let rec go acc = function
+        | [] -> (List.rev acc, false)
+        | [ tail ] -> (List.rev acc, tail <> "")
+        | line :: rest -> (
+            match Journal.entry_of_line line with
+            | Ok e -> go (e :: acc) rest
+            | Error _ -> (List.rev acc, true))
+      in
+      go [] (String.split_on_char '\n' contents)
+
+(* Recovery's reference: the plan folded over [replay] with lists. *)
+let reference_recover ?window path =
+  let entries, torn = Journal.replay path in
+  let pending = ref [] and completed = ref [] and next_id = ref 0 in
+  List.iter
+    (function
+      | Journal.Accept a ->
+          next_id := max !next_id a.Journal.a_id;
+          if not (List.mem_assoc a.a_id !pending) then
+            pending := !pending @ [ (a.a_id, a) ]
+      | Journal.Complete { c_idem; c_reply = P.Done { id; tenant; _ } as r }
+        ->
+          next_id := max !next_id id;
+          pending := List.remove_assoc id !pending;
+          Option.iter
+            (fun k -> completed := (tenant, k, r) :: !completed)
+            c_idem
+      | Journal.Complete _ -> ())
+    entries;
+  let completed = List.rev !completed in
+  let drop =
+    match window with Some w -> List.length completed - w | None -> 0
+  in
+  {
+    Journal.r_pending = List.map snd !pending;
+    r_completed = List.filteri (fun i _ -> i >= drop) completed;
+    r_next_id = !next_id;
+    r_entries = List.length entries;
+    r_torn = torn;
+  }
+
+let recover_reference =
+  QCheck.Test.make ~name:"streaming recovery equals a fold over replay"
+    ~count:500 arb_journal (fun (ops, damage, window) ->
+      with_journal (ops, damage) (fun path ->
+          Journal.replay path = reference_replay path
+          && Journal.recover ?window path = reference_recover ?window path))
+
+(* Restoring the windowed plan leaves the service in the state the
+   whole history leaves it in: the same ids, dedup answers and pending
+   order, observed through the public API. *)
+let restore_windowed =
+  QCheck.Test.make ~name:"a windowed recovery restores the same service"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (ops, damage, cap) ->
+         show_jops (ops, damage, Some cap))
+       QCheck.Gen.(triple gen_jops gen_damage (int_range 1 4)))
+    (fun (ops, damage, cap) ->
+      with_journal (ops, damage) (fun path ->
+          let restored window =
+            Obs.Trace_ctx.set_seed 1L;
+            let svc =
+              Service.create ~shards:1 ~dedup_cap:cap ~now:(fun () -> 0.0)
+                (cfg_of "xeon-2gpu")
+            in
+            Service.restore svc (Journal.recover ?window path);
+            let probes =
+              List.concat_map
+                (fun tenant ->
+                  List.map
+                    (fun k ->
+                      let r = Service.submit svc ~tenant ~idem:k (gjob 99) in
+                      (r, Service.take_replays svc))
+                    [ "k1"; "k2"; "k3"; "k4" ])
+                [ "a"; "b" ]
+            in
+            let fresh = Service.submit svc ~tenant:"a" (gjob 98) in
+            let dones =
+              List.filter_map
+                (function
+                  | P.Done { id; tenant; _ } -> Some (id, tenant)
+                  | _ -> None)
+                (Service.run_until_idle svc)
+            in
+            (probes, fresh, dones)
+          in
+          restored (Some cap) = restored None))
+
 (* ------------------------------------------------------------------ *)
 
 (* Golden DONE checksums: the result bits of every kernel path a
@@ -1781,8 +2020,9 @@ let () =
       ( "properties",
         qt
           [
-            request_roundtrip; reply_roundtrip; decode_total;
-            framing_roundtrip; journal_roundtrip; journal_truncation_safe;
+            request_roundtrip; reply_roundtrip; decode_total; request_total;
+            entry_total; framing_roundtrip; journal_roundtrip;
+            journal_truncation_safe; recover_reference; restore_windowed;
             shard_partition; engine_interleave; flow_chain;
           ]
       );
