@@ -1312,13 +1312,23 @@ int main(void) { return 0; }
 module SP = Serve.Protocol
 module SSvc = Serve.Service
 
+(* State that must not grow with history (recovery's peak heap, a
+   serving tenant's live heap) may exceed its size at a tenth of the
+   history by this factor plus [heap_slack_mib]: GC pacing and the
+   work in flight, not history. *)
+let heap_slack_factor = 1.25
+let heap_slack_mib = 2.0
+let within_heap_slack ~small large =
+  large <= (small *. heap_slack_factor) +. heap_slack_mib
+
 let percentile_exact sorted q =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (ceil (q /. 100.0 *. float_of_int n)) - 1 |> max 0))
 
 let serve_json path ~jobs ~base ~cont ~rejected ~throughput ~factor ~floor_ms
-    ~limit_ms ~ok ~tracing_overhead_pct ~overhead_limit_pct ~overhead_ok =
+    ~limit_ms ~ok ~tracing_overhead_pct ~overhead_limit_pct ~overhead_ok
+    ~state =
   let pcts a =
     J.Obj
       [ ("p50_ms", num (percentile_exact a 50.0));
@@ -1326,8 +1336,11 @@ let serve_json path ~jobs ~base ~cont ~rejected ~throughput ~factor ~floor_ms
         ("max_ms", num (percentile_exact a 100.0)) ]
   in
   write_json path
-    [ ("experiment", str "serve"); ("jobs_per_phase", int jobs);
+    [ ("experiment", str "serve"); ("host", host_json ());
+      ("jobs_per_phase", int jobs);
+      (* samples and spread of the baseline phase's latencies *)
       ("samples", int jobs);
+      ("spread", num (snd (median_spread (Array.to_list base))));
       ("baseline", pcts base); ("contended", pcts cont);
       ("rejected", int rejected); ("throughput_jobs_per_s", num throughput);
       ("isolation_guard",
@@ -1337,8 +1350,40 @@ let serve_json path ~jobs ~base ~cont ~rejected ~throughput ~factor ~floor_ms
       ("tracing_overhead_pct", num tracing_overhead_pct);
       ("tracing_guard",
        J.Obj
-         [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ])
-    ]
+         [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ]);
+      ("state_guard", state) ]
+
+(* Live heap of a service whose one tenant has run [short] and then
+   [long] Graph 8x8 jobs, one at a time, in MiB: what a long-lived
+   daemon keeps per finished job (engine events, say) shows as growth
+   between the two. The trace rings sit outside this heap, at a fixed
+   size once full. *)
+let serve_state_guard ~short ~long =
+  let svc = SSvc.create ~shards:2 (cfg_of "xeon-2gpu") in
+  let job = SP.Graph { width = 8; depth = 8; task_flops = 1e6 } in
+  let run n =
+    for _ = 1 to n do
+      ignore (SSvc.submit svc ~tenant:"a" job);
+      ignore (SSvc.run_until_idle svc)
+    done;
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+    /. 1048576.0
+  in
+  let small = run short in
+  let large = run (long - short) in
+  let ok = within_heap_slack ~small large in
+  Printf.printf
+    "state guard: live heap %.2f MiB after %d jobs vs %.2f MiB after %d \
+     (<= x%.2f + %.0f MiB): %s\n"
+    large long small short heap_slack_factor heap_slack_mib
+    (if ok then "ok" else "VIOLATED");
+  ( J.Obj
+      [ ("jobs", int long); ("live_heap_mib", num large);
+        ("jobs_at_tenth", int short); ("live_heap_mib_at_tenth", num small);
+        ("slack_factor", num heap_slack_factor);
+        ("slack_mib", num heap_slack_mib); ("ok", J.Bool ok) ],
+    ok )
 
 let serve_bench () =
   header
@@ -1424,15 +1469,16 @@ let serve_bench () =
   Printf.printf "tracing guard: overhead %.2f%% <= %.1f%%: %s\n"
     tracing_overhead_pct overhead_limit_pct
     (if overhead_ok then "ok" else "VIOLATED");
+  let state, state_ok = serve_state_guard ~short:300 ~long:3000 in
   serve_json "BENCH_serve.json" ~jobs ~base ~cont ~rejected ~throughput
     ~factor ~floor_ms ~limit_ms ~ok ~tracing_overhead_pct ~overhead_limit_pct
-    ~overhead_ok;
+    ~overhead_ok ~state;
   print_endline "wrote BENCH_serve.json";
   if rejected = 0 then begin
     print_endline "expected the flooding tenant to be rejected at least once";
     exit 1
   end;
-  if not ok || not overhead_ok then exit 1
+  if not (ok && overhead_ok && state_ok) then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* CHAOS: crash-durable serving.  A deterministic seeded harness
@@ -1741,12 +1787,6 @@ let recovery_row ~records ~samples =
     rr_stages = stages;
   }
 
-(* Recovery's peak heap at the long history may exceed the short one's
-   by this factor plus [heap_slack_mib]: GC pacing and the line in
-   flight, not history. *)
-let heap_slack_factor = 1.25
-let heap_slack_mib = 2.0
-
 let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
     ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok ~recovery
     ~heap_ok =
@@ -1817,8 +1857,7 @@ let chaos_bench () =
     (fun (stage, us) -> Printf.printf "  %-16s %6.2f us/record\n" stage us)
     recovery.rr_stages;
   let heap_ok =
-    recovery.rr_heap_mib
-    <= (recovery.rr_heap_small_mib *. heap_slack_factor) +. heap_slack_mib
+    within_heap_slack ~small:recovery.rr_heap_small_mib recovery.rr_heap_mib
   in
   Printf.printf
     "recovery heap guard: %.1f MiB at %d records vs %.1f MiB at %d \

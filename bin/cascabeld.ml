@@ -146,7 +146,11 @@ let trace_arg =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write a per-tenant Chrome trace on drain.")
+        ~doc:
+          (Printf.sprintf
+             "Write a per-tenant Chrome trace on drain: the newest %d task \
+              events per tenant."
+             Serve.Service.trace_cap))
 
 let metrics_arg =
   Arg.(

@@ -118,7 +118,7 @@ type worker_state = {
 }
 
 type trace_event = {
-  tr_task : string;
+  tr_task : int;
   tr_codelet : string;
   tr_worker : string;
   tr_start : float;
@@ -512,7 +512,7 @@ and complete_task t ws task ~attempt ~dispatched ~compute_start ~bytes_in =
     t.live_tasks <- t.live_tasks - 1;
     t.events <-
       {
-        tr_task = Printf.sprintf "t%d" task.t_id;
+        tr_task = task.t_id;
         tr_codelet = task.codelet.Codelet.cl_name;
         tr_worker = ws.w.Machine_config.w_name;
         tr_start = dispatched;
@@ -1270,6 +1270,12 @@ let gflops ~flops stats =
   if stats.makespan > 0.0 then flops /. stats.makespan /. 1e9 else 0.0
 
 let trace t = List.rev t.events
+
+let take_events t =
+  let taken = (List.rev t.events, List.rev t.fault_events) in
+  t.events <- [];
+  t.fault_events <- [];
+  taken
 
 let utilization stats =
   (* Average only over workers that were ever online: counting

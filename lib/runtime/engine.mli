@@ -278,7 +278,7 @@ val fault_log : t -> fault_event list
     dedicated "faults" lane of {!Trace_export}. *)
 
 type trace_event = {
-  tr_task : string;
+  tr_task : int;  (** task id (see {!submit_id}) *)
   tr_codelet : string;
   tr_worker : string;
   tr_start : float;  (** dispatch time *)
@@ -289,6 +289,14 @@ type trace_event = {
 
 val trace : t -> trace_event list
 (** Completed-task records in completion order. *)
+
+val take_events : t -> trace_event list * fault_event list
+(** [(trace t, fault_log t)], after which the engine forgets both:
+    later calls of {!trace}, {!fault_log} and [take_events] see only
+    what happened since. Without it an engine keeps every event of its
+    life; a long-lived engine (the task service runs one per tenant
+    and shard) takes them after every job to keep its memory
+    bounded. *)
 
 val utilization : stats -> float
 (** Mean busy fraction in [0, 1], averaged over the workers that

@@ -43,11 +43,12 @@ let engine_events tid0 (lane, events, faults) =
               ("tid", tid); ("args", Obs.Json.Obj args) ]
         in
         let task =
-          x e.tr_task "task" e.tr_compute_start e.tr_end
+          x (Printf.sprintf "t%d" e.tr_task) "task" e.tr_compute_start e.tr_end
             [ ("codelet", str e.tr_codelet) ]
         in
         if e.tr_compute_start > e.tr_start then
-          [ x (e.tr_task ^ ":in") "transfer" e.tr_start e.tr_compute_start
+          [ x (Printf.sprintf "t%d:in" e.tr_task) "transfer" e.tr_start
+              e.tr_compute_start
               [ ("bytes", Obs.Json.Num e.tr_bytes_in) ];
             task ]
         else [ task ])

@@ -32,6 +32,7 @@ type tenant = {
   mutable t_deficit : float;
   t_engines : Engine.t option array;  (* lazy, one per shard *)
   mutable t_next_shard : int;
+  t_trace : Trace_ring.t;  (* every job's engine events, newest kept *)
   mutable t_submitted : int;
   mutable t_completed : int;
   mutable t_rejected : int;
@@ -71,6 +72,9 @@ type t = {
 }
 
 let default_dedup_cap = 512
+(* Task events kept per tenant, as many as Obs.Decision's ring keeps
+   placement records: at 64 bytes each, 256 KiB per tenant. *)
+let trace_cap = 4096
 
 let create ?(policy = Engine.Heft) ?(shards = 2) ?(queue_cap = 16)
     ?(quantum = 1e6) ?tune ?(now = Unix.gettimeofday) ?slo_ms
@@ -145,6 +149,7 @@ let tenant t name =
           t_deficit = 0.0;
           t_engines = Array.make (Array.length t.shard_cfgs) None;
           t_next_shard = 0;
+          t_trace = Trace_ring.create ~cap:trace_cap;
           t_submitted = 0;
           t_completed = 0;
           t_rejected = 0;
@@ -239,9 +244,7 @@ let synth f =
     ~flow:(Obs.Trace_ctx.current_flow ()) sp;
   x
 
-let execute t ten job =
-  let shard = ten.t_next_shard in
-  ten.t_next_shard <- (shard + 1) mod Array.length t.shard_cfgs;
+let execute t ten shard job =
   let e = engine_for t ten shard in
   let t0 = Engine.now e in
   let checksum =
@@ -281,30 +284,32 @@ let execute t ten job =
   P.Jok
     { makespan_s; checksum; tasks = job_tasks job; coalesced = false; shard }
 
-(* the engine may still hold unfinishable tasks or half-built state;
-   restart the shard executor rather than poisoning every later job
-   on it *)
-let reset_last_shard t ten =
-  let shard = (ten.t_next_shard + Array.length t.shard_cfgs - 1)
-              mod Array.length t.shard_cfgs in
-  ten.t_engines.(shard) <- None
-
+(* The job's engine events move to the tenant's ring whatever the
+   outcome, so the engine holds none between jobs. *)
 let run_job t ten job =
-  try execute t ten job with
-  | Engine.Stuck st ->
-      reset_last_shard t ten;
-      P.Jfailed (Engine.stuck_to_string st)
-  | Out_of_memory ->
-      (* admission caps make this unlikely, but an allocation failure
-         must fail the one job, not the daemon *)
-      reset_last_shard t ten;
-      P.Jfailed "out of memory"
-  | Stack_overflow ->
-      reset_last_shard t ten;
-      P.Jfailed "stack overflow"
-  | Lapack.Not_positive_definite i ->
-      P.Jfailed (Printf.sprintf "matrix not positive definite (minor %d)" i)
-  | Invalid_argument m -> P.Jfailed m
+  let shard = ten.t_next_shard in
+  ten.t_next_shard <- (shard + 1) mod Array.length t.shard_cfgs;
+  let status, reset =
+    try (execute t ten shard job, false) with
+    | Engine.Stuck st -> (P.Jfailed (Engine.stuck_to_string st), true)
+    | Out_of_memory ->
+        (* admission caps make this unlikely, but an allocation failure
+           must fail the one job, not the daemon *)
+        (P.Jfailed "out of memory", true)
+    | Stack_overflow -> (P.Jfailed "stack overflow", true)
+    | Lapack.Not_positive_definite i ->
+        let msg = Printf.sprintf "matrix not positive definite (minor %d)" i in
+        (P.Jfailed msg, false)
+    | Invalid_argument m -> (P.Jfailed m, false)
+  in
+  Option.iter
+    (fun e -> Trace_ring.add ten.t_trace ~shard (Engine.take_events e))
+    ten.t_engines.(shard);
+  (* the engine may still hold unfinishable tasks or half-built state;
+     restart the shard executor rather than poisoning every later job
+     on it *)
+  if reset then ten.t_engines.(shard) <- None;
+  status
 
 (* --- admission --------------------------------------------------------- *)
 
@@ -686,11 +691,11 @@ let drain t ?budget_ms () =
 
 (* --- introspection ----------------------------------------------------- *)
 
+let tenant_engines ten = Array.to_list ten.t_engines |> List.filter_map Fun.id
+
 let tenant_quarantined ten =
-  Array.to_list ten.t_engines
-  |> List.concat_map (function
-       | None -> []
-       | Some e -> Engine.quarantined_workers e)
+  tenant_engines ten
+  |> List.concat_map Engine.quarantined_workers
   |> List.sort_uniq compare
 
 let stats t =
@@ -724,12 +729,16 @@ let quarantined t ~tenant:name =
   | None -> []
   | Some ten -> tenant_quarantined ten
 
+let engines t ~tenant:name =
+  match Hashtbl.find_opt t.tenants name with
+  | None -> []
+  | Some ten -> tenant_engines ten
+
 let tenant_traces t =
   List.map
     (fun name ->
-      let ten = Hashtbl.find t.tenants name in
-      let engines = Array.to_list ten.t_engines |> List.filter_map Fun.id in
-      ( name,
-        List.concat_map Engine.trace engines,
-        List.concat_map Engine.fault_log engines ))
+      let events, faults =
+        Trace_ring.contents (Hashtbl.find t.tenants name).t_trace
+      in
+      (name, events, faults))
     t.order

@@ -140,12 +140,24 @@ val quarantined : t -> tenant:string -> string list
 (** The tenant's own quarantine view: workers its engines took
     offline. Another tenant's crashes never appear here. *)
 
+val trace_cap : int
+(** 4096: the task events, and apart from them the fault events, that
+    {!tenant_traces} keeps per tenant. *)
+
 val tenant_traces :
   t ->
   (string * Taskrt.Engine.trace_event list * Taskrt.Engine.fault_event list)
   list
-(** Per-tenant execution and fault events across the tenant's
-    engines, for {!Taskrt.Trace_export.events}. *)
+(** Per-tenant execution and fault events, for
+    {!Taskrt.Trace_export.events}: the newest {!trace_cap} task events
+    and the newest {!trace_cap} fault events of each tenant, grouped by
+    shard and in completion order within a shard. Every job's events
+    are moved out of its engine when the job ends, failed jobs
+    included, so they outlive an engine restarted after a failure. *)
+
+val engines : t -> tenant:string -> Taskrt.Engine.t list
+(** The tenant's shard engines created so far, in shard order (tests:
+    between jobs none of them holds an event). *)
 
 val shard_configs : t -> Taskrt.Machine_config.t array
 (** The PU shards the service runs over (tests, logs). *)

@@ -730,8 +730,139 @@ let trace_tests =
                with
                | Some "M", _ | _, None -> true
                | _, Some tid -> List.mem tid tagged)
-             events))
+             events));
+    Alcotest.test_case "a stranded job keeps earlier jobs' trace events"
+      `Quick (fun () ->
+        (* every PU of the one shard crashes at 5 ms of virtual time:
+           the job running then is stranded (Engine.Stuck) and the
+           service restarts the shard's engine *)
+        let cfg = cfg_of "xeon-2gpu" in
+        let crash_all =
+          {
+            Fault.none with
+            Fault.events =
+              Array.to_list cfg.MC.workers
+              |> List.map (fun w ->
+                     Fault.Crash { pu = w.MC.w_name; at = 5e-3 });
+          }
+        in
+        let svc = Service.create ~shards:1 ~now:(fun () -> 0.0) cfg in
+        Service.configure_tenant svc ~name:"a" ~faults:crash_all ();
+        let job = P.Graph { width = 4; depth = 4; task_flops = 1e6 } in
+        let rec run_until_failed ok =
+          if ok > 1000 then Alcotest.fail "no job was stranded";
+          ignore (Service.submit svc ~tenant:"a" job);
+          match Service.run_until_idle svc with
+          | [ P.Done { status = P.Jok _; _ } ] -> run_until_failed (ok + 1)
+          | [ P.Done { status = P.Jfailed _; _ } ] -> ok
+          | _ -> Alcotest.fail "expected one DONE per job"
+        in
+        let ok = run_until_failed 0 in
+        check bool_ "jobs ran before the crash" true (ok >= 1);
+        let _, events, faults = List.hd (Service.tenant_traces svc) in
+        let before = List.filteri (fun i _ -> i < ok * 16) events in
+        check (Alcotest.list int_) "every earlier task is still traced"
+          (List.init (ok * 16) Fun.id)
+          (List.sort compare
+             (List.map (fun (e : Engine.trace_event) -> e.tr_task) before));
+        check bool_ "the crashes are in the fault log" true
+          (List.exists (fun (f : Engine.fault_event) -> f.f_kind = "crash")
+             faults));
+    Alcotest.test_case "a long-lived tenant's trace state stays bounded"
+      `Quick (fun () ->
+        let svc =
+          Service.create ~shards:1 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+        in
+        let job = P.Graph { width = 8; depth = 8; task_flops = 1e6 } in
+        let run_jobs n =
+          for _ = 1 to n do
+            ignore (Service.submit svc ~tenant:"a" job);
+            (match Service.run_until_idle svc with
+            | [ P.Done { status = P.Jok _; _ } ] -> ()
+            | _ -> Alcotest.fail "expected one ok DONE per job");
+            List.iter
+              (fun e ->
+                if Engine.trace e <> [] || Engine.fault_log e <> [] then
+                  Alcotest.fail "an engine kept events after its job")
+              (Service.engines svc ~tenant:"a")
+          done
+        in
+        let live_words () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        run_jobs 300;
+        let at_300 = live_words () in
+        run_jobs 2700;
+        let at_3000 = live_words () in
+        let _, events, _ = List.hd (Service.tenant_traces svc) in
+        check int_ "the ring holds trace_cap events" Service.trace_cap
+          (List.length events);
+        (* one shard: the newest trace_cap tasks of 3000 x 64 *)
+        let newest = (3000 * 64) - Service.trace_cap in
+        check (Alcotest.list int_) "and ends with the newest jobs' tasks"
+          (List.init Service.trace_cap (fun i -> newest + i))
+          (List.sort compare
+             (List.map (fun (e : Engine.trace_event) -> e.tr_task) events));
+        let slack_words = 2 * 1024 * 1024 / (Sys.word_size / 8) in
+        if
+          float_of_int at_3000
+          > (1.25 *. float_of_int at_300) +. float_of_int slack_words
+        then
+          Alcotest.failf
+            "live heap grew from %d words at 300 jobs to %d at 3000" at_300
+            at_3000)
   ]
+
+(* A trace ring equals a list that keeps the newest [cap] task events
+   and [cap] fault events, read grouped by shard: over caps below,
+   at and above the ring's first allocation of 64 slots. *)
+let ring_reference =
+  QCheck.Test.make ~name:"a trace ring keeps the newest events by shard"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 200)
+        (list_of_size Gen.(int_range 0 60)
+           (pair (int_range 0 2) (int_range 0 40))))
+    (fun (cap, batches) ->
+      let ring = Serve.Trace_ring.create ~cap in
+      let next = ref 0 in
+      let tick () = incr next; !next in
+      let task shard k =
+        {
+          Engine.tr_task = k;
+          tr_codelet = Printf.sprintf "c%d" (k mod 3);
+          tr_worker = Printf.sprintf "w%d" shard;
+          tr_start = float_of_int k;
+          tr_compute_start = float_of_int k +. 0.5;
+          tr_end = float_of_int k +. 1.0;
+          tr_bytes_in = float_of_int (8 * k);
+        }
+      and fault shard k =
+        {
+          Engine.f_time = float_of_int k;
+          f_kind = "retry";
+          f_worker = Printf.sprintf "w%d" shard;
+          f_task = k;
+          f_detail = "";
+        }
+      in
+      let tasks, faults =
+        List.fold_left
+          (fun (tasks, faults) (shard, n) ->
+            let ts = List.init n (fun _ -> task shard (tick ())) in
+            let fs = List.init (n mod 3) (fun _ -> fault shard (tick ())) in
+            Serve.Trace_ring.add ring ~shard (ts, fs);
+            ( tasks @ List.map (fun e -> (shard, e)) ts,
+              faults @ List.map (fun f -> (shard, f)) fs ))
+          ([], []) batches
+      in
+      let newest l = List.filteri (fun i _ -> i >= List.length l - cap) l in
+      let by_shard l =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) (newest l)
+        |> List.map snd
+      in
+      Serve.Trace_ring.contents ring = (by_shard tasks, by_shard faults))
 
 (* ------------------------------------------------------------------ *)
 (* Flow connectivity: a traced job's spans chain service -> kernel     *)
@@ -2023,7 +2154,7 @@ let () =
             request_roundtrip; reply_roundtrip; decode_total; request_total;
             entry_total; framing_roundtrip; journal_roundtrip;
             journal_truncation_safe; recover_reference; restore_windowed;
-            shard_partition; engine_interleave; flow_chain;
+            shard_partition; engine_interleave; ring_reference; flow_chain;
           ]
       );
     ]
