@@ -31,6 +31,42 @@ let wrapper_symbol v_name = "cascabel_call_" ^ sanitize v_name
 (* ------------------------------------------------------------------ *)
 (* The exported runtime C API and the serial standalone runtime.       *)
 
+(* The interpreter's builtins where C's differ, for the header and the
+   kernels prelude alike: [abs] on its one integer type, C99's [fmin]
+   and [fmax] spelled out as OCaml's [Float.min_num] and [max_num] (the
+   compiler may fold or inline the libm calls with either zero of a
+   tie), and printf's doubles without a NaN's sign, which C leaves to
+   the compiler. *)
+let builtins_text =
+  {|__attribute__((unused)) static long cascabel_abs(long x)
+{
+  return x < 0 ? -x : x;
+}
+
+__attribute__((unused)) static double cascabel_fmin(double x, double y)
+{
+  if (y > x || (!__builtin_signbit(y) && __builtin_signbit(x)))
+    return x != x ? y : x;
+  return y != y ? x : y;
+}
+
+__attribute__((unused)) static double cascabel_fmax(double x, double y)
+{
+  if (y > x || (!__builtin_signbit(y) && __builtin_signbit(x)))
+    return y != y ? x : y;
+  return x != x ? y : x;
+}
+
+__attribute__((unused)) static double cascabel_unsigned_nan(double x)
+{
+  return x != x ? __builtin_fabs(x) : x;
+}
+
+#define abs(x) cascabel_abs(x)
+#define fmin(x, y) cascabel_fmin(x, y)
+#define fmax(x, y) cascabel_fmax(x, y)
+|}
+
 (* [malloc] is mapped to [calloc] because the interpreter's [malloc]
    zero-fills; keeping that semantics is part of the bit-identity
    contract between the interpreter and compiled code. [rand_double]
@@ -54,6 +90,9 @@ let header_text =
 /* The interpreter's malloc zero-fills; compiled code must agree. */
 #define malloc(n) calloc(1, (n))
 
+|}
+  ^ builtins_text
+  ^ {|
 typedef void (*cascabel_task_fn)(void **argv);
 
 void cascabel_init(const char *platform);
@@ -222,35 +261,31 @@ void blas_dgemm(long m, long n, long k, const double *A, const double *B,
 |}
 
 (* The kernels translation unit's prelude: prototypes only, no system
-   headers, so the one [cc] run per build stays short. [malloc] maps
-   to [calloc] as in the header. A compiled main reaches even
-   [vsnprintf] through the host table: a library that references no
+   headers, so the one [cc] run per build stays short. Every runtime
+   call, allocation and printf of the unit goes through the host table
+   [cascabel_host], which the engine binds when it dlopens the object;
+   even [vsnprintf] comes from there: a library that references no
    libc symbol links faster. The table's layout is mirrored by
    [struct cascabel_host] in the runtime's capi_stubs.c. *)
 let kernels_prelude =
   {|/* Cascabel kernels library (generated by cascabelc).
  *
- * The kept task variants, one fixed-ABI wrapper cascabel_call_<variant>
- * per variant and, when the program's main qualifies, main itself as
- * the entry cascabel_main.  The engine dlopens the shared object built
- * from this file; main's runtime calls go through the host table the
- * engine passes in.  Prototypes only: no system headers.
+ * The compiled task variants, one fixed-ABI wrapper
+ * cascabel_call_<variant> per variant, the functions they call and,
+ * when the program's main compiles, main itself as cascabel_main.  The
+ * engine dlopens the shared object built from this file and binds
+ * cascabel_host; every runtime call goes through that table.
+ * Prototypes only: no system headers.
  */
-void *calloc(unsigned long, unsigned long);
-void free(void *);
-int printf(const char *, ...);
 double sqrt(double);
 double fabs(double);
-double fmax(double, double);
-double fmin(double, double);
 double pow(double, double);
 double exp(double);
 double log(double);
-int abs(int);
 
-/* The interpreter's malloc zero-fills; compiled code must agree. */
-#define malloc(n) calloc(1, (n))
-
+|}
+  ^ builtins_text
+  ^ {|
 struct cascabel_host {
   void *(*alloc)(long bytes);
   void (*free)(void *p);
@@ -263,42 +298,18 @@ struct cascabel_host {
                    __builtin_va_list ap);
 };
 
-static const struct cascabel_host *cascabel_host;
+const struct cascabel_host *cascabel_host;
 
-/* The library kernel is the host's packed DGEMM. */
-__attribute__((unused)) static void
-blas_dgemm(long m, long n, long k, const double *A, const double *B,
-           double *C)
-{
-  cascabel_host->blas_dgemm(m, n, k, A, B, C);
-}
-|}
+/* The library kernel is the host's checked, packed DGEMM. */
+#define blas_dgemm(m, n, k, A, B, C) \
+  cascabel_host->blas_dgemm(m, n, k, A, B, C)
+#define cascabel_host_alloc(bytes) cascabel_host->alloc(bytes)
+#define cascabel_host_free(p) cascabel_host->free(p)
+#define cascabel_host_submit(site, argc, argv) \
+  cascabel_host->submit(site, argc, argv)
+#define cascabel_host_wait_all() cascabel_host->wait_all()
 
-(* What the lowered main calls instead of the runtime API and the
-   allocators: every call goes to the engine through the host table. *)
-let entry_shims =
-  {|
-static void *cascabel_host_alloc(long bytes)
-{
-  return cascabel_host->alloc(bytes);
-}
-
-static void cascabel_host_free(void *p)
-{
-  cascabel_host->free(p);
-}
-
-static void cascabel_host_submit(int site, int argc, void **argv)
-{
-  cascabel_host->submit(site, argc, argv);
-}
-
-static void cascabel_host_wait_all(void)
-{
-  cascabel_host->wait_all();
-}
-
-static int cascabel_host_printf(const char *fmt, ...)
+__attribute__((unused)) static int cascabel_host_printf(const char *fmt, ...)
 {
   char small[256];
   __builtin_va_list ap;
@@ -321,18 +332,6 @@ static int cascabel_host_printf(const char *fmt, ...)
 |}
 
 let entry_symbol = "cascabel_main"
-let host_main_name = "cascabel_host_main"
-
-let entry_text =
-  Printf.sprintf
-    {|
-int %s(const struct cascabel_host *host)
-{
-  cascabel_host = host;
-  return %s();
-}
-|}
-    entry_symbol host_main_name
 
 (* ------------------------------------------------------------------ *)
 (* Selections and signatures                                           *)
@@ -407,38 +406,7 @@ let wrapper_func (v : Repository.variant) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Native dispatchability: is running the C translation of a variant   *)
-(* guaranteed to match the interpreter bit for bit?                    *)
-
-(* Math builtins whose C doubles match the interpreter's OCaml floats
-   (both are IEEE binary64 operations); allocation is allowed because
-   the header maps malloc to calloc (zero-fill, like the interpreter).
-   printf (output goes to the interpreter's buffer), rand_double
-   (shared LCG state with the main program) and assert_true (failure
-   must abort the interpreted run, not the process) stay interpreted. *)
-let native_builtins =
-  [ "sqrt"; "fabs"; "fmax"; "fmin"; "pow"; "exp"; "log"; "abs";
-    "malloc"; "calloc"; "free" ]
-
-let define_name line =
-  (* "#define NAME ..." or "#define NAME(...)". *)
-  let rest =
-    let prefix = "#define" in
-    if String.length line >= String.length prefix then
-      String.trim
-        (String.sub line (String.length prefix)
-           (String.length line - String.length prefix))
-    else ""
-  in
-  let n = String.length rest in
-  let rec stop i =
-    if i >= n then i
-    else
-      match rest.[i] with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> stop (i + 1)
-      | _ -> i
-  in
-  String.sub rest 0 (stop 0)
+(* What a function's C does and reads                                  *)
 
 let rec decls_of_stmt acc = function
   | Decl_stmt ds -> List.rev_append ds acc
@@ -457,92 +425,93 @@ let rec decls_of_stmt acc = function
 let locals_of (f : func) =
   Option.fold ~none:[] ~some:(List.fold_left decls_of_stmt []) f.f_body
 
-(* Collect value identifiers and called function names; [clean]
-   flips to false on constructs outside the checkable subset. *)
+type scan = {
+  idents : string list;  (** value identifiers read or written *)
+  calls : (string * bool) list;
+      (** called functions, innermost first; [true] when the call sits
+          inside a larger expression *)
+  clean : bool;  (** no construct outside the checked subset *)
+  writes : bool;  (** stores through a pointer *)
+}
+
+(* The scratch locals of a lowered main's packed submits. *)
+let scratch name = String.starts_with ~prefix:"__cascabel_" name
+
+(* C leaves the order of two side effects in one expression, or of a
+   side effect and a read, unspecified; the interpreter goes left to
+   right. So an assignment, [++] or [--] must be a whole full
+   expression ([top]: a statement, an initializer, a condition, a [for]
+   init or step, a returned value), and a call inside a larger
+   expression must be pure (the compile rule checks that). The right
+   side of a top-level assignment to a variable counts as top level:
+   the store follows the call. *)
 let scan_func (f : func) =
-  let idents = ref [] in
-  let calls = ref [] in
-  let clean = ref true in
-  let rec expr = function
-    | Int_lit _ | Float_lit _ | Char_lit _ | String_lit _ -> ()
+  let idents = ref [] and calls = ref [] in
+  let clean = ref true and writes = ref false in
+  let store = function Ident _ -> () | _ -> writes := true in
+  let rec expr ~top e =
+    let sub = expr ~top:false in
+    match e with
+    | Int_lit _ | Float_lit _ | Char_lit _ | String_lit _ | Sizeof_type _ -> ()
     | Ident n -> idents := n :: !idents
     | Call (Ident fn, args) ->
-        calls := fn :: !calls;
-        List.iter expr args
-    | Call (e, args) ->
-        clean := false;
-        expr e;
-        List.iter expr args
-    | Index (a, b) | Binary (_, a, b) | Comma (a, b) ->
-        expr a;
-        expr b
-    | Member (e, _) | Arrow (e, _) ->
-        clean := false;
-        expr e
-    | Unary (_, e) | Post_inc e | Post_dec e | Cast (_, e) -> expr e
-    | Sizeof_expr e ->
-        (* The interpreter sizes every expression at 8 bytes; C does
-           not, e.g. for an int. *)
-        clean := false;
-        expr e
+        calls := (fn, not top) :: !calls;
+        List.iter sub args
+    | Comma (a, b) ->
+        expr ~top a;
+        expr ~top b
+    | Assign (_, (Ident _ as a), (Call _ as b)) when top ->
+        sub a;
+        expr ~top b
     | Assign (_, a, b) ->
-        expr a;
-        expr b
+        if not top then clean := false;
+        store a;
+        sub a;
+        sub b
+    | Unary ((Pre_inc | Pre_dec), a) | Post_inc a | Post_dec a ->
+        if not top then clean := false;
+        store a;
+        sub a
+    | Call _ | Member _ | Arrow _ | Sizeof_expr _ ->
+        (* The interpreter sizes every expression at 8 bytes and has no
+           struct or function pointer. *)
+        clean := false
+    | Unary (_, a) | Cast (_, a) -> sub a
+    | Index (a, b) | Binary (_, a, b) ->
+        sub a;
+        sub b
     | Ternary (a, b, c) ->
-        expr a;
-        expr b;
-        expr c
-    | Sizeof_type _ -> ()
+        sub a;
+        sub b;
+        sub c
   in
+  let full e = expr ~top:true e in
   let rec stmt = function
-    | Expr_stmt e -> Option.iter expr e
-    | Decl_stmt ds -> List.iter (fun d -> Option.iter expr d.d_init) ds
+    | Expr_stmt e -> Option.iter full e
+    | Decl_stmt ds -> List.iter (fun d -> Option.iter full d.d_init) ds
     | Block ss -> List.iter stmt ss
     | If (c, a, b) ->
-        expr c;
+        full c;
         stmt a;
         Option.iter stmt b
     | While (c, s) | Do_while (s, c) ->
-        expr c;
+        full c;
         stmt s
     | For (init, c, st, s) ->
         (match init with
-        | Some (For_expr e) -> expr e
+        | Some (For_expr e) -> full e
         | Some (For_decl ds) ->
-            List.iter (fun d -> Option.iter expr d.d_init) ds
+            List.iter (fun d -> Option.iter full d.d_init) ds
         | None -> ());
-        Option.iter expr c;
-        Option.iter expr st;
+        Option.iter full c;
+        Option.iter full st;
         stmt s
-    | Return e -> Option.iter expr e
+    | Return e -> Option.iter full e
     | Break | Continue -> ()
     | Pragma_stmt (_, s) -> stmt s
   in
   Option.iter (List.iter stmt) f.f_body;
-  (!idents, !calls, !clean)
-
-let func_dispatchable ~defines (f : func) =
-  let param_ok (p : param) =
-    match p.p_type with
-    | Pointer Double | Array (Double, _) | Int | Long | Double -> true
-    | _ -> false
-  in
-  List.length f.f_params <= 64
-  && List.for_all param_ok f.f_params
-  && f.f_body <> None
-  &&
-  let idents, calls, clean = scan_func f in
-  let locals = List.map (fun d -> d.d_name) (locals_of f) in
-  let known n =
-    List.exists (fun (p : param) -> p.p_name = n) f.f_params
-    || List.mem n locals || List.mem n defines
-  in
-  clean
-  && List.for_all (fun c -> List.mem c native_builtins) calls
-  && List.for_all known idents
-
-let native_dispatchable ~defines (v : Repository.variant) =
-  func_dispatchable ~defines v.v_func
+  { idents = !idents; calls = !calls; clean = !clean; writes = !writes }
 
 (* ------------------------------------------------------------------ *)
 (* Program lowering: packed argv submits + wrapper function pointers.  *)
@@ -726,67 +695,17 @@ let splice_wrappers unit_ wrapper_funcs =
   insert unit_ @ defs
 
 (* ------------------------------------------------------------------ *)
-(* The entry: main compiled into the kernels unit.                     *)
-
-(* Calls a lowered main may make besides native-dispatchable unit
-   functions: the host-table shims that the runtime calls, the
-   allocators and printf became, the math builtins, and [blas_dgemm],
-   the host's packed kernel. [rand_double] and [assert_true] are
-   missing on purpose: the LCG state and a failed assertion belong to
-   the interpreter. *)
-let entry_calls =
-  [ "cascabel_host_alloc"; "cascabel_host_free"; "cascabel_host_submit";
-    "cascabel_host_wait_all"; "cascabel_host_printf"; "blas_dgemm"; "sqrt";
-    "fabs"; "fmax"; "fmin"; "pow"; "exp"; "log"; "abs" ]
+(* Lowering to the host table                                          *)
 
 let handle_type = Named "cascabel_handle_t"
 
-(* Local types whose C values match the interpreter's: [int] and
-   [long] are its integers (while they do not overflow), [double] its
-   floats, and every pointer is a view into a double buffer. *)
-let entry_local_types = [ Int; Long; Double; Pointer Double ]
-
-(* Why [main] must stay interpreted, or [None]. [entry] is its lowered
-   form, whose packed submits declare [__cascabel_*] scratch locals. *)
-let entry_obstacle ~defines ~callable (main : func) (entry : func) =
-  let idents, calls, clean = scan_func entry in
-  let locals = locals_of entry in
-  let user_locals =
-    List.filter
-      (fun d -> not (String.starts_with ~prefix:"__cascabel_" d.d_name))
-      locals
-  in
-  let known n =
-    List.exists (fun d -> d.d_name = n) locals || List.mem n defines
-  in
-  if main.f_params <> [] then Some "main takes parameters"
-  else if not (List.mem main.f_return [ Int; Void ]) then
-    Some ("main returns " ^ Minic.Printer.type_to_string main.f_return)
-  else if not clean then
-    Some "main uses a construct C would size or call differently"
-  else
-    match
-      List.find_opt
-        (fun d -> not (List.mem d.d_type entry_local_types))
-        user_locals
-    with
-    | Some d ->
-        Some
-          (Printf.sprintf "main declares %s %s"
-             (Minic.Printer.type_to_string d.d_type) d.d_name)
-    | None -> (
-        match List.find_opt (fun n -> not (known n)) idents with
-        | Some n -> Some ("main reads " ^ n ^ ", not a local or #define")
-        | None ->
-            List.find_opt (fun c -> not (callable c)) (List.rev calls)
-            |> Option.map (fun c -> "main calls " ^ c))
-
 (* A printf format for C, mirroring the interpreter's printf: [%d],
    [%i] and [%u] print the argument as a signed integer, [%f], [%e]
-   and [%g] as a double, [%c] its low byte; [l] modifiers are dropped.
-   Each argument is cast to what its conversion reads, as the
-   interpreter coerces it. Escapes other than the five the interpreter
-   expands, and conversions it does not know, keep main interpreted. *)
+   and [%g] as a double without a NaN's sign, [%c] its low byte; [l]
+   modifiers are dropped. Each argument is cast to what its conversion
+   reads, as the interpreter coerces it. Escapes other than the five the
+   interpreter expands, and conversions it does not know, keep the
+   function interpreted. *)
 let entry_printf fmt args =
   let n = String.length fmt in
   let out = Buffer.create n in
@@ -818,17 +737,19 @@ let entry_printf fmt args =
                 (String.split_on_char 'l' (String.sub fmt (i + 1) (!j - i - 1)))
             in
             let conv = fmt.[!j] in
-            let take spec ty =
+            let take ~wrap spec ty =
               match args with
               | [] -> Error "printf has fewer arguments than conversions"
               | a :: rest ->
                   Buffer.add_string out ("%" ^ flags ^ spec);
-                  go (!j + 1) rest (Cast (ty, a) :: acc)
+                  go (!j + 1) rest (wrap (Cast (ty, a)) :: acc)
             in
             match conv with
-            | 'd' | 'i' | 'u' -> take "ld" Long
-            | 'f' | 'e' | 'g' -> take (String.make 1 conv) Double
-            | 'c' -> take "c" Int
+            | 'd' | 'i' | 'u' -> take "ld" Long ~wrap:Fun.id
+            | 'f' | 'e' | 'g' ->
+                take (String.make 1 conv) Double ~wrap:(fun a ->
+                    Call (Ident "cascabel_unsigned_nan", [ a ]))
+            | 'c' -> take "c" Int ~wrap:Fun.id
             | '%' ->
                 Buffer.add_string out "%%";
                 go (!j + 1) args acc
@@ -860,10 +781,11 @@ let rec map_expr f e =
     | Sizeof_type _ ->
         e)
 
-(* The lowered main as [int cascabel_host_main(void)]: registrations
-   vanish, a handle is its data pointer, each packed submit names its
-   site index, and waits, allocations and printf go to the host. *)
-let lower_entry_main (main : func) ~site_of_argv =
+(* A function as the kernels unit compiles it: runtime calls, the
+   allocators and printf go to the host table, registrations vanish, a
+   handle is its data pointer and each packed submit names its execute
+   site by index. [main] becomes the entry [int cascabel_main(void)]. *)
+let lower_host ~site_of_argv (f : func) =
   let errors = ref [] in
   let call name args = Call (Ident name, args) in
   let expr =
@@ -872,9 +794,15 @@ let lower_entry_main (main : func) ~site_of_argv =
       | Call (Ident "cascabel_register_distributed", x :: _)
       | Call (Ident "cascabel_data_ptr", [ x ]) ->
           x
-      | Call (Ident "cascabel_submit", [ _; _; argc; (Ident argv as a) ]) ->
-          call "cascabel_host_submit"
-            [ Int_lit (string_of_int (site_of_argv argv)); argc; a ]
+      | Call (Ident "cascabel_submit", [ _; _; argc; (Ident argv as a) ]) as e
+        -> (
+          match site_of_argv argv with
+          | Some site ->
+              call "cascabel_host_submit"
+                [ Int_lit (string_of_int site); argc; a ]
+          | None ->
+              errors := "a submit names no execute site" :: !errors;
+              e)
       | Call (Ident "cascabel_wait_all", []) -> call "cascabel_host_wait_all" []
       | Call (Ident "malloc", [ x ]) -> call "cascabel_host_alloc" [ x ]
       | Call (Ident "calloc", [ n; sz ]) ->
@@ -892,6 +820,7 @@ let lower_entry_main (main : func) ~site_of_argv =
           e
       | e -> e)
   in
+  let is_main = f.f_name = "main" in
   let decl d =
     {
       d with
@@ -925,17 +854,18 @@ let lower_entry_main (main : func) ~site_of_argv =
             init
         in
         [ For (init, Option.map expr c, Option.map expr st, one s) ]
-    | Return e ->
+    | Return e when is_main ->
         [ Return (Some (Option.fold ~none:(Int_lit "0") ~some:expr e)) ]
+    | Return e -> [ Return (Option.map expr e) ]
     | Pragma_stmt (p, s) -> [ Pragma_stmt (p, one s) ]
     | (Break | Continue) as s -> [ s ]
   in
-  let body = stmts (Option.value ~default:[] main.f_body) in
+  let body = stmts (Option.value ~default:[] f.f_body) in
   match !errors with
-  | [] ->
+  | [] when is_main ->
       Ok
         {
-          f_name = host_main_name;
+          f_name = entry_symbol;
           f_return = Int;
           f_params = [];
           f_body =
@@ -945,20 +875,120 @@ let lower_entry_main (main : func) ~site_of_argv =
               | _ -> body @ [ Return (Some (Int_lit "0")) ]);
           f_task = None;
         }
+  | [] -> Ok { f with f_body = Some body; f_task = None }
   | why :: _ -> Error why
 
-let unit_funcs (out : Codegen.output) =
-  List.filter_map
-    (function
-      | Func ({ f_body = Some _; f_name; _ } as f) when f_name <> "main" ->
-          Some (f.f_name, f)
-      | _ -> None)
-    out.Codegen.gen_unit
+(* ------------------------------------------------------------------ *)
+(* The compile rule: does running a function's C match the interpreter *)
+(* bit for bit?                                                        *)
 
-(* The compiled main for the kernels unit, or why main stays
-   interpreted: the lowered main, its entry form, and one [entry_site]
-   per execute site, indexed as the lowered submits name them. *)
-let entry_of (out : Codegen.output) ~defines ~lowered ~lowered_sites =
+(* Math builtins whose C doubles match the interpreter's OCaml floats
+   (both are IEEE binary64 operations; [abs], [fmin] and [fmax] are the
+   prelude's), and the shim of printf's double arguments. *)
+let pure_builtins =
+  [ "sqrt"; "fabs"; "fmax"; "fmin"; "pow"; "exp"; "log"; "abs";
+    "cascabel_unsigned_nan" ]
+
+(* What compiled code may call besides unit functions that compile: the
+   math builtins, the library kernel and the host shims the runtime
+   calls, the allocators and printf became. [rand_double] and
+   [assert_true] are missing on purpose: the LCG state and a failed
+   assertion belong to the interpreter. *)
+let builtins =
+  pure_builtins
+  @ [ "blas_dgemm"; "cascabel_host_alloc"; "cascabel_host_free";
+      "cascabel_host_printf"; "cascabel_host_submit"; "cascabel_host_wait_all" ]
+
+(* Types whose C values match the interpreter's: [int] and [long] are
+   its integers (while they do not overflow), [double] its floats, and
+   every pointer is a view into a double buffer. *)
+let value_types = [ Int; Long; Double; Pointer Double ]
+
+let param_ok = function
+  | Array (Double, _) -> true
+  | t -> List.mem t value_types
+
+(* [compile_rule ~defines funcs name] says why the lowered function
+   [name] of [funcs] cannot run compiled, or [None]. A function
+   compiles when its body is clean (see [scan_func]), its parameters and
+   locals have [value_types], every name it reads is one of them or a
+   [#define] constant the interpreter knows, and it calls only
+   [builtins] and unit functions that compile and return no pointer,
+   pure ones only inside a larger expression. No function on a call
+   cycle compiles: the interpreter bounds the call depth, C does not. *)
+let compile_rule ~defines (funcs : (string * (func, string) result) list) =
+  let memo = Hashtbl.create 16 in
+  let rec why stack name =
+    match Hashtbl.find_opt memo name with
+    | Some r -> r
+    | None ->
+        let r =
+          match List.assoc name funcs with
+          | Error e -> Some e
+          | Ok f -> check (name :: stack) name f
+        in
+        Hashtbl.replace memo name r;
+        r
+  and check stack name f =
+    let sc = scan_func f in
+    let locals = locals_of f in
+    let known n =
+      List.exists (fun (p : param) -> p.p_name = n) f.f_params
+      || List.exists (fun d -> d.d_name = n) locals
+      || List.mem n defines
+    in
+    let typed d = scratch d.d_name || List.mem d.d_type value_types in
+    let callable (c, nested) =
+      if List.mem c builtins then (not nested) || List.mem c pure_builtins
+      else
+        match List.assoc_opt c funcs with
+        | Some (Ok g) ->
+            (not (List.mem c stack))
+            && List.mem g.f_return [ Void; Int; Long; Double ]
+            && why stack c = None
+            && ((not nested) || pure c)
+        | _ -> false
+    in
+    let untyped (p : param) = not (param_ok p.p_type) in
+    match List.find_opt untyped f.f_params with
+    | Some p ->
+        Some
+          (Printf.sprintf "%s takes %s %s" name
+             (Minic.Printer.type_to_string p.p_type) p.p_name)
+    | None when List.length f.f_params > 64 ->
+        Some (name ^ " takes more than 64 parameters")
+    | None when not sc.clean ->
+        Some (name ^ " uses a construct C would size or call differently")
+    | None -> (
+        match List.find_opt (fun d -> not (typed d)) locals with
+        | Some d ->
+            Some
+              (Printf.sprintf "%s declares %s %s" name
+                 (Minic.Printer.type_to_string d.d_type) d.d_name)
+        | None -> (
+            match List.find_opt (fun n -> not (known n)) sc.idents with
+            | Some n ->
+                Some
+                  (Printf.sprintf "%s reads %s, not a local or #define" name n)
+            | None ->
+                List.find_opt (fun c -> not (callable c)) (List.rev sc.calls)
+                |> Option.map (fun (c, _) -> name ^ " calls " ^ c)))
+  (* Stores through no pointer and calls only pure functions; asked only
+     of functions that compile, so of no call cycle. *)
+  and pure c =
+    List.mem c pure_builtins
+    ||
+    match List.assoc_opt c funcs with
+    | Some (Ok g) ->
+        let sc = scan_func g in
+        (not sc.writes) && List.for_all (fun (d, _) -> pure d) sc.calls
+    | _ -> false
+  in
+  why []
+
+(* The compiled main, or why main stays interpreted: one [entry_site] per
+   execute site, indexed as the lowered submits name them. *)
+let entry_of (out : Codegen.output) ~why ~lowered_sites lowered =
   let find_main unit_ =
     List.find_map
       (function
@@ -966,119 +996,52 @@ let entry_of (out : Codegen.output) ~defines ~lowered ~lowered_sites =
         | _ -> None)
       unit_
   in
-  let unit_funcs = unit_funcs out in
-  let callable c =
-    List.mem c entry_calls
-    ||
-    match List.assoc_opt c unit_funcs with
-    | Some f ->
-        func_dispatchable ~defines f
-        && List.mem f.f_return [ Void; Int; Long; Double ]
-    | None -> false
+  let lines_up =
+    List.length lowered_sites = List.length out.Codegen.sites
+    && List.for_all2
+         (fun (x : Codegen.execute_site) (_, iface, group, _) ->
+           x.x_interface = iface && x.x_group = group)
+         out.Codegen.sites lowered_sites
   in
   match find_main lowered with
   | None -> Error "the program has no main"
-  | Some main -> (
-      let lines_up =
-            List.length lowered_sites = List.length out.Codegen.sites
-            && List.for_all2
-                 (fun (x : Codegen.execute_site) (_, iface, group, _) ->
-                   x.x_interface = iface && x.x_group = group)
-                 out.Codegen.sites lowered_sites
-          in
-      if not lines_up then
-        Error "execute sites do not line up with the translation"
-      else
-        let site_of_argv name =
-          Option.get
-            (List.find_index
-               (fun (site, _, _, _) -> argv_name site = name)
-               lowered_sites)
-        in
-        Result.bind (lower_entry_main main ~site_of_argv) (fun entry ->
-            match entry_obstacle ~defines ~callable main entry with
-            | Some why -> Error why
-            | None ->
-                Ok
-                  ( entry,
-                    Array.of_list
-                      (List.map2
-                         (fun es_site (_, _, _, es_slots) ->
-                           { es_site; es_slots })
-                         out.Codegen.sites lowered_sites) )))
+  | Some _ when not lines_up ->
+      Error "execute sites do not line up with the translation"
+  | Some main when main.f_params <> [] -> Error "main takes parameters"
+  | Some main when not (List.mem main.f_return [ Int; Void ]) ->
+      Error ("main returns " ^ Minic.Printer.type_to_string main.f_return)
+  | Some _ -> (
+      match why "main" with
+      | Some reason -> Error reason
+      | None ->
+          Ok
+            (Array.of_list
+               (List.map2
+                  (fun es_site (_, _, _, es_slots) -> { es_site; es_slots })
+                  out.Codegen.sites lowered_sites)))
 
 (* ------------------------------------------------------------------ *)
-(* Kernels translation unit: variants, their helpers, wrappers.        *)
+(* Kernels translation unit: what compiles, wrappers, the entry.       *)
 
-(* What the kernels unit may call besides its own functions: the
-   prelude's declarations the host process resolves when the engine
-   dlopens the object, and its [blas_dgemm]. *)
-let so_externs = "printf" :: "blas_dgemm" :: native_builtins
-
-(* Whether [v] can be compiled into the kernels unit: every function
-   it reaches calls only unit functions and [so_externs].  A call to
-   [rand_double], [assert_true] or any other undefined name would fail
-   the RTLD_NOW load and every variant with it; such a variant is left
-   out of the object and runs interpreted. *)
-let so_loadable (out : Codegen.output) (v : Repository.variant) =
-  let unit_funcs = unit_funcs out in
-  let seen = Hashtbl.create 8 in
-  let rec resolves (f : func) =
-    Hashtbl.replace seen f.f_name ();
-    let _, calls, _ = scan_func f in
-    List.for_all
-      (fun c ->
-        match List.assoc_opt c unit_funcs with
-        | Some g -> Hashtbl.mem seen c || resolves g
-        | None -> List.mem c so_externs)
-      calls
-  in
-  resolves v.v_func
-
-(* [variants] are the ones compiled in, each with its wrapper; [roots]
-   are the functions the unit must define besides them: those a
-   compiled main calls. [entry] is that main. *)
-let kernels_unit (out : Codegen.output) variants wrapper_funcs ~roots ~entry =
-  let unit_funcs = unit_funcs out in
-  (* Transitive closure over called helpers so the shared object is
-     self-contained under RTLD_NOW. *)
+(* [roots] and every unit function they reach, in unit order, each
+   declared before any is defined; then the wrappers. *)
+let kernels_unit (out : Codegen.output) funcs ~roots wrapper_funcs =
   let included = Hashtbl.create 8 in
-  List.iter
-    (fun (v : Repository.variant) ->
-      Hashtbl.replace included v.v_func.f_name ())
-    variants;
-  List.iter
-    (fun c -> if List.mem_assoc c unit_funcs then Hashtbl.replace included c ())
-    roots;
-  let rec close () =
-    let added = ref false in
-    List.iter
-      (fun (name, f) ->
-        if Hashtbl.mem included name then
-          let _, calls, _ = scan_func f in
-          List.iter
-            (fun c ->
-              if
-                (not (Hashtbl.mem included c))
-                && List.mem_assoc c unit_funcs
-              then begin
-                Hashtbl.replace included c ();
-                added := true
-              end)
-            calls)
-      unit_funcs;
-    if !added then close ()
+  let rec add name =
+    match List.assoc_opt name funcs with
+    | Some (Ok f) when not (Hashtbl.mem included name) ->
+        Hashtbl.replace included name f;
+        List.iter (fun (c, _) -> add c) (scan_func f).calls
+    | _ -> ()
   in
-  close ();
-  let funcs =
+  List.iter add roots;
+  let defs =
     List.filter_map
-      (fun top ->
-        match top with
-        | Func ({ f_body = Some _; f_name; _ } as f)
-          when f_name <> "main" && Hashtbl.mem included f_name ->
-            Some { f with f_task = None }
-        | _ -> None)
-      out.Codegen.gen_unit
+      (fun (name, _) ->
+        let f = Hashtbl.find_opt included name in
+        Hashtbl.remove included name;
+        f)
+      funcs
   in
   let statics =
     List.filter
@@ -1088,10 +1051,9 @@ let kernels_unit (out : Codegen.output) variants wrapper_funcs ~roots ~entry =
       out.Codegen.gen_unit
   in
   statics
-  @ List.map (fun f -> Func { f with f_body = None }) funcs
-  @ List.map (fun f -> Func f) funcs
+  @ List.map (fun f -> Func { f with f_body = None }) defs
+  @ List.map (fun f -> Func f) defs
   @ List.map (fun f -> Func f) wrapper_funcs
-  @ Option.fold ~none:[] ~some:(fun f -> [ Func f ]) entry
 
 (* ------------------------------------------------------------------ *)
 
@@ -1136,37 +1098,43 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
   match lower_program out ~wrappers with
   | Error e -> Error e
   | Ok (lowered, lowered_sites) ->
-      let wrapper_funcs = List.map wrapper_func variants in
-      let program_unit = splice_wrappers lowered wrapper_funcs in
+      let program_unit =
+        splice_wrappers lowered (List.map wrapper_func variants)
+      in
       let defines =
         List.filter_map
           (function
-            | Define line ->
-                let n = define_name line in
-                if n = "" then None else Some n
+            | Define line -> Option.map fst (Interp.define_constant line)
             | _ -> None)
           out.Codegen.gen_unit
       in
-      let entry = entry_of out ~defines ~lowered ~lowered_sites in
-      let so_variants = List.filter (so_loadable out) variants in
-      let kernels =
-        kernels_unit out so_variants
-          (List.map wrapper_func so_variants)
-          ~roots:
-            (match entry with
-            | Ok (f, _) ->
-                let _, calls, _ = scan_func f in
-                calls
-            | Error _ -> [])
-          ~entry:(Result.to_option entry |> Option.map fst)
+      let site_of_argv name =
+        List.find_index
+          (fun (site, _, _, _) -> argv_name site = name)
+          lowered_sites
       in
-      let native_variants =
+      let funcs =
         List.filter_map
+          (function
+            | Func ({ f_body = Some _; _ } as f) ->
+                Some (f.f_name, lower_host ~site_of_argv f)
+            | _ -> None)
+          lowered
+      in
+      let why = compile_rule ~defines funcs in
+      let entry = entry_of out ~why ~lowered_sites lowered in
+      let compiled =
+        List.filter
           (fun (v : Repository.variant) ->
-            if native_dispatchable ~defines v then
-              Some (v.v_name, wrapper_symbol v.v_name)
-            else None)
+            List.mem_assoc v.v_func.f_name funcs && why v.v_func.f_name = None)
           variants
+      in
+      let kernels =
+        kernels_unit out funcs
+          ~roots:
+            (List.map (fun (v : Repository.variant) -> v.v_func.f_name) compiled
+            @ if Result.is_ok entry then [ "main" ] else [])
+          (List.map wrapper_func compiled)
       in
       let plan = out.Codegen.plan in
       let sources =
@@ -1180,13 +1148,7 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
           {
             file = plan.Compile_plan.shared.so_input;
             contents =
-              String.concat "\n"
-                (match entry with
-                | Ok _ ->
-                    [ kernels_prelude; entry_shims;
-                      Minic.Printer.unit_to_string kernels; entry_text ]
-                | Error _ ->
-                    [ kernels_prelude; Minic.Printer.unit_to_string kernels ]);
+              kernels_prelude ^ "\n" ^ Minic.Printer.unit_to_string kernels;
           };
           { file = "Makefile"; contents = makefile_text ~program_name plan };
         ]
@@ -1197,9 +1159,13 @@ let emit ?(program_name = "cascabel_out") (out : Codegen.output) =
           program_unit;
           kernels_unit = kernels;
           sources;
-          native_variants;
+          native_variants =
+            List.map
+              (fun (v : Repository.variant) ->
+                (v.v_name, wrapper_symbol v.v_name))
+              compiled;
           all_wrappers = wrappers;
-          entry = Result.map snd entry;
+          entry;
           plan;
         }
 

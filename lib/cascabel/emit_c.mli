@@ -12,46 +12,45 @@
       to packed [void *argv\[\]] submissions and every
       [cascabel_register_variant] call carrying its wrapper function
       pointer;
-    - [<prog>_kernels.c]: the kept task variants plus one
-      fixed-ABI wrapper [void cascabel_call_<variant>(void **argv)]
-      per variant and, when [main] qualifies, [main] itself as the
-      entry [int cascabel_main(const struct cascabel_host *host)] —
-      the translation unit {!Native} compiles to the shared object
-      that {!Taskrt.Capi} dlopens. It does not include
-      [cascabel_rt.h]: a prelude of prototypes keeps its one [cc] run
-      short, and [blas_dgemm] there is the host's packed kernel;
+    - [<prog>_kernels.c]: what compiles (see below): those variants,
+      one fixed-ABI wrapper [void cascabel_call_<variant>(void **argv)]
+      each, the unit functions they call and, when [main] compiles,
+      [main] itself as the entry [int cascabel_main(void)] — the
+      translation unit {!Native} compiles to the shared object that
+      {!Taskrt.Capi} dlopens. It does not include [cascabel_rt.h]: a
+      prelude of prototypes keeps its one [cc] run short;
     - [Makefile]: buildable rules for both artifacts.
 
     The emitted [.c] files stay inside the mini-C subset, so they
     re-parse with {!Minic.Parser} — the emission tests lean on that.
 
-    The entry's runtime calls go through the host table
-    [struct cascabel_host] the engine passes in ({!Taskrt.Capi.run_main}):
-    [malloc]/[calloc] allocate through the host so execute sites can
-    name their buffers, [free] is a no-op as in the interpreter,
-    [printf] formats with [vsnprintf] into the run's stdout, each
-    packed submit names its execute site by index, and
-    [cascabel_wait_all] drains the engine. Registrations vanish: a
-    handle is its data pointer. A compiled [main] has no fuel bound
-    and no bounds checks, the same trust as a compiled variant.
+    Every runtime call of the kernels unit goes through the host table
+    [cascabel_host] that {!Taskrt.Capi.load} binds: [malloc]/[calloc]
+    allocate through the host so execute sites can name their
+    buffers, [free] is a no-op as in the interpreter, [printf] formats
+    with [vsnprintf] into the run's stdout (a NaN without its sign, as
+    the interpreter prints it), each packed submit names its execute
+    site by index, [cascabel_wait_all] drains the engine, and
+    [blas_dgemm] is the interpreter's checked kernel. Registrations
+    vanish: a handle is its data pointer. Compiled code has no fuel
+    bound and no bounds checks of its own.
 
-    [main] compiles only when its C meaning matches the interpreter's:
-    no parameters; an [int] or [void] result; locals of type [int],
-    [long], [double], [double *] or a runtime handle; no globals; and
-    calls only to [printf] (with a literal format the host can
-    reproduce), the allocators, the math builtins, [blas_dgemm], the
-    runtime calls and native-dispatchable unit functions that return
-    no pointer. Anything else, [rand_double] and [assert_true]
-    included, keeps the interpreted [main].
-
-    A variant is {e native-dispatchable} only when its semantics under
-    C provably match the interpreter's value model: every parameter
-    is [double*], [int], [long] or [double], and the body only
-    touches parameters, locals, [#define] constants and pure math
-    builtins. Anything else (e.g. [printf], [rand_double], globals,
-    helper calls, [float] parameters) still compiles into the shared
-    object for standalone use, but the runnable falls back to the
-    interpreter for it. *)
+    One rule decides what compiles, for variants, their helpers and
+    [main] alike: a function compiles when its body is clean (no
+    [sizeof] of an expression, struct or function pointer, and no
+    assignment, [++] or [--] inside a larger expression, whose order C
+    leaves unspecified); its
+    parameters and locals are [int], [long], [double] or [double *];
+    every name it reads is one of them or a [#define] constant that
+    {!Interp.define_constant} reads; it calls only the math builtins,
+    [blas_dgemm], [printf] with a literal format the host reproduces,
+    the allocators, the runtime calls, and unit functions that compile
+    and return no pointer — pure ones only, inside a larger
+    expression; and it is on no recursive call cycle (the interpreter
+    bounds the call depth, C does not). [main] must also take no
+    parameters and return [int] or [void]. [rand_double],
+    [assert_true] and globals keep a function interpreted. The
+    standalone program compiles every kept variant. *)
 
 type source = { file : string; contents : string }
 
@@ -67,10 +66,11 @@ type entry_site = {
 type t = {
   program_name : string;
   program_unit : Minic.Ast.unit_;  (** lowered full program *)
-  kernels_unit : Minic.Ast.unit_;  (** variants + wrappers only *)
+  kernels_unit : Minic.Ast.unit_;
+      (** compiled variants, their helpers, wrappers and the entry *)
   sources : source list;  (** header, runtime, program, kernels, Makefile *)
   native_variants : (string * string) list;
-      (** dispatchable variant name -> wrapper symbol *)
+      (** compiled variant name -> wrapper symbol *)
   all_wrappers : (string * string) list;
       (** every kept variant name -> wrapper symbol *)
   entry : (entry_site array, string) result;

@@ -302,6 +302,9 @@ let run_printf t fmt args =
           Buffer.add_string t.out
             (Printf.sprintf (Scanf.format_from_string spec "%d") (as_int (next ())))
       | 'f' | 'e' | 'g' ->
+          (* No NaN's sign: C leaves the sign of an arithmetic result's
+             NaN to the compiler. *)
+          let x = as_float (next ()) in
           Buffer.add_string t.out
             (Printf.sprintf
                (Scanf.format_from_string cleaned
@@ -309,7 +312,7 @@ let run_printf t fmt args =
                   | 'f' -> "%f"
                   | 'e' -> "%e"
                   | _ -> "%g"))
-               (as_float (next ())))
+               (if Float.is_nan x then Float.abs x else x))
       | 's' -> (
           match next () with
           | VStr s -> Buffer.add_string t.out s
@@ -390,8 +393,8 @@ let call_builtin t name argv =
       Some (VInt 0)
   | "sqrt", [ v ] -> Some (VFloat (sqrt (as_float v)))
   | "fabs", [ v ] -> Some (VFloat (Float.abs (as_float v)))
-  | "fmax", [ a; b ] -> Some (VFloat (Float.max (as_float a) (as_float b)))
-  | "fmin", [ a; b ] -> Some (VFloat (Float.min (as_float a) (as_float b)))
+  | "fmax", [ a; b ] -> Some (VFloat (Float.max_num (as_float a) (as_float b)))
+  | "fmin", [ a; b ] -> Some (VFloat (Float.min_num (as_float a) (as_float b)))
   | "pow", [ a; b ] -> Some (VFloat (Float.pow (as_float a) (as_float b)))
   | "exp", [ v ] -> Some (VFloat (exp (as_float v)))
   | "log", [ v ] -> Some (VFloat (log (as_float v)))
@@ -1222,26 +1225,6 @@ let call t fname argv =
       match Hashtbl.find_opt t.funcs fname with
       | Some fn -> invoke t fn argv
       | None -> fail "call to unknown function %S" fname)
-
-(* A variant whose body is exactly one [blas_dgemm] call: extents are
-   parameters or integer literals, the three matrices are parameters. *)
-let library_call (f : func) =
-  match f.f_body with
-  | Some [ Expr_stmt (Some (Call (Ident "blas_dgemm", [ m; n; k; a; b; c ]))) ]
-    ->
-      let param = function
-        | Ident name -> List.exists (fun p -> p.p_name = name) f.f_params
-        | _ -> false
-      in
-      let extent = function
-        | Int_lit s -> (
-            match int_literal s with
-            | _ -> true
-            | exception Runtime_error _ -> false)
-        | e -> param e
-      in
-      List.for_all extent [ m; n; k ] && List.for_all param [ a; b; c ]
-  | _ -> false
 
 let run_main t =
   match Hashtbl.find_opt t.funcs "main" with

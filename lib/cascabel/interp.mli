@@ -13,13 +13,11 @@
     Strings exist for [printf]. Structs are not interpreted.
 
     Builtins: [malloc], [calloc], [free], [printf], [sqrt], [fabs],
-    [fmax], [fmin], [pow], [exp], [log], [abs], [rand_double]
+    [fmax], [fmin] (C99's: a NaN argument counts as missing), [pow],
+    [exp], [log], [abs] (on the one integer type), [rand_double]
     (deterministic LCG), [assert_true], and the library kernel
-    [blas_dgemm(m, n, k, A, B, C)]: C\[m x n\] += A\[m x k\] * B\[k x n\],
-    row-major, on {!Kernels.Gemm_kernel.gemm} in process. Each extent
-    is checked against its buffer's visible length (interior pointers
-    included), C may not overlap A or B, and [on_buffer_access] sees
-    all three buffers before the kernel runs.
+    [blas_dgemm(m, n, k, A, B, C)] ({!blas_dgemm}); [on_buffer_access]
+    sees its three buffers before the kernel runs.
 
     Execution: {!create} compiles every function once into closures.
     Variables become slots of a per-call frame array and literals are
@@ -74,13 +72,6 @@ val call_function : t -> Minic.Ast.func -> value list -> value
     function from another unit is compiled on its first call; its own
     calls resolve in this interpreter's unit. *)
 
-val library_call : Minic.Ast.func -> bool
-(** Whether the function's body is exactly one [blas_dgemm] call whose
-    extents are its parameters or integer literals and whose matrices
-    are its parameters. Such a body costs a few units of fuel before
-    the packed kernel runs, so {!Runnable} runs it through
-    {!call_function} and counts it as a native task under [native]. *)
-
 val run_main : t -> (int, string) result
 (** Run [main(void)]; the [int] is its return value (0 when main
     returns void or nothing). Errors are returned, not raised. *)
@@ -90,6 +81,19 @@ val output : t -> string
 
 val add_output : t -> string -> unit
 (** Append to {!output}: what a compiled [main] prints. *)
+
+val blas_dgemm : m:int -> n:int -> k:int -> buf -> buf -> buf -> unit
+(** [blas_dgemm ~m ~n ~k a b c]: C\[m x n\] += A\[m x k\] * B\[k x n\],
+    row-major, on {!Kernels.Gemm_kernel.gemm} in process. Each extent
+    is checked against its buffer's visible length (interior pointers
+    included) and C may not overlap A or B, before anything is written.
+    Compiled code's [blas_dgemm] comes here too, with the views it was
+    handed.
+    @raise Runtime_error when a check fails. *)
+
+val define_constant : string -> (string * value) option
+(** The constant a [#define NAME value] line binds, when [value] is one
+    integer or floating literal; any other [#define] binds nothing. *)
 
 val global_int : t -> string -> int option
 (** Value of a global integer variable or [#define] constant. *)

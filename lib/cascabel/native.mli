@@ -2,14 +2,14 @@
 
     Takes an {!Emit_c} result, compiles the kernels translation unit
     into the plan's shared object ([cc -O3 -shared -fPIC
-    -ffp-contract=off], one [cc] run), dlopens it via {!Taskrt.Capi},
-    and resolves one wrapper symbol per native-dispatchable variant
-    and, when the unit carries the program's [main], the entry
-    {!Emit_c.entry_symbol}. {!Runnable} then runs [main] through the
-    entry, dispatches codelet implementations through the wrappers,
-    and falls back to the interpreter per variant when a symbol (or
-    the whole toolchain) is missing. The compiled [main] has no fuel
-    bound and no bounds checks, the same trust as a compiled variant.
+    -ffp-contract=off], one [cc] run), dlopens it via {!Taskrt.Capi}
+    (which binds its host table), and resolves one wrapper symbol per
+    compiled variant and, when the unit carries the program's [main],
+    the entry {!Emit_c.entry_symbol}. {!Runnable} then runs [main]
+    through the entry, dispatches codelet implementations through the
+    wrappers, and falls back to the interpreter per variant when a
+    symbol (or the whole toolchain) is missing. Compiled code has no
+    fuel bound and no bounds checks of its own.
 
     Telemetry: the compile and dlopen steps record [compile] and
     [dlopen] spans under the [native] category. *)
@@ -40,7 +40,7 @@ val entry : t -> (Taskrt.Capi.fn * Emit_c.entry_site array, string) result
     interpreted (see {!Emit_c.t.entry}). *)
 
 val native_count : t -> int
-(** Number of variants with a loaded native wrapper. *)
+(** Number of variants with a loaded compiled wrapper. *)
 
 val dir : t -> string
 val so_path : t -> string

@@ -63,6 +63,10 @@ type ctx = {
   selections : (string, Preselect.selection) Hashtbl.t;
   task_meta : (int, task_meta) Hashtbl.t;  (** engine task id -> site info *)
   mutable failover_log : string list;
+  mutable views : (int, Interp.buf) Hashtbl.t;
+      (** address -> buffer: what the running compiled code was handed
+          or allocated, for its host calls *)
+  host : Capi.host Lazy.t;  (** the run's host table closures *)
 }
 
 let drain ctx =
@@ -127,10 +131,11 @@ type body = Compiled of Capi.fn | Interpreted
    buffers, as a StarPU task gets pointers into them: nothing is copied
    in or written back. Compiled C is pinned by -ffp-contract=off to the
    interpreter's strict IEEE evaluation order, so both bodies give the
-   same bits. [native] tasks record a [native_exec] span, the others a
-   [variant:<f>] span; either nests inside the engine's [exec:*] span
+   same bits. A compiled body's host calls resolve addresses against its
+   argument views. Compiled tasks record a [native_exec] span, the others
+   a [variant:<f>] span; either nests inside the engine's [exec:*] span
    (same domain), so the trace shows the body's time within each task. *)
-let run_task ctx (v : Repository.variant) body ~native handles_spec handles =
+let run_task ctx (v : Repository.variant) body handles_spec handles =
   let hs = ref handles in
   let argv =
     List.map
@@ -144,25 +149,32 @@ let run_task ctx (v : Repository.variant) body ~native handles_spec handles =
       handles_spec
   in
   let sp = Obs.Span.start () in
-  (match body with
-  | Compiled fn ->
-      Capi.call fn
-        (List.map
-           (function
-             | Interp.VBuf b -> Capi.Buf b.Interp.data
-             | Interp.VInt n -> Capi.Int n
-             | Interp.VFloat x -> Capi.Float x
-             | _ -> abort "native task arguments must be numbers")
-           argv
-        |> Array.of_list)
-  | Interpreted -> ignore (Interp.call_function ctx.interp v.v_func argv));
   let flow = Obs.Trace_ctx.current_flow () in
-  if native then
-    Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
-      ~flow sp
-  else
-    Obs.Span.record ~cat:"cascabel" ~name:("variant:" ^ v.v_func.f_name) ~flow
-      sp
+  match body with
+  | Compiled fn ->
+      let views = Hashtbl.create 4 in
+      let args =
+        List.map
+          (function
+            | Interp.VBuf b ->
+                Hashtbl.replace views (Capi.address b.Interp.data) b;
+                Capi.Buf b.Interp.data
+            | Interp.VInt n -> Capi.Int n
+            | Interp.VFloat x -> Capi.Float x
+            | _ -> abort "native task arguments must be numbers")
+          argv
+      in
+      let outer = ctx.views in
+      ctx.views <- views;
+      Fun.protect
+        ~finally:(fun () -> ctx.views <- outer)
+        (fun () -> Capi.call (Lazy.force ctx.host) fn (Array.of_list args));
+      Obs.Span.record ~cat:"native" ~name:"native_exec" ~args:v.v_func.f_name
+        ~flow sp
+  | Interpreted ->
+      ignore (Interp.call_function ctx.interp v.v_func argv);
+      Obs.Span.record ~cat:"cascabel" ~name:("variant:" ^ v.v_func.f_name) ~flow
+        sp
 
 (* Measurement-driven preselection: price a variant as the fastest
    learned estimate for (interface, PU) over the PUs whose arch class
@@ -205,33 +217,25 @@ let codelet_for ctx (sel : Preselect.selection) ~interface ~handles_spec
   let impls =
     Hashtbl.fold
       (fun arch v acc ->
-        (* Under [native], a body that is one library-kernel call runs
-           through the interpreter in a few fuel ticks and counts as
-           native; so does a compiled wrapper. Any other body is an
-           interpreted fallback. *)
-        let body, native =
-          match ctx.native with
-          | None -> (Interpreted, false)
-          | Some _ when Interp.library_call v.Repository.v_func ->
-              (Interpreted, true)
-          | Some nt -> (
-              match Native.fn_for nt v.v_name with
-              | Some fn -> (Compiled fn, true)
-              | None -> (Interpreted, false))
+        let compiled nt = Native.fn_for nt v.Repository.v_name in
+        let body =
+          match Option.bind ctx.native compiled with
+          | Some fn -> Compiled fn
+          | None -> Interpreted
         in
         {
           Codelet.impl_arch = arch;
           run =
             (fun ?pool:_ handles ->
-              if native then begin
-                ctx.native_tasks <- ctx.native_tasks + 1;
-                Obs.Counter.incr c_native_exec
-              end
-              else if ctx.native <> None then begin
-                ctx.native_fallbacks <- ctx.native_fallbacks + 1;
-                Obs.Counter.incr c_native_fallbacks
-              end;
-              run_task ctx v body ~native handles_spec handles);
+              (match body with
+              | Compiled _ ->
+                  ctx.native_tasks <- ctx.native_tasks + 1;
+                  Obs.Counter.incr c_native_exec
+              | Interpreted when ctx.native <> None ->
+                  ctx.native_fallbacks <- ctx.native_fallbacks + 1;
+                  Obs.Counter.incr c_native_fallbacks
+              | Interpreted -> ());
+              run_task ctx v body handles_spec handles);
         }
         :: acc)
       by_arch []
@@ -506,29 +510,33 @@ let on_execute ctx (annot : exec_annot) (f : func) argv =
   ctx.site_blocks <- ctx.site_blocks @ [ (interface, blocks) ];
   Some Interp.VUnit
 
-(* The compiled [main]. Its runtime calls come back through the host
-   table: allocations are interpreter buffers keyed by data address, so
-   a submit maps each pointer back to the buffer it points into and goes
-   through [on_execute] like an interpreted execute site. An interior
-   pointer is an interior view, which [on_execute] refuses as it does
-   for the interpreter. The generated code waits after every submit, so
-   main never reads a buffer with tasks pending. *)
-let run_entry ctx unit_ fn (sites : Emit_c.entry_site array) =
-  let allocs = Hashtbl.create 8 in
-  let buf_at addr =
-    match Hashtbl.find_opt allocs addr with
-    | Some b -> b
-    | None -> (
-        let inside base (b : Interp.buf) found =
-          if addr > base && addr <= base + (8 * b.len) then
-            let off = (addr - base) / 8 in
-            Some { b with Interp.off; len = b.len - off }
-          else found
-        in
-        match Hashtbl.fold inside allocs None with
-        | Some b -> b
-        | None -> abort "execute argument %#x is not an allocation" addr)
-  in
+(* The view of the buffer at an address the running compiled code was
+   handed or allocated, or of a pointer into one, shifted as the
+   interpreter shifts it. *)
+let buf_at ctx what addr =
+  match Hashtbl.find_opt ctx.views addr with
+  | Some b -> b
+  | None -> (
+      let inside base (b : Interp.buf) found =
+        if addr > base && addr <= base + (8 * b.len) then
+          let off = (addr - base) / 8 in
+          Some { b with Interp.off; len = b.len - off }
+        else found
+      in
+      match Hashtbl.fold inside ctx.views None with
+      | Some b -> b
+      | None -> abort "%s %#x is not an allocation" what addr)
+
+(* The host table of one run: what compiled code calls back. The
+   compiled [main]'s allocations are interpreter buffers keyed by data
+   address, so a submit maps each pointer back to the buffer it points
+   into and goes through [on_execute] like an interpreted execute site.
+   An interior pointer is an interior view, which [on_execute] refuses
+   as it does for the interpreter. The generated code waits after every
+   submit, so main never reads a buffer with tasks pending. [blas_dgemm]
+   resolves its matrices the same way and takes the interpreter's
+   checked kernel. *)
+let host_of ctx unit_ (sites : Emit_c.entry_site array) =
   (* As in the interpreter, the last definition of a name wins. *)
   let callee (x : Codegen.execute_site) =
     match
@@ -542,50 +550,50 @@ let run_entry ctx unit_ fn (sites : Emit_c.entry_site array) =
     | Some f -> f
     | None -> abort "execute pragma on unknown function %S" x.x_function
   in
-  let host =
-    {
-      Capi.alloc =
-        (fun bytes ->
-          let b = Interp.alloc ctx.interp (bytes / 8) in
-          let addr = Capi.address b.data in
-          Hashtbl.replace allocs addr b;
-          addr);
-      out = Interp.add_output ctx.interp;
-      submit =
-        (fun site addrs ->
-          let { Emit_c.es_site = x; es_slots } = sites.(site) in
-          let argv =
-            List.mapi
-              (fun i slot ->
-                match slot with
-                | Emit_c.Slot_buf -> Interp.VBuf (buf_at addrs.(i))
-                | Slot_long -> Interp.VInt (Capi.peek_long addrs.(i))
-                | Slot_double -> Interp.VFloat (Capi.peek_double addrs.(i)))
-              es_slots
-          in
-          let annot =
-            {
-              ea_interface = x.x_interface;
-              ea_group = x.x_group;
-              ea_dists = x.x_dists;
-            }
-          in
-          ignore (on_execute ctx annot (callee x) argv));
-      wait_all = (fun () -> drain ctx);
-      dgemm =
-        (fun m n k a b c ->
-          Kernels.Gemm_kernel.gemm ~trans_b:false ~m ~n ~k ~alpha:1.0
-            ~beta:1.0 ~a:(Capi.view a (m * k)) ~aoff:0 ~lda:k
-            ~b:(Capi.view b (k * n)) ~boff:0 ~ldb:n
-            ~c:(Capi.view c (m * n)) ~coff:0 ~ldc:n ());
-    }
-  in
+  {
+    Capi.alloc =
+      (fun bytes ->
+        let b = Interp.alloc ctx.interp (bytes / 8) in
+        let addr = Capi.address b.data in
+        Hashtbl.replace ctx.views addr b;
+        addr);
+    out = Interp.add_output ctx.interp;
+    submit =
+      (fun site addrs ->
+        let { Emit_c.es_site = x; es_slots } = sites.(site) in
+        let argv =
+          List.mapi
+            (fun i slot ->
+              match slot with
+              | Emit_c.Slot_buf ->
+                  Interp.VBuf (buf_at ctx "execute argument" addrs.(i))
+              | Slot_long -> Interp.VInt (Capi.peek_long addrs.(i))
+              | Slot_double -> Interp.VFloat (Capi.peek_double addrs.(i)))
+            es_slots
+        in
+        let annot =
+          {
+            ea_interface = x.x_interface;
+            ea_group = x.x_group;
+            ea_dists = x.x_dists;
+          }
+        in
+        ignore (on_execute ctx annot (callee x) argv));
+    wait_all = (fun () -> drain ctx);
+    dgemm =
+      (fun m n k a b c ->
+        let arg = buf_at ctx "blas_dgemm argument" in
+        Interp.blas_dgemm ~m ~n ~k (arg a) (arg b) (arg c));
+  }
+
+(* The compiled [main], inside a [native_main] span. *)
+let run_entry ctx fn =
   let sp = Obs.Span.start () in
   Fun.protect
     ~finally:(fun () ->
       Obs.Span.record ~cat:"native" ~name:"native_main"
         ~flow:(Obs.Trace_ctx.current_flow ()) sp)
-    (fun () -> Capi.run_main fn host)
+    (fun () -> Capi.run_main (Lazy.force ctx.host) fn)
 
 let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
     ~platform unit_ =
@@ -614,7 +622,11 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
           }
         in
         let interp = Interp.create ~hooks ?fuel unit_ in
-        let ctx =
+        let entry =
+          Option.bind native (fun nt -> Result.to_option (Native.entry nt))
+        in
+        let sites = match entry with Some (_, sites) -> sites | None -> [||] in
+        let rec ctx =
           {
             engine;
             interp;
@@ -633,6 +645,8 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
             selections = Hashtbl.create 4;
             task_meta = Hashtbl.create 16;
             failover_log = [];
+            views = Hashtbl.create 8;
+            host = lazy (host_of ctx unit_ sites);
           }
         in
         ctx_ref := Some ctx;
@@ -646,12 +660,9 @@ let run ?policy ?blocks ?fuel ?trace ?faults ?tune ?native ~repo
           | Some c -> c
           | None -> Obs.Trace_ctx.make ()
         in
-        let entry =
-          Option.bind native (fun nt -> Result.to_option (Native.entry nt))
-        in
         let run_main () =
           match entry with
-          | Some (fn, sites) -> Ok (run_entry ctx unit_ fn sites)
+          | Some (fn, _) -> Ok (run_entry ctx fn)
           | None -> Interp.run_main interp
         in
         match Obs.Trace_ctx.with_current run_ctx run_main with

@@ -47,8 +47,7 @@ type report = {
       (** per-codelet estimate sources when a calibration store was
           attached (model hits / static fallbacks / explorations) *)
   native_tasks : int;
-      (** task executions dispatched through loaded native kernels or
-          in-process library kernels *)
+      (** task executions dispatched through loaded compiled wrappers *)
   native_fallbacks : int;
       (** task executions that fell back to the interpreter while a
           native library was attached (unsupported variant or missing
@@ -102,19 +101,22 @@ val run :
     waits for its tasks after every execute site, where the interpreted
     one waits only when serial code touches a pending buffer; two
     independent sites in a row can therefore overlap in the simulated
-    schedule only when [main] is interpreted. [fuel] does not bound a
-    compiled [main], and it has no bounds checks.
+    schedule only when [main] is interpreted. [fuel] does not bound
+    compiled code, and it has no bounds checks of its own; its
+    [blas_dgemm] resolves the three matrices against [main]'s
+    allocations and runs {!Interp.blas_dgemm}, so a bad extent or an
+    overlap fails with the interpreter's text.
 
     Task bodies whose variant has a resolved wrapper symbol run as
-    compiled machine code on the same views; a variant whose body is
-    one [blas_dgemm] call (see {!Interp.library_call}) runs through the
-    interpreter, where the call reaches the packed kernel after a few
-    units of fuel. Both count in [native_tasks] and record a
-    [native_exec] span. Every other variant falls back to the
-    interpreter, counted in [native_fallbacks] and in the
-    [native_fallbacks] telemetry counter. Scheduling, telemetry, faults
-    and calibration are unchanged, and stdout is byte for byte that of
-    the interpreted run.
+    compiled machine code on the same views, counted in [native_tasks]
+    with a [native_exec] span; their [blas_dgemm] calls resolve against
+    the task's argument views and run {!Interp.blas_dgemm}. Every other
+    variant falls back to the interpreter, counted in
+    [native_fallbacks] and in the [native_fallbacks] telemetry counter.
+    One {!Taskrt.Capi.host} serves the compiled [main] and every
+    compiled task of a run. Scheduling, telemetry, faults and
+    calibration are unchanged, and stdout is byte for byte that of the
+    interpreted run.
 
     A malformed program literal or any other interpreter error is
     returned as [Error]. *)

@@ -14,10 +14,9 @@ type host = {
 external capi_dlopen : string -> library = "caml_capi_dlopen"
 external capi_dlsym : library -> string -> fn = "caml_capi_dlsym"
 external capi_dlclose : library -> unit = "caml_capi_dlclose"
-external capi_call : fn -> arg array -> unit = "caml_capi_call"
-external run_main : fn -> host -> int = "caml_capi_run_main"
+external call : host -> fn -> arg array -> unit = "caml_capi_call"
+external run_main : host -> fn -> int = "caml_capi_run_main"
 external address : Kernels.Matrix.buf -> int = "caml_capi_address"
-external view : int -> int -> Kernels.Matrix.buf = "caml_capi_view"
 external peek_long : int -> int = "caml_capi_peek_long"
 external peek_double : int -> float = "caml_capi_peek_double"
 
@@ -30,5 +29,4 @@ let sym lib name =
   let fn = capi_dlsym lib name in
   if Int64.equal fn 0L then None else Some fn
 
-let call fn args = capi_call fn args
 let close lib = capi_dlclose lib

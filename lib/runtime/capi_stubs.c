@@ -4,11 +4,14 @@
  * entry points all share one fixed ABI:
  *
  *     void cascabel_call_<variant>(void **argv);
+ *     int cascabel_main(void);
  *
  * so dispatch needs no libffi: the OCaml side packs one void* per
  * parameter (Bigarray data pointer for buffers, the address of a
  * scratch long/double for scalars) and the generated wrapper casts
- * them back to the variant's real signature.
+ * them back to the variant's real signature.  The library's runtime
+ * calls come back here through the host table it exports as
+ * cascabel_host, bound when the library is opened.
  */
 
 #include <dlfcn.h>
@@ -23,97 +26,19 @@
 #include <caml/fail.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
-#include <caml/threads.h>
 
 #define CAPI_MAX_ARGS 64
 
 /* Matches Capi.arg: Buf (tag 0) | Int (tag 1) | Float (tag 2). */
 enum { CAPI_ARG_BUF = 0, CAPI_ARG_INT = 1, CAPI_ARG_FLOAT = 2 };
 
-CAMLprim value caml_capi_dlopen(value vpath)
-{
-  CAMLparam1(vpath);
-  CAMLlocal1(res);
-  void *h = dlopen(String_val(vpath), RTLD_NOW | RTLD_LOCAL);
-  if (h == NULL) {
-    const char *err = dlerror();
-    caml_failwith(err ? err : "dlopen failed");
-  }
-  res = caml_copy_int64((int64_t)(intnat)h);
-  CAMLreturn(res);
-}
-
-CAMLprim value caml_capi_dlsym(value vhandle, value vname)
-{
-  CAMLparam2(vhandle, vname);
-  CAMLlocal1(res);
-  void *h = (void *)(intnat)Int64_val(vhandle);
-  void *fn = dlsym(h, String_val(vname));
-  /* A missing symbol is an expected outcome (interpreter fallback),
-   * not an error: report it as the null function. */
-  res = caml_copy_int64((int64_t)(intnat)fn);
-  CAMLreturn(res);
-}
-
-CAMLprim value caml_capi_dlclose(value vhandle)
-{
-  CAMLparam1(vhandle);
-  void *h = (void *)(intnat)Int64_val(vhandle);
-  if (h != NULL) dlclose(h);
-  CAMLreturn(Val_unit);
-}
-
-CAMLprim value caml_capi_call(value vfn, value vargs)
-{
-  CAMLparam2(vfn, vargs);
-  void (*fn)(void **) = (void (*)(void **))(intnat)Int64_val(vfn);
-  int argc = Wosize_val(vargs);
-  void *argv[CAPI_MAX_ARGS];
-  long scratch_long[CAPI_MAX_ARGS];
-  double scratch_double[CAPI_MAX_ARGS];
-
-  if (fn == NULL) caml_invalid_argument("Capi.call: null function");
-  if (argc > CAPI_MAX_ARGS)
-    caml_invalid_argument("Capi.call: too many arguments");
-
-  for (int i = 0; i < argc; i++) {
-    value a = Field(vargs, i);
-    switch (Tag_val(a)) {
-    case CAPI_ARG_BUF:
-      argv[i] = Caml_ba_data_val(Field(a, 0));
-      break;
-    case CAPI_ARG_INT:
-      scratch_long[i] = Long_val(Field(a, 0));
-      argv[i] = &scratch_long[i];
-      break;
-    case CAPI_ARG_FLOAT:
-      scratch_double[i] = Double_val(Field(a, 0));
-      argv[i] = &scratch_double[i];
-      break;
-    default:
-      caml_invalid_argument("Capi.call: unknown argument tag");
-    }
-  }
-
-  /* Everything argv points at lives outside the OCaml heap (Bigarray
-   * data, C stack scratch), so the kernel may run without the
-   * runtime lock and other domains keep executing. */
-  caml_release_runtime_system();
-  fn(argv);
-  caml_acquire_runtime_system();
-
-  CAMLreturn(Val_unit);
-}
-
 /* ------------------------------------------------------------------ */
-/* Compiled program entries.                                           */
-/*                                                                     */
-/*     int cascabel_main(const struct cascabel_host *host);            */
+/* The host table.                                                     */
 /*                                                                     */
 /* The generated kernels unit declares the same table; its runtime     */
-/* calls come back here and go on to the closures of a Capi.host       */
-/* record: alloc (0), out (1), submit (2), wait_all (3), dgemm (4).    */
-/* The library formats printf output with the table's vsnprintf.       */
+/* calls go on to the closures of a Capi.host record: alloc (0),       */
+/* out (1), submit (2), wait_all (3), dgemm (4).  The library formats  */
+/* printf output with the table's vsnprintf.                           */
 
 struct cascabel_host {
   void *(*alloc)(long bytes);
@@ -126,9 +51,10 @@ struct cascabel_host {
   int (*vsnprintf)(char *s, unsigned long n, const char *fmt, va_list ap);
 };
 
-/* One running entry: its closures, the exception a callback raised,
- * and where to unwind to.  Runs nest (a callback may start another)
- * and each domain has its own. */
+/* One entry into library code: the host's closures, the exception a
+ * callback raised, and where to unwind to.  Entries nest (a callback
+ * may run a task that enters the library again) and each domain has
+ * its own. */
 struct capi_run {
   value host;
   value exn;
@@ -138,8 +64,8 @@ struct capi_run {
 
 static __thread struct capi_run *capi_current;
 
-/* A raised exception leaves the entry's C frames through longjmp.  No
- * OCaml frame is skipped (the callback has returned) and the shims
+/* A raised exception leaves the library's C frames through longjmp.
+ * No OCaml frame is skipped (the callback has returned) and the shims
  * register no local roots, so the runtime's state is intact. */
 static value capi_checked(value r)
 {
@@ -194,47 +120,120 @@ static const struct cascabel_host capi_host_table = {
   capi_host_wait_all, capi_host_dgemm, vsnprintf,
 };
 
-CAMLprim value caml_capi_run_main(value vfn, value vhost)
+/* Run a wrapper on [argv], or else [entry], in library code with the
+ * runtime lock held, under a frame whose callbacks go to [vhost]; an
+ * exception a callback raised unwinds the library and is re-raised
+ * here. */
+static int capi_enter(value vhost, void (*wrapper)(void **), void **argv,
+                      int (*entry)(void))
 {
-  CAMLparam2(vfn, vhost);
-  int (*entry)(const struct cascabel_host *) =
-      (int (*)(const struct cascabel_host *))(intnat)Int64_val(vfn);
   struct capi_run run;
   volatile int rc = 0;
   volatile int unwound = 0;
 
-  if (entry == NULL) caml_invalid_argument("Capi.run_main: null function");
   run.host = vhost;
   run.exn = Val_unit;
   run.outer = capi_current;
   caml_register_generational_global_root(&run.host);
   caml_register_generational_global_root(&run.exn);
   capi_current = &run;
-  if (setjmp(run.unwind) == 0)
-    rc = entry(&capi_host_table);
-  else
+  if (setjmp(run.unwind) != 0)
     unwound = 1;
+  else if (wrapper != NULL)
+    wrapper(argv);
+  else
+    rc = entry();
   capi_current = run.outer;
-  if (unwound) {
-    value exn = run.exn;
-    caml_remove_generational_global_root(&run.host);
-    caml_remove_generational_global_root(&run.exn);
-    caml_raise(exn);
-  }
+  value exn = run.exn;
   caml_remove_generational_global_root(&run.host);
   caml_remove_generational_global_root(&run.exn);
-  CAMLreturn(Val_int(rc));
+  if (unwound) caml_raise(exn);
+  return rc;
+}
+
+/* ------------------------------------------------------------------ */
+
+CAMLprim value caml_capi_dlopen(value vpath)
+{
+  CAMLparam1(vpath);
+  CAMLlocal1(res);
+  void *h = dlopen(String_val(vpath), RTLD_NOW | RTLD_LOCAL);
+  if (h == NULL) {
+    const char *err = dlerror();
+    caml_failwith(err ? err : "dlopen failed");
+  }
+  const struct cascabel_host **table = dlsym(h, "cascabel_host");
+  if (table != NULL) *table = &capi_host_table;
+  res = caml_copy_int64((int64_t)(intnat)h);
+  CAMLreturn(res);
+}
+
+CAMLprim value caml_capi_dlsym(value vhandle, value vname)
+{
+  CAMLparam2(vhandle, vname);
+  CAMLlocal1(res);
+  void *h = (void *)(intnat)Int64_val(vhandle);
+  void *fn = dlsym(h, String_val(vname));
+  /* A missing symbol is an expected outcome (interpreter fallback),
+   * not an error: report it as the null function. */
+  res = caml_copy_int64((int64_t)(intnat)fn);
+  CAMLreturn(res);
+}
+
+CAMLprim value caml_capi_dlclose(value vhandle)
+{
+  CAMLparam1(vhandle);
+  void *h = (void *)(intnat)Int64_val(vhandle);
+  if (h != NULL) dlclose(h);
+  CAMLreturn(Val_unit);
+}
+
+CAMLprim value caml_capi_call(value vhost, value vfn, value vargs)
+{
+  CAMLparam3(vhost, vfn, vargs);
+  void (*fn)(void **) = (void (*)(void **))(intnat)Int64_val(vfn);
+  int argc = Wosize_val(vargs);
+  void *argv[CAPI_MAX_ARGS];
+  long scratch_long[CAPI_MAX_ARGS];
+  double scratch_double[CAPI_MAX_ARGS];
+
+  if (fn == NULL) caml_invalid_argument("Capi.call: null function");
+  if (argc > CAPI_MAX_ARGS)
+    caml_invalid_argument("Capi.call: too many arguments");
+
+  for (int i = 0; i < argc; i++) {
+    value a = Field(vargs, i);
+    switch (Tag_val(a)) {
+    case CAPI_ARG_BUF:
+      argv[i] = Caml_ba_data_val(Field(a, 0));
+      break;
+    case CAPI_ARG_INT:
+      scratch_long[i] = Long_val(Field(a, 0));
+      argv[i] = &scratch_long[i];
+      break;
+    case CAPI_ARG_FLOAT:
+      scratch_double[i] = Double_val(Field(a, 0));
+      argv[i] = &scratch_double[i];
+      break;
+    default:
+      caml_invalid_argument("Capi.call: unknown argument tag");
+    }
+  }
+  capi_enter(vhost, fn, argv, NULL);
+  CAMLreturn(Val_unit);
+}
+
+CAMLprim value caml_capi_run_main(value vhost, value vfn)
+{
+  CAMLparam2(vhost, vfn);
+  int (*entry)(void) = (int (*)(void))(intnat)Int64_val(vfn);
+  if (entry == NULL) caml_invalid_argument("Capi.run_main: null function");
+  CAMLreturn(Val_int(capi_enter(vhost, NULL, NULL, entry)));
 }
 
 CAMLprim value caml_capi_address(value vbuf)
 {
   return Val_long((intnat)Caml_ba_data_val(vbuf));
-}
-
-CAMLprim value caml_capi_view(value vaddr, value vlen)
-{
-  return caml_ba_alloc_dims(CAML_BA_FLOAT64 | CAML_BA_C_LAYOUT, 1,
-                            (void *)Long_val(vaddr), Long_val(vlen));
 }
 
 CAMLprim value caml_capi_peek_long(value vaddr)

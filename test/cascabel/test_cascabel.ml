@@ -713,7 +713,7 @@ let library_tests =
             check int_ "no fallbacks" 0 native.native_fallbacks;
             check bool_ "decomposed" true (native.tasks_submitted > 1);
             check string_ "stdout" interpreted.stdout native.stdout);
-    Alcotest.test_case "a helper-calling variant is emitted but runs interpreted"
+    Alcotest.test_case "a helper-calling variant runs compiled, bit-identical"
       `Quick (fun () ->
         let unit_ =
           parse
@@ -743,8 +743,7 @@ int main(void)
         in
         let em = emit_c unit_ in
         check int_ "one wrapper" 1 (List.length em.all_wrappers);
-        check int_ "but not native-dispatchable" 0
-          (List.length em.native_variants);
+        check int_ "and compiled" 1 (List.length em.native_variants);
         let kernels =
           List.find (fun s -> s.Emit_c.file = Emit_c.kernels_file em) em.sources
         in
@@ -754,11 +753,11 @@ int main(void)
         | Native.No_toolchain _ -> () (* no cc: nothing to compare *)
         | Native.Compile_error e -> Alcotest.failf "native build: %s" e
         | Native.Loaded nt ->
-            let interpreted, fallback = run_both nt unit_ in
-            check int_ "no task native" 0 fallback.native_tasks;
-            check bool_ "every task fell back" true
-              (fallback.native_fallbacks = fallback.tasks_submitted);
-            check string_ "stdout" interpreted.stdout fallback.stdout);
+            let interpreted, native = run_both nt unit_ in
+            check int_ "no fallback" 0 native.native_fallbacks;
+            check int_ "every task native" native.tasks_submitted
+              native.native_tasks;
+            check string_ "stdout" interpreted.stdout native.stdout);
     Alcotest.test_case
       "a variant calling an interpreter builtin stays out of the object"
       `Quick (fun () ->
@@ -789,27 +788,6 @@ int main(void)
             check bool_ "scale fell back" true (native.native_fallbacks > 0);
             check bool_ "axpy still native" true (native.native_tasks > 0);
             check string_ "stdout" interpreted.stdout native.stdout);
-    Alcotest.test_case "only a bare blas_dgemm body is a library call" `Quick
-      (fun () ->
-        let funcs src =
-          List.filter_map
-            (function Minic.Ast.Func f -> Some f | _ -> None)
-            (parse src)
-        in
-        match
-          funcs
-            {|void lib(double *A, double *B, double *C, int m, int n)
-              { blas_dgemm(m, n, 4, A, B, C); }
-              void mixed(double *A, double *B, double *C, int m, int n)
-              { blas_dgemm(m, n, n, A, B, C); C[0] = 1.0; }
-              void computed(double *A, double *B, double *C, int m, int n)
-              { blas_dgemm(m, n, n + 1, A, B, C); }|}
-        with
-        | [ lib; mixed; computed ] ->
-            check bool_ "lib" true (Interp.library_call lib);
-            check bool_ "mixed" false (Interp.library_call mixed);
-            check bool_ "computed" false (Interp.library_call computed)
-        | _ -> Alcotest.fail "expected three functions");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -848,6 +826,16 @@ let same_error ?(platform = gpus) unit_ ~mentions ~after =
           after nt
       | Ok _, _ -> Alcotest.fail "the interpreted run succeeded"
       | _, Ok _ -> Alcotest.fail "the compiled run succeeded")
+
+(* [src]'s main compiles, and both modes print [want]. *)
+let same_output src ~want =
+  let unit_ = parse src in
+  with_native unit_ (fun nt ->
+      entry_compiled nt;
+      let interpreted = expect_ok "interpreted" (run_on gpus unit_)
+      and native = expect_ok "native" (run_on ~native:nt gpus unit_) in
+      check string_ "interpreted" want interpreted.stdout;
+      check string_ "native" want native.stdout)
 
 let dgemm_source () =
   In_channel.with_open_bin "../../examples/programs/dgemm.c"
@@ -984,6 +972,161 @@ int main(void) {
               native.tasks_submitted;
             check bool_ "long line" true (String.length native.stdout > 300);
             check string_ "stdout" interpreted.stdout native.stdout));
+    Alcotest.test_case "a compiled main's blas_dgemm fails as the interpreter's"
+      `Quick (fun () ->
+        (* the host resolves the three addresses against main's
+           allocations and runs the interpreter's checked kernel *)
+        List.iter
+          (fun (body, want) ->
+            same_error
+              (parse
+                 (Printf.sprintf
+                    {|int main(void) {
+  double *A = malloc(16 * sizeof(double));
+  double *B = malloc(4 * sizeof(double));
+  double *C = malloc(4 * sizeof(double));
+  %s
+  printf("done\n");
+  return 0;
+}|}
+                    body))
+              ~mentions:want
+              ~after:(fun _ -> ()))
+          [
+            ("blas_dgemm(2, 2, 2, A, A + 8, A + 2);", "blas_dgemm: C overlaps A");
+            ( "blas_dgemm(2, 2, 5, B, C, B);",
+              "blas_dgemm: A needs 10 doubles, its buffer has 4" );
+          ]);
+    Alcotest.test_case "a compiled variant's blas_dgemm sees its block views"
+      `Quick (fun () ->
+        (* eight row blocks of four doubles: each task's A is its own
+           block, as in the interpreter, so the checks see 4 doubles *)
+        List.iter
+          (fun (call, want) ->
+            let unit_ =
+              parse
+                (Printf.sprintf
+                   {|#define N 8
+#pragma cascabel task : x86 : Imm : mm_cpu : (A: readwrite)
+void mm(double *A, int n)
+{
+  %s
+}
+int main(void)
+{
+  double *A = malloc(N * 4 * sizeof(double));
+  #pragma cascabel execute Imm : executionset01 (A:BLOCK:n)
+  mm(A, N);
+  printf("%%g\n", A[0]);
+  return 0;
+}|}
+                   call)
+            in
+            let em = emit_c unit_ in
+            check bool_ "mm compiles" true
+              (List.mem_assoc "mm_cpu" em.native_variants);
+            with_native unit_ (fun nt ->
+                check bool_ "wrapper loaded" true
+                  (Native.fn_for nt "mm_cpu" <> None);
+                match (run_on gpus unit_, run_on ~native:nt gpus unit_) with
+                | Error interpreted, Error native ->
+                    check string_ "interpreted" want interpreted;
+                    check string_ "native" want native
+                | _ -> Alcotest.fail "expected both runs to fail"))
+          [
+            ("blas_dgemm(1, 1, 2, A, A + 2, A + 1);", "blas_dgemm: C overlaps A");
+            ( "blas_dgemm(2, 1, 3, A, A, A + 3);",
+              "blas_dgemm: A needs 6 doubles, its buffer has 4" );
+          ]);
+    Alcotest.test_case "a #define the interpreter cannot read keeps main interpreted"
+      `Quick (fun () ->
+        let unit_ =
+          parse
+            {|#define N 8
+#define M (N * 2)
+int main(void)
+{
+  double *A = malloc(M * sizeof(double));
+  for (int i = 0; i < N * 2; i++) A[i] = i;
+  printf("last=%g\n", A[M - 1]);
+  return 0;
+}|}
+        in
+        with_native unit_ (fun nt ->
+            (match Native.entry nt with
+            | Ok _ -> Alcotest.fail "main compiled"
+            | Error why ->
+                check string_ "reason" "main reads M, not a local or #define"
+                  why);
+            match (run_on gpus unit_, run_on ~native:nt gpus unit_) with
+            | Error interpreted, Error native ->
+                check string_ "interpreted" "unbound variable \"M\"" interpreted;
+                check string_ "native" interpreted native
+            | _ -> Alcotest.fail "expected both runs to fail"));
+    Alcotest.test_case "an unsequenced side effect keeps main interpreted"
+      `Quick (fun () ->
+        (* C may evaluate printf's arguments, or a sum's operands, in
+           any order *)
+        List.iter
+          (fun (src, why, want) ->
+            let unit_ = parse src in
+            with_native unit_ (fun nt ->
+                (match Native.entry nt with
+                | Ok _ -> Alcotest.fail "main compiled"
+                | Error reason -> check string_ "reason" why reason);
+                let interpreted = expect_ok "interpreted" (run_on gpus unit_)
+                and native = expect_ok "native" (run_on ~native:nt gpus unit_) in
+                check string_ "interpreted" want interpreted.stdout;
+                check string_ "native" interpreted.stdout native.stdout))
+          [
+            ( {|int main(void)
+{
+  int k = 0;
+  printf("k=%d %d\n", k++, k);
+  k++;
+  for (int i = 0; i < 2; i++, k += 2) k = k + 1;
+  printf("k=%d\n", k);
+  return 0;
+}|},
+              "main uses a construct C would size or call differently",
+              "k=0 1\nk=8\n" );
+            ( {|double bump(double *A) { A[0] = A[0] + 1.0; return A[0]; }
+int main(void)
+{
+  double *A = malloc(8 * sizeof(double));
+  double s = bump(A);
+  s = A[0] + bump(A) + s;
+  printf("s=%g\n", s);
+  return 0;
+}|},
+              "main calls bump",
+              "s=4\n" );
+          ]);
+    Alcotest.test_case "fmin, fmax and a printed NaN agree in both modes"
+      `Quick (fun () ->
+        same_output
+          {|int main(void)
+{
+  double nan = sqrt(-1.0);
+  double z = 0.0;
+  printf("%g %g %g %g\n", fmax(nan, 1.0), fmin(1.0, nan), fmax(sqrt(-1.0), 1.0),
+         fmin(nan, -2.0));
+  printf("%g %g %g %g\n", fmin(z, -z), fmin(-z, z), fmax(z, -z), fmax(-z, z));
+  printf("%g %f %e\n", nan, -nan, (-nan) + 3.0);
+  return 0;
+}|}
+          ~want:"1 1 1 -2\n-0 -0 0 0\nnan nan nan\n");
+    Alcotest.test_case "abs keeps a long's value in both modes" `Quick
+      (fun () ->
+        same_output
+          {|int main(void)
+{
+  long x = 3000000000;
+  long y = -x;
+  printf("%d %d %d\n", abs(x), abs(y), abs(-7));
+  return 0;
+}|}
+          ~want:"3000000000 3000000000 7\n");
     Alcotest.test_case "a compiled main records a native_main span" `Quick
       (fun () ->
         let unit_ = parse (dgemm_source ()) in
@@ -1765,6 +1908,277 @@ let emitted_c_invariants =
                   (List.length out.sites)
               else ok_reparse))
 
+(* ------------------------------------------------------------------ *)
+(* Oracle: generated programs print alike interpreted and compiled     *)
+
+(* A generated program: [rows] x [cols] matrices X and Y (and a
+   [cols] x [cols] M for blas_dgemm), pure helpers h0..hk where each may
+   call the ones before it, variants each in its own interface (some
+   with a Cuda twin), and the execute sites that run them over BLOCK
+   partitions. main prints every element and, when [op_unsequenced],
+   then prints two arguments that C may evaluate in either order, which
+   keeps main out of the checked subset. *)
+type oracle_variant = { ov_body : string; ov_blas : bool; ov_twin : bool }
+
+type oracle_program = {
+  op_rows : int;
+  op_cols : int;
+  op_fill : int * int * int * int;
+  op_helpers : string list;
+  op_variants : oracle_variant list;
+  op_sites : (int * bool * string) list;
+      (** variant, whether X and Y swap, the scalar argument *)
+  op_unsequenced : bool;
+}
+
+(* Double-valued expressions that read at least one runtime value from
+   [rt], so the C compiler cannot fold a library call at compile time.
+   Integer operands come from [ints] and stay small; indices are
+   reduced modulo the block length. *)
+let rec oracle_expr ~rt ~ints ~helpers d =
+  let open QCheck.Gen in
+  let atom = oneofl rt in
+  if d = 0 then atom
+  else
+    let sub = oracle_expr ~rt ~ints ~helpers (d - 1) in
+    let lit = oneofl [ "0.5"; "-1.5"; "2.0"; "0.0"; "-0.0"; "3.0"; "0.25" ] in
+    let any = oneof [ sub; lit ] in
+    let int_ =
+      let* a = oneofl ints and* b = int_range 1 9 in
+      oneofl
+        [ Printf.sprintf "(%s + %d)" a b; Printf.sprintf "(%s - %d)" a b;
+          Printf.sprintf "(%s * %d)" a b; Printf.sprintf "(%s %% %d)" a b;
+          Printf.sprintf "(%s / %d)" a b; Printf.sprintf "abs(%s - %d)" a b ]
+    in
+    (* a runtime operand and any other, in either order *)
+    let two =
+      let* a = sub and* b = any and* flip = bool in
+      return (if flip then (b, a) else (a, b))
+    in
+    frequency
+      ([
+         (2, atom);
+         ( 3,
+           let* x, y = two and* op = oneofl [ "+"; "-"; "*"; "/" ] in
+           return (Printf.sprintf "(%s %s %s)" x op y) );
+         (1, map (Printf.sprintf "(-%s)") sub);
+         ( 2,
+           let* a = sub and* i = int_ and* op = oneofl [ "+"; "-"; "*" ] in
+           return (Printf.sprintf "(%s %s %s)" a op i) );
+         ( 2,
+           let* f = oneofl [ "sqrt"; "fabs"; "exp"; "log" ] and* a = sub in
+           return (Printf.sprintf "%s(%s)" f a) );
+         ( 3,
+           let* f = oneofl [ "fmin"; "fmax"; "fmin"; "fmax"; "pow" ]
+           and* x, y = two in
+           return (Printf.sprintf "%s(%s, %s)" f x y) );
+         ( 1,
+           let* c = sub and* a = any and* b = sub
+           and* cmp = oneofl [ "<"; ">"; "==" ] in
+           return (Printf.sprintf "(%s %s %s ? %s : %s)" c cmp a b a) );
+       ]
+      @
+      if helpers = 0 then []
+      else
+        [
+          ( 2,
+            let* h = int_bound (helpers - 1) and* a = sub and* k = int_ in
+            return (Printf.sprintf "h%d(%s, %s)" h a k) );
+        ])
+
+let oracle_helper k =
+  let open QCheck.Gen in
+  let* y = oracle_expr ~rt:[ "x" ] ~ints:[ "k" ] ~helpers:k 2
+  and* r = oracle_expr ~rt:[ "x"; "y" ] ~ints:[ "k"; "m" ] ~helpers:k 2
+  and* c = int_range 1 5 in
+  return
+    (Printf.sprintf
+       "double h%d(double x, int k)\n{\n  double y = %s;\n  int m = k * %d;\n  return %s;\n}\n"
+       k y c r)
+
+let oracle_variant ~helpers =
+  let open QCheck.Gen in
+  let index =
+    let* a = int_range 0 5 and* b = int_range 0 9 in
+    return (Printf.sprintf "B[(i * %d + j + %d) %% (n * W)]" a b)
+  in
+  let* blas = frequencyl [ (1, true); (3, false) ]
+  and* twin = bool
+  and* j_mul = int_range 1 7
+  and* j_add = int_range 0 9
+  and* j_mod = int_range 2 11
+  and* b1 = index
+  and* b2 = index
+  and* acc0 = int_range (-5) 5
+  and* inner = int_range 0 3 in
+  let rt = [ "A[i]"; b1; b2; "s" ] and ints = [ "i"; "j"; "n" ] in
+  let* t0 = oracle_expr ~rt ~ints ~helpers 3
+  and* t1 = oracle_expr ~rt:("t" :: rt) ~ints:("r" :: ints) ~helpers 2
+  and* a = oracle_expr ~rt:("t" :: rt) ~ints ~helpers 3
+  and* acc_int =
+    oneofl [ "j"; "j - 4"; "i * 3 - n"; "abs(j - i)"; "(i + j) % 5" ]
+  in
+  let loop =
+    Printf.sprintf
+      "  for (int i = 0; i < n * W; i++) {\n\
+      \    int j = (i * %d + %d) %% %d;\n\
+      \    double t = %s;\n\
+      \    for (int r = 0; r < %d; r++)\n\
+      \      t = %s;\n\
+      \    acc = acc + %s;\n\
+      \    A[i] = %s;\n\
+      \  }\n\
+      \  A[0] = A[0] + acc * 0.125;\n"
+      j_mul j_add j_mod t0 inner t1 acc_int a
+  in
+  let body =
+    Printf.sprintf "  long acc = %d;\n%s%s" acc0
+      (if blas then "  blas_dgemm(n, W, W, B, M, A);\n" else "")
+      loop
+  in
+  return { ov_body = body; ov_blas = blas; ov_twin = twin }
+
+let oracle_source p =
+  let b = Buffer.create 2048 in
+  let pr fmt = Printf.bprintf b fmt in
+  pr "#define N %d\n#define W %d\n\n" p.op_rows p.op_cols;
+  List.iter (pr "%s\n") p.op_helpers;
+  List.iteri
+    (fun k v ->
+      let params =
+        if v.ov_blas then "double *A, double *B, double *M, int n, double s"
+        else "double *A, double *B, int n, double s"
+      and access =
+        if v.ov_blas then "A: readwrite, B: read, M: read"
+        else "A: readwrite, B: read"
+      in
+      pr "#pragma cascabel task : x86 : I%d : v%d_cpu : (%s)\nvoid v%d(%s)\n{\n%s}\n\n"
+        k k access k params v.ov_body;
+      if v.ov_twin then
+        pr
+          "#pragma cascabel task : Cuda : I%d : v%d_gpu : (%s)\nvoid v%d_gpu(%s)\n{\n%s}\n\n"
+          k k access k params v.ov_body)
+    p.op_variants;
+  let p1, q1, p2, q2 = p.op_fill in
+  pr
+    "int main(void)\n\
+     {\n\
+    \  double *X = malloc(N * W * sizeof(double));\n\
+    \  double *Y = malloc(N * W * sizeof(double));\n\
+    \  double *M = malloc(W * W * sizeof(double));\n\
+    \  for (int i = 0; i < N * W; i++) {\n\
+    \    X[i] = ((i %% %d) - %d) * 0.5;\n\
+    \    Y[i] = ((i %% %d) - %d) * -0.25;\n\
+    \  }\n\
+    \  for (int i = 0; i < W * W; i++)\n\
+    \    M[i] = (i %% 3) - 1.0;\n"
+    p1 q1 p2 q2;
+  List.iter
+    (fun (k, swap, scalar) ->
+      let x, y = if swap then ("Y", "X") else ("X", "Y") in
+      let v = List.nth p.op_variants k in
+      pr "  #pragma cascabel execute I%d : executionset01 (A:BLOCK:n, B:BLOCK:n)\n" k;
+      if v.ov_blas then pr "  v%d(%s, %s, M, N, %s);\n" k x y scalar
+      else pr "  v%d(%s, %s, N, %s);\n" k x y scalar)
+    p.op_sites;
+  pr
+    "  for (int i = 0; i < N * W; i++)\n\
+    \    printf(\"%%.17g %%.17g\\n\", X[i], Y[i]);\n";
+  if p.op_unsequenced then pr "  int k = N;\n  printf(\"k=%%d %%d\\n\", k++, k);\n";
+  pr "  return 0;\n}\n";
+  Buffer.contents b
+
+let oracle_gen =
+  let open QCheck.Gen in
+  let* rows = int_range 2 8
+  and* cols = int_range 1 4
+  and* fill =
+    let* p1 = int_range 2 7 and* p2 = int_range 2 7 in
+    let* q1 = int_bound p1 and* q2 = int_bound p2 in
+    return (p1, q1, p2, q2)
+  and* nhelpers = int_range 0 3 in
+  let rec helpers k acc =
+    if k = nhelpers then return (List.rev acc)
+    else
+      let* h = oracle_helper k in
+      helpers (k + 1) (h :: acc)
+  in
+  let* hs = helpers 0 [] in
+  let* variants = list_size (int_range 1 3) (oracle_variant ~helpers:nhelpers) in
+  let nv = List.length variants in
+  let* sites =
+    list_size (int_range 1 4)
+      (triple (int_bound (nv - 1)) bool (oneofl [ "0.75"; "-2.0"; "0.0"; "1" ]))
+  and* unsequenced = frequencyl [ (1, true); (4, false) ] in
+  return
+    {
+      op_rows = rows;
+      op_cols = cols;
+      op_fill = fill;
+      op_helpers = hs;
+      op_variants = variants;
+      op_sites = sites;
+      op_unsequenced = unsequenced;
+    }
+
+let oracle_arb =
+  QCheck.make oracle_gen ~print:oracle_source
+    ~shrink:(fun p yield ->
+      QCheck.Shrink.list_spine p.op_sites (fun op_sites ->
+          if op_sites <> [] then yield { p with op_sites }))
+
+(* Interpreted and --native runs of [src] agree in stdout and exit code,
+   every variant runs compiled, and main does unless [unsequenced]. *)
+let oracle_agrees ~unsequenced src =
+  let unit_ = parse src in
+  let em = emit_c unit_ in
+  match Native.build em with
+  | Native.No_toolchain _ -> `No_cc
+  | Native.Compile_error e -> `Differs ("native build: " ^ e)
+  | Native.Loaded nt -> (
+      let main = Native.entry nt in
+      let interpreted, native =
+        Fun.protect
+          ~finally:(fun () -> Native.close nt)
+          (fun () -> (run_on gpus unit_, run_on ~native:nt gpus unit_))
+      in
+      let outcome = function
+        | Ok (r : Runnable.report) ->
+            Printf.sprintf "exit %d\n%s" r.exit_code r.stdout
+        | Error e -> "error: " ^ e
+      in
+      let fallbacks =
+        match native with Ok r -> r.native_fallbacks | Error _ -> 0
+      in
+      if outcome interpreted <> outcome native then
+        `Differs
+          (Printf.sprintf "interpreted:\n%s\nnative:\n%s" (outcome interpreted)
+             (outcome native))
+      else if fallbacks > 0 then
+        `Differs (Printf.sprintf "%d interpreted fallbacks" fallbacks)
+      else
+        match main with
+        | Error why when not unsequenced ->
+            `Differs ("main stays interpreted: " ^ why)
+        | Ok _ when unsequenced -> `Differs "main compiled"
+        | _ -> `Same)
+
+let oracle_notice = ref false
+
+let oracle_property =
+  QCheck.Test.make
+    ~name:"generated programs print alike interpreted and compiled" ~count:30
+    oracle_arb (fun p ->
+      match oracle_agrees ~unsequenced:p.op_unsequenced (oracle_source p) with
+      | `Same -> true
+      | `No_cc ->
+          if not !oracle_notice then begin
+            oracle_notice := true;
+            print_endline "oracle: no C toolchain on PATH, skipping"
+          end;
+          true
+      | `Differs why -> QCheck.Test.fail_reportf "%s" why)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "cascabel"
@@ -1778,4 +2192,5 @@ let () =
       ("mapping", mapping_tests);
       ("e2e", e2e_tests);
       ("properties", qt [ translated_equals_serial; emitted_c_invariants ]);
+      ("oracle", qt [ oracle_property ]);
     ]

@@ -4,9 +4,10 @@
 # For every example program, asserts that:
 #   1. `cascabelc run --native` produces bit-identical stdout (and the
 #      same exit code) as the interpreted translated run,
-#   2. `--native --stats` reports at least one native task and zero
-#      interpreted fallbacks: every task ran as compiled code or as a
-#      library-kernel call, and a run that submits no task fails,
+#   2. `--native --stats` reports at least one variant loaded from the
+#      kernels object, at least one native task and zero interpreted
+#      fallbacks: every task ran as compiled code, and a run that
+#      submits no task fails,
 #   3. `--native --stats` reports `# native main: compiled`: the
 #      program's host code ran as the library's compiled entry, and
 #   4. the standalone executable built from the `--emit-c` sources via
@@ -56,6 +57,14 @@ for prog in "$root"/examples/programs/*.c; do
     echo "native: $name: compiled run bit-identical"
   fi
   tasks=$(printf '%s\n' "$summary" | sed -n 's/.*; \([0-9][0-9]*\) tasks native,.*/\1/p')
+  loaded=$(printf '%s\n' "$summary" | sed -n 's/^# native: \([0-9][0-9]*\) variants loaded.*/\1/p')
+  if [ "${loaded:-0}" -ge 1 ]; then
+    echo "native: $name: $loaded variants loaded"
+  else
+    echo "native: $name: no variant loaded from the kernels object"
+    echo "  ${summary:-no '# native:' line}"
+    bad=1
+  fi
   case "$summary" in
     *", 0 interpreted fallbacks")
       if [ "${tasks:-0}" -ge 1 ]; then
