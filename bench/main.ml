@@ -396,13 +396,17 @@ type par_row = {
   pr_domains : int;
   pr_seq_s : float;
   pr_wall_s : float;
+  pr_spread : float;  (** of the pooled run's [par_reps] samples *)
   pr_gflops : float;
   pr_max_abs_diff : float;
 }
 
+let par_reps = 5
+
 let par_json path rows ~overhead_pct =
   write_json path
-    [ ("experiment", str "par");
+    [ ("experiment", str "par"); ("host", host_json ());
+      ("samples", int par_reps);
       ("recommended_domains", int (Domain.recommended_domain_count ()));
       ("telemetry_overhead_pct", num overhead_pct);
       ("rows",
@@ -412,24 +416,22 @@ let par_json path rows ~overhead_pct =
               J.Obj
                 [ ("kernel", str r.pr_kernel); ("n", int r.pr_n);
                   ("domains", int r.pr_domains); ("seq_s", num r.pr_seq_s);
-                  ("wall_s", num r.pr_wall_s); ("gflops", num r.pr_gflops);
+                  ("wall_s", num r.pr_wall_s); ("spread", num r.pr_spread);
+                  ("gflops", num r.pr_gflops);
                   ("speedup", num (r.pr_seq_s /. r.pr_wall_s));
                   ("max_abs_diff", num r.pr_max_abs_diff) ])
             rows)) ]
 
-(* Best-of-[reps] timing: a single run can swing by 25% on a shared
-   container (page faults, first-touch of packing buffers), which is
-   noise the 1.2x cholesky regression guard below must not trip on. *)
+(* Best-of-[reps] timing and the spread of the [reps] samples: a
+   single run can swing by 25% on a shared container (page faults,
+   first-touch of packing buffers), which is noise the 1.2x cholesky
+   regression guard below must not trip on. *)
 let wall_min ~reps f =
-  let best = ref infinity and result = ref None in
-  for _ = 1 to reps do
-    let r, dt = wall f in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, !best)
-
-let par_reps = 3
+  let samples = List.init reps (fun _ -> wall f) in
+  let times = List.map snd samples in
+  ( fst (List.hd samples),
+    List.fold_left Float.min infinity times,
+    snd (median_spread times) )
 
 (* Wall-clock cost of the telemetry probes themselves: packed DGEMM
    1024 with telemetry off vs on, five paired rounds.  Recorded in the
@@ -451,7 +453,7 @@ let telemetry_overhead_pct () =
 (* One kernel at one size: sequential reference, then one pooled run
    per domain count, verifying the pooled result is bit-identical. *)
 let par_kernel ~kernel ~n ~domains ~flops ~seq ~pooled =
-  let reference, seq_s = wall_min ~reps:par_reps seq in
+  let reference, seq_s, _ = wall_min ~reps:par_reps seq in
   let seq_gflops = flops /. seq_s /. 1e9 in
   Printf.printf "%-10s %6d %9s %12.3f %12.1f %9s %14s\n" kernel n "seq" seq_s
     seq_gflops "" "";
@@ -459,7 +461,7 @@ let par_kernel ~kernel ~n ~domains ~flops ~seq ~pooled =
     (fun d ->
       (* Pool spawn/join stays outside the timed region: we are
          measuring kernel scaling, not domain startup. *)
-      let result, wall_s =
+      let result, wall_s, spread =
         DP.with_pool ~num_domains:d (fun pool ->
             wall_min ~reps:par_reps (fun () -> pooled pool))
       in
@@ -472,6 +474,7 @@ let par_kernel ~kernel ~n ~domains ~flops ~seq ~pooled =
         pr_domains = d;
         pr_seq_s = seq_s;
         pr_wall_s = wall_s;
+        pr_spread = spread;
         pr_gflops = flops /. wall_s /. 1e9;
         pr_max_abs_diff = diff;
       })

@@ -430,7 +430,9 @@ type scan = {
   calls : (string * bool) list;
       (** called functions, innermost first; [true] when the call sits
           inside a larger expression *)
-  clean : bool;  (** no construct outside the checked subset *)
+  obstacle : string option;
+      (** why the body leaves the checked subset (the first construct
+          found), said of the function: "uses ..." or "takes ..." *)
   writes : bool;  (** stores through a pointer *)
 }
 
@@ -444,15 +446,31 @@ let scratch name = String.starts_with ~prefix:"__cascabel_" name
    init or step, a returned value), and a call inside a larger
    expression must be pure (the compile rule checks that). The right
    side of a top-level assignment to a variable counts as top level:
-   the store follows the call. *)
+   the store follows the call.
+
+   A [float] literal ([0.1f]) is a double to the interpreter and a
+   float to C. The interpreter takes the address only of an element
+   ([&a[i]]) or of a pointer, which it returns unchanged, where C
+   would give its address; a scalar's address is an error to it. So
+   only [&a[i]] and the lowered submits' [&__cascabel_] slots pass. *)
 let scan_func (f : func) =
   let idents = ref [] and calls = ref [] in
-  let clean = ref true and writes = ref false in
+  let obstacle = ref None and writes = ref false in
+  let unlike why = if !obstacle = None then obstacle := Some why in
+  let unsized () = unlike "uses a construct C would size or call differently" in
   let store = function Ident _ -> () | _ -> writes := true in
   let rec expr ~top e =
     let sub = expr ~top:false in
     match e with
+    | Float_lit l
+      when String.ends_with ~suffix:"f" l || String.ends_with ~suffix:"F" l ->
+        unlike ("uses the float literal " ^ l)
     | Int_lit _ | Float_lit _ | Char_lit _ | String_lit _ | Sizeof_type _ -> ()
+    | Unary (Addr, a) -> (
+        match a with
+        | Index _ -> sub a
+        | Ident n when scratch n -> sub a
+        | _ -> unlike ("takes the address of " ^ Minic.Printer.expr_to_string a))
     | Ident n -> idents := n :: !idents
     | Call (Ident fn, args) ->
         calls := (fn, not top) :: !calls;
@@ -464,18 +482,18 @@ let scan_func (f : func) =
         sub a;
         expr ~top b
     | Assign (_, a, b) ->
-        if not top then clean := false;
+        if not top then unsized ();
         store a;
         sub a;
         sub b
     | Unary ((Pre_inc | Pre_dec), a) | Post_inc a | Post_dec a ->
-        if not top then clean := false;
+        if not top then unsized ();
         store a;
         sub a
     | Call _ | Member _ | Arrow _ | Sizeof_expr _ ->
         (* The interpreter sizes every expression at 8 bytes and has no
            struct or function pointer. *)
-        clean := false
+        unsized ()
     | Unary (_, a) | Cast (_, a) -> sub a
     | Index (a, b) | Binary (_, a, b) ->
         sub a;
@@ -511,7 +529,7 @@ let scan_func (f : func) =
     | Pragma_stmt (_, s) -> stmt s
   in
   Option.iter (List.iter stmt) f.f_body;
-  { idents = !idents; calls = !calls; clean = !clean; writes = !writes }
+  { idents = !idents; calls = !calls; obstacle = !obstacle; writes = !writes }
 
 (* ------------------------------------------------------------------ *)
 (* Program lowering: packed argv submits + wrapper function pointers.  *)
@@ -910,12 +928,13 @@ let param_ok = function
 
 (* [compile_rule ~defines funcs name] says why the lowered function
    [name] of [funcs] cannot run compiled, or [None]. A function
-   compiles when its body is clean (see [scan_func]), its parameters and
-   locals have [value_types], every name it reads is one of them or a
-   [#define] constant the interpreter knows, and it calls only
-   [builtins] and unit functions that compile and return no pointer,
-   pure ones only inside a larger expression. No function on a call
-   cycle compiles: the interpreter bounds the call depth, C does not. *)
+   compiles when its body has no obstacle (see [scan_func]), its
+   parameters and locals have [value_types], every name it reads is
+   one of them or a [#define] constant the interpreter knows, and it
+   calls only [builtins] and unit functions that compile and return no
+   pointer, pure ones only inside a larger expression. No function on
+   a call cycle compiles: the interpreter bounds the call depth, C
+   does not. *)
 let compile_rule ~defines (funcs : (string * (func, string) result) list) =
   let memo = Hashtbl.create 16 in
   let rec why stack name =
@@ -957,8 +976,8 @@ let compile_rule ~defines (funcs : (string * (func, string) result) list) =
              (Minic.Printer.type_to_string p.p_type) p.p_name)
     | None when List.length f.f_params > 64 ->
         Some (name ^ " takes more than 64 parameters")
-    | None when not sc.clean ->
-        Some (name ^ " uses a construct C would size or call differently")
+    | None when sc.obstacle <> None ->
+        Some (name ^ " " ^ Option.get sc.obstacle)
     | None -> (
         match List.find_opt (fun d -> not (typed d)) locals with
         | Some d ->

@@ -1,5 +1,5 @@
 /* Packing and macro-kernels for the BLIS-style packed DGEMM
- * (Gemm_kernel).
+ * (Gemm_kernel), and the allocator policy Matrix sets at start-up.
  *
  * Gemm_kernel packs operand blocks with the two routines below,
  * then calls one macro-kernel per (MC, KC, NC) block on
@@ -26,6 +26,9 @@
 
 #include <immintrin.h>
 #include <string.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
 
@@ -199,24 +202,34 @@ static void pack_rows(const double *restrict src, long ld, long rows,
   }
 }
 
+/* Source rows pack_cols copies per pass across all micro-panels. */
+#define PACK_ROWS 8
+
 /* Contiguous column-panel pack (B): the rows x cols block at src/ld
    goes to dst[jr*rows + l*nr + j] = src[l][jr+j],
-   columns past [cols] zero-padded to a multiple of nr. */
+   columns past [cols] zero-padded to a multiple of nr.  It walks
+   PACK_ROWS source rows at a time across every micro-panel, so the
+   reads stream along rows instead of striding down one panel's
+   columns (a page per row at ld = 512); a full panel of the NR the
+   micro-kernels use copies its rows with fixed-size moves. */
 static void pack_cols(const double *restrict src, long ld, long rows,
                       long cols, long nr, double *restrict dst)
 {
-  for (long jr = 0; jr < cols; jr += nr) {
-    long n = cols - jr < nr ? cols - jr : nr;
-    double *d = dst + jr * rows;
-    const double *s = src + jr;
-    if (n == nr)
-      for (long l = 0; l < rows; l++)
-        memcpy(d + l * nr, s + l * ld, sizeof(double) * nr);
-    else
-      for (long l = 0; l < rows; l++) {
-        memcpy(d + l * nr, s + l * ld, sizeof(double) * n);
-        memset(d + l * nr + n, 0, sizeof(double) * (nr - n));
-      }
+  for (long l0 = 0; l0 < rows; l0 += PACK_ROWS) {
+    long l1 = rows - l0 < PACK_ROWS ? rows : l0 + PACK_ROWS;
+    for (long jr = 0; jr < cols; jr += nr) {
+      long n = cols - jr < nr ? cols - jr : nr;
+      double *d = dst + jr * rows;
+      const double *s = src + jr;
+      if (n == NR && nr == NR)
+        for (long l = l0; l < l1; l++)
+          memcpy(d + l * NR, s + l * ld, sizeof(double) * NR);
+      else
+        for (long l = l0; l < l1; l++) {
+          memcpy(d + l * nr, s + l * ld, sizeof(double) * n);
+          memset(d + l * nr + n, 0, sizeof(double) * (nr - n));
+        }
+    }
   }
 }
 
@@ -257,4 +270,26 @@ CAMLprim value cas_pack_cols_bytecode(value *argv, int argn)
   (void)argn;
   return cas_pack_cols(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
                        argv[6], argv[7], argv[8]);
+}
+
+/* Matrix buffers up to 32 MiB come from the heap, and up to 64 MiB of
+   freed heap stays mapped, so a service that allocates and drops
+   job-sized buffers reuses resident pages instead of faulting in
+   fresh ones.  Fixed values also turn off glibc's sliding mmap
+   threshold, which otherwise moves with every freed mmapped block.
+   Other libcs keep their defaults; the result says whether both
+   settings took. */
+#define MMAP_THRESHOLD (32L << 20)
+#define TRIM_THRESHOLD (64L << 20)
+
+CAMLprim value cas_alloc_policy(value unit)
+{
+  (void)unit;
+#ifdef __GLIBC__
+  int ok = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD);
+  ok &= mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD);
+  return Val_bool(ok);
+#else
+  return Val_false;
+#endif
 }

@@ -1,17 +1,19 @@
 /* Loops whose results are pinned bit for bit by the golden digests:
- * the row-wise triangular solve of Lapack and the fill of
- * Matrix.random.  Built with -ffp-contract=off and without -mfma, so
- * every multiply and subtract rounds on its own exactly as the OCaml
- * loops they replace did.  Both run several independent elements
- * side by side in vector registers, which changes no element's
- * operation order.
+ * the diagonal-block factor and the row-wise triangular solve of
+ * Lapack, and the fill of Matrix.random.  Built with
+ * -ffp-contract=off and without -mfma, so every multiply and subtract
+ * rounds on its own exactly as the OCaml loops they replace did.
+ * Each runs several independent elements side by side in vector
+ * registers, which changes no element's operation order.
  */
 
 #include <immintrin.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
+#include <caml/fail.h>
 
 /* Rows of X solved together, sharing each load of the transposed
    diagonal block. */
@@ -93,6 +95,57 @@ CAMLprim value cas_solve_rows_bytecode(value *argv, int argn)
   (void)argn;
   return cas_solve_rows(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
                         argv[6], argv[7], argv[8], argv[9]);
+}
+
+/* Widest diagonal block factor_diag takes: Lapack's panel width. */
+#define DIAG_MAX 64
+
+/* Cholesky of the w x w diagonal block at a (leading dimension lda),
+   in place on its lower triangle, the trailing updates of earlier
+   panels already applied.  Returns the index of the first pivot that
+   is <= 0 (a NaN pivot passes, as it does in a left-looking loop), or
+   -1 when the block factors.
+
+   Right-looking: at step kk the column kk below the pivot is divided
+   by the pivot's root, copied, and then subtracted from every later
+   row i as a[i][j] -= a[i][kk] * a[j][kk] for kk < j <= i, a loop
+   along the row.  Each element therefore still sees its subtractions
+   for l = 0 .. j-1 in ascending order and then its division (or
+   root), the same chain as the left-looking dot products
+   a[i][j] - sum_l a[i][l] * a[j][l]. */
+static long factor_diag(double *a, long lda, long w)
+{
+  double col[DIAG_MAX];
+  for (long kk = 0; kk < w; kk++) {
+    double *rk = a + kk * lda;
+    double pivot = rk[kk];
+    if (pivot <= 0.0)
+      return kk;
+    double lkk = sqrt(pivot);
+    rk[kk] = lkk;
+    for (long i = kk + 1; i < w; i++) {
+      double v = a[i * lda + kk] / lkk;
+      a[i * lda + kk] = v;
+      col[i] = v;
+    }
+    for (long i = kk + 1; i < w; i++) {
+      double *ri = a + i * lda;
+      double ci = col[i];
+      for (long j = kk + 1; j <= i; j++)
+        ri[j] -= ci * col[j];
+    }
+  }
+  return -1;
+}
+
+/* (a, off, lda, w) */
+CAMLprim value cas_factor_diag(value va, value voff, value vlda, value vw)
+{
+  long w = Long_val(vw);
+  if (w < 0 || w > DIAG_MAX)
+    caml_invalid_argument("factor_diag: block wider than 64");
+  return Val_long(factor_diag((double *)Caml_ba_data_val(va) + Long_val(voff),
+                              Long_val(vlda), w));
 }
 
 /* Numerical Recipes LCG, s' = a*s + c mod 2^32. */

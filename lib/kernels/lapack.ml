@@ -55,6 +55,12 @@ external solve_rows_c :
   int -> unit = "cas_solve_rows_bytecode" "cas_solve_rows"
 [@@noalloc]
 
+(* [factor_diag a off lda w]: Cholesky of the [w x w] diagonal block
+   at [off] in place (exact_stubs.c), [w <= nb]; returns the first
+   non-positive pivot's index within the block, or -1. *)
+external factor_diag : Matrix.buf -> int -> int -> int -> int
+  = "cas_factor_diag"
+
 (* Rows per parallel unit of [solve_rows]; each call also copies the
    diagonal block once. *)
 let solve_chunk = 32
@@ -77,12 +83,12 @@ let solve_rows ?pool ~(x : Matrix.buf) ~xoff ~ldx ~(l : Matrix.buf) ~loff ~ldl
       solve_rows_c x xoff ldx l loff ldl j0 j1 r (min hi (r + solve_chunk)))
 
 (* Blocked right-looking Cholesky.  Per NB-wide step: factor the
-   diagonal block unblocked, solve the panel below it, then apply the
-   trailing update through the packed GEMM (dgemm_nt on block rows).
-   The trailing GEMM writes full block rows up to each block's
-   diagonal, overshooting into the strict upper triangle of the
-   diagonal block; those entries are never read (all reads stay at
-   column <= row) and are zeroed at the end.  Parallel units — panel
+   diagonal block unblocked (factor_diag), solve the panel below it,
+   then apply the trailing update through the packed GEMM (dgemm_nt
+   on block rows).  The trailing GEMM writes full block rows up to
+   each block's diagonal, overshooting into the strict upper triangle
+   of the diagonal block; those entries are never read (all reads
+   stay at column <= row) and are zeroed at the end.  Parallel units — panel
    rows and trailing block rows — own their output rows outright, so
    pooled runs are bit-identical to sequential ones. *)
 let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
@@ -96,26 +102,11 @@ let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
   while !k0 < n do
     let k1 = min (!k0 + nb) n in
     let w = k1 - !k0 in
-    (* diagonal block: unblocked, left-looking within the block (the
-       trailing updates of earlier steps already applied history). *)
+    (* diagonal block: unblocked, in C (the trailing updates of
+       earlier steps already applied history). *)
     let sp = Obs.Span.start () in
-    for kk = !k0 to k1 - 1 do
-      let pivot = ref a.{at kk kk} in
-      for l = !k0 to kk - 1 do
-        let v = a.{at kk l} in
-        pivot := !pivot -. (v *. v)
-      done;
-      if !pivot <= 0.0 then raise (Not_positive_definite kk);
-      let lkk = sqrt !pivot in
-      a.{at kk kk} <- lkk;
-      for i = kk + 1 to k1 - 1 do
-        let acc = ref a.{at i kk} in
-        for l = !k0 to kk - 1 do
-          acc := !acc -. (a.{at i l} *. a.{at kk l})
-        done;
-        a.{at i kk} <- !acc /. lkk
-      done
-    done;
+    let bad = factor_diag a (at !k0 !k0) lda w in
+    if bad >= 0 then raise (Not_positive_definite (!k0 + bad));
     if k1 >= n then Obs.Span.record ~cat:"chol" ~name:"panel_factor" sp
     else begin
       (* panel solve: rows [k1, n) of columns [k0, k1) against the

@@ -22,10 +22,16 @@ val dpotrf : ?pool:Domain_pool.t -> Matrix.t -> unit
     [A = L * L^T], [L] stored in the lower triangle (the strict upper
     triangle is zeroed).  Blocked right-looking algorithm: unblocked
     diagonal-block factor, panel solve, trailing update through the
-    packed {!Gemm_kernel}.  With [pool], panel rows and trailing block
-    rows run in parallel, gated behind a minimum-work threshold so
-    small panels never pay parallel_for overhead; pooled runs are
-    bit-identical to sequential ones. *)
+    packed {!Gemm_kernel}.  The diagonal block (at most 64 wide) is
+    factored in C, right-looking along rows, yet each element keeps
+    the chain of the left-looking loop it replaced: its products
+    subtracted for ascending columns, then its division or square
+    root, each rounded on its own.  The first pivot [<= 0] raises
+    with its index (a NaN pivot does not raise; it spreads), and
+    leaves the view's contents unspecified.  With [pool], panel rows
+    and trailing block rows run in parallel, gated behind a
+    minimum-work threshold so small panels never pay parallel_for
+    overhead; pooled runs are bit-identical to sequential ones. *)
 
 val dtrsm_rlt : ?pool:Domain_pool.t -> l:Matrix.t -> Matrix.t -> unit
 (** [dtrsm_rlt ~l b] solves [X * l^T = b] in place ([b := X]) with

@@ -3,6 +3,11 @@ module BA1 = Bigarray.Array1
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
 type t = { rows : int; cols : int; data : buf }
 
+external alloc_policy : unit -> bool = "cas_alloc_policy" [@@noalloc]
+
+(* One mallopt pair at start-up (dgemm_stubs.c); see matrix.mli. *)
+let resident_buffers = alloc_policy ()
+
 let alloc_buf n : buf = BA1.create Bigarray.float64 Bigarray.c_layout n
 
 let create_buf n =

@@ -3,12 +3,30 @@
     Storage is a C-layout float64 {!Bigarray.Array1.t}: unboxed,
     contiguous, GC-stable, and sharable with C micro-kernels without
     copying. Indexing is [a.{i * cols + j}]. All kernels in {!Blas}
-    and {!Gemm_kernel} operate on this representation. *)
+    and {!Gemm_kernel} operate on this representation.
+
+    {b Allocation policy.}  Buffers come from [malloc].  When this
+    module initializes it fixes two glibc thresholds (one [mallopt]
+    each, no option or variable changes them): [M_MMAP_THRESHOLD] at
+    32 MiB, so buffers below that come from the heap, and
+    [M_TRIM_THRESHOLD] at 64 MiB, so up to that much freed heap stays
+    mapped.  With glibc's defaults the mmap threshold slides with
+    every freed mapped block and the heap top is trimmed once twice
+    that threshold is free, so a service mixing 256x256 DGEMM and
+    512x512 Cholesky jobs, whose buffers the GC frees late, faulted
+    in fresh pages on every job: about 220 minor faults per job,
+    against fewer than two with the fixed thresholds.  The cost is
+    bounded: buffers above 32 MiB are still mapped and unmapped on
+    their own, and at most 64 MiB of freed heap stays resident.
+    Other libcs keep their defaults. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Raw row-major storage. *)
 
 type t = { rows : int; cols : int; data : buf }
+
+val resident_buffers : bool
+(** Whether the allocation policy above took (glibc only). *)
 
 val alloc_buf : int -> buf
 (** Uninitialised buffer of [n] floats (callers must overwrite). *)

@@ -1102,6 +1102,51 @@ int main(void)
               "main calls bump",
               "s=4\n" );
           ]);
+    Alcotest.test_case "a float literal keeps main interpreted" `Quick
+      (fun () ->
+        (* the interpreter reads 0.1f as the double 0.1, C as a float *)
+        let unit_ =
+          parse
+            {|int main(void)
+{
+  double x = 0.1f;
+  printf("x=%.17g\n", x);
+  return 0;
+}|}
+        in
+        with_native unit_ (fun nt ->
+            (match Native.entry nt with
+            | Ok _ -> Alcotest.fail "main compiled"
+            | Error why ->
+                check string_ "reason" "main uses the float literal 0.1f" why);
+            let interpreted = expect_ok "interpreted" (run_on gpus unit_)
+            and native = expect_ok "native" (run_on ~native:nt gpus unit_) in
+            check string_ "interpreted" "x=0.10000000000000001\n"
+              interpreted.stdout;
+            check string_ "native" interpreted.stdout native.stdout));
+    Alcotest.test_case "the address of a scalar fails alike in both modes"
+      `Quick (fun () ->
+        let unit_ =
+          parse
+            {|int main(void)
+{
+  double x = 1.0;
+  double *p = &x;
+  printf("x=%g\n", p[0]);
+  return 0;
+}|}
+        in
+        with_native unit_ (fun nt ->
+            (match Native.entry nt with
+            | Ok _ -> Alcotest.fail "main compiled"
+            | Error why ->
+                check string_ "reason" "main takes the address of x" why);
+            match (run_on gpus unit_, run_on ~native:nt gpus unit_) with
+            | Error interpreted, Error native ->
+                check bool_ "interpreted" true
+                  (contains interpreted "cannot take the address of 1");
+                check string_ "native" interpreted native
+            | _ -> Alcotest.fail "expected both runs to fail"));
     Alcotest.test_case "fmin, fmax and a printed NaN agree in both modes"
       `Quick (fun () ->
         same_output

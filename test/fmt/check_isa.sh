@@ -9,9 +9,9 @@
 #     avx512f; AVX-512 anywhere else would die with SIGILL on an
 #     AVX2-only host.
 #  2. A fused multiply-add (vfmadd/vfmsub/vfnmadd/vfnmsub) in
-#     exact_stubs.o: the row solve and the LCG fill round every
-#     multiply and subtract on their own, which their golden digests
-#     pin bit for bit.
+#     exact_stubs.o: the Cholesky diagonal factor, the row solve and
+#     the LCG fill round every multiply and subtract on their own,
+#     which their golden digests pin bit for bit.
 #
 # Usage: check_isa.sh [dir holding dgemm_stubs.o and exact_stubs.o]
 # Without objdump it prints a notice and passes.

@@ -871,6 +871,152 @@ let solve_rows_matches_reference =
         [ None; Some view_pool ]
       && buf_bits l0 = l_before)
 
+(* The blocked Cholesky with the left-looking OCaml loop that the C
+   diagonal factor replaced, kept as the reference.  Its panel solve
+   is the reference row solve above and its trailing update one GEMM
+   over the whole trailing square: every element sums the same
+   products in the same order whatever the blocking, and the strict
+   upper triangle it also writes is never read and zeroed at the end. *)
+let reference_dpotrf ~n ~(a : Matrix.buf) ~aoff ~lda =
+  let nb = 64 in
+  let at i j = aoff + (i * lda) + j in
+  let k0 = ref 0 in
+  while !k0 < n do
+    let k1 = min (!k0 + nb) n in
+    for kk = !k0 to k1 - 1 do
+      let pivot = ref a.{at kk kk} in
+      for l = !k0 to kk - 1 do
+        let v = a.{at kk l} in
+        pivot := !pivot -. (v *. v)
+      done;
+      if !pivot <= 0.0 then raise (Lapack.Not_positive_definite kk);
+      let lkk = sqrt !pivot in
+      a.{at kk kk} <- lkk;
+      for i = kk + 1 to k1 - 1 do
+        let acc = ref a.{at i kk} in
+        for l = !k0 to kk - 1 do
+          acc := !acc -. (a.{at i l} *. a.{at kk l})
+        done;
+        a.{at i kk} <- !acc /. lkk
+      done
+    done;
+    if k1 < n then begin
+      let sub = Bigarray.Array1.sub a aoff (Bigarray.Array1.dim a - aoff) in
+      reference_solve_rows ~x:sub ~ldx:lda ~l:sub ~ldl:lda ~j0:!k0 ~j1:k1
+        ~lo:k1 ~hi:n;
+      Gemm_kernel.gemm ~trans_b:true ~m:(n - k1) ~n:(n - k1) ~k:(k1 - !k0)
+        ~alpha:(-1.0) ~beta:1.0 ~a ~aoff:(at k1 !k0) ~lda ~b:a
+        ~boff:(at k1 !k0) ~ldb:lda ~c:a ~coff:(at k1 k1) ~ldc:lda ()
+    end;
+    k0 := k1
+  done;
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      a.{at i j} <- 0.0
+    done
+  done
+
+(* [dpotrf_view] and [reference_dpotrf] on copies of the placed
+   matrix: the bits of each result, or the pivot index each raised. *)
+let both_dpotrf p =
+  let run f =
+    let b = copy_buf p.buf in
+    match f b with
+    | () -> Ok (buf_bits b)
+    | exception Lapack.Not_positive_definite i -> Error i
+  in
+  let n = p.rows and aoff = p.off and lda = p.ld in
+  ( run (fun a -> Lapack.dpotrf_view ~n ~a ~aoff ~lda ()),
+    run (fun a -> reference_dpotrf ~n ~a ~aoff ~lda) )
+
+let dpotrf_matches_reference =
+  QCheck.Test.make
+    ~name:"dpotrf_view = left-looking OCaml diagonal factor bit for bit"
+    ~count:30
+    (QCheck.make QCheck.Gen.(pair (int_range 1 200) gen_place))
+    (fun (n, pl) ->
+      let got, want = both_dpotrf (place ~seed:n pl (Lapack.random_spd ~seed:n n)) in
+      (match got with Ok _ -> true | Error _ -> false) && got = want)
+
+let diag_factor_tests =
+  [
+    Alcotest.test_case "a non-positive pivot raises its own index" `Quick
+      (fun () ->
+        let n = 129 in
+        List.iter
+          (fun p ->
+            let a = Lapack.random_spd ~seed:5 n in
+            (* the leading p x p minor stays positive definite; pivot p
+               is at most a_pp, zero exactly at p = 0 *)
+            Matrix.set a p p (if p = 0 then 0.0 else -1.0);
+            let got, want = both_dpotrf (place ~seed:1 (1, 3, 2) a) in
+            let name = Printf.sprintf "pivot %d" p in
+            check bool_ (name ^ " (reference)") true (want = Error p);
+            check bool_ name true (got = Error p);
+            Alcotest.check_raises name (Lapack.Not_positive_definite p)
+              (fun () -> Lapack.dpotrf a))
+          [ 0; 37; 63; 64; 100 ]);
+    Alcotest.test_case "a NaN entry spreads as in the OCaml loop, no raise"
+      `Quick (fun () ->
+        List.iter
+          (fun (i, j) ->
+            let n = 129 in
+            let a = Lapack.random_spd ~seed:6 n in
+            Matrix.set a i j Float.nan;
+            let got, want = both_dpotrf (place ~seed:2 (0, 0, 1) a) in
+            let name = Printf.sprintf "nan at %d,%d" i j in
+            check bool_ (name ^ " factors") true
+              (match got with Ok _ -> true | Error _ -> false);
+            check bool_ name true (got = want);
+            Lapack.dpotrf a;
+            check bool_ (name ^ " reaches the last pivot") true
+              (Float.is_nan (Matrix.get a (n - 1) (n - 1))))
+          [ (0, 0); (5, 3); (70, 64); (128, 2) ]);
+  ]
+
+(* Minor page faults of this process so far: field 10 of
+   /proc/self/stat, counted after the parenthesised command name
+   (which may hold spaces); None where there is no such file. *)
+let minor_faults () =
+  match In_channel.with_open_text "/proc/self/stat" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | stat -> (
+      let p = String.rindex stat ')' + 2 in
+      match String.split_on_char ' ' (String.sub stat p (String.length stat - p)) with
+      | _state :: _ppid :: _pgrp :: _session :: _tty :: _tpgid :: _flags
+        :: minflt :: _ ->
+          int_of_string_opt minflt
+      | _ -> None)
+
+(* A service allocating job-sized matrices: three 256x256 per round,
+   every fifth round three 512x512 and a full major collection that
+   frees them all.  With Matrix's allocation policy the freed buffers
+   are reused in place; with glibc's defaults the 50 measured rounds
+   faulted in about 14 000 pages. *)
+let alloc_round r =
+  let n = if r mod 5 = 4 then 512 else 256 in
+  let ms = List.init 3 (fun _ -> Matrix.create n n) in
+  ignore (Sys.opaque_identity ms);
+  if n = 512 then Gc.full_major ()
+
+let fault_tests =
+  [
+    Alcotest.test_case "job-sized matrices fault in no fresh pages" `Quick
+      (fun () ->
+        match minor_faults () with
+        | None ->
+            print_endline "kernels: /proc/self/stat unreadable, fault guard skipped"
+        | Some _ when not Matrix.resident_buffers ->
+            print_endline "kernels: libc is not glibc, fault guard skipped"
+        | Some _ ->
+            for r = 0 to 19 do alloc_round r done;
+            let before = Option.get (minor_faults ()) in
+            for r = 0 to 49 do alloc_round r done;
+            let faults = Option.get (minor_faults ()) - before in
+            if faults > 64 then
+              Alcotest.failf "%d minor faults in 50 rounds (at most 64)" faults);
+  ]
+
 let packed_pooled_bitwise_tests =
   [
     Alcotest.test_case "pooled packed bit-identical at 1/2/4 domains" `Quick
@@ -928,6 +1074,8 @@ let () =
           ("packed_pooled", packed_pooled_bitwise_tests);
           ("golden", golden_tests);
           ("lcg", lcg_tests);
+          ("diag_factor", diag_factor_tests);
+          ("faults", fault_tests);
           ( "properties",
             qt
               [
@@ -936,6 +1084,7 @@ let () =
                 pooled_dgemm_matches_sequential; dpotrf_view_matches;
                 dtrsm_view_matches; dsyrk_view_matches; dgemm_nt_view_matches;
                 avx512_matches_avx2; solve_rows_matches_reference;
+                dpotrf_matches_reference;
               ] );
         ];
       None
