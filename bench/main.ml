@@ -394,9 +394,10 @@ type par_row = {
   pr_kernel : string;
   pr_n : int;
   pr_domains : int;
-  pr_seq_s : float;
-  pr_wall_s : float;
+  pr_seq_s : float;  (** best of the row's sequential samples *)
+  pr_wall_s : float;  (** best of its pooled samples *)
   pr_spread : float;  (** of the pooled run's [par_reps] samples *)
+  pr_ratio : float;  (** median of the rounds' pooled / sequential times *)
   pr_gflops : float;
   pr_max_abs_diff : float;
 }
@@ -419,19 +420,9 @@ let par_json path rows ~overhead_pct =
                   ("wall_s", num r.pr_wall_s); ("spread", num r.pr_spread);
                   ("gflops", num r.pr_gflops);
                   ("speedup", num (r.pr_seq_s /. r.pr_wall_s));
+                  ("paired_ratio", num r.pr_ratio);
                   ("max_abs_diff", num r.pr_max_abs_diff) ])
             rows)) ]
-
-(* Best-of-[reps] timing and the spread of the [reps] samples: a
-   single run can swing by 25% on a shared container (page faults,
-   first-touch of packing buffers), which is noise the 1.2x cholesky
-   regression guard below must not trip on. *)
-let wall_min ~reps f =
-  let samples = List.init reps (fun _ -> wall f) in
-  let times = List.map snd samples in
-  ( fst (List.hd samples),
-    List.fold_left Float.min infinity times,
-    snd (median_spread times) )
 
 (* Wall-clock cost of the telemetry probes themselves: packed DGEMM
    1024 with telemetry off vs on, five paired rounds.  Recorded in the
@@ -450,34 +441,51 @@ let telemetry_overhead_pct () =
   Obs.Config.set_enabled was_on;
   pct
 
-(* One kernel at one size: sequential reference, then one pooled run
-   per domain count, verifying the pooled result is bit-identical. *)
+(* One kernel at one size, per domain count: [par_reps] rounds each
+   time the sequential and the pooled run back to back, in alternating
+   order, and the pooled result must be bit-identical.  The regression
+   guard reads the median of the rounds' pooled/sequential ratios: both
+   runs of a round meet the host in the same state, where a sequential
+   figure taken once, before the pooled ones, let a slow spell land on
+   one side only. *)
 let par_kernel ~kernel ~n ~domains ~flops ~seq ~pooled =
-  let reference, seq_s, _ = wall_min ~reps:par_reps seq in
-  let seq_gflops = flops /. seq_s /. 1e9 in
-  Printf.printf "%-10s %6d %9s %12.3f %12.1f %9s %14s\n" kernel n "seq" seq_s
-    seq_gflops "" "";
   List.map
     (fun d ->
       (* Pool spawn/join stays outside the timed region: we are
          measuring kernel scaling, not domain startup. *)
-      let result, wall_s, spread =
-        DP.with_pool ~num_domains:d (fun pool ->
-            wall_min ~reps:par_reps (fun () -> pooled pool))
-      in
-      let diff = Matrix.max_abs_diff reference result in
-      Printf.printf "%-10s %6d %9d %12.3f %12.1f %8.2fx %14g\n" kernel n d
-        wall_s (flops /. wall_s /. 1e9) (seq_s /. wall_s) diff;
-      {
-        pr_kernel = kernel;
-        pr_n = n;
-        pr_domains = d;
-        pr_seq_s = seq_s;
-        pr_wall_s = wall_s;
-        pr_spread = spread;
-        pr_gflops = flops /. wall_s /. 1e9;
-        pr_max_abs_diff = diff;
-      })
+      DP.with_pool ~num_domains:d (fun pool ->
+          let round i =
+            let s () = wall seq and p () = wall (fun () -> pooled pool) in
+            if i mod 2 = 0 then
+              let s = s () in
+              (s, p ())
+            else
+              let p = p () in
+              (s (), p)
+          in
+          let rounds = List.init par_reps round in
+          let times f = List.map (fun r -> snd (f r)) rounds in
+          let best = List.fold_left Float.min infinity in
+          let seq_s = best (times fst) and wall_s = best (times snd) in
+          let ratio, _ =
+            median_spread (List.map (fun ((_, s), (_, p)) -> p /. s) rounds)
+          in
+          let (reference, _), (result, _) = List.hd rounds in
+          let diff = Matrix.max_abs_diff reference result in
+          Printf.printf "%-10s %6d %9d %12.3f %12.3f %12.1f %8.2fx %14g\n"
+            kernel n d seq_s wall_s (flops /. wall_s /. 1e9) (1.0 /. ratio)
+            diff;
+          {
+            pr_kernel = kernel;
+            pr_n = n;
+            pr_domains = d;
+            pr_seq_s = seq_s;
+            pr_wall_s = wall_s;
+            pr_spread = snd (median_spread (times snd));
+            pr_ratio = ratio;
+            pr_gflops = flops /. wall_s /. 1e9;
+            pr_max_abs_diff = diff;
+          }))
     domains
 
 let par ?(sizes = [ 256; 512; 1024; 2048 ]) ?(domains = [ 1; 2; 4 ]) () =
@@ -485,8 +493,8 @@ let par ?(sizes = [ 256; 512; 1024; 2048 ]) ?(domains = [ 1; 2; 4 ]) () =
     "PAR  real multicore kernels: sequential vs domain pool (wall seconds)";
   Printf.printf "host: OCaml runtime recommends %d domain(s)\n\n"
     (Domain.recommended_domain_count ());
-  Printf.printf "%-10s %6s %9s %12s %12s %9s %14s\n" "kernel" "n" "domains"
-    "wall [s]" "GFLOP/s" "speedup" "max|diff|";
+  Printf.printf "%-10s %6s %9s %12s %12s %12s %9s %14s\n" "kernel" "n"
+    "domains" "seq [s]" "wall [s]" "GFLOP/s" "speedup" "max|diff|";
   let rows =
     List.concat_map
       (fun n ->
@@ -538,9 +546,7 @@ let par ?(sizes = [ 256; 512; 1024; 2048 ]) ?(domains = [ 1; 2; 4 ]) () =
      sequential again (the seed showed 0.19x at n=2048 with 4 domains
      on one core). *)
   let slow_chol =
-    List.filter
-      (fun r -> r.pr_kernel = "cholesky" && r.pr_wall_s > 1.2 *. r.pr_seq_s)
-      rows
+    List.filter (fun r -> r.pr_kernel = "cholesky" && r.pr_ratio > 1.2) rows
   in
   Printf.printf "pooled cholesky never > 1.2x slower than sequential: %s\n"
     (if slow_chol = [] then "yes (all rows)"
@@ -1502,7 +1508,108 @@ type chaos_tally = {
   mutable ct_replayed : int;  (* jobs re-enqueued from the journal *)
   mutable ct_deduped : int;  (* resubmissions answered from the dedup window *)
   mutable ct_torn : int;  (* trials whose journal lost a tail *)
+  mutable ct_kills : (string * int) list;
+      (* crash-during-compaction trials, by where the kill landed *)
+  mutable ct_plans_lost : int;
+      (* of those, trials whose restart recovered another live state *)
 }
+
+let chaos_window = SSvc.default_dedup_cap
+
+(* A daemon start's journal steps, as cascabeld takes them. *)
+let journal_start ?(before_compact = ignore) path =
+  let r = SJ.recover ~window:chaos_window path in
+  if SJ.compaction_due r then begin
+    before_compact ();
+    ignore (SJ.compact path r)
+  end;
+  SJ.close (SJ.open_append path)
+
+(* The process a crash-during-compaction trial kills: a start's journal
+   steps, writing one byte to stdout as the rewrite begins.  Run as
+   [main.exe chaos-worker JOURNAL]; [chaos] starts it itself. *)
+let chaos_worker path =
+  journal_start
+    ~before_compact:(fun () ->
+      print_char 'c';
+      flush stdout)
+    path
+
+(* What a restart takes from a recovery; compaction must keep it. *)
+let live_state (r : SJ.recovery) = (r.r_pending, r.r_completed, r.r_next_id)
+
+(* Kill a start of this journal's daemon at a seeded point of its
+   compaction: a delay drawn from [0, 1.5x] the rewrite's time on a
+   copy, counted from the moment the worker announces it.  Returns
+   where the kill landed. *)
+let kill_during_compaction ~rng path =
+  let copy = path ^ ".probe" in
+  Out_channel.with_open_bin copy (fun oc ->
+      output_string oc (In_channel.with_open_bin path In_channel.input_all));
+  let plan = SJ.recover ~window:chaos_window copy in
+  let (_ : (SJ.compaction, string) result), compact_s =
+    wall (fun () -> SJ.compact copy plan)
+  in
+  Sys.remove copy;
+  let delay = Random.State.float rng (1.5 *. compact_s) in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "chaos-worker"; path |]
+      Unix.stdin wr Unix.stderr
+  in
+  Unix.close wr;
+  let announced = Unix.read rd (Bytes.create 1) 0 1 = 1 in
+  Unix.close rd;
+  if announced then Unix.sleepf delay;
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  let _, status = Unix.waitpid [] pid in
+  if not announced then "not due"
+  else if status = Unix.WEXITED 0 then "finished first"
+  else if Sys.file_exists (path ^ ".compact") then "mid-write"
+  else
+    match SJ.replay path with
+    | SJ.Next_id _ :: _, _ -> "after the rename"
+    | _ -> "before the write"
+
+(* [history] records shaped like perfbench serve-durable's preseed,
+   appended to [path]: accept and keyed completion pairs of small jobs
+   (ids 1 .. history / 2) with a bare trace id each, as a long-lived
+   daemon leaves behind. *)
+let write_history path history =
+  let j = SJ.open_append ~durability:SJ.Buffer path in
+  for i = 1 to history / 2 do
+    let tenant = Printf.sprintf "t%d" (i mod 4)
+    and idem = Some (Printf.sprintf "pre-%d" i)
+    and trace = Some (Printf.sprintf "%016x" i) in
+    let job =
+      match i mod 3 with
+      | 0 -> SP.Dgemm { n = 32; tiles = 2; seed = i }
+      | 1 -> SP.Cholesky { n = 64; tiles = 4; seed = i }
+      | _ -> SP.Graph { width = 8; depth = 8; task_flops = 1e6 }
+    in
+    let status =
+      SP.Jok
+        {
+          makespan_s = float_of_int (1 + (i mod 97)) /. 7e4;
+          checksum =
+            Printf.sprintf "%016x" (i * 0x9e3779b1 land 0xffff_ffff_ffff);
+          tasks = 4 + (i mod 29);
+          coalesced = i mod 5 = 0;
+          shard = i mod 2;
+        }
+    in
+    SJ.append j
+      (SJ.Accept
+         { a_id = i; a_tenant = tenant; a_job = job; a_deadline_ms = None;
+           a_idem = idem; a_trace = trace });
+    SJ.append j
+      (SJ.Complete
+         { c_idem = idem;
+           c_reply =
+             SP.Done { id = i; tenant; latency_ms = 0.5; status; trace } })
+  done;
+  SJ.close j
 
 let chaos_faults seed =
   {
@@ -1516,8 +1623,11 @@ let chaos_faults seed =
 (* One crash/replay trial.  Returns (exactly_once, bit_identical):
    every key drew at least one DONE, every DONE for a key carries the
    same checksum, and that checksum equals the fault-free reference
-   run's. *)
-let chaos_trial ~seed ~jobs tally =
+   run's.  With [history], the journal starts with that many records
+   of earlier jobs, so the restart compacts it, and a worker process
+   is SIGKILLed at a seeded point of that compaction before the
+   restart proper. *)
+let chaos_trial ?history ~seed ~jobs tally =
   let cfg = cfg_of "xeon-2gpu" in
   let keys = List.init jobs (fun i -> Printf.sprintf "job-%d.%d" seed i) in
   let job_of i = SP.Dgemm { n = 32; tiles = 2; seed = (1000 * seed) + i } in
@@ -1566,8 +1676,11 @@ let chaos_trial ~seed ~jobs tally =
      run) a further slice, then die mid-burst. *)
   let cut = 2 + Random.State.int rng (jobs - 2) in
   let ran = 1 + Random.State.int rng (cut - 1) in
+  Option.iter (write_history path) history;
+  let past = SJ.recover path in
   let j1 = SJ.open_append path in
   let svc1 = SSvc.create ~shards:2 ~queue_cap:(2 * jobs) ~journal:j1 cfg in
+  SSvc.restore svc1 past;
   SSvc.configure_tenant svc1 ~name:"t" ~faults:(chaos_faults seed) ();
   List.iteri (fun i k -> if i < ran then submit_noting svc1 i k) keys;
   List.iter note_done (SSvc.run_until_idle svc1);
@@ -1584,6 +1697,15 @@ let chaos_trial ~seed ~jobs tally =
       Unix.truncate path (sz - chop);
       tally.ct_torn <- tally.ct_torn + 1
     end
+  end;
+  if history <> None then begin
+    let before = SJ.recover ~window:chaos_window path in
+    let landed = kill_during_compaction ~rng path in
+    let seen = Option.value ~default:0 (List.assoc_opt landed tally.ct_kills) in
+    tally.ct_kills <-
+      (landed, seen + 1) :: List.remove_assoc landed tally.ct_kills;
+    if live_state (SJ.recover ~window:chaos_window path) <> live_state before
+    then tally.ct_plans_lost <- tally.ct_plans_lost + 1
   end;
   (* Incarnation 2: recover, replay, then the reconnected client
      resubmits every request it cannot prove was acknowledged — all of
@@ -1650,44 +1772,10 @@ let chaos_overhead () =
   in
   paired_overhead_pct ~rounds:5 ~off:(fun () -> burst None) ~on:journaled
 
-(* Recovery at scale: a journal shaped like perfbench serve-durable's
-   preseed, accept and keyed completion pairs of small jobs with a bare
-   trace id each. *)
+(* Recovery at scale: a fresh journal of [records] such records. *)
 let recovery_journal records =
   let path = Filename.temp_file "chaos-rec" ".journal" in
-  let j = SJ.open_append ~durability:SJ.Buffer path in
-  for i = 1 to records / 2 do
-    let tenant = Printf.sprintf "t%d" (i mod 4)
-    and idem = Some (Printf.sprintf "pre-%d" i)
-    and trace = Some (Printf.sprintf "%016x" i) in
-    let job =
-      match i mod 3 with
-      | 0 -> SP.Dgemm { n = 32; tiles = 2; seed = i }
-      | 1 -> SP.Cholesky { n = 64; tiles = 4; seed = i }
-      | _ -> SP.Graph { width = 8; depth = 8; task_flops = 1e6 }
-    in
-    let status =
-      SP.Jok
-        {
-          makespan_s = float_of_int (1 + (i mod 97)) /. 7e4;
-          checksum =
-            Printf.sprintf "%016x" (i * 0x9e3779b1 land 0xffff_ffff_ffff);
-          tasks = 4 + (i mod 29);
-          coalesced = i mod 5 = 0;
-          shard = i mod 2;
-        }
-    in
-    SJ.append j
-      (SJ.Accept
-         { a_id = i; a_tenant = tenant; a_job = job; a_deadline_ms = None;
-           a_idem = idem; a_trace = trace });
-    SJ.append j
-      (SJ.Complete
-         { c_idem = idem;
-           c_reply =
-             SP.Done { id = i; tenant; latency_ms = 0.5; status; trace } })
-  done;
-  SJ.close j;
+  write_history path records;
   path
 
 (* The largest major heap seen while [f] runs, in MiB: sampled at the
@@ -1703,108 +1791,267 @@ let peak_heap_mib f =
   Gc.delete_alarm alarm;
   (r, float_of_int (!peak * (Sys.word_size / 8)) /. 1048576.0)
 
+(* The same journal as format v1 wrote it: each record's SUBMIT or
+   DONE frame held as a JSON string. *)
+let v1_journal path =
+  let v1 = path ^ ".v1" in
+  Out_channel.with_open_bin v1 (fun oc ->
+      In_channel.with_open_bin path (fun ic ->
+          let rec go () =
+            match In_channel.input_line ic with
+            | None -> ()
+            | Some line ->
+                let frame_as_text = function
+                  | ("req" | "reply") as k, v -> (k, J.Str (J.to_text v))
+                  | kv -> kv
+                in
+                let payload =
+                  match J.parse (String.sub line 9 (String.length line - 9))
+                  with
+                  | Ok (J.Obj kvs) ->
+                      J.to_text (J.Obj (List.map frame_as_text kvs))
+                  | _ -> failwith "v1_journal: not a journal record"
+                in
+                Printf.fprintf oc "%08x %s\n" (SJ.crc32 payload) payload;
+                go ()
+          in
+          go ()));
+  v1
+
 type recovery_row = {
   rr_records : int;
   rr_samples : int;
-  rr_us_per_record : float;
-  rr_spread : float;
+  rr_formats : (string * recovery_format) list;  (* "v1", "v2" *)
   rr_heap_small_mib : float;  (* peak heap recovering a tenth as many *)
   rr_heap_mib : float;
-  rr_stages : (string * float) list;  (* us per record *)
+  rr_compaction : SJ.compaction;
+  rr_compaction_ms : float;
 }
 
-(* Per-stage cost of decoding the journal's records, each stage timed
-   over every record: the CRC, the outer record JSON, the embedded
-   SUBMIT/DONE JSON, the protocol's field handling on top of that
-   parse, and the whole [entry_of_line]. *)
+and recovery_format = {
+  rf_us_per_record : float;
+  rf_spread : float;
+  rf_bytes_per_record : float;
+  rf_stages : (string * float) list;  (* us per record *)
+}
+
+(* The stages of decoding a journal's records, each as a pass over its
+   first [stage_records] that returns its wall time: the CRC, the
+   record's JSON (in v1 the outer record and then the frame's text
+   apart), the protocol's field handling on the parsed frame, and the
+   whole [entry_of_line]. *)
+let stage_records = 10_000
+
 let recovery_stages path =
   let lines =
-    In_channel.with_open_bin path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
-    |> Array.of_list
+    In_channel.with_open_bin path (fun ic ->
+        Array.init stage_records (fun _ ->
+            Option.get (In_channel.input_line ic)))
   in
-  let n = float_of_int (Array.length lines) in
+  let pass f xs () =
+    snd
+      (wall (fun () ->
+           Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs))
+  in
   let payloads =
     Array.map (fun l -> String.sub l 9 (String.length l - 9)) lines
   in
-  let embedded =
+  let frames =
     Array.map
       (fun p ->
         match J.parse p with
         | Ok o -> (
             match (J.member "req" o, J.member "reply" o) with
-            | Some (J.Str s), _ -> `Req s
-            | _, Some (J.Str s) -> `Reply s
+            | Some v, _ -> `Req v
+            | _, Some v -> `Reply v
             | _ -> `None)
         | Error _ -> `None)
       payloads
   in
-  (* the quickest of three passes: a stage is a few hundred ms *)
-  let per f xs =
-    List.init 3 (fun _ ->
-        snd
-          (wall (fun () ->
-               Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs)))
-    |> List.fold_left Float.min infinity
-    |> fun s -> s *. 1e6 /. n
+  let texts =
+    Array.map (function `Req (J.Str s) | `Reply (J.Str s) -> s | _ -> "") frames
   in
-  let inner = function `Req s | `Reply s -> J.parse s | `None -> Error "" in
+  let v1 = texts.(0) <> "" in
+  let parsed =
+    let parse s = Result.value ~default:J.Null (J.parse s) in
+    Array.map
+      (function
+        | `Req (J.Str s) -> `Req (parse s)
+        | `Reply (J.Str s) -> `Reply (parse s)
+        | f -> f)
+      frames
+  in
   let protocol = function
-    | `Req s -> Result.is_ok (SP.request_of_string s)
-    | `Reply s -> Result.is_ok (SP.reply_of_string s)
+    | `Req v -> Result.is_ok (SP.request_of_json v)
+    | `Reply v -> Result.is_ok (SP.reply_of_json v)
     | `None -> false
   in
-  let inner_us = per inner embedded in
-  [ ("crc", per SJ.crc32 payloads);
-    ("outer_json", per J.parse payloads);
-    ("inner_json", inner_us);
-    ("protocol_fields", per protocol embedded -. inner_us);
-    ("entry_of_line", per SJ.entry_of_line lines) ]
+  [ ("crc", pass SJ.crc32 payloads);
+    ((if v1 then "outer_json" else "record_json"), pass J.parse payloads) ]
+  @ (if v1 then [ ("inner_json", pass J.parse texts) ] else [])
+  @ [ ("protocol_fields", pass protocol parsed);
+      ("entry_of_line", pass SJ.entry_of_line lines) ]
 
 let recovery_row ~records ~samples =
   let small = recovery_journal (records / 10) in
   let path = recovery_journal records in
-  let window = SSvc.default_dedup_cap in
-  let recover p () = SJ.recover ~window p in
+  let v1 = v1_journal path in
+  let paths = [ ("v1", v1); ("v2", path) ] in
+  let recover p () = SJ.recover ~window:chaos_window p in
   let _, heap_small = peak_heap_mib (recover small) in
   let r, heap = peak_heap_mib (recover path) in
+  (* v1 and v2 alternate, in recovery and in every stage, so a slow
+     spell of the host hits both; a stage reports its quickest pass *)
   let times =
     List.init samples (fun _ ->
-        snd (wall (recover path)) *. 1e6 /. float_of_int records)
+        List.map
+          (fun (name, p) ->
+            (name, snd (wall (recover p)) *. 1e6 /. float_of_int records))
+          paths)
   in
-  let us_per_record, spread = median_spread times in
-  let stages = recovery_stages path in
-  Sys.remove small;
-  Sys.remove path;
+  let stages = List.map (fun (name, p) -> (name, recovery_stages p)) paths in
+  Gc.compact ();
+  let passes =
+    List.init samples (fun _ ->
+        List.map
+          (fun (name, st) ->
+            (name, List.map (fun (s, pass) -> (s, pass ())) st))
+          stages)
+  in
+  let format (name, p) =
+    let us, spread = median_spread (List.map (List.assoc name) times) in
+    let quickest stage =
+      List.fold_left
+        (fun m round -> Float.min m (List.assoc stage (List.assoc name round)))
+        infinity passes
+      *. 1e6 /. float_of_int stage_records
+    in
+    ( name,
+      {
+        rf_us_per_record = us;
+        rf_spread = spread;
+        rf_bytes_per_record =
+          float_of_int (Unix.stat p).Unix.st_size /. float_of_int records;
+        rf_stages =
+          List.map (fun (s, _) -> (s, quickest s)) (List.assoc name stages);
+      } )
+  in
+  let formats = List.map format paths in
+  let compaction, compact_s = wall (fun () -> SJ.compact path r) in
+  List.iter Sys.remove [ small; path; v1 ];
   if r.SJ.r_entries <> records then
     failwith
       (Printf.sprintf "recovered %d of %d records" r.SJ.r_entries records);
   {
     rr_records = records;
     rr_samples = samples;
-    rr_us_per_record = us_per_record;
-    rr_spread = spread;
+    rr_formats = formats;
     rr_heap_small_mib = heap_small;
     rr_heap_mib = heap;
-    rr_stages = stages;
+    rr_compaction = Result.get_ok compaction;
+    rr_compaction_ms = compact_s *. 1e3;
   }
 
-let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
-    ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok ~recovery
-    ~heap_ok =
+(* The restart-time guard: a restart that follows the compaction of a
+   [large]-record history against one after a [small]-record history,
+   with the same live state (600 keyed completions, 64 keyless ones
+   and 16 pending jobs, ids past the history's).  Median of [samples]
+   restarts each, alternating; each restart is cascabeld's journal
+   steps. *)
+let restart_slack_factor = 1.25
+let restart_slack_ms = 2.0
+
+type history_row = {
+  hr_first_ms : (int * float) list;  (* history -> the compacting start *)
+  hr_restart_ms : (int * float) list;  (* history -> the next start *)
+  hr_ok : bool;
+}
+
+let history_row ~small ~large ~samples =
+  let journal history =
+    let path = Filename.temp_file "chaos-hist" ".journal" in
+    write_history path history;
+    let j = SJ.open_append ~durability:SJ.Buffer path in
+    for k = 0 to 679 do
+      let id = 1_000_001 + k in
+      let idem = if k < 600 then Some (Printf.sprintf "live-%d" k) else None in
+      SJ.append j
+        (SJ.Accept
+           {
+             a_id = id;
+             a_tenant = "t";
+             a_job = SP.Dgemm { n = 32; tiles = 2; seed = k };
+             a_deadline_ms = None;
+             a_idem = idem;
+             a_trace = None;
+           });
+      if k < 664 then
+        SJ.append j
+          (SJ.Complete
+             {
+               c_idem = idem;
+               c_reply =
+                 SP.Done
+                   { id; tenant = "t"; latency_ms = 0.5; status = SP.Jtimeout;
+                     trace = None };
+             })
+    done;
+    SJ.close j;
+    path
+  in
+  let paths = List.map (fun h -> (h, journal h)) [ small; large ] in
+  let start_ms p = 1e3 *. snd (wall (fun () -> journal_start p)) in
+  let first = List.map (fun (h, p) -> (h, start_ms p)) paths in
+  let states =
+    List.map
+      (fun (_, p) -> live_state (SJ.recover ~window:chaos_window p))
+      paths
+  in
+  if List.exists (( <> ) (List.hd states)) states then
+    failwith "history_row: the live states differ";
+  let times =
+    List.init samples (fun _ -> List.map (fun (_, p) -> start_ms p) paths)
+  in
+  let restart =
+    List.mapi
+      (fun i (h, _) ->
+        (h, fst (median_spread (List.map (fun t -> List.nth t i) times))))
+      paths
+  in
+  List.iter (fun (_, p) -> Sys.remove p) paths;
+  let ms h = List.assoc h restart in
+  {
+    hr_first_ms = first;
+    hr_restart_ms = restart;
+    hr_ok = ms large <= (restart_slack_factor *. ms small) +. restart_slack_ms;
+  }
+
+let chaos_json path ~trials ~compaction_trials ~history_records ~jobs ~tally
+    ~exactly_once ~bit_identical ~overhead_pct ~overhead_limit_pct
+    ~overhead_ok ~recovery ~heap_ok ~history =
+  let kv f l = J.Obj (List.map (fun (k, v) -> (k, f v)) l) in
+  let per_history l =
+    kv num (List.map (fun (h, v) -> (string_of_int h, v)) l)
+  in
+  let format f =
+    J.Obj
+      [ ("us_per_record", num f.rf_us_per_record); ("spread", num f.rf_spread);
+        ("bytes_per_record", num f.rf_bytes_per_record);
+        ("stages_us_per_record", kv num f.rf_stages) ]
+  in
+  let c = recovery.rr_compaction in
   write_json path
     [ ("experiment", str "chaos"); ("host", host_json ());
-      (* samples and spread of the recovery row's timing *)
-      ("samples", int recovery.rr_samples);
-      ("spread", num recovery.rr_spread); ("trials", int trials);
+      (* samples of the recovery row's timing, per format *)
+      ("samples", int recovery.rr_samples); ("trials", int trials);
       ("jobs_per_trial", int jobs);
       ("fault_model",
        str
          "transient=0.3,retries=8,quarantine=0 + seeded crash mid-burst + \
           torn tails + blanket resubmission");
-      ("jobs_replayed_from_journal", int replayed);
-      ("resubmissions_deduped", int deduped); ("torn_tails", int torn);
+      ("jobs_replayed_from_journal", int tally.ct_replayed);
+      ("resubmissions_deduped", int tally.ct_deduped);
+      ("torn_tails", int tally.ct_torn);
       ("exactly_once_guard", J.Obj [ ("ok", J.Bool exactly_once) ]);
       ("bit_identical_guard", J.Obj [ ("ok", J.Bool bit_identical) ]);
       ("journal_overhead_pct", num overhead_pct);
@@ -1813,38 +2060,75 @@ let chaos_json path ~trials ~jobs ~replayed ~deduped ~torn ~exactly_once
          [ ("limit_pct", num overhead_limit_pct); ("ok", J.Bool overhead_ok) ]);
       ("recovery",
        J.Obj
-         [ ("records", int recovery.rr_records);
-           ("window", int SSvc.default_dedup_cap);
-           ("us_per_record", num recovery.rr_us_per_record);
-           ("stages_us_per_record",
-            J.Obj (List.map (fun (k, v) -> (k, num v)) recovery.rr_stages)) ]);
+         ([ ("records", int recovery.rr_records);
+            ("window", int chaos_window) ]
+         @ List.map (fun (name, f) -> (name, format f)) recovery.rr_formats));
       ("recovery_heap_guard",
        J.Obj
          [ ("peak_heap_mib_at_tenth", num recovery.rr_heap_small_mib);
            ("peak_heap_mib", num recovery.rr_heap_mib);
            ("slack_factor", num heap_slack_factor);
-           ("slack_mib", num heap_slack_mib); ("ok", J.Bool heap_ok) ]) ]
+           ("slack_mib", num heap_slack_mib); ("ok", J.Bool heap_ok) ]);
+      ("compaction",
+       J.Obj
+         [ ("ms", num recovery.rr_compaction_ms);
+           ("records_before", int c.SJ.records_before);
+           ("records_after", int c.records_after);
+           ("bytes_before", int c.bytes_before);
+           ("bytes_after", int c.bytes_after) ]);
+      ("compaction_crash_trials",
+       J.Obj
+         [ ("trials", int compaction_trials);
+           ("history_records", int history_records);
+           ("kills", kv int (List.sort compare tally.ct_kills));
+           ("live_state_kept",
+            J.Obj [ ("ok", J.Bool (tally.ct_plans_lost = 0)) ]) ]);
+      ("history_guard",
+       J.Obj
+         [ ("compacting_start_ms", per_history history.hr_first_ms);
+           ("restart_ms", per_history history.hr_restart_ms);
+           ("slack_factor", num restart_slack_factor);
+           ("slack_ms", num restart_slack_ms); ("ok", J.Bool history.hr_ok) ]) ]
 
 let chaos_bench () =
   header
     "CHAOS  crash-durable serving: seeded crash/replay under transient PU \
      faults, idempotent resubmission, journaling overhead, recovery at \
-     100k records (BENCH_chaos.json)";
-  let trials = 5 and jobs = 24 in
-  let tally = { ct_replayed = 0; ct_deduped = 0; ct_torn = 0 } in
+     100k records, crashes during compaction (BENCH_chaos.json)";
+  let trials = 5 and compaction_trials = 8 and jobs = 24 in
+  let history_records = 4000 in
+  let tally =
+    { ct_replayed = 0; ct_deduped = 0; ct_torn = 0; ct_kills = [];
+      ct_plans_lost = 0 }
+  in
   let results =
     List.init trials (fun s -> chaos_trial ~seed:(s + 1) ~jobs tally)
+    @ List.init compaction_trials (fun s ->
+          chaos_trial ~history:history_records ~seed:(trials + s + 1) ~jobs
+            tally)
   in
   let exactly_once = List.for_all fst results in
   let bit_identical = List.for_all snd results in
   Printf.printf
     "%d trials x %d jobs: %d replayed from the journal, %d resubmissions \
      deduped, %d torn tails\n"
-    trials jobs tally.ct_replayed tally.ct_deduped tally.ct_torn;
+    (trials + compaction_trials) jobs tally.ct_replayed tally.ct_deduped
+    tally.ct_torn;
+  Printf.printf
+    "%d of them SIGKILL a start compacting %d records of history: %s\n"
+    compaction_trials history_records
+    (String.concat ", "
+       (List.map
+          (fun (where, n) -> Printf.sprintf "%d %s" n where)
+          (List.sort compare tally.ct_kills)));
   Printf.printf "exactly-once guard: every key drew one distinct DONE: %s\n"
     (if exactly_once then "ok" else "VIOLATED");
   Printf.printf "bit-identity guard: checksums match the fault-free run: %s\n"
     (if bit_identical then "ok" else "VIOLATED");
+  let state_kept = tally.ct_plans_lost = 0 in
+  Printf.printf
+    "compaction guard: a killed compaction keeps the live state: %s\n"
+    (if state_kept then "ok" else "VIOLATED");
   let overhead_pct = chaos_overhead () in
   let overhead_limit_pct = 2.0 in
   let overhead_ok = overhead_pct <= overhead_limit_pct in
@@ -1852,13 +2136,17 @@ let chaos_bench () =
     overhead_pct overhead_limit_pct
     (if overhead_ok then "ok" else "VIOLATED");
   let recovery = recovery_row ~records:100_000 ~samples:5 in
-  Printf.printf
-    "recovery: %d records in %.2f us/record (median of %d, spread %.2f)\n"
-    recovery.rr_records recovery.rr_us_per_record recovery.rr_samples
-    recovery.rr_spread;
   List.iter
-    (fun (stage, us) -> Printf.printf "  %-16s %6.2f us/record\n" stage us)
-    recovery.rr_stages;
+    (fun (name, f) ->
+      Printf.printf
+        "recovery %s: %d records in %.2f us/record (median of %d, spread \
+         %.2f), %.0f bytes/record\n"
+        name recovery.rr_records f.rf_us_per_record recovery.rr_samples
+        f.rf_spread f.rf_bytes_per_record;
+      List.iter
+        (fun (stage, us) -> Printf.printf "  %-16s %6.2f us/record\n" stage us)
+        f.rf_stages)
+    recovery.rr_formats;
   let heap_ok =
     within_heap_slack ~small:recovery.rr_heap_small_mib recovery.rr_heap_mib
   in
@@ -1868,12 +2156,30 @@ let chaos_bench () =
     recovery.rr_heap_mib recovery.rr_records recovery.rr_heap_small_mib
     (recovery.rr_records / 10) heap_slack_factor heap_slack_mib
     (if heap_ok then "ok" else "VIOLATED");
-  chaos_json "BENCH_chaos.json" ~trials ~jobs ~replayed:tally.ct_replayed
-    ~deduped:tally.ct_deduped ~torn:tally.ct_torn ~exactly_once
-    ~bit_identical ~overhead_pct ~overhead_limit_pct ~overhead_ok ~recovery
-    ~heap_ok;
+  let c = recovery.rr_compaction in
+  Printf.printf
+    "compaction: %d records (%d bytes) to %d (%d bytes) in %.1f ms\n"
+    c.SJ.records_before c.bytes_before c.records_after c.bytes_after
+    recovery.rr_compaction_ms;
+  let history = history_row ~small:10_000 ~large:100_000 ~samples:7 in
+  let ms l h = List.assoc h l in
+  Printf.printf
+    "history guard: restart after compacting 100k records %.2f ms vs 10k \
+     %.2f ms (<= x%.2f + %.0f ms): %s\n\
+    \  (the compacting starts: %.1f ms and %.1f ms)\n"
+    (ms history.hr_restart_ms 100_000) (ms history.hr_restart_ms 10_000)
+    restart_slack_factor restart_slack_ms
+    (if history.hr_ok then "ok" else "VIOLATED")
+    (ms history.hr_first_ms 100_000) (ms history.hr_first_ms 10_000);
+  chaos_json "BENCH_chaos.json" ~trials ~compaction_trials ~history_records
+    ~jobs ~tally ~exactly_once ~bit_identical ~overhead_pct
+    ~overhead_limit_pct ~overhead_ok ~recovery ~heap_ok ~history;
   print_endline "wrote BENCH_chaos.json";
-  if not (exactly_once && bit_identical && overhead_ok && heap_ok) then exit 1
+  if
+    not
+      (exactly_once && bit_identical && state_kept && overhead_ok && heap_ok
+     && history.hr_ok)
+  then exit 1
 
 (* ------------------------------------------------------------------ *)
 
@@ -1937,6 +2243,7 @@ let () =
   if !trace_out <> None || !metrics then Obs.Config.set_enabled true;
   (match args with
   | [] -> List.iter (fun (_, run) -> run []) all
+  | [ "chaos-worker"; journal ] -> chaos_worker journal
   | id :: rest -> (
       match List.assoc_opt id all with
       | None ->

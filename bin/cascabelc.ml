@@ -233,7 +233,7 @@ let run_cmd =
             "Deterministic fault schedule, e.g. \
              'seed=7,transient=0.2,retries=5,crash=gpu0@0.01'. Keys: seed, \
              transient, max-transient, retries, backoff, quarantine, \
-             readmit, crash=PU\\@T, slow=PU\\@TxF, recover=PU\\@T.")
+             readmit, crash=PU@T, slow=PU@TxF, recover=PU@T.")
   in
   let tune_flag =
     Arg.(

@@ -187,7 +187,10 @@ let journal_arg =
         ~doc:
           "Write-ahead log: append every job acceptance and completion \
            (CRC-framed JSONL) and, on startup, replay unfinished jobs \
-           through the deterministic engine.")
+           through the deterministic engine. A start that finds more \
+           history than live state first rewrites the journal to its \
+           pending jobs and dedup window (journal format v2, which \
+           daemons older than v2 cannot read).")
 
 let durability_arg =
   Arg.(
@@ -233,8 +236,8 @@ let supervise_arg =
         ~doc:
           "Fork the daemon under a supervisor that restarts it with \
            jittered exponential backoff when it dies abnormally \
-           (journal recovery re-runs on every restart). Requires \
-           --socket.")
+           (each restart recovers the journal, whose size follows the \
+           live state once compacted). Requires --socket.")
 
 let max_restarts_arg =
   Arg.(
@@ -365,13 +368,28 @@ let serve pdl zoo socket stdio shards policy queue_cap quantum weights caps
     in
     (* recover BEFORE opening for append, so the plan reflects exactly
        the bytes the previous incarnation left behind; only the keyed
-       completions the service's dedup window can hold are kept *)
+       completions the service's dedup window can hold are kept.  A
+       journal with more history than live state is rewritten to that
+       plan, so the next start reads the live state only. *)
     let dedup_cap = Serve.Service.default_dedup_cap in
     let recovery, journal =
       match journal_path with
       | None -> (Serve.Journal.empty_recovery, None)
       | Some path ->
           let r = Serve.Journal.recover ~window:dedup_cap path in
+          (if Serve.Journal.compaction_due r then
+             match Serve.Journal.compact path r with
+             | Ok c ->
+                 Printf.eprintf
+                   "# journal: compacted %d records (%d bytes) to %d (%d \
+                    bytes)\n%!"
+                   c.records_before c.bytes_before c.records_after
+                   c.bytes_after
+             | Error e ->
+                 Printf.eprintf
+                   "# warning: journal compaction failed (%s); appending to \
+                    the journal as it is\n%!"
+                   e);
           (r, Some (Serve.Journal.open_append ~durability path))
     in
     let svc =

@@ -7,10 +7,11 @@
 
    where the CRC-32 (IEEE 802.3, the zlib polynomial) covers exactly
    the payload bytes.  The payload reuses the wire codec: an "accept"
-   record embeds the SUBMIT request verbatim, a "done" record embeds
-   the DONE reply verbatim, so journal validation is the protocol's
-   own validation and a hand-edited journal cannot smuggle an
-   out-of-cap job past admission.
+   record nests the SUBMIT request, a "done" record the DONE reply, so
+   journal validation is the protocol's own validation and a
+   hand-edited journal cannot smuggle an out-of-cap job past
+   admission.  Format v2 nests the frame as a JSON value; v1 held its
+   text as a JSON string, which the reader still accepts.
 
    The reader is built for the one failure mode an append-only log
    has: a torn tail.  A crash (SIGKILL, power loss) can leave the
@@ -19,7 +20,12 @@
    failure, counting the cut as [r_torn].  It never raises on any
    byte soup and never "resurrects" a job whose completion record
    survived: a job is pending after replay iff its accept record is
-   in the valid prefix and no completion record for its id is. *)
+   in the valid prefix and no completion record for its id is.
+
+   A restart rewrites a journal whose history outweighs its live
+   state: [compact] writes what [recover] kept to a side file and
+   renames it over the journal, so the next restart reads the live
+   state only. *)
 
 module P = Protocol
 
@@ -49,55 +55,62 @@ type accepted = {
 type entry =
   | Accept of accepted
   | Complete of { c_idem : string option; c_reply : P.reply }
+  | Next_id of int
 
 module J = Obs.Json
 
-let entry_payload e =
-  J.to_text
-    (match e with
-    | Accept a ->
-        let req =
-          P.request_to_string
-            (P.Submit
-               {
-                 tenant = a.a_tenant;
-                 job = a.a_job;
-                 deadline_ms = a.a_deadline_ms;
-                 idem = a.a_idem;
-                 trace = a.a_trace;
-               })
-        in
-        J.Obj
-          [ ("r", J.Str "accept"); ("id", J.Num (float_of_int a.a_id));
-            ("req", J.Str req) ]
-    | Complete { c_idem; c_reply } ->
-        J.Obj
-          (("r", J.Str "done")
-           :: (match c_idem with None -> [] | Some k -> [ ("idem", J.Str k) ])
-          @ [ ("reply", J.Str (P.reply_to_string c_reply)) ]))
+let num i = J.Num (float_of_int i)
+
+let entry_json = function
+  | Accept a ->
+      J.Obj
+        [ ("r", J.Str "accept"); ("id", num a.a_id);
+          ( "req",
+            P.request_to_json
+              (P.Submit
+                 {
+                   tenant = a.a_tenant;
+                   job = a.a_job;
+                   deadline_ms = a.a_deadline_ms;
+                   idem = a.a_idem;
+                   trace = a.a_trace;
+                 }) ) ]
+  | Complete { c_idem; c_reply } ->
+      J.Obj
+        (("r", J.Str "done")
+         :: (match c_idem with None -> [] | Some k -> [ ("idem", J.Str k) ])
+        @ [ ("reply", P.reply_to_json c_reply) ])
+  | Next_id id -> J.Obj [ ("r", J.Str "next"); ("id", num id) ]
 
 let entry_to_line e =
-  let payload = entry_payload e in
+  let payload = J.to_text (entry_json e) in
   Printf.sprintf "%08x %s\n" (crc32 payload) payload
 
 let fail fmt = Printf.ksprintf (fun m -> Stdlib.Error m) fmt
 
+(* A record's nested frame is a JSON value (v2) or, in a v1 record,
+   a JSON string holding the frame's text: the [J.Str] branches below
+   are all that is left of v1. *)
 let entry_of_payload s =
   match J.parse s with
   | Error e -> fail "record is not valid JSON: %s" e
   | Ok o -> (
-      let get_str k = Option.bind (J.member k o) J.to_string in
-      match get_str "r" with
+      let id =
+        match Option.bind (J.member "id" o) J.to_number with
+        | Some f when Float.is_integer f && f >= 0.0 && f <= 1e15 ->
+            Some (int_of_float f)
+        | _ -> None
+      in
+      match Option.bind (J.member "r" o) J.to_string with
       | Some "accept" -> (
-          let id =
-            match Option.bind (J.member "id" o) J.to_number with
-            | Some f when Float.is_integer f && f >= 0.0 && f <= 1e15 ->
-                Some (int_of_float f)
-            | _ -> None
-          in
-          match (id, get_str "req") with
+          match (id, J.member "req" o) with
           | Some a_id, Some req -> (
-              match P.request_of_string req with
+              let decoded =
+                match req with
+                | J.Str v1 -> P.request_of_string v1
+                | v2 -> P.request_of_json v2
+              in
+              match decoded with
               | Ok (P.Submit { tenant; job; deadline_ms; idem; trace }) ->
                   Ok
                     (Accept
@@ -113,14 +126,28 @@ let entry_of_payload s =
               | Error e -> fail "accept record: %s" e.P.e_reason)
           | _ -> fail "accept record needs id and req")
       | Some "done" -> (
-          match get_str "reply" with
+          match J.member "reply" o with
           | Some reply -> (
-              match P.reply_of_string reply with
+              let decoded =
+                match reply with
+                | J.Str v1 -> P.reply_of_string v1
+                | v2 -> P.reply_of_json v2
+              in
+              match decoded with
               | Ok (P.Done _ as c_reply) ->
-                  Ok (Complete { c_idem = get_str "idem"; c_reply })
+                  Ok
+                    (Complete
+                       {
+                         c_idem = Option.bind (J.member "idem" o) J.to_string;
+                         c_reply;
+                       })
               | Ok _ -> fail "done record embeds a non-done reply"
               | Error e -> fail "done record: %s" e)
           | None -> fail "done record needs a reply")
+      | Some "next" -> (
+          match id with
+          | Some id -> Ok (Next_id id)
+          | None -> fail "next record needs an id")
       | Some r -> fail "unknown record kind %S" r
       | None -> fail "record needs an \"r\" field")
 
@@ -211,7 +238,12 @@ let truncate_torn_tail path =
           try Unix.truncate path len with Unix.Unix_error _ -> ())
         keep
 
+let compact_path path = path ^ ".compact"
+
 let open_append ?(durability = Flush) path =
+  (* a side file left by a compaction that died before its rename:
+     the journal it was to replace is still whole *)
+  (try Sys.remove (compact_path path) with Sys_error _ -> ());
   if Sys.file_exists path then truncate_torn_tail path;
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
@@ -298,6 +330,9 @@ let recover ?(window = max_int) path =
         if not (Hashtbl.mem pending a.a_id) then
           Hashtbl.replace pending a.a_id (seq, a);
         seq + 1
+    | Next_id id ->
+        next_id := max !next_id id;
+        seq + 1
     | Complete { c_idem; c_reply } ->
         (match c_reply with
         | P.Done { id; tenant; _ } -> (
@@ -323,3 +358,68 @@ let recover ?(window = max_int) path =
     r_entries = entries;
     r_torn = torn;
   }
+
+(* --- compaction --------------------------------------------------------- *)
+
+let compact_floor = 1024
+let live_records r = 1 + List.length r.r_completed + List.length r.r_pending
+
+let compaction_due r =
+  r.r_torn || r.r_entries > (2 * live_records r) + compact_floor
+
+type compaction = {
+  records_before : int;
+  bytes_before : int;
+  records_after : int;
+  bytes_after : int;
+}
+
+let file_size path =
+  try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
+
+(* Some file systems refuse to fsync a directory; the rename is then
+   as durable as they make it. *)
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      (try Unix.fsync fd with Unix.Unix_error _ -> ());
+      Unix.close fd
+
+let compact path r =
+  let side = compact_path path in
+  let bytes_before = file_size path in
+  let write oc =
+    let put e = output_string oc (entry_to_line e) in
+    put (Next_id r.r_next_id);
+    List.iter
+      (fun (_, k, c_reply) -> put (Complete { c_idem = Some k; c_reply }))
+      r.r_completed;
+    List.iter (fun a -> put (Accept a)) r.r_pending;
+    flush oc;
+    Unix.fsync (Unix.descr_of_out_channel oc)
+  in
+  let give_up reason =
+    (try Sys.remove side with Sys_error _ -> ());
+    Error reason
+  in
+  match
+    let oc =
+      open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644
+        side
+    in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc);
+    Unix.rename side path
+  with
+  | () ->
+      fsync_dir (Filename.dirname path);
+      Ok
+        {
+          records_before = r.r_entries;
+          bytes_before;
+          records_after = live_records r;
+          bytes_after = file_size path;
+        }
+  | exception Sys_error m -> give_up m
+  | exception Unix.Unix_error (err, fn, _) ->
+      give_up (fn ^ ": " ^ Unix.error_message err)

@@ -8,10 +8,22 @@
     {v <crc32: 8 lowercase hex> <payload JSON>\n v}
 
     The CRC-32 (IEEE 802.3 polynomial, as in zlib) covers exactly the
-    payload bytes.  Payloads embed the wire codec's own messages — an
-    accept record carries the SUBMIT JSON, a completion record the
-    DONE JSON — so replay validation {e is} protocol validation: a
-    hand-edited journal cannot smuggle an over-cap job past admission.
+    payload bytes.  Payloads nest the wire codec's own messages, so
+    replay validation {e is} protocol validation: a hand-edited
+    journal cannot smuggle an over-cap job past admission.  Format v2,
+    the only one written:
+
+    {v
+{"r":"accept","id":N,"req":{...SUBMIT...}}
+{"r":"done","idem":K,"reply":{...DONE...}}     (no "idem" when keyless)
+{"r":"next","id":N}                            (job ids continue past N)
+    v}
+
+    Format v1 held the SUBMIT and DONE frames as JSON strings
+    (["req":"{\"v\":1,...}"]); the reader still accepts those records,
+    so a v1 journal replays.  The upgrade is one-way: a daemon that
+    predates v2 reads a v2 journal's first record as undecodable and
+    recovers nothing from it.
 
     {2 Crash tolerance}
 
@@ -19,7 +31,20 @@
     tail.  {!replay} and {!recover} accept the longest valid prefix
     and stop at the first framing, CRC or decode failure; they never
     raise on arbitrary bytes, and a job whose completion record
-    survives in the prefix is never resurrected as pending. *)
+    survives in the prefix is never resurrected as pending.
+
+    {2 Compaction}
+
+    A restart that finds more history than live state rewrites the
+    journal ({!compaction_due}, {!compact}): a next-id record, the
+    dedup window's keyed completions oldest first, then the pending
+    accepts in acceptance order.  Recovering the rewritten journal
+    yields the same pending jobs, window and next id as recovering the
+    original.  The rewrite goes to [<journal>.compact], is fsynced,
+    renamed over the journal, and the directory fsynced; a crash at
+    any point leaves either the whole old journal or the whole new
+    one, under every {!durability}.  A side file a crash left behind
+    is removed by {!open_append}. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE) of a byte string, in [0, 0xFFFFFFFF].  Sliced by 8 in
@@ -39,6 +64,9 @@ type entry =
   | Complete of { c_idem : string option; c_reply : Protocol.reply }
       (** [c_reply] is always [Protocol.Done _]; the decoder rejects
           anything else. *)
+  | Next_id of int
+      (** job ids continue past this one: the first record of a
+          compacted journal, which may hold none of the newest ids *)
 
 val entry_to_line : entry -> string
 (** The full journal line including the trailing newline. *)
@@ -61,8 +89,9 @@ type t
 
 val open_append : ?durability:durability -> string -> t
 (** Open (creating if needed) for appending.  Defaults to {!Flush}.
-    An unterminated torn tail left by a crash mid-write is truncated
-    first — appending after it would glue the next record onto the
+    A [<path>.compact] side file left by an interrupted {!compact} is
+    removed.  An unterminated torn tail left by a crash mid-write is
+    truncated first — appending after it would glue the next record onto the
     torn bytes and hide every later record from {!replay}.  Call
     {!recover} {e before} this: recovery reads the torn tail's valid
     prefix; this drops the rest.
@@ -116,3 +145,25 @@ val recover : ?window:int -> string -> recovery
     and one line, whatever the journal's length.  A job accepted more
     than once while pending keeps its first acceptance; pending jobs
     come back in acceptance order, each once.  Never raises. *)
+
+(** {2 Compaction} *)
+
+val compaction_due : recovery -> bool
+(** Whether a restart should {!compact}: the journal was torn, or its
+    records outnumber twice the records a compaction keeps plus 1024.
+    The rule is fixed; the floor keeps a young journal from being
+    rewritten at every start. *)
+
+type compaction = {
+  records_before : int;  (** valid records read by {!recover} *)
+  bytes_before : int;  (** the journal's size before the rewrite *)
+  records_after : int;
+  bytes_after : int;
+}
+
+val compact : string -> recovery -> (compaction, string) result
+(** Rewrite the journal at the path to the live state [recovery] holds
+    (the plan {!recover} just read from it), through the side file
+    described above.  Call it before {!open_append}.  On [Error] the
+    journal is untouched and the side file removed; the caller can
+    carry on with the old journal. *)

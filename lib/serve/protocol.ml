@@ -193,9 +193,9 @@ let job_to_json = function
         [ ("kind", J.Str "graph"); ("width", int width); ("depth", int depth);
           ("task_flops", J.Num task_flops) ]
 
-let request_to_string r =
+let request_to_json r =
   let op name fields =
-    J.to_text (J.Obj (("v", int version) :: ("op", J.Str name) :: fields))
+    J.Obj (("v", int version) :: ("op", J.Str name) :: fields)
   in
   match r with
   | Submit { tenant; job; deadline_ms; idem; trace } ->
@@ -207,6 +207,8 @@ let request_to_string r =
   | Stats -> op "stats" []
   | Drain { budget_ms } -> op "drain" (opt_num "budget_ms" budget_ms)
   | Ping -> op "ping" []
+
+let request_to_string r = J.to_text (request_to_json r)
 
 let status_fields = function
   | Jok { makespan_s; checksum; tasks; coalesced; shard } ->
@@ -230,9 +232,9 @@ let tenant_row_to_json r =
     @ [ ("slo_good", int r.tr_slo_good); ("slo_bad", int r.tr_slo_bad);
         ("burn_rate", J.Num r.tr_burn_rate) ])
 
-let reply_to_string r =
+let reply_to_json r =
   let re name fields =
-    J.to_text (J.Obj (("v", int version) :: ("re", J.Str name) :: fields))
+    J.Obj (("v", int version) :: ("re", J.Str name) :: fields)
   in
   match r with
   | Accepted { id; credit; trace } ->
@@ -257,6 +259,8 @@ let reply_to_string r =
   | Error { code; reason } ->
       re "error"
         [ ("code", J.Str (err_code_to_string code)); ("reason", J.Str reason) ]
+
+let reply_to_string r = J.to_text (reply_to_json r)
 
 (* --- JSON decoding ---------------------------------------------------- *)
 
@@ -309,77 +313,79 @@ let job_of_json o =
       | Ok () -> Ok job
       | Error e -> Error e)
 
+let request_of_json o =
+  check_version o (fun () ->
+      match get_str "op" o with
+      | Some "submit" -> (
+          match (get_str "tenant" o, mem "job" o) with
+          | Some tenant, Some jo when tenant <> "" -> (
+              match job_of_json jo with
+              | Ok job ->
+                  let deadline_ms = get_num "deadline_ms" o in
+                  if
+                    match deadline_ms with
+                    | Some d -> not (Float.is_finite d) || d < 0.0
+                    | None -> false
+                  then err Bad_request "deadline_ms must be finite and >= 0"
+                  else (
+                    (* Backward compat: frames without "idem" or
+                       "trace" (any pre-durability client) decode
+                       to None; present-but-malformed values are
+                       structured refusals, never disconnects. *)
+                    let idem_checked =
+                      match mem "idem" o with
+                      | None -> Ok None
+                      | Some v -> (
+                          match J.to_string v with
+                          | Some k when valid_idem k -> Ok (Some k)
+                          | _ ->
+                              Stdlib.Error
+                                (Printf.sprintf
+                                   "idem must be 1-%d characters from \
+                                    [A-Za-z0-9._:-]"
+                                   max_idem_len))
+                    in
+                    match idem_checked with
+                    | Stdlib.Error reason -> err Bad_request "%s" reason
+                    | Ok idem -> (
+                        match mem "trace" o with
+                        | None ->
+                            Ok
+                              (Submit
+                                 { tenant; job; deadline_ms; idem;
+                                   trace = None })
+                        | Some t -> (
+                            match Option.bind (J.to_string t)
+                                    Obs.Trace_ctx.of_string
+                            with
+                            | Some _ ->
+                                Ok (Submit
+                                      { tenant; job; deadline_ms; idem;
+                                        trace = J.to_string t })
+                            | None ->
+                                err Bad_request
+                                  "trace must be 16 hex digits, optionally \
+                                   \"-\" and 16 more (trace id[-span id])")))
+              | Error e -> err Bad_request "%s" e)
+          | _ -> err Bad_request "submit needs a non-empty tenant and a job")
+      | Some "run" -> Ok Run
+      | Some "stats" -> Ok Stats
+      | Some "drain" -> (
+          match mem "budget_ms" o with
+          | None -> Ok (Drain { budget_ms = None })
+          | Some b -> (
+              match J.to_number b with
+              | Some f when Float.is_finite f && f >= 0.0 ->
+                  Ok (Drain { budget_ms = Some f })
+              | _ -> err Bad_request "budget_ms must be finite and >= 0"))
+      | Some "ping" -> Ok Ping
+      | Some op -> err Bad_request "unknown op %S" op
+      | None -> err Bad_request "request needs an \"op\" field")
+
 let request_of_string s =
   match J.parse s with
   | Error e -> err Parse "payload is not valid JSON: %s" e
-  | Ok o ->
-      check_version o (fun () ->
-          match get_str "op" o with
-          | Some "submit" -> (
-              match (get_str "tenant" o, mem "job" o) with
-              | Some tenant, Some jo when tenant <> "" -> (
-                  match job_of_json jo with
-                  | Ok job ->
-                      let deadline_ms = get_num "deadline_ms" o in
-                      if
-                        match deadline_ms with
-                        | Some d -> not (Float.is_finite d) || d < 0.0
-                        | None -> false
-                      then err Bad_request "deadline_ms must be finite and >= 0"
-                      else (
-                        (* Backward compat: frames without "idem" or
-                           "trace" (any pre-durability client) decode
-                           to None; present-but-malformed values are
-                           structured refusals, never disconnects. *)
-                        let idem_checked =
-                          match mem "idem" o with
-                          | None -> Ok None
-                          | Some v -> (
-                              match J.to_string v with
-                              | Some k when valid_idem k -> Ok (Some k)
-                              | _ ->
-                                  Stdlib.Error
-                                    (Printf.sprintf
-                                       "idem must be 1-%d characters from \
-                                        [A-Za-z0-9._:-]"
-                                       max_idem_len))
-                        in
-                        match idem_checked with
-                        | Stdlib.Error reason -> err Bad_request "%s" reason
-                        | Ok idem -> (
-                            match mem "trace" o with
-                            | None ->
-                                Ok
-                                  (Submit
-                                     { tenant; job; deadline_ms; idem;
-                                       trace = None })
-                            | Some t -> (
-                                match Option.bind (J.to_string t)
-                                        Obs.Trace_ctx.of_string
-                                with
-                                | Some _ ->
-                                    Ok (Submit
-                                          { tenant; job; deadline_ms; idem;
-                                            trace = J.to_string t })
-                                | None ->
-                                    err Bad_request
-                                      "trace must be 16 hex digits, optionally \
-                                       \"-\" and 16 more (trace id[-span id])")))
-                  | Error e -> err Bad_request "%s" e)
-              | _ -> err Bad_request "submit needs a non-empty tenant and a job")
-          | Some "run" -> Ok Run
-          | Some "stats" -> Ok Stats
-          | Some "drain" -> (
-              match mem "budget_ms" o with
-              | None -> Ok (Drain { budget_ms = None })
-              | Some b -> (
-                  match J.to_number b with
-                  | Some f when Float.is_finite f && f >= 0.0 ->
-                      Ok (Drain { budget_ms = Some f })
-                  | _ -> err Bad_request "budget_ms must be finite and >= 0"))
-          | Some "ping" -> Ok Ping
-          | Some op -> err Bad_request "unknown op %S" op
-          | None -> err Bad_request "request needs an \"op\" field")
+  | Ok o -> request_of_json o
 
 let status_of_json o =
   match get_str "status" o with
@@ -440,72 +446,74 @@ let tenant_row_of_json o =
         }
   | _ -> Error "malformed tenant row"
 
-let reply_of_string s =
+let reply_of_json o =
   let fail fmt = Printf.ksprintf (fun m -> Stdlib.Error m) fmt in
+  match get_int "v" o with
+  | None -> fail "missing protocol version field \"v\""
+  | Some v when v <> version -> fail "unsupported protocol version %d" v
+  | Some _ -> (
+      match get_str "re" o with
+      | Some "accepted" -> (
+          match (get_int "id" o, get_int "credit" o) with
+          | Some id, Some credit ->
+              Ok (Accepted { id; credit; trace = get_str "trace" o })
+          | _ -> fail "accepted needs id and credit")
+      | Some "overloaded" -> (
+          match
+            ( get_str "tenant" o, get_int "queue" o, get_int "cap" o,
+              get_num "retry_ms" o )
+          with
+          | Some tenant, Some queue, Some cap, Some retry_ms ->
+              Ok (Overloaded { tenant; queue; cap; retry_ms })
+          | _ -> fail "overloaded needs tenant, queue, cap, retry_ms")
+      | Some "draining" -> Ok Draining
+      | Some "done" -> (
+          match
+            (get_int "id" o, get_str "tenant" o, get_num "latency_ms" o)
+          with
+          | Some id, Some tenant, Some latency_ms -> (
+              match status_of_json o with
+              | Ok status ->
+                  Ok (Done { id; tenant; latency_ms; status;
+                             trace = get_str "trace" o })
+              | Error e -> Error e)
+          | _ -> fail "done needs id, tenant, latency_ms")
+      | Some "stats" -> (
+          match Option.bind (mem "tenants" o) J.to_list with
+          | None -> fail "stats needs a tenants array"
+          | Some rows ->
+              let rec go acc = function
+                | [] -> Ok (Stats_reply (List.rev acc))
+                | r :: rest -> (
+                    match tenant_row_of_json r with
+                    | Ok row -> go (row :: acc) rest
+                    | Error e -> Error e)
+              in
+              go [] rows)
+      | Some "idle" -> (
+          match get_int "completed" o with
+          | Some completed -> Ok (Idle { completed })
+          | None -> fail "idle needs completed")
+      | Some "drained" -> (
+          match (get_int "completed" o, get_int "cancelled" o) with
+          | Some completed, Some cancelled ->
+              Ok (Drained { completed; cancelled })
+          | _ -> fail "drained needs completed and cancelled")
+      | Some "pong" -> Ok Pong
+      | Some "error" -> (
+          match (get_str "code" o, get_str "reason" o) with
+          | Some code, Some reason -> (
+              match err_code_of_string code with
+              | Some code -> Ok (Error { code; reason })
+              | None -> fail "unknown error code %S" code)
+          | _ -> fail "error needs code and reason")
+      | Some re -> fail "unknown reply kind %S" re
+      | None -> fail "reply needs a \"re\" field")
+
+let reply_of_string s =
   match J.parse s with
-  | Error e -> fail "payload is not valid JSON: %s" e
-  | Ok o -> (
-      match get_int "v" o with
-      | None -> fail "missing protocol version field \"v\""
-      | Some v when v <> version -> fail "unsupported protocol version %d" v
-      | Some _ -> (
-          match get_str "re" o with
-          | Some "accepted" -> (
-              match (get_int "id" o, get_int "credit" o) with
-              | Some id, Some credit ->
-                  Ok (Accepted { id; credit; trace = get_str "trace" o })
-              | _ -> fail "accepted needs id and credit")
-          | Some "overloaded" -> (
-              match
-                ( get_str "tenant" o, get_int "queue" o, get_int "cap" o,
-                  get_num "retry_ms" o )
-              with
-              | Some tenant, Some queue, Some cap, Some retry_ms ->
-                  Ok (Overloaded { tenant; queue; cap; retry_ms })
-              | _ -> fail "overloaded needs tenant, queue, cap, retry_ms")
-          | Some "draining" -> Ok Draining
-          | Some "done" -> (
-              match
-                (get_int "id" o, get_str "tenant" o, get_num "latency_ms" o)
-              with
-              | Some id, Some tenant, Some latency_ms -> (
-                  match status_of_json o with
-                  | Ok status ->
-                      Ok (Done { id; tenant; latency_ms; status;
-                                 trace = get_str "trace" o })
-                  | Error e -> Error e)
-              | _ -> fail "done needs id, tenant, latency_ms")
-          | Some "stats" -> (
-              match Option.bind (mem "tenants" o) J.to_list with
-              | None -> fail "stats needs a tenants array"
-              | Some rows ->
-                  let rec go acc = function
-                    | [] -> Ok (Stats_reply (List.rev acc))
-                    | r :: rest -> (
-                        match tenant_row_of_json r with
-                        | Ok row -> go (row :: acc) rest
-                        | Error e -> Error e)
-                  in
-                  go [] rows)
-          | Some "idle" -> (
-              match get_int "completed" o with
-              | Some completed -> Ok (Idle { completed })
-              | None -> fail "idle needs completed")
-          | Some "drained" -> (
-              match (get_int "completed" o, get_int "cancelled" o) with
-              | Some completed, Some cancelled ->
-                  Ok (Drained { completed; cancelled })
-              | _ -> fail "drained needs completed and cancelled")
-          | Some "pong" -> Ok Pong
-          | Some "error" -> (
-              match (get_str "code" o, get_str "reason" o) with
-              | Some code, Some reason -> (
-                  match err_code_of_string code with
-                  | Some code -> Ok (Error { code; reason })
-                  | None -> fail "unknown error code %S" code)
-              | _ -> fail "error needs code and reason")
-          | Some re -> fail "unknown reply kind %S" re
-          | None -> fail "reply needs a \"re\" field"))
+  | Error e -> Stdlib.Error ("payload is not valid JSON: " ^ e)
+  | Ok o -> reply_of_json o
 
 (* --- framing ----------------------------------------------------------- *)
 

@@ -169,8 +169,17 @@ val request_to_string : request -> string
 
 val request_of_string : string -> (request, error) result
 
+val request_to_json : request -> Obs.Json.t
+val request_of_json : Obs.Json.t -> (request, error) result
+(** The codec under the [_string] forms, which are {!Obs.Json.to_text}
+    and {!Obs.Json.parse} around these.  The journal nests the JSON
+    value in its records, so a journaled frame is validated by the same
+    decoder as a frame off the wire. *)
+
 val reply_to_string : reply -> string
 val reply_of_string : string -> (reply, string) result
+val reply_to_json : reply -> Obs.Json.t
+val reply_of_json : Obs.Json.t -> (reply, string) result
 
 val json_string : string -> string
 (** Quote and escape a string as a JSON literal: the escaping of

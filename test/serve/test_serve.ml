@@ -1218,14 +1218,18 @@ let journal_tests =
         let huge =
           "{\"v\":1,\"op\":\"submit\",\"tenant\":\"a\",\"job\":{\"kind\":\"dgemm\",\"n\":20000000,\"tiles\":2,\"seed\":1}}"
         in
-        let payload =
-          Printf.sprintf "{\"r\":\"accept\",\"id\":1,\"req\":%s}"
-            (P.json_string huge)
-        in
-        let line = Printf.sprintf "%08x %s" (Journal.crc32 payload) payload in
-        match Journal.entry_of_line line with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "over-cap accept decoded");
+        List.iter
+          (fun req ->
+            let payload =
+              Printf.sprintf "{\"r\":\"accept\",\"id\":1,\"req\":%s}" req
+            in
+            let line =
+              Printf.sprintf "%08x %s" (Journal.crc32 payload) payload
+            in
+            match Journal.entry_of_line line with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "over-cap accept decoded: %s" payload)
+          [ P.json_string huge (* v1 *); huge (* v2 *) ]);
     Alcotest.test_case "restore re-runs pending work bit-identically" `Quick
       (fun () ->
         (* run a reference service; then simulate a crash after accept
@@ -1587,7 +1591,8 @@ let reference_recover ?window path =
           Option.iter
             (fun k -> completed := (tenant, k, r) :: !completed)
             c_idem
-      | Journal.Complete _ -> ())
+      | Journal.Complete _ -> ()
+      | Journal.Next_id id -> next_id := max !next_id id)
     entries;
   let completed = List.rev !completed in
   let drop =
@@ -1648,6 +1653,151 @@ let restore_windowed =
             (probes, fresh, dones)
           in
           restored (Some cap) = restored None))
+
+(* What a restart takes from a recovery: compaction must keep it. *)
+let live r = (r.Journal.r_pending, r.Journal.r_completed, r.Journal.r_next_id)
+
+(* A compaction keeps what a restart recovers: the rewritten journal
+   recovers to the same pending jobs, dedup window and next id as the
+   original, whatever the history and wherever it was torn. *)
+let compact_reference =
+  QCheck.Test.make ~name:"a compacted journal recovers the same live state"
+    ~count:500 arb_journal (fun (ops, damage, window) ->
+      with_journal (ops, damage) (fun path ->
+          let before = Journal.recover ?window path in
+          match Journal.compact path before with
+          | Error e -> QCheck.Test.fail_reportf "compaction failed: %s" e
+          | Ok c ->
+              let after = Journal.recover ?window path in
+              live after = live before
+              && c.Journal.records_after = after.Journal.r_entries
+              && (not after.Journal.r_torn)
+              && not (Sys.file_exists (path ^ ".compact"))))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let compaction_tests =
+  [
+    Alcotest.test_case "ids continue past a keyless newest job" `Quick
+      (fun () ->
+        let path = tmp_journal () in
+        let j = Journal.open_append path in
+        Journal.append j (mk_accept ~id:1 ~idem:"k1" (gjob 1));
+        Journal.append j (mk_done ~id:1 ~idem:"k1" ());
+        Journal.append j (mk_accept ~id:9 (gjob 9));
+        Journal.append j (mk_done ~id:9 ());
+        Journal.close j;
+        let before = Journal.recover path in
+        ignore (Result.get_ok (Journal.compact path before));
+        let after = Journal.recover path in
+        Sys.remove path;
+        check int_ "next id kept" 9 after.Journal.r_next_id;
+        check int_ "next record and one keyed completion" 2
+          after.Journal.r_entries;
+        check bool_ "same live state" true (live after = live before));
+    Alcotest.test_case "compaction is due on history, not on a young journal"
+      `Quick (fun () ->
+        let r entries torn =
+          { Journal.empty_recovery with r_entries = entries; r_torn = torn }
+        in
+        check bool_ "young" false (Journal.compaction_due (r 1026 false));
+        check bool_ "history" true (Journal.compaction_due (r 1027 false));
+        check bool_ "torn" true (Journal.compaction_due (r 3 true)));
+    Alcotest.test_case "a leftover side file is ignored and removed" `Quick
+      (fun () ->
+        let path = tmp_journal () in
+        let j = Journal.open_append path in
+        Journal.append j (mk_accept ~id:1 (gjob 1));
+        Journal.close j;
+        let clean = Journal.recover path in
+        write_raw (path ^ ".compact")
+          (Journal.entry_to_line (Journal.Next_id 42));
+        let r = Journal.recover path in
+        let j = Journal.open_append path in
+        let side_left = Sys.file_exists (path ^ ".compact") in
+        Journal.close j;
+        Sys.remove path;
+        check bool_ "recovery ignores the side file" true (r = clean);
+        check bool_ "open_append removed it" false side_left);
+    Alcotest.test_case "a compaction that cannot write changes nothing"
+      `Quick (fun () ->
+        let path = tmp_journal () in
+        let j = Journal.open_append path in
+        for id = 1 to 3 do
+          Journal.append j (mk_accept ~id (gjob id));
+          Journal.append j (mk_done ~id ())
+        done;
+        Journal.close j;
+        let bytes = read_file path in
+        (* a directory where the side file goes: the write fails *)
+        Sys.mkdir (path ^ ".compact") 0o755;
+        let result = Journal.compact path (Journal.recover path) in
+        let after = read_file path in
+        Sys.rmdir (path ^ ".compact");
+        Sys.remove path;
+        check bool_ "refused" true (Result.is_error result);
+        check Alcotest.string "journal byte-identical" bytes after);
+    Alcotest.test_case "a kill at any point of a compaction loses nothing"
+      `Quick (fun () ->
+        (* a crash before the rename leaves the whole journal and part
+           of the side file; after it, the whole compacted journal *)
+        let path = tmp_journal () in
+        let j = Journal.open_append path in
+        for id = 1 to 12 do
+          let idem =
+            if id mod 3 = 0 then None else Some (Printf.sprintf "k%d" id)
+          in
+          Journal.append j (mk_accept ~id ?idem (gjob id));
+          if id mod 4 <> 0 then Journal.append j (mk_done ~id ?idem ())
+        done;
+        Journal.close j;
+        let journal = read_file path in
+        let plan = Journal.recover ~window:4 path in
+        ignore (Result.get_ok (Journal.compact path plan));
+        let compacted = read_file path in
+        let recovers_plan () =
+          live (Journal.recover ~window:4 path) = live plan
+        in
+        for cut = 0 to String.length compacted do
+          write_raw path journal;
+          write_raw (path ^ ".compact") (String.sub compacted 0 cut);
+          if not (recovers_plan ()) then
+            Alcotest.failf "killed %d bytes into the side file" cut;
+          Journal.close (Journal.open_append path);
+          if Sys.file_exists (path ^ ".compact") then
+            Alcotest.failf "side file left after %d bytes" cut
+        done;
+        write_raw path compacted;
+        let renamed = recovers_plan () in
+        Sys.remove path;
+        check bool_ "after the rename" true renamed);
+    Alcotest.test_case "a journal torn mid-file is rewritten whole" `Quick
+      (fun () ->
+        (* a bad record with a newline is no torn tail: appending after
+           it would hide every new record behind it.  The compaction a
+           torn journal draws makes the journal clean again. *)
+        let path = tmp_journal () in
+        let l1 = Journal.entry_to_line (mk_accept ~id:1 (gjob 1)) in
+        let l2 =
+          Bytes.of_string (Journal.entry_to_line (mk_accept ~id:2 (gjob 2)))
+        in
+        Bytes.set l2 12 (Char.chr (Char.code (Bytes.get l2 12) lxor 1));
+        let l3 = Journal.entry_to_line (mk_accept ~id:3 (gjob 3)) in
+        write_raw path (l1 ^ Bytes.to_string l2 ^ l3);
+        let r = Journal.recover path in
+        check bool_ "torn" true r.Journal.r_torn;
+        check bool_ "due" true (Journal.compaction_due r);
+        ignore (Result.get_ok (Journal.compact path r));
+        let j = Journal.open_append path in
+        Journal.append j (mk_done ~id:1 ());
+        Journal.close j;
+        let after = Journal.recover path in
+        Sys.remove path;
+        check bool_ "clean" false after.Journal.r_torn;
+        check int_ "next, accept, the new completion" 3
+          after.Journal.r_entries;
+        check int_ "nothing pending" 0 (List.length after.Journal.r_pending));
+  ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1850,6 +2000,60 @@ let row ?slo_ms ~quarantined w =
 let ok_status ~coalesced makespan_s =
   P.Jok { makespan_s; checksum = "00ff"; tasks = 4; coalesced; shard = 1 }
 
+(* The journal records the wire goldens pin; each is written as a v2
+   line and must also decode from its recorded v1 line. *)
+let journal_golden_entries =
+  [
+    ( "journal/accept-bare",
+      Serve.Journal.Accept
+        {
+          a_id = 1;
+          a_tenant = odd;
+          a_job = P.Dgemm { n = 32; tiles = 2; seed = 7 };
+          a_deadline_ms = None;
+          a_idem = None;
+          a_trace = None;
+        } );
+    ( "journal/accept-full",
+      Serve.Journal.Accept
+        {
+          a_id = 2;
+          a_tenant = "t";
+          a_job = P.Graph { width = 3; depth = 2; task_flops = 0.1 };
+          a_deadline_ms = Some 5e-324;
+          a_idem = Some "k-1";
+          a_trace = Some trace_id;
+        } );
+    ( "journal/done-bare",
+      Serve.Journal.Complete
+        {
+          c_idem = None;
+          c_reply =
+            P.Done
+              {
+                id = 1;
+                tenant = odd;
+                latency_ms = 1e300;
+                status = P.Jfailed odd;
+                trace = None;
+              };
+        } );
+    ( "journal/done-full",
+      Serve.Journal.Complete
+        {
+          c_idem = Some "k-1";
+          c_reply =
+            P.Done
+              {
+                id = 2;
+                tenant = "t";
+                latency_ms = 9007199254740992.;
+                status = ok_status ~coalesced:true (-0.);
+                trace = Some trace_id;
+              };
+        } );
+  ]
+
 let wire_cases () =
   let req r = P.request_to_string r and rep r = P.reply_to_string r in
   let each prefix f =
@@ -1966,60 +2170,10 @@ let wire_cases () =
                status = ok_status ~coalesced:(f > 1.) f;
                trace = (if f > 1. then Some trace_id else None);
              }))
-  @ [
-      ( "journal/accept-bare",
-        Serve.Journal.entry_to_line
-          (Serve.Journal.Accept
-             {
-               a_id = 1;
-               a_tenant = odd;
-               a_job = P.Dgemm { n = 32; tiles = 2; seed = 7 };
-               a_deadline_ms = None;
-               a_idem = None;
-               a_trace = None;
-             }) );
-      ( "journal/accept-full",
-        Serve.Journal.entry_to_line
-          (Serve.Journal.Accept
-             {
-               a_id = 2;
-               a_tenant = "t";
-               a_job = P.Graph { width = 3; depth = 2; task_flops = 0.1 };
-               a_deadline_ms = Some 5e-324;
-               a_idem = Some "k-1";
-               a_trace = Some trace_id;
-             }) );
-      ( "journal/done-bare",
-        Serve.Journal.entry_to_line
-          (Serve.Journal.Complete
-             {
-               c_idem = None;
-               c_reply =
-                 P.Done
-                   {
-                     id = 1;
-                     tenant = odd;
-                     latency_ms = 1e300;
-                     status = P.Jfailed odd;
-                     trace = None;
-                   };
-             }) );
-      ( "journal/done-full",
-        Serve.Journal.entry_to_line
-          (Serve.Journal.Complete
-             {
-               c_idem = Some "k-1";
-               c_reply =
-                 P.Done
-                   {
-                     id = 2;
-                     tenant = "t";
-                     latency_ms = 9007199254740992.;
-                     status = ok_status ~coalesced:true (-0.);
-                     trace = Some trace_id;
-                   };
-             }) );
-    ]
+  @ List.map
+      (fun (label, e) -> (label, Serve.Journal.entry_to_line e))
+      journal_golden_entries
+  @ [ ("journal/next", Serve.Journal.entry_to_line (Serve.Journal.Next_id 42)) ]
 
 let wire_expected =
   [
@@ -2114,6 +2268,22 @@ let wire_expected =
     ("done/ok/5",
      "{\"v\":1,\"re\":\"done\",\"id\":8,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":9007199254740992,\"trace\":\"0123456789abcdef-fedcba9876543210\",\"status\":\"ok\",\"makespan_s\":9007199254740992,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":true,\"shard\":1}");
     ("journal/accept-bare",
+     "b0e2c489 {\"r\":\"accept\",\"id\":1,\"req\":{\"v\":1,\"op\":\"submit\",\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"job\":{\"kind\":\"dgemm\",\"n\":32,\"tiles\":2,\"seed\":7}}}\n");
+    ("journal/accept-full",
+     "54e85f11 {\"r\":\"accept\",\"id\":2,\"req\":{\"v\":1,\"op\":\"submit\",\"tenant\":\"t\",\"job\":{\"kind\":\"graph\",\"width\":3,\"depth\":2,\"task_flops\":0.10000000000000001},\"deadline_ms\":4.9406564584124654e-324,\"idem\":\"k-1\",\"trace\":\"0123456789abcdef-fedcba9876543210\"}}\n");
+    ("journal/done-bare",
+     "602f753d {\"r\":\"done\",\"reply\":{\"v\":1,\"re\":\"done\",\"id\":1,\"tenant\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\",\"latency_ms\":1.0000000000000001e+300,\"status\":\"failed\",\"reason\":\"q\\\"b\\\\s\\nn\\u0009t\\u0001c\195\169\"}}\n");
+    ("journal/done-full",
+     "1a69f468 {\"r\":\"done\",\"idem\":\"k-1\",\"reply\":{\"v\":1,\"re\":\"done\",\"id\":2,\"tenant\":\"t\",\"latency_ms\":9007199254740992,\"trace\":\"0123456789abcdef-fedcba9876543210\",\"status\":\"ok\",\"makespan_s\":-0,\"checksum\":\"00ff\",\"tasks\":4,\"coalesced\":true,\"shard\":1}}\n");
+    ("journal/next",
+     "56fd9097 {\"r\":\"next\",\"id\":42}\n");
+  ]
+
+(* The same records as v1 wrote them, the frame held as a JSON string:
+   a v1 journal must still replay, to the same entries. *)
+let journal_v1_lines =
+  [
+    ("journal/accept-bare",
      "7394d946 {\"r\":\"accept\",\"id\":1,\"req\":\"{\\\"v\\\":1,\\\"op\\\":\\\"submit\\\",\\\"tenant\\\":\\\"q\\\\\\\"b\\\\\\\\s\\\\nn\\\\u0009t\\\\u0001c\195\169\\\",\\\"job\\\":{\\\"kind\\\":\\\"dgemm\\\",\\\"n\\\":32,\\\"tiles\\\":2,\\\"seed\\\":7}}\"}\n");
     ("journal/accept-full",
      "9fc920a9 {\"r\":\"accept\",\"id\":2,\"req\":\"{\\\"v\\\":1,\\\"op\\\":\\\"submit\\\",\\\"tenant\\\":\\\"t\\\",\\\"job\\\":{\\\"kind\\\":\\\"graph\\\",\\\"width\\\":3,\\\"depth\\\":2,\\\"task_flops\\\":0.10000000000000001},\\\"deadline_ms\\\":4.9406564584124654e-324,\\\"idem\\\":\\\"k-1\\\",\\\"trace\\\":\\\"0123456789abcdef-fedcba9876543210\\\"}\"}\n");
@@ -2134,6 +2304,30 @@ let wire_tests =
             check Alcotest.string "case" label' label;
             check Alcotest.string label want got)
           got wire_expected);
+    Alcotest.test_case "v1 journal lines decode to the same entries" `Quick
+      (fun () ->
+        List.iter2
+          (fun (label, line) (label', entry) ->
+            check Alcotest.string "case" label' label;
+            let line = String.sub line 0 (String.length line - 1) in
+            match Serve.Journal.entry_of_line line with
+            | Ok e -> check bool_ label true (e = entry)
+            | Error e -> Alcotest.failf "%s: %s" label e)
+          journal_v1_lines journal_golden_entries);
+    Alcotest.test_case "a v1 journal keeps replaying after v2 appends" `Quick
+      (fun () ->
+        let path = tmp_journal () in
+        write_raw path (String.concat "" (List.map snd journal_v1_lines));
+        let j = Journal.open_append path in
+        Journal.append j (mk_accept ~id:3 (gjob 3));
+        Journal.close j;
+        let entries, torn = Journal.replay path in
+        Sys.remove path;
+        check bool_ "clean" false torn;
+        let want =
+          List.map snd journal_golden_entries @ [ mk_accept ~id:3 (gjob 3) ]
+        in
+        check bool_ "v1 records, then the v2 one" true (entries = want));
   ]
 
 let () =
@@ -2144,6 +2338,7 @@ let () =
       ("compat", compat_tests);
       ("idempotency", idem_tests);
       ("journal", journal_tests);
+      ("compaction", compaction_tests);
       ("service", service_tests);
       ("golden", golden_tests);
       ("wire", wire_tests);
@@ -2154,6 +2349,7 @@ let () =
             request_roundtrip; reply_roundtrip; decode_total; request_total;
             entry_total; framing_roundtrip; journal_roundtrip;
             journal_truncation_safe; recover_reference; restore_windowed;
+            compact_reference;
             shard_partition; engine_interleave; ring_reference; flow_chain;
           ]
       );
