@@ -17,6 +17,13 @@ let bmc = 128
    pivot column). *)
 let par_work_threshold = 2e6
 
+(* Flops each block row of a pooled trailing update must carry: the
+   update wakes the pool and meets a barrier once per panel step, and
+   at n = 256 (two block rows of about 2.4 Mflop in its one pooled
+   step) the 2-domain pool ran 5-19% slower than the sequential loop
+   on a 2-vCPU host. *)
+let par_block_threshold = 4e6
+
 (* An oversubscribed pool (more domains than the runtime recommends
    for this host) turns every barrier into context switches; the
    factorizations here synchronize twice per panel step, so on such a
@@ -25,13 +32,16 @@ let recommended_domains = lazy (Domain.recommended_domain_count ())
 
 (* Row-range parallelism helper: each index owns its output rows, so
    pooled runs stay bit-identical to sequential ones.  [min_rows]
-   keeps small trailing panels sequential and [work] (estimated flops)
-   gates out loops too cheap to amortize a parallel_for. *)
-let maybe_parallel ?pool ~work ~min_rows ~lo ~hi f =
+   keeps small trailing panels sequential, [work] (estimated flops)
+   gates out loops too cheap to amortize a parallel_for, and
+   [min_unit_work] those whose units, [work] shared out over
+   [hi - lo], are each too cheap. *)
+let maybe_parallel ?pool ~work ?(min_unit_work = 0.0) ~min_rows ~lo ~hi f =
   match pool with
   | Some pool
     when hi - lo >= min_rows
          && work >= par_work_threshold
+         && work /. float_of_int (hi - lo) >= min_unit_work
          && Domain_pool.num_domains pool > 1
          && Domain_pool.num_domains pool <= Lazy.force recommended_domains ->
       Domain_pool.parallel_for pool ~lo ~hi f
@@ -127,7 +137,8 @@ let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
       let update_work =
         2.0 *. float_of_int trailing *. float_of_int trailing *. float_of_int w
       in
-      maybe_parallel ?pool ~work:update_work ~min_rows:2 ~lo:0 ~hi:nblocks
+      maybe_parallel ?pool ~work:update_work ~min_unit_work:par_block_threshold
+        ~min_rows:2 ~lo:0 ~hi:nblocks
         (fun bi ->
           let r0 = k1 + (bi * bmc) in
           let r_hi = min n (r0 + bmc) in

@@ -35,7 +35,7 @@ let cpu_impl run = { impl_arch = "cpu"; run }
 let gpu_impl run = { impl_arch = "gpu"; run }
 
 let impl_for cl arch = List.find_opt (fun i -> i.impl_arch = arch) cl.impls
-let supports cl arch = impl_for cl arch <> None
+let supports cl arch = List.exists (fun i -> String.equal i.impl_arch arch) cl.impls
 
 let widen (cfg : Machine_config.t) cl =
   let base_run = (Option.get (impl_for cl "cpu")).run in

@@ -67,8 +67,13 @@ let bytes h = 8.0 *. float_of_int h.rows *. float_of_int h.cols
 let is_virtual h = h.buffer = None
 
 let valid_nodes h = h.valid
-let is_valid_at h n = List.mem n h.valid
-let add_valid h n = if not (List.mem n h.valid) then h.valid <- h.valid @ [ n ]
+
+(* Node lists hold ints: compare them as ints, not through the
+   polymorphic [List.mem]. *)
+let rec mem_node n = function [] -> false | m :: l -> Int.equal n m || mem_node n l
+
+let is_valid_at h n = mem_node n h.valid
+let add_valid h n = if not (mem_node n h.valid) then h.valid <- h.valid @ [ n ]
 let write_at h n = h.valid <- [ n ]
 
 let invalidate h = h.valid <- [ main_memory ]
@@ -80,7 +85,7 @@ let guard_unpartitioned op h =
 let child h ~row ~col ~rows ~cols ~index =
   {
     h_id = fresh ();
-    h_name = Printf.sprintf "%s[%s]" h.h_name index;
+    h_name = h.h_name ^ "[" ^ index ^ "]";
     rows;
     cols;
     buffer = h.buffer;
@@ -121,7 +126,7 @@ let partition_tiles h ~rows ~cols =
             let tcols = cbase + if j < cextra then 1 else 0 in
             let col = (j * cbase) + min j cextra in
             child h ~row ~col ~rows:trows ~cols:tcols
-              ~index:(Printf.sprintf "%d,%d" i j)))
+              ~index:(string_of_int i ^ "," ^ string_of_int j)))
   in
   h.parts <- Some (Array.concat (Array.to_list grid));
   grid

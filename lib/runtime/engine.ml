@@ -46,6 +46,19 @@ let c_failover =
   Obs.Counter.make ~help:"stranded tasks re-targeted via failover"
     "eng_failovers"
 
+(* Handle, task and node ids key the engine's tables: an int table
+   hashes and compares them directly, where [Hashtbl]'s polymorphic
+   functions go through [caml_hash] and [compare_val] on every
+   lookup. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+let rec mem_int x = function [] -> false | y :: l -> Int.equal x y || mem_int x l
+
 type task_state = Pending | Ready | Running | Finished | Failed
 
 let task_state_to_string = function
@@ -152,11 +165,11 @@ type t = {
   domain_pool : Kernels.Domain_pool.t option;
       (** real multicore substrate handed to kernel implementations *)
   workers : worker_state array;
-  link_resources : (int, Sim.resource * Machine_config.link) Hashtbl.t;
+  link_resources : (Sim.resource * Machine_config.link) Itbl.t;
   pool : task Deque.t;  (** Eager's shared ready-queue *)
-  last_writer : (int, task) Hashtbl.t;
-  readers : (int, task list) Hashtbl.t;
-  task_index : (int, task) Hashtbl.t;  (** unfinished tasks by id *)
+  last_writer : task Itbl.t;
+  readers : task list Itbl.t;
+  task_index : task Itbl.t;  (** unfinished tasks by id *)
   faults : Fault.t option;
   tune : Tune.Store.t option;  (** learned cost models (dmda-style) *)
   explore_eps : float;  (** epsilon-greedy exploration rate under Heft *)
@@ -178,6 +191,12 @@ type t = {
   mutable fault_events : fault_event list;
   mutable events : trace_event list;
   mutable rng : int;
+  eft : float array;
+      (** HEFT's last placement loop, by worker index: each eligible
+          worker's EFT and estimate; the decision log reads these *)
+  est : float array;
+  from_model : bool array;
+  eligible : bool array;
 }
 
 let policy t = t.pol
@@ -211,11 +230,11 @@ let capable ws (task : task) =
   &&
   match task.t_group with
   | None -> true
-  | Some g -> List.mem g ws.w.Machine_config.w_groups
+  | Some g -> List.exists (String.equal g) ws.w.Machine_config.w_groups
 
 let worker_eligible ws (task : task) =
   ws.online
-  && (not (List.mem ws.w.Machine_config.w_id task.excluded))
+  && (not (mem_int ws.w.Machine_config.w_id task.excluded))
   && capable ws task
 
 let eligible_workers t task =
@@ -234,7 +253,7 @@ let has_unexcluded_candidate t (task : task) =
   Array.exists
     (fun ws ->
       (not ws.crashed)
-      && (not (List.mem ws.w.Machine_config.w_id task.excluded))
+      && (not (mem_int ws.w.Machine_config.w_id task.excluded))
       && capable ws task)
     t.workers
 
@@ -297,23 +316,6 @@ let task_flops (task : task) =
    simulation charges). *)
 let compute_time ws (task : task) = task_flops task /. (ws.true_gflops *. 1e9)
 
-(* Time the scheduler believes the task takes: the learned
-   per-(codelet, PU, size-bucket) model when it has enough samples
-   (StarPU dmda), the declared-gflops estimate otherwise.  Returns the
-   estimate and whether the model answered. *)
-let estimated_time t ws (task : task) =
-  let flops = task_flops task in
-  let static () = flops /. (ws.gflops *. 1e9) in
-  match t.tune with
-  | None -> (static (), false)
-  | Some store -> (
-      match
-        Tune.Store.estimate store ~codelet:task.codelet.Codelet.cl_name
-          ~pu:ws.w.Machine_config.w_pu ~flops
-      with
-      | Some s -> (s, true)
-      | None -> (static (), false))
-
 let cal_counts_for t (task : task) =
   let name = task.codelet.Codelet.cl_name in
   match Hashtbl.find_opt t.cal name with
@@ -326,61 +328,64 @@ let cal_counts_for t (task : task) =
 let link_time (l : Machine_config.link) bytes =
   (l.l_latency_us *. 1e-6) +. (bytes /. (l.l_bandwidth_mbps *. 1e6))
 
-(* Hops for moving a handle to [dst]: data valid on some node src;
-   each non-host endpoint contributes its link. *)
-let transfer_hops t (h : Data.handle) dst =
-  if Data.is_valid_at h dst then []
+(* Moving a handle to node [dst] takes up to two hops from a node
+   where it is valid (main memory if it is valid there, else the first
+   node listed): that node's link, then [dst]'s; main memory has no
+   link.  [link_of] is the hop's link, if any. *)
+let src_of (h : Data.handle) =
+  if Data.is_valid_at h Data.main_memory then Data.main_memory
+  else match Data.valid_nodes h with n :: _ -> n | [] -> Data.main_memory
+
+let link_of t node =
+  if node = Data.main_memory then None
+  else Itbl.find_opt t.link_resources node
+
+(* When [bytes] starting at [time] are over [node]'s link, as
+   [Sim.peek] prices it, without allocating. *)
+let[@inline] peek_hop t node time bytes =
+  if node = Data.main_memory then time
   else
-    let src =
-      if Data.is_valid_at h Data.main_memory then Data.main_memory
-      else match Data.valid_nodes h with n :: _ -> n | [] -> Data.main_memory
-    in
-    let hop node acc =
-      if node = Data.main_memory then acc
-      else
-        match Hashtbl.find_opt t.link_resources node with
-        | Some rl -> rl :: acc
-        | None -> acc
-    in
-    hop src (hop dst [])
+    match Itbl.find t.link_resources node with
+    | exception Not_found -> time
+    | res, l -> Float.max time (Sim.busy_until res) +. link_time l bytes
 
 (* Estimated (not booked) time at which the task's inputs can be at
-   the worker's node, starting from [at]. *)
-let estimate_transfers t ws (task : task) ~at =
-  let dst = ws.w.Machine_config.w_node in
-  List.fold_left
-    (fun time (h, _) ->
-      let bytes = Data.bytes h in
-      List.fold_left
-        (fun time (res, l) ->
-          let _, finish = Sim.peek res ~at:time ~duration:(link_time l bytes) in
-          finish)
-        time (transfer_hops t h dst))
-    at task.buffers
+   node [dst], starting from [at]; a loop with a float accumulator, so
+   that the placement loop allocates nothing per worker. *)
+let estimate_transfers t dst buffers ~at =
+  let time = ref at and rest = ref buffers in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | (h, _) :: tl ->
+        rest := tl;
+        if not (Data.is_valid_at h dst) then begin
+          let bytes = Data.bytes h in
+          time := peek_hop t dst (peek_hop t (src_of h) !time bytes) bytes
+        end
+  done;
+  !time
 
-(* Booked version: actually occupies link resources; returns
-   (completion time, bytes moved). *)
-let book_transfers t ws (task : task) ~at =
-  let dst = ws.w.Machine_config.w_node in
+(* Booked version: occupies the links, validates each moved handle at
+   [dst]; returns (completion time, bytes moved). *)
+let book_transfers t dst buffers ~at =
   List.fold_left
     (fun (time, bytes_total) (h, _access) ->
-      let hops = transfer_hops t h dst in
-      if hops = [] then (time, bytes_total)
-      else begin
-        let bytes = Data.bytes h in
-        let time =
-          List.fold_left
-            (fun time (res, l) ->
-              let _, finish =
-                Sim.acquire res ~at:time ~duration:(link_time l bytes)
-              in
-              finish)
-            time hops
-        in
-        Data.add_valid h dst;
-        (time, bytes_total +. bytes)
-      end)
-    (at, 0.0) task.buffers
+      if Data.is_valid_at h dst then (time, bytes_total)
+      else
+        match (link_of t (src_of h), link_of t dst) with
+        | None, None -> (time, bytes_total)
+        | src_link, dst_link ->
+            let bytes = Data.bytes h in
+            let hop time = function
+              | None -> time
+              | Some (res, l) ->
+                  snd (Sim.acquire res ~at:time ~duration:(link_time l bytes))
+            in
+            let time = hop (hop time src_link) dst_link in
+            Data.add_valid h dst;
+            (time, bytes_total +. bytes))
+    (at, 0.0) buffers
 
 (* --- scheduling ------------------------------------------------------ *)
 
@@ -442,7 +447,9 @@ and start_task t ws task =
   let attempt = task.attempt in
   let dispatched = Sim.now t.sim in
   let after_overhead = dispatched +. dispatch_overhead_s in
-  let transfers_done, bytes_in = book_transfers t ws task ~at:after_overhead in
+  let transfers_done, bytes_in =
+    book_transfers t ws.w.Machine_config.w_node task.buffers ~at:after_overhead
+  in
   let finish = transfers_done +. compute_time ws task in
   t.bytes_transferred <- t.bytes_transferred +. bytes_in;
   Sim.schedule_at t.sim ~time:finish (fun () ->
@@ -506,7 +513,7 @@ and complete_task t ws task ~attempt ~dispatched ~compute_start ~bytes_in =
       task.d_token <- -1
     end;
     task.state <- Finished;
-    Hashtbl.remove t.task_index task.t_id;
+    Itbl.remove t.task_index task.t_id;
     ws.busy_s <- ws.busy_s +. (now -. dispatched);
     ws.tasks_run <- ws.tasks_run + 1;
     t.live_tasks <- t.live_tasks - 1;
@@ -700,6 +707,107 @@ and strand t task =
             dispatch t task
       end
 
+(* HEFT placement, one loop over [t.workers] in array order: each
+   eligible worker's EFT (its queue's estimated end, then the inputs'
+   transfers, then the estimate, then the dispatch overhead) lands in
+   [t.eft]; the first worker with the least EFT wins, an incumbent
+   keeping its place when [best_eft <= eft] (so a NaN EFT displaces
+   it).  The task's flops are evaluated once.  Books the winner's
+   [free_estimate]; [None] when no worker is eligible. *)
+and heft_place t task =
+  let now = Sim.now t.sim in
+  let flops = task_flops task in
+  let cl_name = task.codelet.Codelet.cl_name in
+  let best = ref (-1) and n_eligible = ref 0 in
+  for i = 0 to Array.length t.workers - 1 do
+    let ws = t.workers.(i) in
+    let ok = worker_eligible ws task in
+    t.eligible.(i) <- ok;
+    if ok then begin
+      incr n_eligible;
+      (* Time the scheduler believes the task takes: the learned
+         per-(codelet, PU, size-bucket) model when it has enough
+         samples (StarPU dmda), the declared-gflops estimate
+         otherwise. *)
+      let model =
+        match t.tune with
+        | None -> None
+        | Some store ->
+            Tune.Store.estimate store ~codelet:cl_name
+              ~pu:ws.w.Machine_config.w_pu ~flops
+      in
+      let est =
+        match model with Some s -> s | None -> flops /. (ws.gflops *. 1e9)
+      in
+      let data_ready =
+        estimate_transfers t ws.w.Machine_config.w_node task.buffers
+          ~at:(Float.max now ws.free_estimate)
+      in
+      let eft = data_ready +. est +. dispatch_overhead_s in
+      t.eft.(i) <- eft;
+      t.est.(i) <- est;
+      t.from_model.(i) <- model <> None;
+      if !best < 0 || not (t.eft.(!best) <= eft) then best := i
+    end
+  done;
+  (* Epsilon-greedy: with probability [explore_eps], place on a cold
+     (codelet, PU) pairing — one whose size bucket has not reached
+     min_samples yet — so variants the model has never seen still get
+     measured and can take over. *)
+  let explored =
+    match t.tune with
+    | Some store
+      when t.explore_eps > 0.0 && !n_eligible > 0
+           && next_random t 1_000_000 < int_of_float (t.explore_eps *. 1e6) -> (
+        let cold = ref [] in
+        for i = Array.length t.workers - 1 downto 0 do
+          if
+            t.eligible.(i)
+            && Tune.Store.samples store ~codelet:cl_name
+                 ~pu:t.workers.(i).w.Machine_config.w_pu ~flops
+               < Tune.Store.min_samples
+          then cold := i :: !cold
+        done;
+        match !cold with
+        | [] -> -1
+        | cold -> List.nth cold (next_random t (List.length cold)))
+    | _ -> -1
+  in
+  let chosen = if explored >= 0 then explored else !best in
+  if chosen < 0 then None
+  else begin
+    let ws = t.workers.(chosen) in
+    let source =
+      if explored >= 0 then Obs.Decision.Exploration
+      else if t.from_model.(chosen) then Obs.Decision.Calibrated
+      else Obs.Decision.Static
+    in
+    if t.tune <> None then begin
+      let c = cal_counts_for t task in
+      match source with
+      | Obs.Decision.Exploration -> c.cc_explore <- c.cc_explore + 1
+      | Obs.Decision.Calibrated -> c.cc_hits <- c.cc_hits + 1
+      | Obs.Decision.Static -> c.cc_static <- c.cc_static + 1
+    end;
+    (* Decision log: the chosen PU, every candidate's EFT as this loop
+       computed it, and the estimate's provenance; completion
+       back-fills queue wait and the measured time. *)
+    if Obs.Config.on () then begin
+      let estimates = ref [] in
+      for i = Array.length t.workers - 1 downto 0 do
+        if t.eligible.(i) then
+          estimates :=
+            (t.workers.(i).w.Machine_config.w_name, t.eft.(i)) :: !estimates
+      done;
+      task.d_token <-
+        Obs.Decision.record ~tag:t.label ~task:task.t_id ~codelet:cl_name
+          ~pu:ws.w.Machine_config.w_name ~source ~est_s:t.est.(chosen)
+          ~eft_s:t.eft.(chosen) ~estimates:!estimates ~vt:now
+    end;
+    ws.free_estimate <- t.eft.(chosen);
+    Some ws
+  end
+
 and dispatch t task =
   Obs.Counter.incr c_dispatch;
   task.dispatched_once <- true;
@@ -725,104 +833,13 @@ and dispatch t task =
         (not !woken) && t.stranded_handler <> None
         && eligible_workers t task = []
       then strand t task
-  | Heft ->
-      let now = Sim.now t.sim in
-      let eligible = eligible_workers t task in
-      let eft_of ws =
-        let ready = Float.max now ws.free_estimate in
-        let data_ready = estimate_transfers t ws task ~at:ready in
-        let est, from_model = estimated_time t ws task in
-        (data_ready +. est +. dispatch_overhead_s, est, from_model)
-      in
-      (* Decision log: the chosen PU, every candidate's EFT, and the
-         estimate's provenance; completion back-fills queue wait and
-         the measured time (Obs gates the whole probe).  When logging,
-         every candidate's EFT is memoized up front so the record
-         reuses the selection loop's numbers instead of recomputing
-         them; with telemetry off the memo is empty and [eft_cached]
-         is exactly the pre-telemetry [eft_of] path. *)
-      let obs_on = Obs.Config.on () in
-      let efts =
-        if obs_on then List.map (fun ws -> (ws, eft_of ws)) eligible else []
-      in
-      let eft_cached ws =
-        match List.assq_opt ws efts with Some v -> v | None -> eft_of ws
-      in
-      let log_decision ws ~eft ~est source =
-        if obs_on then
-          task.d_token <-
-            Obs.Decision.record ~tag:t.label ~task:task.t_id
-              ~codelet:task.codelet.Codelet.cl_name
-              ~pu:ws.w.Machine_config.w_name ~source ~est_s:est ~eft_s:eft
-              ~estimates:
-                (List.map
-                   (fun (ws', (eft', _, _)) ->
-                     (ws'.w.Machine_config.w_name, eft'))
-                   efts)
-              ~vt:now
-      in
-      (* Epsilon-greedy: with probability [explore_eps], place on a
-         cold (codelet, PU) pairing — one whose size bucket has not
-         reached min_samples yet — so variants the model has never
-         seen still get measured and can take over. *)
-      let explored =
-        match t.tune with
-        | Some store
-          when t.explore_eps > 0.0 && eligible <> []
-               && next_random t 1_000_000
-                  < int_of_float (t.explore_eps *. 1e6) -> (
-            let flops = task_flops task in
-            let cold =
-              List.filter
-                (fun ws ->
-                  Tune.Store.samples store
-                    ~codelet:task.codelet.Codelet.cl_name
-                    ~pu:ws.w.Machine_config.w_pu ~flops
-                  < Tune.Store.min_samples)
-                eligible
-            in
-            match cold with
-            | [] -> None
-            | _ -> Some (List.nth cold (next_random t (List.length cold))))
-        | _ -> None
-      in
-      let best =
-        match explored with
-        | Some ws ->
-            let c = cal_counts_for t task in
-            c.cc_explore <- c.cc_explore + 1;
-            let eft, est, _ = eft_cached ws in
-            log_decision ws ~eft ~est Obs.Decision.Exploration;
-            Some (ws, eft)
-        | None ->
-            let best = ref None in
-            List.iter
-              (fun ws ->
-                let eft, est, from_model = eft_cached ws in
-                match !best with
-                | Some (_, best_eft, _, _) when best_eft <= eft -> ()
-                | _ -> best := Some (ws, eft, est, from_model))
-              eligible;
-            Option.map
-              (fun (ws, eft, est, from_model) ->
-                if t.tune <> None then begin
-                  let c = cal_counts_for t task in
-                  if from_model then c.cc_hits <- c.cc_hits + 1
-                  else c.cc_static <- c.cc_static + 1
-                end;
-                log_decision ws ~eft ~est
-                  (if from_model then Obs.Decision.Calibrated
-                   else Obs.Decision.Static);
-                (ws, eft))
-              !best
-      in
-      (match best with
+  | Heft -> (
+      match heft_place t task with
       | None ->
           (* Every candidate is offline. *)
           Deque.push_back t.pool task;
           strand t task
-      | Some (ws, eft) ->
-          ws.free_estimate <- eft;
+      | Some ws ->
           Deque.push_back ws.queue task;
           worker_kick t ws)
   | Locality_ws ->
@@ -924,10 +941,10 @@ let create ?(policy = Eager) ?pool ?faults ?tune ?(explore_eps = 0.05)
     | Some (_, g) -> g
     | None -> w.Machine_config.w_gflops
   in
-  let link_resources = Hashtbl.create 8 in
+  let link_resources = Itbl.create 8 in
   List.iter
     (fun (l : Machine_config.link) ->
-      Hashtbl.replace link_resources l.l_node (Sim.resource l.l_name, l))
+      Itbl.replace link_resources l.l_node (Sim.resource l.l_name, l))
     cfg.Machine_config.links;
   let fcfg = Option.value faults ~default:Fault.none in
   let t =
@@ -960,9 +977,9 @@ let create ?(policy = Eager) ?pool ?faults ?tune ?(explore_eps = 0.05)
           cfg.Machine_config.workers;
       link_resources;
       pool = Deque.create ();
-      last_writer = Hashtbl.create 64;
-      readers = Hashtbl.create 64;
-      task_index = Hashtbl.create 64;
+      last_writer = Itbl.create 64;
+      readers = Itbl.create 64;
+      task_index = Itbl.create 64;
       faults;
       tune;
       explore_eps;
@@ -984,6 +1001,10 @@ let create ?(policy = Eager) ?pool ?faults ?tune ?(explore_eps = 0.05)
       fault_events = [];
       events = [];
       rng = 1;
+      eft = Array.make (Array.length cfg.Machine_config.workers) 0.0;
+      est = Array.make (Array.length cfg.Machine_config.workers) 0.0;
+      from_model = Array.make (Array.length cfg.Machine_config.workers) false;
+      eligible = Array.make (Array.length cfg.Machine_config.workers) false;
     }
   in
   Option.iter (install_fault_events t) faults;
@@ -1059,21 +1080,21 @@ let submit_id ?group t codelet buffers =
       let reads = access = Codelet.R || access = Codelet.RW in
       let writes = access = Codelet.W || access = Codelet.RW in
       if reads then
-        Option.iter (add_dep task) (Hashtbl.find_opt t.last_writer hid);
+        Option.iter (add_dep task) (Itbl.find_opt t.last_writer hid);
       if writes then begin
-        Option.iter (add_dep task) (Hashtbl.find_opt t.last_writer hid);
+        Option.iter (add_dep task) (Itbl.find_opt t.last_writer hid);
         List.iter (add_dep task)
-          (Option.value ~default:[] (Hashtbl.find_opt t.readers hid));
-        Hashtbl.replace t.last_writer hid task;
-        Hashtbl.replace t.readers hid []
+          (Option.value ~default:[] (Itbl.find_opt t.readers hid));
+        Itbl.replace t.last_writer hid task;
+        Itbl.replace t.readers hid []
       end
       else
-        Hashtbl.replace t.readers hid
-          (task :: Option.value ~default:[] (Hashtbl.find_opt t.readers hid)))
+        Itbl.replace t.readers hid
+          (task :: Option.value ~default:[] (Itbl.find_opt t.readers hid)))
     buffers;
   t.live_tasks <- t.live_tasks + 1;
   t.total_tasks <- t.total_tasks + 1;
-  Hashtbl.replace t.task_index task.t_id task;
+  Itbl.replace t.task_index task.t_id task;
   Obs.Counter.incr c_submit;
   if Obs.Config.on () then
     Obs.Span.instant ~cat:"engine" ~name:"submit"
@@ -1097,7 +1118,7 @@ let submit ?group t codelet buffers = ignore (submit_id ?group t codelet buffers
 let declare_dep t ~task ~depends_on =
   if task = depends_on then invalid_arg "Engine.declare_dep: self-dependency";
   let find id =
-    match Hashtbl.find_opt t.task_index id with
+    match Itbl.find_opt t.task_index id with
     | Some tk -> tk
     | None ->
         invalid_arg
@@ -1207,19 +1228,26 @@ let () =
    every finished task, and through its handles every job's
    matrices, for the engine's whole life. *)
 let forget_finished t =
-  let live tk = tk.state <> Finished in
-  Hashtbl.filter_map_inplace
-    (fun _ tk -> if live tk then Some tk else None)
-    t.last_writer;
-  Hashtbl.filter_map_inplace
-    (fun _ tks -> match List.filter live tks with [] -> None | l -> Some l)
-    t.readers
+  if t.live_tasks = 0 then begin
+    (* every task submitted so far has finished *)
+    Itbl.clear t.last_writer;
+    Itbl.clear t.readers
+  end
+  else begin
+    let live tk = tk.state <> Finished in
+    Itbl.filter_map_inplace
+      (fun _ tk -> if live tk then Some tk else None)
+      t.last_writer;
+    Itbl.filter_map_inplace
+      (fun _ tks -> match List.filter live tks with [] -> None | l -> Some l)
+      t.readers
+  end
 
 let wait_all t =
   Sim.run t.sim;
   forget_finished t;
   if t.live_tasks <> 0 then begin
-    let live = Hashtbl.fold (fun _ tk acc -> tk :: acc) t.task_index [] in
+    let live = Itbl.fold (fun _ tk acc -> tk :: acc) t.task_index [] in
     let live = List.sort (fun a b -> compare a.t_id b.t_id) live in
     raise
       (Stuck

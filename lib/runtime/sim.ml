@@ -24,53 +24,65 @@ let create () =
 
 let now t = t.clock
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let[@inline] earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
+(* Both sifts carry the moving event in hand and shift the events
+   they pass over into the hole it leaves: one array write per level. *)
 let push t ev =
   if t.size = Array.length t.heap then begin
     let bigger = Array.make (2 * t.size) dummy_event in
     Array.blit t.heap 0 bigger 0 t.size;
     t.heap <- bigger
   end;
-  t.heap.(t.size) <- ev;
+  let heap = t.heap in
+  let i = ref t.size in
   t.size <- t.size + 1;
   (* sift up *)
-  let i = ref (t.size - 1) in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    earlier t.heap.(!i) t.heap.(parent)
-  do
-    let parent = (!i - 1) / 2 in
-    let tmp = t.heap.(parent) in
-    t.heap.(parent) <- t.heap.(!i);
-    t.heap.(!i) <- tmp;
-    i := parent
-  done
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let parent = heap.(p) in
+    if earlier ev parent then begin
+      heap.(!i) <- parent;
+      i := p
+    end
+    else continue := false
+  done;
+  heap.(!i) <- ev
 
 let pop t =
   assert (t.size > 0);
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy_event;
-  (* sift down *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest = !i then continue := false
-    else begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
-      i := !smallest
-    end
-  done;
+  let heap = t.heap in
+  let top = heap.(0) in
+  let size = t.size - 1 in
+  t.size <- size;
+  let last = heap.(size) in
+  heap.(size) <- dummy_event;
+  if size > 0 then begin
+    (* sift down: [last] descends from the root.  The left child is
+       compared first, then the right one against the smaller so far:
+       with a NaN time, which events compare decides the order. *)
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i and least = ref last in
+      if l < size && earlier heap.(l) !least then begin
+        smallest := l;
+        least := heap.(l)
+      end;
+      if r < size && earlier heap.(r) !least then begin
+        smallest := r;
+        least := heap.(r)
+      end;
+      if !smallest = !i then continue := false
+      else begin
+        heap.(!i) <- !least;
+        i := !smallest
+      end
+    done;
+    heap.(!i) <- last
+  end;
   top
 
 let schedule_at t ~time action =

@@ -46,6 +46,10 @@ type tenant = {
   c_submitted : Obs.Counter.t;
   c_completed : Obs.Counter.t;
   c_rejected : Obs.Counter.t;
+  (* telemetry names, built once per tenant rather than per job *)
+  n_queue_span : string;
+  n_job_span : string;
+  n_latency_hist : string;
 }
 
 type t = {
@@ -166,6 +170,9 @@ let tenant t name =
           c_submitted = c "submitted";
           c_completed = c "completed";
           c_rejected = c "rejected";
+          n_queue_span = "queue:" ^ name;
+          n_job_span = "job:" ^ name;
+          n_latency_hist = "serve_latency_s_" ^ name;
         }
       in
       Hashtbl.add t.tenants name ten;
@@ -449,9 +456,7 @@ let finish t ten emit p status =
       if coalesced then ten.t_coalesced <- ten.t_coalesced + 1;
       t.total_completed <- t.total_completed + 1;
       Obs.Counter.incr ten.c_completed;
-      Obs.Histogram.observe_named
-        (Printf.sprintf "serve_latency_s_%s" ten.t_name)
-        (lat /. 1000.0)
+      Obs.Histogram.observe_named ten.n_latency_hist (lat /. 1000.0)
   | P.Jfailed _ ->
       ten.t_failed <- ten.t_failed + 1;
       t.total_completed <- t.total_completed + 1
@@ -526,10 +531,15 @@ let dispatch_round t emit =
           else if p.p_cost <= ten.t_deficit then begin
             ignore (Queue.pop ten.t_queue);
             ten.t_deficit <- ten.t_deficit -. p.p_cost;
-            (* queue span: admission -> dispatch, on the job's flow *)
+            (* queue span: admission -> dispatch, on the job's flow;
+               its arguments are formatted only while telemetry is on *)
             let flow = Obs.Trace_ctx.flow_id p.p_trace in
-            Obs.Span.record ~cat:"serve" ~name:("queue:" ^ ten.t_name)
-              ~args:(Printf.sprintf "id=%d trace=%s" p.p_id p.p_trace_str)
+            let args =
+              if Obs.Config.on () then
+                Printf.sprintf "id=%d trace=%s" p.p_id p.p_trace_str
+              else ""
+            in
+            Obs.Span.record ~cat:"serve" ~name:ten.n_queue_span ~args
               ~flow p.p_admit_ns;
             (* run under the ambient context so engine/kernel spans
                below pick up the same flow without plumbing *)
@@ -538,8 +548,7 @@ let dispatch_round t emit =
               Obs.Trace_ctx.with_current p.p_trace (fun () ->
                   run_job t ten p.p_job)
             in
-            Obs.Span.record ~cat:"serve" ~name:("job:" ^ ten.t_name)
-              ~args:(Printf.sprintf "id=%d trace=%s" p.p_id p.p_trace_str)
+            Obs.Span.record ~cat:"serve" ~name:ten.n_job_span ~args
               ~flow sp;
             finish t ten emit p status;
             coalesce t ten emit p.p_job status;

@@ -1,6 +1,9 @@
 module Engine = Taskrt.Engine
 module A = Bigarray.Array1
 
+(* Name strings [intern] remembers by address. *)
+let seen_cap = 32
+
 (* Slot [s] of a task event is ints.{4s .. 4s+3} = shard, task id,
    codelet name id, worker name id, and times.{4s .. 4s+3} = dispatch,
    compute start, end, bytes in: 64 bytes, where a boxed
@@ -14,6 +17,9 @@ type t = {
   cap : int;
   ids : (string, int) Hashtbl.t;
   mutable names : string array;  (* id -> name *)
+  seen : string array;  (* name strings met before, by address *)
+  seen_ids : int array;
+  mutable n_seen : int;
   mutable ints : (int, Bigarray.int_elt, Bigarray.c_layout) A.t;
   mutable times : (float, Bigarray.float64_elt, Bigarray.c_layout) A.t;
   mutable len : int;  (* events held, at most [cap] *)
@@ -26,6 +32,9 @@ let create ~cap =
     cap;
     ids = Hashtbl.create 16;
     names = [||];
+    seen = Array.make seen_cap "";
+    seen_ids = Array.make seen_cap 0;
+    n_seen = 0;
     ints = A.create Bigarray.int Bigarray.c_layout 0;
     times = A.create Bigarray.float64 Bigarray.c_layout 0;
     len = 0;
@@ -34,8 +43,11 @@ let create ~cap =
   }
 
 (* A tenant's engines know a handful of codelet and worker names, so
-   the table stays as small as the machine and the job kinds. *)
-let intern r name =
+   the table stays as small as the machine and the job kinds.  The
+   engines hand over the same few strings job after job (a worker's
+   name, a codelet's), so [intern] first looks for the string itself
+   among the first [seen_cap] it met, and hashes only on a miss. *)
+let lookup r name =
   match Hashtbl.find_opt r.ids name with
   | Some id -> id
   | None ->
@@ -45,6 +57,21 @@ let intern r name =
       r.names.(id) <- name;
       Hashtbl.add r.ids name id;
       id
+
+let rec intern_from r name i =
+  if i = r.n_seen then begin
+    let id = lookup r name in
+    if i < seen_cap then begin
+      r.seen.(i) <- name;
+      r.seen_ids.(i) <- id;
+      r.n_seen <- i + 1
+    end;
+    id
+  end
+  else if r.seen.(i) == name then r.seen_ids.(i)
+  else intern_from r name (i + 1)
+
+let intern r name = intern_from r name 0
 
 let slots r = A.dim r.times / 4
 

@@ -1234,6 +1234,175 @@ let sim_time_seq_order =
       in
       List.rev !fired = expected)
 
+(* Random interleavings of [schedule] and [schedule_at], with equal
+   times and with actions that schedule further events, fire in
+   (time, insertion) order: the order of a reference that keeps the
+   pending events in insertion order and stable-sorts them by time
+   before each firing.  [Op (absolute, offset, children)] is
+   scheduled [offset] after the current time, through [schedule_at]
+   when [absolute]; firing it schedules its children. *)
+type sim_op = Op of bool * int * sim_op list
+
+let rec gen_sim_op depth =
+  QCheck.Gen.(
+    map3
+      (fun a dt kids -> Op (a, dt, kids))
+      bool (int_range 0 3)
+      (if depth = 0 then pure []
+       else list_size (int_range 0 4) (gen_sim_op (depth - 1))))
+
+let sim_interleaving_order =
+  QCheck.Test.make ~name:"sim fires interleaved schedules in (time, seq) order"
+    ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 25) (gen_sim_op 2)))
+    (fun ops ->
+      let sim = Sim.create () in
+      let next = ref 0 and fired = ref [] in
+      let rec schedule (Op (absolute, dt, kids)) =
+        let id = !next in
+        incr next;
+        let action () =
+          fired := (Sim.now sim, id) :: !fired;
+          List.iter schedule kids
+        in
+        if absolute then
+          Sim.schedule_at sim ~time:(Sim.now sim +. float_of_int dt) action
+        else Sim.schedule sim ~delay:(float_of_int dt) action
+      in
+      List.iter schedule ops;
+      Sim.run sim;
+      (* the reference *)
+      let pending = ref [] and next = ref 0 and now = ref 0.0 in
+      let expected = ref [] in
+      let schedule (Op (_, dt, kids)) =
+        pending := !pending @ [ (!now +. float_of_int dt, !next, kids) ];
+        incr next
+      in
+      List.iter schedule ops;
+      while !pending <> [] do
+        match
+          List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) !pending
+        with
+        | [] -> ()
+        | (time, id, kids) :: _ ->
+            pending := List.filter (fun (_, i, _) -> i <> id) !pending;
+            now := time;
+            expected := (time, id) :: !expected;
+            List.iter schedule kids
+      done;
+      !fired = !expected
+      && Sim.events_processed sim = List.length !expected)
+
+(* HEFT decides the same with the decision log on and off: one
+   placement loop serves both.  A case is a seeded random job run
+   twice on a fresh engine, telemetry off then on: virtual tiles of
+   assorted shapes accessed R/W/RW, and handle-free tasks chained by
+   [declare_dep], on the whole xeon-2gpu machine or on one of the
+   service's two shards, with or without a calibration store (seeded
+   so that some placements are calibrated, and exploring), with or
+   without transient faults. *)
+let place_cfgs =
+  lazy
+    (let full = gpu_cfg () in
+     let shards = Serve.Shard.split full ~shards:2 in
+     [| full; shards.(0); shards.(1) |])
+
+let place_codelets =
+  let flops base hs =
+    List.fold_left
+      (fun acc h ->
+        let r, c = Data.dims h in
+        acc +. (float_of_int r *. float_of_int c *. float_of_int c))
+      base hs
+  in
+  let run ?pool:_ _ = () in
+  [| Codelet.create ~name:"tile_cg" ~flops:(flops 1e5)
+       [ Codelet.cpu_impl run; Codelet.gpu_impl run ];
+     Codelet.create ~name:"tile_c" ~flops:(flops 3e4) [ Codelet.cpu_impl run ];
+     Codelet.create ~name:"chain" ~flops:(fun _ -> 2e6)
+       [ Codelet.cpu_impl run; Codelet.gpu_impl run ] |]
+
+let place_run ~seed ~machine ~tuned ~faulty =
+  let cfg = (Lazy.force place_cfgs).(machine) in
+  let tune =
+    if not tuned then None
+    else begin
+      let store = Tune.Store.create ~pdl_hash:"prop" ~platform:"prop" () in
+      Array.iter
+        (fun (w : Machine_config.worker) ->
+          for k = 1 to 3 do
+            Tune.Store.observe store ~codelet:"tile_cg" ~pu:w.w_pu
+              ~flops:(1e5 +. (16.0 *. 16.0 *. 16.0))
+              ~seconds:(float_of_int k *. 1e-5 /. w.w_gflops)
+          done)
+        cfg.Machine_config.workers;
+      Some store
+    end
+  in
+  let faults =
+    if faulty then
+      Some
+        { Fault.none with
+          Fault.seed; transient_rate = 0.2; retries = 30; quarantine_after = 0 }
+    else None
+  in
+  let rt = Engine.create ~policy:Engine.Heft ?tune ?faults cfg in
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let stats =
+    List.init 2 (fun _ ->
+        let sizes = [| 16; 48; 128 |] in
+        let tiles =
+          Array.init
+            (1 + Random.State.int rng 6)
+            (fun _ -> Data.register_virtual ~rows:(pick sizes) ~cols:(pick sizes) ())
+        in
+        let chain = ref [] in
+        for _ = 1 to 5 + Random.State.int rng 40 do
+          if Random.State.int rng 3 = 0 then begin
+            let id = Engine.submit_id rt place_codelets.(2) [] in
+            (match !chain with
+            | [] -> ()
+            | ids ->
+                Engine.declare_dep rt ~task:id
+                  ~depends_on:(List.nth ids (Random.State.int rng (List.length ids))));
+            chain := id :: !chain
+          end
+          else
+            let first = Random.State.int rng (Array.length tiles) in
+            let n = min (Array.length tiles) (1 + Random.State.int rng 3) in
+            let buffers =
+              List.init n (fun k ->
+                  ( tiles.((first + k) mod Array.length tiles),
+                    pick [| Codelet.R; Codelet.W; Codelet.RW |] ))
+            in
+            Engine.submit rt (pick [| place_codelets.(0); place_codelets.(1) |]) buffers
+        done;
+        Engine.wait_all rt)
+  in
+  (stats, Engine.trace rt, Engine.fault_log rt, Engine.calibration rt)
+
+let heft_placement_obs_invariant =
+  let dispatched = Obs.Counter.make "eng_dispatched" in
+  QCheck.Test.make ~name:"HEFT places alike with telemetry off and on" ~count:200
+    QCheck.(quad (int_range 0 1_000_000) (int_range 0 2) bool bool)
+    (fun (seed, machine, tuned, faulty) ->
+      let off = place_run ~seed ~machine ~tuned ~faulty in
+      Obs.Export.reset_all ();
+      Obs.Config.set_enabled true;
+      let on =
+        Fun.protect
+          ~finally:(fun () -> Obs.Config.set_enabled false)
+          (fun () -> place_run ~seed ~machine ~tuned ~faulty)
+      in
+      let decisions = Obs.Decision.count ()
+      and dispatches = Obs.Counter.value dispatched in
+      Obs.Export.reset_all ();
+      (* Marshal without sharing spells every float out bit for bit. *)
+      let bits x = Marshal.to_string x [ Marshal.No_sharing ] in
+      if bits off <> bits on then QCheck.Test.fail_report "runs differ";
+      dispatches > 0 && decisions = dispatches)
+
 (* ------------------------------------------------------------------ *)
 (* Domain pool through the engine; ever-online utilization; DVFS HEFT  *)
 
@@ -1710,7 +1879,8 @@ let () =
           [
             deterministic_sim; tiled_correct; group_invariant; busy_bounded;
             work_conservation; sim_time_seq_order; deque_take_first_model;
-            deque_steal_model; fault_free_equivalence;
+            deque_steal_model; fault_free_equivalence; sim_interleaving_order;
+            heft_placement_obs_invariant;
           ]
       );
     ]
