@@ -762,7 +762,7 @@ let obs_workload () =
   let m = 96 in
   let a = Matrix.random ~seed:4 m m and b = Matrix.random ~seed:5 m m in
   let rt = Engine.create ~policy:Engine.Heft (cfg_of "xeon-2gpu") in
-  ignore (TD.run_on ~tiles:2 rt ~a ~b)
+  ignore (TD.run_on ~tiles:2 rt ~a ~b ~c:(Matrix.create m m))
 
 let obs_exp () =
   header "OBS  wall-clock telemetry: spans, counters, latency quantiles";
@@ -791,8 +791,9 @@ let total_run (stats : Engine.stats) =
 let faults_crash_scenario ~n ~tiles =
   let cfg = cfg_of "xeon-2gpu" in
   let a = Matrix.random ~seed:41 n n and b = Matrix.random ~seed:42 n n in
-  let clean_c, clean =
-    TD.run_on ~tiles (Engine.create ~policy:Engine.Heft cfg) ~a ~b
+  let clean_c = Matrix.create n n and faulty_c = Matrix.create n n in
+  let clean =
+    TD.run_on ~tiles (Engine.create ~policy:Engine.Heft cfg) ~a ~b ~c:clean_c
   in
   let mid = clean.Engine.makespan /. 2.0 in
   let faults =
@@ -805,8 +806,9 @@ let faults_crash_scenario ~n ~tiles =
       events = [ Fault.Crash { pu = "gpu0"; at = mid } ];
     }
   in
-  let faulty_c, faulty =
+  let faulty =
     TD.run_on ~tiles (Engine.create ~policy:Engine.Heft ~faults cfg) ~a ~b
+      ~c:faulty_c
   in
   (clean, faulty, Matrix.max_abs_diff clean_c faulty_c)
 
@@ -1110,7 +1112,7 @@ let cc_pool_seconds ~n =
       snd
         (wall (fun () ->
              TD.run_on ~tiles:4 (Engine.create ~policy:Engine.Heft ~pool cfg)
-               ~a ~b)))
+               ~a ~b ~c:(Matrix.create n n))))
 
 (* Timed runs per executor and size; the executors take turns so a
    slow minute on the host hits all three alike. *)
@@ -1394,25 +1396,38 @@ let serve_state_guard ~short ~long =
         ("slack_mib", num heap_slack_mib); ("ok", J.Bool ok) ],
     ok )
 
-(* perfbench serve-small's three job kinds through an in-process
-   Service (xeon-2gpu, 2 shards, HEFT), one job at a time: what a
-   small job pays for the service's and the engine's bookkeeping on
-   top of its kernels.  Untraced, each sample is the mean over
-   [batch] jobs of one kind, and the kinds alternate within a round
-   (rotating which goes first), so host drift hits every kind alike.
-   The telemetry off/on overhead on the same mix is reported, not
+(* perfbench serve-small's three job kinds, and serve-heavy's two,
+   through an in-process Service (xeon-2gpu, 2 shards, HEFT), one job
+   at a time: what a job pays for the service's and the engine's
+   bookkeeping, and its inputs, on top of its kernels.  Untraced, each
+   sample is the mean over [batch] jobs of one kind (fewer for the
+   heavy kinds), and the kinds alternate within a round (rotating
+   which goes first), so host drift hits every kind alike.  Beside
+   the time, the major collections each kind sets off per job: a job
+   that allocates its matrices anew pays for them there.  The
+   telemetry off/on overhead on the small kinds' mix is reported, not
    guarded: ROADMAP's <= 10% target for it is still open. *)
 let small_mix_bench () =
-  let kinds =
+  let small =
     [| ("dgemm_32_2", fun i -> SP.Dgemm { n = 32; tiles = 2; seed = i });
        ( "graph_8x8",
          fun i ->
            SP.Graph { width = 8; depth = 8; task_flops = 1e6 +. float_of_int i }
        );
        ("cholesky_64_4", fun i -> SP.Cholesky { n = 64; tiles = 4; seed = i }) |]
+  and heavy =
+    [| ("dgemm_256_2", fun i -> SP.Dgemm { n = 256; tiles = 2; seed = i });
+       ( "cholesky_512_4",
+         fun i -> SP.Cholesky { n = 512; tiles = 4; seed = i } ) |]
+  in
+  let small_batch = 200 and heavy_batch = 10 in
+  let kinds =
+    Array.append
+      (Array.map (fun (name, mk) -> (name, small_batch, mk)) small)
+      (Array.map (fun (name, mk) -> (name, heavy_batch, mk)) heavy)
   in
   let cfg = cfg_of "xeon-2gpu" in
-  let batch = 200 and rounds = 15 and overhead_rounds = 5 in
+  let rounds = 15 and overhead_rounds = 5 in
   let run_jobs svc jobs =
     let t0 = Unix.gettimeofday () in
     List.iter
@@ -1422,27 +1437,35 @@ let small_mix_bench () =
       jobs;
     Unix.gettimeofday () -. t0
   in
+  let majors () = (Gc.quick_stat ()).Gc.major_collections in
   let nk = Array.length kinds in
   let svcs = Array.map (fun _ -> SSvc.create ~shards:2 cfg) kinds in
-  let samples = Array.make nk [] in
+  let samples = Array.make nk [] and gcs = Array.make nk 0 in
   let next_seed = ref 0 in
   let batch_of k =
+    let _, batch, mk = kinds.(k) in
     List.init batch (fun _ ->
         incr next_seed;
-        snd kinds.(k) !next_seed)
+        mk !next_seed)
   in
   for round = 0 to rounds do
     for j = 0 to nk - 1 do
       let k = (round + j) mod nk in
+      let _, batch, _ = kinds.(k) in
+      let m0 = majors () in
       let us = run_jobs svcs.(k) (batch_of k) *. 1e6 /. float_of_int batch in
       (* round 0 warms every service up *)
-      if round > 0 then samples.(k) <- us :: samples.(k)
+      if round > 0 then begin
+        samples.(k) <- us :: samples.(k);
+        gcs.(k) <- gcs.(k) + (majors () - m0)
+      end
     done
   done;
   let mixed () =
-    List.init batch (fun i ->
+    let ns = Array.length small in
+    List.init small_batch (fun i ->
         incr next_seed;
-        snd kinds.(i mod nk) !next_seed)
+        snd small.(i mod ns) !next_seed)
   in
   let traced ~on () =
     Obs.Config.set_enabled on;
@@ -1456,23 +1479,31 @@ let small_mix_bench () =
     paired_overhead_pct ~rounds:overhead_rounds ~off:(traced ~on:false)
       ~on:(traced ~on:true)
   in
-  Printf.printf "small mix (untraced, %d samples of %d jobs):\n" rounds batch;
+  Printf.printf "per-kind jobs (untraced, %d samples each):\n" rounds;
   let per_kind =
     Array.to_list
       (Array.mapi
-         (fun k (name, _) ->
+         (fun k (name, batch, _) ->
            let med, spread = median_spread samples.(k) in
-           Printf.printf "  %-14s %8.1f us/job  spread %.3f\n" name med spread;
+           let gc_per_job =
+             float_of_int gcs.(k) /. float_of_int (rounds * batch)
+           in
+           Printf.printf
+             "  %-14s %8.1f us/job  %6.3f major GCs/job  spread %.3f  \
+              (%d jobs/sample)\n"
+             name med gc_per_job spread batch;
            J.Obj
              [ ("kind", str name); ("us_per_job", num med);
-               ("samples", int rounds); ("spread", num spread) ])
+               ("major_gcs_per_job", num gc_per_job);
+               ("jobs_per_sample", int batch); ("samples", int rounds);
+               ("spread", num spread) ])
          kinds)
   in
   Printf.printf "small mix telemetry overhead (best of %d paired rounds): %.1f%%\n"
     overhead_rounds overhead_pct;
   J.Obj
     [ ("machine", str "xeon-2gpu"); ("shards", int 2); ("policy", str "heft");
-      ("jobs_per_sample", int batch); ("kinds", J.Arr per_kind);
+      ("kinds", J.Arr per_kind);
       ("telemetry_overhead_pct", num overhead_pct);
       ("telemetry_rounds", int overhead_rounds);
       ("telemetry_guarded", J.Bool false) ]

@@ -18,7 +18,8 @@ let () =
 
   (* --- 1. a healthy run ------------------------------------------ *)
   let rt = Engine.create ~policy:Engine.Heft cfg in
-  let l, healthy = Taskrt.Tiled_cholesky.run_on ~tiles:8 rt a in
+  let l = Kernels.Matrix.copy a in
+  let healthy = Taskrt.Tiled_cholesky.run_on ~tiles:8 rt l in
   Printf.printf "healthy run: %d tasks in %.6f virtual s, residual %.2e\n"
     healthy.Engine.tasks healthy.Engine.makespan
     (Kernels.Lapack.cholesky_residual ~a ~l);
@@ -29,7 +30,8 @@ let () =
       Engine.set_offline rt ~worker:"gpu0");
   Engine.at rt ~time:(healthy.Engine.makespan /. 2.0) (fun () ->
       Engine.set_gflops rt ~worker:"gpu1" 35.0);
-  let l, disturbed = Taskrt.Tiled_cholesky.run_on ~tiles:8 rt a in
+  let l = Kernels.Matrix.copy a in
+  let disturbed = Taskrt.Tiled_cholesky.run_on ~tiles:8 rt l in
   Printf.printf
     "with gpu0 failure + gpu1 throttled: %.6f virtual s (%.2fx slower), \
      residual %.2e\n"

@@ -1,6 +1,7 @@
 /* Loops whose results are pinned bit for bit by the golden digests:
  * the diagonal-block factor and the row-wise triangular solve of
- * Lapack, and the fill of Matrix.random.  Built with
+ * Lapack, and the fill of Matrix.random (with the zero fill of
+ * Matrix's view helpers beside it).  Built with
  * -ffp-contract=off and without -mfma, so every multiply and subtract
  * rounds on its own exactly as the OCaml loops they replace did.
  * Each runs several independent elements side by side in vector
@@ -11,6 +12,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
 #include <caml/fail.h>
@@ -210,5 +212,14 @@ CAMLprim value cas_lcg_fill(value vd, value vlen, value vseed)
 {
   lcg_fill((double *)Caml_ba_data_val(vd), Long_val(vlen),
            (uint32_t)Long_val(vseed));
+  return Val_unit;
+}
+
+/* (d, off, len): d[off .. off + len) := +0.0, what a fill of a
+   Bigarray sub view does, without making the view. */
+CAMLprim value cas_zero_range(value vd, value voff, value vlen)
+{
+  memset((double *)Caml_ba_data_val(vd) + Long_val(voff), 0,
+         (size_t)Long_val(vlen) * sizeof(double));
   return Val_unit;
 }

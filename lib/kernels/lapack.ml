@@ -50,16 +50,6 @@ let maybe_parallel ?pool ~work ?(min_unit_work = 0.0) ~min_rows ~lo ~hi f =
         f i
       done
 
-(* A strided view [rows x cols] at [off] with leading dimension [ld]
-   must lie inside [buf]: the loops below index it unchecked. *)
-let view_check name (buf : Matrix.buf) ~off ~ld ~rows ~cols =
-  if rows < 0 || cols < 0 || off < 0 || (rows > 1 && ld < cols)
-     || (rows > 0 && cols > 0 && off + ((rows - 1) * ld) + cols > BA1.dim buf)
-  then
-    invalid_arg
-      (Printf.sprintf "%s: %dx%d view at offset %d (ld %d) exceeds %d elements"
-         name rows cols off ld (BA1.dim buf))
-
 external solve_rows_c :
   Matrix.buf -> int -> int -> Matrix.buf -> int -> int -> int -> int -> int ->
   int -> unit = "cas_solve_rows_bytecode" "cas_solve_rows"
@@ -102,7 +92,7 @@ let solve_rows ?pool ~(x : Matrix.buf) ~xoff ~ldx ~(l : Matrix.buf) ~loff ~ldl
    rows and trailing block rows — own their output rows outright, so
    pooled runs are bit-identical to sequential ones. *)
 let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
-  view_check "dpotrf" a ~off:aoff ~ld:lda ~rows:n ~cols:n;
+  Matrix.view_check "dpotrf" a ~off:aoff ~ld:lda ~rows:n ~cols:n;
   (* Direct bigarray indexing throughout: cross-module [Matrix.get]
      calls box every float they return, and the resulting minor-GC
      traffic is pure overhead here (each collection stops the world
@@ -150,9 +140,7 @@ let dpotrf_view ?pool ~n ~(a : Matrix.buf) ~aoff ~lda () =
     k0 := k1
   done;
   (* zero the strict upper triangle so the result is exactly L *)
-  for i = 0 to n - 2 do
-    BA1.fill (BA1.sub a (at i (i + 1)) (n - i - 1)) 0.0
-  done
+  Matrix.zero_strict_upper a ~off:aoff ~ld:lda ~rows:n ~cols:n
 
 let dpotrf ?pool (a : Matrix.t) =
   square_check "dpotrf" a;
@@ -163,8 +151,8 @@ let dpotrf ?pool (a : Matrix.t) =
    solve finishes the block.  Rows of B are independent throughout. *)
 let dtrsm_rlt_view ?pool ~m ~n ~(l : Matrix.buf) ~loff ~ldl ~(b : Matrix.buf)
     ~boff ~ldb () =
-  view_check "dtrsm_rlt" l ~off:loff ~ld:ldl ~rows:n ~cols:n;
-  view_check "dtrsm_rlt" b ~off:boff ~ld:ldb ~rows:m ~cols:n;
+  Matrix.view_check "dtrsm_rlt" l ~off:loff ~ld:ldl ~rows:n ~cols:n;
+  Matrix.view_check "dtrsm_rlt" b ~off:boff ~ld:ldb ~rows:m ~cols:n;
   let j0 = ref 0 in
   while !j0 < n do
     let j1 = min (!j0 + nb) n in
@@ -187,6 +175,30 @@ let dtrsm_rlt ?pool ~(l : Matrix.t) (b : Matrix.t) =
   dtrsm_rlt_view ?pool ~m:b.rows ~n:l.rows ~l:l.data ~loff:0 ~ldl:l.cols
     ~b:b.data ~boff:0 ~ldb:b.cols ()
 
+(* c[i][j] := c[j][i] for i < j on the [n x n] view at [off]: the
+   strict upper triangle becomes the mirror of the lower one.  Square
+   blocks of [mirror_block], so the column-strided reads of a block
+   (4 KiB apart at n = 512) stay in L1 while its rows are written. *)
+let mirror_block = 32
+
+let mirror_lower (c : Matrix.buf) ~off ~ld ~n =
+  let ib = ref 0 in
+  while !ib < n do
+    let i_hi = min n (!ib + mirror_block) in
+    let jb = ref !ib in
+    while !jb < n do
+      let j_hi = min n (!jb + mirror_block) in
+      for i = !ib to i_hi - 1 do
+        let row = off + (i * ld) in
+        for j = max !jb (i + 1) to j_hi - 1 do
+          BA1.unsafe_set c (row + j) (BA1.unsafe_get c (off + (j * ld) + i))
+        done
+      done;
+      jb := j_hi
+    done;
+    ib := i_hi
+  done
+
 (* Rank-k update on block rows: each block row bi computes its
    lower-triangle columns [0, r_hi) through the packed GEMM (with the
    same harmless diagonal-block overshoot as dpotrf, overwritten by
@@ -194,8 +206,8 @@ let dtrsm_rlt ?pool ~(l : Matrix.t) (b : Matrix.t) =
    are bit-identical. *)
 let dsyrk_ln_view ?pool ~n ~k ~(a : Matrix.buf) ~aoff ~lda ~(c : Matrix.buf)
     ~coff ~ldc () =
-  view_check "dsyrk_ln" a ~off:aoff ~ld:lda ~rows:n ~cols:k;
-  view_check "dsyrk_ln" c ~off:coff ~ld:ldc ~rows:n ~cols:n;
+  Matrix.view_check "dsyrk_ln" a ~off:aoff ~ld:lda ~rows:n ~cols:k;
+  Matrix.view_check "dsyrk_ln" c ~off:coff ~ld:ldc ~rows:n ~cols:n;
   let nblocks = (n + bmc - 1) / bmc in
   let work = float_of_int n *. float_of_int n *. float_of_int k in
   maybe_parallel ?pool ~work ~min_rows:2 ~lo:0 ~hi:nblocks (fun bi ->
@@ -204,11 +216,7 @@ let dsyrk_ln_view ?pool ~n ~k ~(a : Matrix.buf) ~aoff ~lda ~(c : Matrix.buf)
       Gemm_kernel.gemm ~trans_b:true ~m:(r_hi - r0) ~n:r_hi ~k ~alpha:(-1.0)
         ~beta:1.0 ~a ~aoff:(aoff + (r0 * lda)) ~lda ~b:a ~boff:aoff ~ldb:lda
         ~c ~coff:(coff + (r0 * ldc)) ~ldc ());
-  for i = 0 to n - 1 do
-    for j = 0 to i - 1 do
-      c.{coff + (j * ldc) + i} <- c.{coff + (i * ldc) + j}
-    done
-  done
+  mirror_lower c ~off:coff ~ld:ldc ~n
 
 let dsyrk_ln ?pool ~(a : Matrix.t) (c : Matrix.t) =
   square_check "dsyrk_ln" c;
@@ -218,9 +226,9 @@ let dsyrk_ln ?pool ~(a : Matrix.t) (c : Matrix.t) =
 
 let dgemm_nt_view ?pool ~m ~n ~k ~(a : Matrix.buf) ~aoff ~lda
     ~(b : Matrix.buf) ~boff ~ldb ~(c : Matrix.buf) ~coff ~ldc () =
-  view_check "dgemm_nt" a ~off:aoff ~ld:lda ~rows:m ~cols:k;
-  view_check "dgemm_nt" b ~off:boff ~ld:ldb ~rows:n ~cols:k;
-  view_check "dgemm_nt" c ~off:coff ~ld:ldc ~rows:m ~cols:n;
+  Matrix.view_check "dgemm_nt" a ~off:aoff ~ld:lda ~rows:m ~cols:k;
+  Matrix.view_check "dgemm_nt" b ~off:boff ~ld:ldb ~rows:n ~cols:k;
+  Matrix.view_check "dgemm_nt" c ~off:coff ~ld:ldc ~rows:m ~cols:n;
   Gemm_kernel.gemm ?pool ~trans_b:true ~m ~n ~k ~alpha:(-1.0) ~beta:1.0 ~a
     ~aoff ~lda ~b ~boff ~ldb ~c ~coff ~ldc ()
 
@@ -232,24 +240,30 @@ let dgemm_nt ?pool ~(a : Matrix.t) ~(b : Matrix.t) (c : Matrix.t) =
 
 (* m * m^T + n*I through the packed kernel (the naive triple loop took
    a minute at n = 2048 just to set up a benchmark).  Only the lower
-   triangle is computed, then mirrored: block rows of bmc rows cover
-   the columns left of their diagonal block, and each diagonal block
-   is covered in strips of [spd_strip] rows, each up to its own last
-   column.  The micro-kernel always runs full padded tiles and the
-   KC slicing does not depend on m or n, so every c_ij sums the same
-   products in the same k order whatever the blocking, and the mirror
-   is bit-exact.  The first KC slice (beta = 0) still reads C, so the
-   output starts zero-filled. *)
+   triangle is computed: block rows of bmc rows cover the columns left
+   of their diagonal block, and each diagonal block is covered in
+   strips of [spd_strip] rows, each up to its own last column.  The
+   micro-kernel always runs full padded tiles and the KC slicing does
+   not depend on m or n, so every c_ij sums the same products in the
+   same k order whatever the blocking, and a mirror of the lower
+   triangle is bit-exact.  The first KC slice (beta = 0) still reads
+   C, so each block is zeroed just before its GEMM: nothing the
+   buffer held before is read. *)
 let spd_strip = 32
 
-let random_spd ?(seed = 17) n =
-  let m = Matrix.random ~seed n n in
-  let a = Matrix.create n n in
+let random_spd_lower ?(seed = 17) ~(src : Matrix.t) (a : Matrix.t) =
+  square_check "random_spd_lower" a;
+  let n = a.rows in
+  if src.rows <> n || src.cols <> n then
+    invalid_arg "random_spd_lower: src and a differ in shape";
+  Matrix.fill_random ~seed src;
   let ad : Matrix.buf = a.data in
   (* rows [r0, r1) x columns [c0, c1) of m * m^T *)
   let block ~r0 ~r1 ~c0 ~c1 =
+    Matrix.zero_block ad ~off:((r0 * n) + c0) ~ld:n ~rows:(r1 - r0)
+      ~cols:(c1 - c0);
     Gemm_kernel.gemm ~trans_b:true ~m:(r1 - r0) ~n:(c1 - c0) ~k:n ~alpha:1.0
-      ~beta:0.0 ~a:m.data ~aoff:(r0 * n) ~lda:n ~b:m.data ~boff:(c0 * n)
+      ~beta:0.0 ~a:src.data ~aoff:(r0 * n) ~lda:n ~b:src.data ~boff:(c0 * n)
       ~ldb:n ~c:ad ~coff:((r0 * n) + c0) ~ldc:n ()
   in
   let r0 = ref 0 in
@@ -265,11 +279,18 @@ let random_spd ?(seed = 17) n =
     r0 := r_hi
   done;
   for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      BA1.unsafe_set ad ((i * n) + j) (BA1.unsafe_get ad ((j * n) + i))
-    done;
-    ad.{(i * n) + i} <- ad.{(i * n) + i} +. float_of_int n
-  done;
+    let ii = (i * n) + i in
+    BA1.unsafe_set ad ii (BA1.unsafe_get ad ii +. float_of_int n)
+  done
+
+let random_spd ?seed n =
+  if n < 0 then invalid_arg "random_spd: negative dimension";
+  let square () =
+    { Matrix.rows = n; cols = n; data = Matrix.alloc_buf (n * n) }
+  in
+  let a = square () in
+  random_spd_lower ?seed ~src:(square ()) a;
+  mirror_lower a.data ~off:0 ~ld:n ~n;
   a
 
 let cholesky_residual ~(a : Matrix.t) ~(l : Matrix.t) =

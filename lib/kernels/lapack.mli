@@ -92,8 +92,19 @@ val solve_rows :
 
 val random_spd : ?seed:int -> int -> Matrix.t
 (** A well-conditioned symmetric positive-definite matrix:
-    [M*M^T + n*I] for a random [M].  Only the lower triangle of
-    [M*M^T] is computed; the upper one is its mirror. *)
+    [M*M^T + n*I] for [M = Matrix.random ~seed n n] ([seed] defaults
+    to 17).  It is {!random_spd_lower} into fresh buffers, then the
+    strict upper triangle mirrored from the lower one. *)
+
+val random_spd_lower : ?seed:int -> src:Matrix.t -> Matrix.t -> unit
+(** [random_spd_lower ~src a] writes the lower triangle (diagonal
+    included) of [random_spd ?seed n] into the [n x n] matrix [a],
+    bit for bit, drawing [M] into [src] (same shape, overwritten).
+    It reads nothing either buffer held before.  The strict upper
+    triangle of [a] is left unspecified: a Cholesky factorization
+    reads only the lower one.
+    @raise Invalid_argument unless [a] is square and [src] has its
+    shape. *)
 
 val cholesky_residual : a:Matrix.t -> l:Matrix.t -> float
 (** [max |(L*L^T - A)_ij|] over the lower triangle, for verification;

@@ -36,11 +36,16 @@ external lcg_fill : buf -> int -> int -> unit = "cas_lcg_fill" [@@noalloc]
    s' = (a*s + c) mod 2^32 from s_0 = seed (low 30 bits), mapped to
    [-1, 1) as s * 2^-31 - 1: deterministic across runs and platforms.
    The fill runs in C on sixteen jump-ahead lanes (exact_stubs.c). *)
-let random ?(seed = 42) rows cols =
+let fill_random ?(seed = 42) m =
+  if BA1.dim m.data < m.rows * m.cols then
+    invalid_arg "Matrix.fill_random: buffer shorter than rows * cols";
+  lcg_fill m.data (m.rows * m.cols) (seed land 0x3FFFFFFF)
+
+let random ?seed rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Matrix.random: negative dimension";
-  let d = alloc_buf (rows * cols) in
-  lcg_fill d (rows * cols) (seed land 0x3FFFFFFF);
-  { rows; cols; data = d }
+  let m = { rows; cols; data = alloc_buf (rows * cols) } in
+  fill_random ?seed m;
+  m
 
 let get m i j = m.data.{(i * m.cols) + j}
 let set m i j v = m.data.{(i * m.cols) + j} <- v
@@ -87,10 +92,34 @@ let set_block m ~row ~col b =
       (BA1.sub m.data (((row + i) * m.cols) + col) b.cols)
   done
 
-let zero_upper m =
-  for i = 0 to min m.rows (m.cols - 1) - 1 do
-    BA1.fill (BA1.sub m.data ((i * m.cols) + i + 1) (m.cols - i - 1)) 0.0
+(* memset of [len] floats at [off] (exact_stubs.c), unchecked. *)
+external zero_range : buf -> int -> int -> unit = "cas_zero_range" [@@noalloc]
+
+let view_check name (b : buf) ~off ~ld ~rows ~cols =
+  if rows < 0 || cols < 0 || off < 0 || (rows > 1 && ld < cols)
+     || (rows > 0 && cols > 0 && off + ((rows - 1) * ld) + cols > BA1.dim b)
+  then
+    invalid_arg
+      (Printf.sprintf "%s: %dx%d view at offset %d (ld %d) exceeds %d elements"
+         name rows cols off ld (BA1.dim b))
+
+(* One memset per row, not a [BA1.sub] view per row: each view is a
+   custom block whose proxy bookkeeping cost more than the fill it
+   served on small tiles. *)
+let zero_block b ~off ~ld ~rows ~cols =
+  view_check "Matrix.zero_block" b ~off ~ld ~rows ~cols;
+  for i = 0 to rows - 1 do
+    zero_range b (off + (i * ld)) cols
   done
+
+let zero_strict_upper b ~off ~ld ~rows ~cols =
+  view_check "Matrix.zero_strict_upper" b ~off ~ld ~rows ~cols;
+  for i = 0 to min rows (cols - 1) - 1 do
+    zero_range b (off + (i * ld) + i + 1) (cols - i - 1)
+  done
+
+let zero_upper m =
+  zero_strict_upper m.data ~off:0 ~ld:m.cols ~rows:m.rows ~cols:m.cols
 
 let frobenius m =
   let acc = ref 0.0 in

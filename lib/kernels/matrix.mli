@@ -13,12 +13,19 @@
     mapped.  With glibc's defaults the mmap threshold slides with
     every freed mapped block and the heap top is trimmed once twice
     that threshold is free, so a service mixing 256x256 DGEMM and
-    512x512 Cholesky jobs, whose buffers the GC frees late, faulted
-    in fresh pages on every job: about 220 minor faults per job,
-    against fewer than two with the fixed thresholds.  The cost is
-    bounded: buffers above 32 MiB are still mapped and unmapped on
-    their own, and at most 64 MiB of freed heap stays resident.
-    Other libcs keep their defaults. *)
+    512x512 Cholesky jobs, each allocating fresh matrices that the GC
+    freed late, faulted in fresh pages on every job: about 220 minor
+    faults per job, against fewer than two with the fixed thresholds.
+    The cost is bounded: buffers above 32 MiB are still mapped and
+    unmapped on their own, and at most 64 MiB of freed heap stays
+    resident.  Other libcs keep their defaults.
+
+    The task service does not allocate per job: [Serve.Service]
+    owns its job buffers, at most three [max_n x max_n] matrices, and
+    fills them in place ({!fill_random}), because fresh Bigarrays of
+    0.5 to 2 MiB set off one to three major collections per job.  The
+    policy still serves every other caller that allocates job-sized
+    matrices repeatedly: tests, benchmarks and Cascabel programs. *)
 
 type buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Raw row-major storage. *)
@@ -45,6 +52,11 @@ val random : ?seed:int -> int -> int -> t
     always yields the same matrix (own LCG, independent of
     [Stdlib.Random]). *)
 
+val fill_random : ?seed:int -> t -> unit
+(** Overwrite [m] in place with the entries [random ?seed m.rows
+    m.cols] would hold, bit for bit: {!random} is an allocation
+    followed by this fill. *)
+
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val copy : t -> t
@@ -66,7 +78,22 @@ val set_block : t -> row:int -> col:int -> t -> unit
 (** Paste a block back (one blit per row). *)
 
 val zero_upper : t -> unit
-(** Zero the strict upper triangle in place (one fill per row). *)
+(** Zero the strict upper triangle in place. *)
+
+val view_check :
+  string -> buf -> off:int -> ld:int -> rows:int -> cols:int -> unit
+(** [view_check name buf ~off ~ld ~rows ~cols] raises
+    [Invalid_argument] (its message starting with [name]) unless the
+    [rows x cols] view at [off] with leading dimension [ld] lies
+    inside [buf]: element [(i, j)] is [buf.{off + i*ld + j}]. *)
+
+val zero_strict_upper : buf -> off:int -> ld:int -> rows:int -> cols:int -> unit
+(** {!zero_upper} on the [rows x cols] view at [off] with leading
+    dimension [ld]: one [memset] per row, no Bigarray view.
+    @raise Invalid_argument as {!view_check} does. *)
+
+val zero_block : buf -> off:int -> ld:int -> rows:int -> cols:int -> unit
+(** Zero every element of that view, likewise. *)
 
 val frobenius : t -> float
 

@@ -116,12 +116,10 @@ let check_args who ~tiles ~rows ~cols =
 
 let run_on ?(tiles = 4) rt (a : Matrix.t) =
   check_args "run_on" ~tiles ~rows:a.rows ~cols:a.cols;
-  (* The tasks factor a working copy of [a] in place. *)
-  let m = Matrix.copy a in
-  let stats = submit_and_wait rt ~tiles (Data.register_matrix ~name:"A" m) in
+  let stats = submit_and_wait rt ~tiles (Data.register_matrix ~name:"A" a) in
   (* only the lower factor is meaningful *)
-  Matrix.zero_upper m;
-  (m, stats)
+  Matrix.zero_upper a;
+  stats
 
 let model_on ?(tiles = 8) rt ~n =
   check_args "model_on" ~tiles ~rows:n ~cols:n;

@@ -14,14 +14,16 @@
     wait for it, as {!Tiled_dgemm}'s do; dynamic-resource events are
     scheduled with {!Engine.at} before the call. *)
 
-val run_on :
-  ?tiles:int -> Engine.t -> Kernels.Matrix.t -> Kernels.Matrix.t * Engine.stats
-(** Factor a symmetric positive-definite matrix ([tiles] defaults to
-    4). The matrix is not modified: a copy is factored, in place by
-    the tile tasks, and returned as the lower factor [l] with
-    [l * l^T ~ a], with the engine's cumulative stats.
+val run_on : ?tiles:int -> Engine.t -> Kernels.Matrix.t -> Engine.stats
+(** Factor a symmetric positive-definite matrix in place ([tiles]
+    defaults to 4): the tile tasks read only its lower triangle, and
+    on return it holds the lower factor [l], with [l * l^T ~ a] and
+    the strict upper triangle zeroed.  Returns the engine's cumulative
+    stats.  Nothing is copied or allocated for the matrix; a caller
+    that needs [a] afterwards factors a {!Kernels.Matrix.copy}.
     @raise Engine.Stuck as {!Engine.wait_all} does.
-    @raise Kernels.Lapack.Not_positive_definite as the kernels do. *)
+    @raise Kernels.Lapack.Not_positive_definite as the kernels do;
+    [a] then holds a partial factorization. *)
 
 val model_on : ?tiles:int -> Engine.t -> n:int -> Engine.stats
 (** Timing model only ([tiles] defaults to 8): virtual handles, so

@@ -24,19 +24,17 @@ let submit_and_wait ?group rt ~tiles ~ha ~hb ~hc =
   stats
 
 (* A and B are only read, so the tasks read them where they are; the
-   product lands in place in the registered C. *)
-let run_on ?(tiles = 4) ?group rt ~(a : Matrix.t) ~(b : Matrix.t) =
-  if a.cols <> b.rows then invalid_arg "Tiled_dgemm.run_on: shape mismatch";
+   product accumulates in place into the caller's C. *)
+let run_on ?(tiles = 4) ?group rt ~(a : Matrix.t) ~(b : Matrix.t)
+    ~(c : Matrix.t) =
+  if a.cols <> b.rows || c.rows <> a.rows || c.cols <> b.cols then
+    invalid_arg "Tiled_dgemm.run_on: shape mismatch";
   if tiles < 1 || tiles > a.rows || tiles > b.cols then
     invalid_arg "Tiled_dgemm.run_on: bad tile count";
-  let c = Matrix.create a.rows b.cols in
-  let stats =
-    submit_and_wait ?group rt ~tiles
-      ~ha:(Data.register_matrix ~name:"A" a)
-      ~hb:(Data.register_matrix ~name:"B" b)
-      ~hc:(Data.register_matrix ~name:"C" c)
-  in
-  (c, stats)
+  submit_and_wait ?group rt ~tiles
+    ~ha:(Data.register_matrix ~name:"A" a)
+    ~hb:(Data.register_matrix ~name:"B" b)
+    ~hc:(Data.register_matrix ~name:"C" c)
 
 let model_on ?(tiles = 8) ?group rt ~n =
   if tiles < 1 || tiles > n then invalid_arg "Tiled_dgemm.model_on: bad tiles";

@@ -19,11 +19,13 @@ val run_on :
   Engine.t ->
   a:Kernels.Matrix.t ->
   b:Kernels.Matrix.t ->
-  Kernels.Matrix.t * Engine.stats
-(** Multiply real matrices ([tiles] defaults to 4): [a] and [b] are
-    registered as they are (the tasks only read them) and every task
-    computes in place on its tiles' {!Data.view}s, so no tile is
-    copied. Returns the product and the engine's cumulative stats.
+  c:Kernels.Matrix.t ->
+  Engine.stats
+(** [C := C + A*B] on real matrices ([tiles] defaults to 4): [a],
+    [b] and [c] are registered as they are, and every task computes
+    in place on its tiles' {!Data.view}s, so no tile is copied and
+    nothing is allocated for the product: a caller wanting [A*B]
+    passes a zeroed [c].  Returns the engine's cumulative stats.
     [group] restricts every task to that execution group.
     @raise Invalid_argument on shape mismatch or [tiles] exceeding
     the matrix dimensions.

@@ -4,6 +4,7 @@ module Engine = Taskrt.Engine
 module Fault = Taskrt.Fault
 module Matrix = Kernels.Matrix
 module Lapack = Kernels.Lapack
+module BA1 = Bigarray.Array1
 
 type pending = {
   p_id : int;
@@ -73,12 +74,22 @@ type t = {
   idem_done : (string * idem_state) Queue.t;
       (* completed keys in completion order, each with the state it set *)
   replays : P.reply Queue.t;  (* cached DONEs owed to retried clients *)
+  buffers : Matrix.buf array;
+      (* the dense jobs' matrices, each grown to the largest job yet *)
 }
 
 let default_dedup_cap = 512
 (* Task events kept per tenant, as many as Obs.Decision's ring keeps
    placement records: at 64 bytes each, 256 KiB per tenant. *)
 let trace_cap = 4096
+
+(* A DGEMM job takes slots 0, 1, 2 (A, B, C), a Cholesky job 0 and 1
+   (its source M and the matrix it factors); see service.mli. *)
+let buffer_slots = 3
+let max_buffer_bytes = buffer_slots * P.max_n * P.max_n * 8
+
+let c_buffer_alloc =
+  Obs.Counter.make ~help:"job-buffer growth allocations" "serve_buffer_alloc"
 
 let create ?(policy = Engine.Heft) ?(shards = 2) ?(queue_cap = 16)
     ?(quantum = 1e6) ?tune ?(now = Unix.gettimeofday) ?slo_ms
@@ -110,6 +121,7 @@ let create ?(policy = Engine.Heft) ?(shards = 2) ?(queue_cap = 16)
     idem = Hashtbl.create 64;
     idem_done = Queue.create ();
     replays = Queue.create ();
+    buffers = Array.init buffer_slots (fun _ -> Matrix.alloc_buf 0);
   }
 
 (* keys are protocol-validated to [A-Za-z0-9._:-], so NUL cannot occur
@@ -251,22 +263,40 @@ let synth f =
     ~flow:(Obs.Trace_ctx.current_flow ()) sp;
   x
 
+(* Slot [i] as an [n x n] matrix of exactly [n * n] elements
+   (checksums and view checks read the buffer's length), its contents
+   unspecified: every job overwrites what it reads. *)
+let job_matrix t i n =
+  if BA1.dim t.buffers.(i) < n * n then begin
+    t.buffers.(i) <- Matrix.alloc_buf (n * n);
+    Obs.Counter.incr c_buffer_alloc
+  end;
+  { Matrix.rows = n; cols = n; data = BA1.sub t.buffers.(i) 0 (n * n) }
+
+let buffer_bytes t =
+  Array.fold_left (fun acc b -> acc + (8 * BA1.dim b)) 0 t.buffers
+
+let fill_buffers t x = Array.iter (fun b -> BA1.fill b x) t.buffers
+
 let execute t ten shard job =
   let e = engine_for t ten shard in
   let t0 = Engine.now e in
   let checksum =
     match job with
     | P.Dgemm { n; tiles; seed } ->
-        let a, b =
-          synth (fun () ->
-              (Matrix.random ~seed n n, Matrix.random ~seed:(seed + 1) n n))
-        in
-        let c, _ = Taskrt.Tiled_dgemm.run_on ~tiles e ~a ~b in
+        let a = job_matrix t 0 n and b = job_matrix t 1 n in
+        let c = job_matrix t 2 n in
+        synth (fun () ->
+            Matrix.fill_random ~seed a;
+            Matrix.fill_random ~seed:(seed + 1) b;
+            BA1.fill c.data 0.0);
+        ignore (Taskrt.Tiled_dgemm.run_on ~tiles e ~a ~b ~c);
         hex (Matrix.checksum c)
     | P.Cholesky { n; tiles; seed } ->
-        let a = synth (fun () -> Lapack.random_spd ~seed n) in
-        let l, _ = Taskrt.Tiled_cholesky.run_on ~tiles e a in
-        hex (Matrix.checksum l)
+        let src = job_matrix t 0 n and a = job_matrix t 1 n in
+        synth (fun () -> Lapack.random_spd_lower ~seed ~src a);
+        ignore (Taskrt.Tiled_cholesky.run_on ~tiles e a);
+        hex (Matrix.checksum a)
     | P.Graph { width; depth; task_flops } ->
         let archs =
           Array.to_list t.shard_cfgs.(shard).MC.workers

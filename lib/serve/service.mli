@@ -14,6 +14,22 @@
     runs once the tenant's deficit covers its flops estimate, so a
     flood of cheap jobs from one tenant cannot starve another.
 
+    {b Job buffers.} The service owns the matrices its dense jobs
+    compute on, and a warm service allocates none per job.  Three
+    buffers, reused by every tenant and shard: a DGEMM job fills two
+    with its inputs A and B by the seeded LCG, zeroes the third and
+    accumulates C = A*B into it; a Cholesky job draws its source [M]
+    into the first, synthesizes the lower triangle of
+    [M*M^T + n*I] into the second ({!Kernels.Lapack.random_spd_lower})
+    and factors it there.  Each job hands out exact-length [n x n]
+    views and overwrites everything it reads, so its DONE bytes never
+    depend on an earlier job.  A buffer grows, once, to the largest
+    job it has served, and never past the admission cap
+    {!Protocol.max_n}: the resident total is at most
+    {!max_buffer_bytes}, 96 MiB, the inputs and output of one
+    largest DGEMM.  Fresh buffers per job set off one to three major
+    collections per job on the serve-heavy mix.
+
     The module is single-threaded by design (the daemon's event loop
     serializes calls); the wall clock is injectable for deterministic
     tests. *)
@@ -161,3 +177,15 @@ val engines : t -> tenant:string -> Taskrt.Engine.t list
 
 val shard_configs : t -> Taskrt.Machine_config.t array
 (** The PU shards the service runs over (tests, logs). *)
+
+val max_buffer_bytes : int
+(** [3 * Protocol.max_n * Protocol.max_n * 8] bytes (96 MiB): the
+    bound on {!buffer_bytes}. *)
+
+val buffer_bytes : t -> int
+(** Bytes the job buffers hold now.  Each growth of a buffer counts
+    once in the [serve_buffer_alloc] counter. *)
+
+val fill_buffers : t -> float -> unit
+(** Overwrite every job buffer with the value (tests: fill them with
+    NaN between jobs, and no result may change). *)

@@ -48,6 +48,27 @@ let matrix_tests =
         match Matrix.sub_block m ~row:2 ~col:2 ~rows:3 ~cols:1 with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    Alcotest.test_case "zeroing a view writes only inside it" `Quick
+      (fun () ->
+        (* the 3 x 4 view at offset 7, ld 6, of a 30-element buffer *)
+        let fresh () = (Matrix.random ~seed:5 5 6).data in
+        let inside i = i >= 7 && (i - 7) / 6 < 3 && (i - 7) mod 6 < 4 in
+        let upper i = inside i && (i - 7) mod 6 > (i - 7) / 6 in
+        let zeroed_where f (b : Matrix.buf) =
+          let b0 = fresh () in
+          List.for_all
+            (fun i -> if f i then b.{i} = 0.0 else b.{i} = b0.{i})
+            (List.init 30 Fun.id)
+        in
+        let b = fresh () in
+        Matrix.zero_block b ~off:7 ~ld:6 ~rows:3 ~cols:4;
+        check bool_ "block" true (zeroed_where inside b);
+        let b = fresh () in
+        Matrix.zero_strict_upper b ~off:7 ~ld:6 ~rows:3 ~cols:4;
+        check bool_ "strict upper triangle" true (zeroed_where upper b);
+        match Matrix.zero_block b ~off:7 ~ld:6 ~rows:4 ~cols:6 with
+        | () -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument _ -> ());
     Alcotest.test_case "of_array / to_array round trip" `Quick (fun () ->
         let src = Array.init 12 (fun i -> float_of_int i *. 0.25) in
         let m = Matrix.of_array ~rows:3 ~cols:4 src in

@@ -11,6 +11,18 @@ let bool_ = Alcotest.bool
 let string_ = Alcotest.string
 let float_ tol = Alcotest.float tol
 
+(* The tiled apps compute in place; these give back the product and
+   the factor as fresh matrices, leaving [a] and [b] as they were. *)
+let tiled_dgemm ?tiles rt ~(a : Matrix.t) ~(b : Matrix.t) =
+  let c = Matrix.create a.rows b.cols in
+  let stats = Tiled_dgemm.run_on ?tiles rt ~a ~b ~c in
+  (c, stats)
+
+let tiled_cholesky ?tiles rt a =
+  let l = Matrix.copy a in
+  let stats = Tiled_cholesky.run_on ?tiles rt l in
+  (l, stats)
+
 (* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
 
@@ -374,7 +386,7 @@ let engine_tests =
         List.iter
           (fun policy ->
             let rt = Engine.create ~policy (gpu_cfg ()) in
-            let c, _ = Tiled_dgemm.run_on ~tiles:3 rt ~a ~b in
+            let c, _ = tiled_dgemm ~tiles:3 rt ~a ~b in
             check bool_
               (Engine.policy_to_string policy ^ " correct")
               true
@@ -545,7 +557,7 @@ let dgemm_tests =
         let expected = Matrix.create 25 25 in
         Kernels.Blas.dgemm a b expected;
         let rt = Engine.create (gpu_cfg ()) in
-        let c, stats = Tiled_dgemm.run_on ~tiles:4 rt ~a ~b in
+        let c, stats = tiled_dgemm ~tiles:4 rt ~a ~b in
         check bool_ "correct" true (Matrix.approx_equal expected c);
         check int_ "16 tasks" 16 stats.tasks);
     Alcotest.test_case "model run produces no matrix but sane stats" `Quick
@@ -618,11 +630,22 @@ let dgemm_tests =
         and b = Matrix.random ~seed:14 24 24 in
         let expected = Matrix.create 24 24 in
         Kernels.Blas.dgemm a b expected;
-        let c, stats = Tiled_dgemm.run_on ~tiles:3 rt ~a ~b in
+        let c, stats = tiled_dgemm ~tiles:3 rt ~a ~b in
         check int_ "16 + 9 tasks" 25 stats.tasks;
         check bool_ "virtual time accumulates" true
           (stats.makespan > model.makespan);
         check (float_ 0.0) "product equals Blas.dgemm's" 0.0
+          (Matrix.max_abs_diff expected c));
+    Alcotest.test_case "run_on accumulates into the caller's C" `Quick
+      (fun () ->
+        let a = Matrix.random ~seed:15 20 20
+        and b = Matrix.random ~seed:16 20 20
+        and c = Matrix.random ~seed:17 20 20 in
+        let expected = Matrix.copy c in
+        Kernels.Blas.dgemm ~beta:1.0 a b expected;
+        ignore
+          (Tiled_dgemm.run_on ~tiles:3 (Engine.create (gpu_cfg ())) ~a ~b ~c);
+        check (float_ 0.0) "C + A*B as Blas.dgemm's beta = 1" 0.0
           (Matrix.max_abs_diff expected c));
   ]
 
@@ -636,7 +659,7 @@ let cholesky_tests =
         let n = 32 in
         let a = Kernels.Lapack.random_spd ~seed:3 n in
         let rt = Engine.create ~policy:Engine.Heft (gpu_cfg ()) in
-        let l, _ = Tiled_cholesky.run_on ~tiles:4 rt a in
+        let l, _ = tiled_cholesky ~tiles:4 rt a in
         check bool_ "residual small" true
           (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8));
     Alcotest.test_case "task count follows the DAG formula" `Quick
@@ -645,7 +668,7 @@ let cholesky_tests =
         let t = 4 in
         let a = Kernels.Lapack.random_spd ~seed:5 16 in
         let rt = Engine.create (smp_cfg ()) in
-        let _, stats = Tiled_cholesky.run_on ~tiles:t rt a in
+        let _, stats = tiled_cholesky ~tiles:t rt a in
         let expected = t + (t * (t - 1)) + (t * (t - 1) * (t - 2) / 6) in
         check int_ "tasks" expected stats.tasks);
     Alcotest.test_case "every policy factors correctly" `Quick (fun () ->
@@ -654,7 +677,7 @@ let cholesky_tests =
         List.iter
           (fun policy ->
             let rt = Engine.create ~policy (gpu_cfg ()) in
-            let l, _ = Tiled_cholesky.run_on ~tiles:3 rt a in
+            let l, _ = tiled_cholesky ~tiles:3 rt a in
             check bool_
               (Engine.policy_to_string policy)
               true
@@ -677,12 +700,27 @@ let cholesky_tests =
       `Quick (fun () ->
         let a = Kernels.Lapack.random_spd ~seed:9 16 in
         let _, real =
-          Tiled_cholesky.run_on ~tiles:4 (Engine.create (smp_cfg ())) a
+          tiled_cholesky ~tiles:4 (Engine.create (smp_cfg ())) a
         in
         let model =
           Tiled_cholesky.model_on ~tiles:4 (Engine.create (smp_cfg ())) ~n:16
         in
         check int_ "same task count" real.tasks model.tasks);
+    Alcotest.test_case "run_on factors in place from the lower triangle"
+      `Quick (fun () ->
+        let n = 21 in
+        let a = Kernels.Lapack.random_spd ~seed:10 n in
+        let l, _ = tiled_cholesky ~tiles:4 (Engine.create (smp_cfg ())) a in
+        let w = Matrix.copy a in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            Matrix.set w i j Float.nan
+          done
+        done;
+        ignore (Tiled_cholesky.run_on ~tiles:4 (Engine.create (smp_cfg ())) w);
+        (* NaN <> NaN: a poisoned entry left in w fails the comparison *)
+        check bool_ "same factor, upper triangle zeroed" true
+          (Matrix.to_array w = Matrix.to_array l));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -814,7 +852,7 @@ let dynamic_tests =
         let rt = Engine.create ~policy:Engine.Heft (gpu_cfg ()) in
         Engine.at rt ~time:1e-6 (fun () ->
             Engine.set_offline rt ~worker:"gpu0");
-        let l, stats = Tiled_cholesky.run_on ~tiles:4 rt a in
+        let l, stats = tiled_cholesky ~tiles:4 rt a in
         check bool_ "still correct" true
           (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8);
         (* the dead gpu must not have run anything after the failure;
@@ -1124,7 +1162,7 @@ let tiled_correct =
         Engine.create ~policy:Engine.Heft
           (Machine_config.of_platform_exn Pdl_hwprobe.Zoo.xeon_2gpu)
       in
-      Matrix.approx_equal expected (fst (Tiled_dgemm.run_on ~tiles rt ~a ~b)))
+      Matrix.approx_equal expected (fst (tiled_dgemm ~tiles rt ~a ~b)))
 
 (* ------------------------------------------------------------------ *)
 (* Deque (the scheduler's worker-queue backbone)                       *)
@@ -1824,7 +1862,7 @@ let fault_tests =
         let a = Kernels.Lapack.random_spd ~seed:11 n in
         let faults = faults_of "seed=5,transient=0.3,retries=20,quarantine=0" in
         let rt = Engine.create ~policy:Engine.Heft ~faults (gpu_cfg ()) in
-        let l, stats = Tiled_cholesky.run_on ~tiles:4 rt a in
+        let l, stats = tiled_cholesky ~tiles:4 rt a in
         check bool_ "injection happened" true (stats.failures_injected > 0);
         check bool_ "still correct" true
           (Kernels.Lapack.cholesky_residual ~a ~l < 1e-8));
@@ -1837,7 +1875,7 @@ let fault_free_equivalence =
   let a = Matrix.random ~seed:21 48 48 and b = Matrix.random ~seed:22 48 48 in
   let clean =
     lazy
-      (fst (Tiled_dgemm.run_on ~tiles:3 (Engine.create (smp_cfg ())) ~a ~b))
+      (fst (tiled_dgemm ~tiles:3 (Engine.create (smp_cfg ())) ~a ~b))
   in
   QCheck.Test.make ~name:"faulty runs are bit-identical to fault-free runs"
     ~count:15
@@ -1854,7 +1892,7 @@ let fault_free_equivalence =
         }
       in
       let rt = Engine.create ~faults (smp_cfg ()) in
-      let c, stats = Tiled_dgemm.run_on ~tiles:3 rt ~a ~b in
+      let c, stats = tiled_dgemm ~tiles:3 rt ~a ~b in
       stats.abandoned = 0 && Matrix.max_abs_diff (Lazy.force clean) c = 0.0)
 
 let () =

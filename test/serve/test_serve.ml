@@ -360,7 +360,11 @@ let engine_interleave =
       let parts = Serve.Shard.split (cfg_of "xeon-2gpu") ~shards:2 in
       let a = Matrix.random ~seed 32 32
       and b = Matrix.random ~seed:(seed + 1) 32 32 in
-      let go e = Matrix.checksum (fst (Taskrt.Tiled_dgemm.run_on ~tiles e ~a ~b)) in
+      let go e =
+        let c = Matrix.create 32 32 in
+        ignore (Taskrt.Tiled_dgemm.run_on ~tiles e ~a ~b ~c);
+        Matrix.checksum c
+      in
       let interleaved =
         let e0 = Engine.create ~policy:Engine.Heft parts.(0)
         and e1 = Engine.create ~policy:Engine.Heft parts.(1) in
@@ -375,6 +379,124 @@ let engine_interleave =
         r0 @ [ go e1; go e1 ]
       in
       interleaved = sequential)
+
+(* ------------------------------------------------------------------ *)
+(* Job buffers: a warm service reuses its matrices                     *)
+
+(* One job through [svc]: its DONE frame with the id zeroed, a fixed
+   clock and trace context setting the rest, and the same frame with
+   makespan_s zeroed too.  makespan_s is a difference of the shard
+   engine's virtual clock, which accumulates across jobs, so its last
+   bits depend on what ran before on that engine. *)
+let done_bytes svc job =
+  ignore
+    (Service.submit svc ~tenant:"t" ~trace:"00000000000000a1-00000000000000b2"
+       job);
+  match Service.run_until_idle svc with
+  | [ P.Done d ] ->
+      let frame status =
+        P.reply_to_string (P.Done { d with id = 0; status })
+      in
+      let timeless =
+        match d.status with
+        | P.Jok o -> P.Jok { o with makespan_s = 0.0 }
+        | st -> st
+      in
+      (frame d.status, frame timeless)
+  | rs ->
+      let e = Printf.sprintf "%d replies" (List.length rs) in
+      (e, e)
+
+let buffer_service () =
+  Service.create ~shards:1 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
+
+let gen_dense_job =
+  QCheck.Gen.(
+    map3
+      (fun chol n tiles ->
+        let n = (2 * n) + 1 in
+        let tiles = min n tiles in
+        if chol then P.Cholesky { n; tiles; seed = n + tiles }
+        else P.Dgemm { n; tiles; seed = n * tiles })
+      bool (int_range 0 80) (int_range 1 5))
+
+let show_dense = function
+  | P.Dgemm { n; tiles; seed } -> Printf.sprintf "dgemm %d/%d/%d" n tiles seed
+  | P.Cholesky { n; tiles; seed } ->
+      Printf.sprintf "cholesky %d/%d/%d" n tiles seed
+  | P.Graph _ -> "graph"
+
+(* A long-lived service, its buffers grown by large jobs and reused
+   by small ones (the sequence runs forward, then backward), answers
+   every job as a fresh service does; with every buffer holding NaN
+   before each job, its DONE frames stay the same to the byte. *)
+let buffers_reuse =
+  QCheck.Test.make ~name:"reused job buffers give a fresh service's DONE bytes"
+    ~count:20
+    (QCheck.make
+       ~print:(fun js -> String.concat "; " (List.map show_dense js))
+       QCheck.Gen.(list_size (int_range 1 5) gen_dense_job))
+    (fun jobs ->
+      let jobs = jobs @ List.rev jobs in
+      let fresh =
+        List.map (fun j -> snd (done_bytes (buffer_service ()) j)) jobs
+      in
+      let run ~poison =
+        let svc = buffer_service () in
+        List.map
+          (fun j ->
+            if poison then Service.fill_buffers svc Float.nan;
+            let d = done_bytes svc j in
+            if Service.buffer_bytes svc > Service.max_buffer_bytes then
+              QCheck.Test.fail_report "job buffers exceed their bound";
+            d)
+          jobs
+      in
+      let clean = run ~poison:false in
+      List.map snd clean = fresh && run ~poison:true = clean)
+
+let buffer_tests =
+  [
+    Alcotest.test_case "a warm service allocates no job buffer" `Quick
+      (fun () ->
+        Obs.Config.set_enabled true;
+        Obs.Counter.reset_all ();
+        let allocs () =
+          List.find
+            (fun c -> Obs.Counter.name c = "serve_buffer_alloc")
+            (Obs.Counter.all ())
+          |> Obs.Counter.value
+        in
+        let svc = buffer_service () in
+        let mix i =
+          [ P.Dgemm { n = 48; tiles = 2; seed = i };
+            P.Cholesky { n = 64; tiles = 4; seed = i } ]
+        in
+        List.iter (fun j -> ignore (done_bytes svc j)) (mix 1);
+        let warm = allocs () in
+        for i = 2 to 6 do
+          List.iter (fun j -> ignore (done_bytes svc j)) (mix i)
+        done;
+        let after = allocs () in
+        let bytes = Service.buffer_bytes svc in
+        (* an over-cap job is refused before it can grow a buffer *)
+        (match
+           Service.submit svc ~tenant:"t"
+             (P.Dgemm { n = P.max_n + 1; tiles = 1; seed = 1 })
+         with
+        | P.Error _ -> ()
+        | r -> Alcotest.failf "over-cap job admitted: %s" (P.reply_to_string r));
+        Obs.Export.reset_all ();
+        Obs.Config.set_enabled false;
+        check int_ "warm-up: three buffers, two of them grown again" 5 warm;
+        check int_ "later jobs of the same shapes allocate nothing" warm after;
+        check int_ "resident bytes: two 64x64 and one 48x48"
+          (8 * ((2 * 64 * 64) + (48 * 48)))
+          bytes;
+        check int_ "refused job grew nothing" bytes (Service.buffer_bytes svc);
+        check int_ "the stated bound" (3 * P.max_n * P.max_n * 8)
+          Service.max_buffer_bytes);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Service semantics                                                   *)
@@ -2340,6 +2462,7 @@ let () =
       ("journal", journal_tests);
       ("compaction", compaction_tests);
       ("service", service_tests);
+      ("buffers", buffer_tests);
       ("golden", golden_tests);
       ("wire", wire_tests);
       ("trace", trace_tests);
@@ -2351,6 +2474,7 @@ let () =
             journal_truncation_safe; recover_reference; restore_windowed;
             compact_reference;
             shard_partition; engine_interleave; ring_reference; flow_chain;
+            buffers_reuse;
           ]
       );
     ]
