@@ -199,23 +199,15 @@ let mirror_lower (c : Matrix.buf) ~off ~ld ~n =
     ib := i_hi
   done
 
-(* Rank-k update on block rows: each block row bi computes its
-   lower-triangle columns [0, r_hi) through the packed GEMM (with the
-   same harmless diagonal-block overshoot as dpotrf, overwritten by
-   the mirror pass).  Block rows own their output rows: pooled runs
-   are bit-identical. *)
+(* The lower triangle from Gemm_kernel.syrk_lower, then the mirror
+   pass over the strict upper one (which also overwrites the few
+   elements the diagonal tiles wrote there). *)
 let dsyrk_ln_view ?pool ~n ~k ~(a : Matrix.buf) ~aoff ~lda ~(c : Matrix.buf)
     ~coff ~ldc () =
   Matrix.view_check "dsyrk_ln" a ~off:aoff ~ld:lda ~rows:n ~cols:k;
   Matrix.view_check "dsyrk_ln" c ~off:coff ~ld:ldc ~rows:n ~cols:n;
-  let nblocks = (n + bmc - 1) / bmc in
-  let work = float_of_int n *. float_of_int n *. float_of_int k in
-  maybe_parallel ?pool ~work ~min_rows:2 ~lo:0 ~hi:nblocks (fun bi ->
-      let r0 = bi * bmc in
-      let r_hi = min n (r0 + bmc) in
-      Gemm_kernel.gemm ~trans_b:true ~m:(r_hi - r0) ~n:r_hi ~k ~alpha:(-1.0)
-        ~beta:1.0 ~a ~aoff:(aoff + (r0 * lda)) ~lda ~b:a ~boff:aoff ~ldb:lda
-        ~c ~coff:(coff + (r0 * ldc)) ~ldc ());
+  Gemm_kernel.syrk_lower ?pool ~n ~k ~alpha:(-1.0) ~beta:1.0 ~a ~aoff ~lda ~c
+    ~coff ~ldc ();
   mirror_lower c ~off:coff ~ld:ldc ~n
 
 let dsyrk_ln ?pool ~(a : Matrix.t) (c : Matrix.t) =
@@ -240,17 +232,11 @@ let dgemm_nt ?pool ~(a : Matrix.t) ~(b : Matrix.t) (c : Matrix.t) =
 
 (* m * m^T + n*I through the packed kernel (the naive triple loop took
    a minute at n = 2048 just to set up a benchmark).  Only the lower
-   triangle is computed: block rows of bmc rows cover the columns left
-   of their diagonal block, and each diagonal block is covered in
-   strips of [spd_strip] rows, each up to its own last column.  The
-   micro-kernel always runs full padded tiles and the KC slicing does
-   not depend on m or n, so every c_ij sums the same products in the
-   same k order whatever the blocking, and a mirror of the lower
-   triangle is bit-exact.  The first KC slice (beta = 0) still reads
-   C, so each block is zeroed just before its GEMM: nothing the
-   buffer held before is read. *)
-let spd_strip = 32
-
+   triangle is computed, by Gemm_kernel.syrk_lower with beta = 0,
+   which zeroes the tiles it writes first: nothing the buffer held
+   before is read.  Every c_ij sums the same products in the same k
+   order as a full GEMM, so a mirror of the lower triangle is
+   bit-exact. *)
 let random_spd_lower ?(seed = 17) ~(src : Matrix.t) (a : Matrix.t) =
   square_check "random_spd_lower" a;
   let n = a.rows in
@@ -258,26 +244,8 @@ let random_spd_lower ?(seed = 17) ~(src : Matrix.t) (a : Matrix.t) =
     invalid_arg "random_spd_lower: src and a differ in shape";
   Matrix.fill_random ~seed src;
   let ad : Matrix.buf = a.data in
-  (* rows [r0, r1) x columns [c0, c1) of m * m^T *)
-  let block ~r0 ~r1 ~c0 ~c1 =
-    Matrix.zero_block ad ~off:((r0 * n) + c0) ~ld:n ~rows:(r1 - r0)
-      ~cols:(c1 - c0);
-    Gemm_kernel.gemm ~trans_b:true ~m:(r1 - r0) ~n:(c1 - c0) ~k:n ~alpha:1.0
-      ~beta:0.0 ~a:src.data ~aoff:(r0 * n) ~lda:n ~b:src.data ~boff:(c0 * n)
-      ~ldb:n ~c:ad ~coff:((r0 * n) + c0) ~ldc:n ()
-  in
-  let r0 = ref 0 in
-  while !r0 < n do
-    let r_hi = min n (!r0 + bmc) in
-    block ~r0:!r0 ~r1:r_hi ~c0:0 ~c1:!r0;
-    let s0 = ref !r0 in
-    while !s0 < r_hi do
-      let s_hi = min r_hi (!s0 + spd_strip) in
-      block ~r0:!s0 ~r1:s_hi ~c0:!r0 ~c1:s_hi;
-      s0 := s_hi
-    done;
-    r0 := r_hi
-  done;
+  Gemm_kernel.syrk_lower ~n ~k:n ~alpha:1.0 ~beta:0.0 ~a:src.data ~aoff:0
+    ~lda:n ~c:ad ~coff:0 ~ldc:n ();
   for i = 0 to n - 1 do
     let ii = (i * n) + i in
     BA1.unsafe_set ad ii (BA1.unsafe_get ad ii +. float_of_int n)

@@ -42,10 +42,11 @@ val dtrsm_rlt : ?pool:Domain_pool.t -> l:Matrix.t -> Matrix.t -> unit
 
 val dsyrk_ln : ?pool:Domain_pool.t -> a:Matrix.t -> Matrix.t -> unit
 (** [dsyrk_ln ~a c] performs the symmetric rank-k update
-    [c := c - a * a^T] on the lower triangle of [c] (the upper
-    triangle is mirrored to keep the tile symmetric), through the
-    packed {!Gemm_kernel} on block rows.  Pooled runs are
-    bit-identical. *)
+    [c := c - a * a^T] on the lower triangle of [c] through
+    {!Gemm_kernel.syrk_lower}, the lower-triangle product
+    {!random_spd_lower} uses too, then mirrors the upper triangle to
+    keep the tile symmetric.  Each lower element has the bits
+    {!dgemm_nt} gives it; pooled runs are bit-identical. *)
 
 val dgemm_nt : ?pool:Domain_pool.t -> a:Matrix.t -> b:Matrix.t -> Matrix.t -> unit
 (** [dgemm_nt ~a ~b c] computes [c := c - a * b^T] through the packed
@@ -99,7 +100,9 @@ val random_spd : ?seed:int -> int -> Matrix.t
 val random_spd_lower : ?seed:int -> src:Matrix.t -> Matrix.t -> unit
 (** [random_spd_lower ~src a] writes the lower triangle (diagonal
     included) of [random_spd ?seed n] into the [n x n] matrix [a],
-    bit for bit, drawing [M] into [src] (same shape, overwritten).
+    bit for bit, drawing [M] into [src] (same shape, overwritten),
+    through {!Gemm_kernel.syrk_lower} with [beta = 0.], as
+    {!dsyrk_ln} uses it with [beta = 1.].
     It reads nothing either buffer held before.  The strict upper
     triangle of [a] is left unspecified: a Cholesky factorization
     reads only the lower one.

@@ -159,6 +159,9 @@ type stranded = {
 
 type t = {
   sim : Sim.t;
+  mutable epoch : float;
+      (** virtual time of the sim clock's origin; exported times
+          (trace, fault log, {!now}) add it *)
   cfg : Machine_config.t;
   pol : policy;
   label : string;  (** decision-log tag, e.g. "tenant/shard0"; "" standalone *)
@@ -201,7 +204,25 @@ type t = {
 
 let policy t = t.pol
 let machine t = t.cfg
-let now t = Sim.now t.sim
+let now t = t.epoch +. Sim.now t.sim
+let elapsed t = Sim.now t.sim
+
+(* With no task in flight every worker is free now, whatever HEFT had
+   estimated: an estimate that ran past the last completion (by an
+   ulp of rounding, say) is dropped, as a fresh engine has none. *)
+let rebase t =
+  let by = Sim.now t.sim in
+  if t.live_tasks = 0 && by <> 0.0 then begin
+    t.epoch <- t.epoch +. by;
+    Sim.rebase t.sim by;
+    Itbl.iter (fun _ (res, _) -> Sim.rebase_resource res by) t.link_resources;
+    Array.iter
+      (fun ws ->
+        ws.free_estimate <- 0.0;
+        ws.online_since <- ws.online_since -. by)
+      t.workers
+  end
+
 let tune_store t = t.tune
 
 let calibration t =
@@ -261,7 +282,7 @@ let has_unexcluded_candidate t (task : task) =
 
 let record_fault t ~kind ?(worker = "") ?(task = -1) detail =
   t.fault_events <-
-    { f_time = Sim.now t.sim; f_kind = kind; f_worker = worker; f_task = task;
+    { f_time = now t; f_kind = kind; f_worker = worker; f_task = task;
       f_detail = detail }
     :: t.fault_events;
   if Obs.Config.on () then
@@ -270,7 +291,7 @@ let record_fault t ~kind ?(worker = "") ?(task = -1) detail =
         (Printf.sprintf "%s%svt=%.6f%s%s"
            (if worker = "" then "" else worker ^ " ")
            (if task >= 0 then Printf.sprintf "t%d " task else "")
-           (Sim.now t.sim)
+           (now t)
            (if detail = "" then "" else " ")
            detail)
       ()
@@ -434,7 +455,7 @@ and steal t ws =
               ~args:
                 (Printf.sprintf "t%d %s<-%s vt=%.6f" task.t_id
                    ws.w.Machine_config.w_name v.w.Machine_config.w_name
-                   (Sim.now t.sim))
+                   (now t))
               ();
           stolen
       | None -> None)
@@ -480,7 +501,7 @@ and complete_task t ws task ~attempt ~dispatched ~compute_start ~bytes_in =
                 (Printf.sprintf "t%d pu=%s group=%s vt=%.6f" task.t_id
                    ws.w.Machine_config.w_name
                    (match task.t_group with Some g -> g | None -> "-")
-                   now)
+                   (t.epoch +. now))
               ~flow:(Obs.Trace_ctx.current_flow ())
               sp t1;
             Obs.Histogram.observe_named
@@ -508,7 +529,7 @@ and complete_task t ws task ~attempt ~dispatched ~compute_start ~bytes_in =
     (* Back-fill the placement decision with queue wait and the
        measured (virtual) compute seconds. *)
     if task.d_token >= 0 then begin
-      Obs.Decision.complete task.d_token ~dispatched
+      Obs.Decision.complete task.d_token ~dispatched:(t.epoch +. dispatched)
         ~actual_s:(now -. compute_start);
       task.d_token <- -1
     end;
@@ -522,9 +543,9 @@ and complete_task t ws task ~attempt ~dispatched ~compute_start ~bytes_in =
         tr_task = task.t_id;
         tr_codelet = task.codelet.Codelet.cl_name;
         tr_worker = ws.w.Machine_config.w_name;
-        tr_start = dispatched;
-        tr_compute_start = compute_start;
-        tr_end = now;
+        tr_start = t.epoch +. dispatched;
+        tr_compute_start = t.epoch +. compute_start;
+        tr_end = t.epoch +. now;
         tr_bytes_in = bytes_in;
       }
       :: t.events;
@@ -797,12 +818,14 @@ and heft_place t task =
       for i = Array.length t.workers - 1 downto 0 do
         if t.eligible.(i) then
           estimates :=
-            (t.workers.(i).w.Machine_config.w_name, t.eft.(i)) :: !estimates
+            (t.workers.(i).w.Machine_config.w_name, t.epoch +. t.eft.(i))
+            :: !estimates
       done;
       task.d_token <-
         Obs.Decision.record ~tag:t.label ~task:task.t_id ~codelet:cl_name
           ~pu:ws.w.Machine_config.w_name ~source ~est_s:t.est.(chosen)
-          ~eft_s:t.eft.(chosen) ~estimates:!estimates ~vt:now
+          ~eft_s:(t.epoch +. t.eft.(chosen))
+          ~estimates:!estimates ~vt:(t.epoch +. now)
     end;
     ws.free_estimate <- t.eft.(chosen);
     Some ws
@@ -815,7 +838,7 @@ and dispatch t task =
     Obs.Span.instant ~cat:"engine" ~name:"dispatch"
       ~args:
         (Printf.sprintf "t%d %s vt=%.6f" task.t_id (policy_to_string t.pol)
-           (Sim.now t.sim))
+           (now t))
       ();
   match t.pol with
   | Eager ->
@@ -950,6 +973,7 @@ let create ?(policy = Eager) ?pool ?faults ?tune ?(explore_eps = 0.05)
   let t =
     {
       sim = Sim.create ();
+      epoch = 0.0;
       cfg;
       pol = policy;
       label;
@@ -1167,7 +1191,8 @@ let set_gflops t ~worker gflops =
   if gflops <= 0.0 then invalid_arg "Engine.set_gflops: non-positive rate";
   apply_gflops t (find_worker t worker) gflops
 
-let at t ~time f = Sim.schedule_at t.sim ~time (fun () -> f ())
+let at t ~time f =
+  Sim.schedule_at t.sim ~time:(time -. t.epoch) (fun () -> f ())
 
 let fault_log t = List.rev t.fault_events
 
@@ -1268,7 +1293,7 @@ let wait_all t =
             live))
   end;
   {
-    makespan = Sim.now t.sim;
+    makespan = now t;
     tasks = t.total_tasks;
     bytes_transferred = t.bytes_transferred;
     worker_stats =

@@ -91,8 +91,23 @@ val policy : t -> policy
 
 val now : t -> float
 (** Current virtual time. Starts at 0 and advances across repeated
-    {!wait_all} calls — long-lived engines (the task service) read it
-    before and after a job's tasks to attribute per-job makespan. *)
+    {!wait_all} calls and {!rebase}s; the trace, the fault log and
+    {!at} use this timeline. *)
+
+val rebase : t -> unit
+(** [rebase t] moves the origin of the simulation's clock to the
+    current time, so {!elapsed} restarts from 0 while {!now}, the
+    trace and the fault log go on counting from the engine's
+    creation. Timed events still pending (fault-plan entries,
+    readmissions, {!at}) keep their place on that timeline. A
+    long-lived engine (the task service runs one per tenant and
+    shard) rebases before each job, so the job is simulated in the
+    same floating-point times, and reports the same makespan, whatever
+    the engine ran before. Does nothing while tasks are in flight. *)
+
+val elapsed : t -> float
+(** Virtual seconds since the last effective {!rebase} (since
+    creation if none). *)
 
 val tune_store : t -> Tune.Store.t option
 (** The calibration store handed to {!create}, if any. *)

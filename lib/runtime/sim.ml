@@ -108,11 +108,22 @@ let run t =
 
 let events_processed t = t.processed
 
+(* Shifting every time by the same amount keeps their order, but
+   rounding may turn two distinct times equal, which would hand the
+   tie to the sequence number; rebuilding the heap keeps it valid
+   under the new keys whatever happened. *)
+let rebase t by =
+  t.clock <- t.clock -. by;
+  let pending = Array.sub t.heap 0 t.size in
+  t.size <- 0;
+  Array.iter (fun ev -> push t { ev with time = ev.time -. by }) pending
+
 type resource = { rname : string; mutable free_at : float }
 
 let resource rname = { rname; free_at = 0.0 }
 let resource_name r = r.rname
 let busy_until r = r.free_at
+let rebase_resource r by = r.free_at <- r.free_at -. by
 
 let peek r ~at ~duration =
   let start = Float.max at r.free_at in

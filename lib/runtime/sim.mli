@@ -28,6 +28,10 @@ val run : t -> unit
 
 val events_processed : t -> int
 
+val rebase : t -> float -> unit
+(** [rebase t by] subtracts [by] from the clock and from the time of
+    every pending event, which keep their relative order. *)
+
 (** {1 Serially reusable resources} *)
 
 type resource
@@ -37,6 +41,10 @@ val resource : string -> resource
 
 val resource_name : resource -> string
 val busy_until : resource -> float
+
+val rebase_resource : resource -> float -> unit
+(** [rebase_resource r by] moves [r]'s busy horizon [by] seconds
+    earlier, for a clock rebased with {!rebase}. *)
 
 val acquire : resource -> at:float -> duration:float -> float * float
 (** [acquire r ~at ~duration] books the earliest slot of [duration]

@@ -788,31 +788,59 @@ let copy_buf (b : Matrix.buf) =
   b'
 
 (* Avx512 against Avx2 on random views: both kernels must write the
-   same bits everywhere in C's buffer.  Sizes reach below the 16 x 8
-   tile and past KC = 256. *)
+   same bits everywhere in C's buffer.  Sizes lean to the edges of one
+   and two 16 x 8 tiles, where the AVX-512 kernel's transposed
+   write-out masks rows and lanes, and reach past KC = 256.  A third
+   of the cases seed C with NaN, infinities and zeros of both signs,
+   take beta = 0 or 1, and zero every fourth row of A (an exact +0
+   sum, so alpha * acc + beta * c decides the sign of a zero): NaN
+   propagation and zero signs are pinned as well. *)
 let avx512_matches_avx2 =
-  let dim =
+  let edge l = QCheck.Gen.(frequency [ (2, oneofl l); (1, int_range 1 300) ]) in
+  let m_dim = edge (List.init 17 succ @ [ 31; 32; 33 ])
+  and n_dim = edge (List.init 9 succ @ [ 15; 16; 17 ])
+  and k_dim =
     QCheck.Gen.(frequency [ (1, int_range 1 17); (2, int_range 1 300) ])
   in
   let scalar =
     QCheck.Gen.(oneof [ oneofl [ 0.0; 1.0; -1.0 ]; float_range (-2.) 2. ])
   in
+  let specials = [| Float.nan; Float.infinity; Float.neg_infinity; -0.0 |] in
   QCheck.Test.make ~name:"avx512 micro-kernel = avx2 micro-kernel bit for bit"
-    ~count:30
+    ~count:200
     (QCheck.make
        QCheck.Gen.(
-         pair (triple dim dim dim)
+         triple (triple m_dim n_dim k_dim)
            (quad bool (float_range (-2.) 2.) scalar
-              (triple gen_place gen_place gen_place))))
-    (fun ((m, n, k), (trans_b, alpha, beta, (pl_a, pl_b, pl_c))) ->
+              (triple gen_place gen_place gen_place))
+           (frequency [ (2, return None); (1, map Option.some bool) ])))
+    (fun ((m, n, k), (trans_b, alpha, beta, (pl_a, pl_b, pl_c)), special) ->
       (not (Gemm_kernel.micro_supported Gemm_kernel.Avx512))
       ||
-      let a = place ~seed:1 pl_a (Matrix.random ~seed:m m k)
+      let a = Matrix.random ~seed:m m k in
+      if special <> None then
+        for i = 0 to m - 1 do
+          if i mod 4 = 1 then
+            for l = 0 to k - 1 do
+              Matrix.set a i l 0.0
+            done
+        done;
+      let a = place ~seed:1 pl_a a
       and b =
         place ~seed:2 pl_b
           (if trans_b then Matrix.random ~seed:n n k
            else Matrix.random ~seed:n k n)
       and c = place ~seed:3 pl_c (Matrix.random ~seed:k m n) in
+      let beta =
+        match special with
+        | None -> beta
+        | Some beta_one ->
+            for i = 0 to Bigarray.Array1.dim c.buf - 1 do
+              if i mod 3 <> 2 then
+                c.buf.{i} <- specials.((i / 3) mod Array.length specials)
+            done;
+            if beta_one then 1.0 else 0.0
+      in
       let run bmicro =
         let cbuf = copy_buf c.buf in
         Gemm_kernel.set_blocking
@@ -824,6 +852,62 @@ let avx512_matches_avx2 =
         snapshot { c with buf = cbuf } |> Array.map Int64.bits_of_float
       in
       run Gemm_kernel.Avx512 = run Gemm_kernel.Avx2)
+
+(* Sizes for the lower-triangle product: up to 600, so the reduction
+   crosses KC = 256 twice, with the KC edges and sizes that are no
+   multiple of the 16 x 8 tile weighted up. *)
+let gen_syrk_n =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_range 1 600);
+        (1, oneofl [ 1; 7; 17; 129; 255; 256; 257; 383; 511; 513; 599 ]) ])
+
+(* [lower_bits m] lists the bits of m's lower triangle, diagonal
+   included. *)
+let lower_bits (m : Matrix.t) =
+  List.concat
+    (List.init m.rows (fun i ->
+         List.init (i + 1) (fun j -> Int64.bits_of_float (Matrix.get m i j))))
+
+(* random_spd_lower into a NaN-filled target: on and below the
+   diagonal it is the full product m * m^T through the plain packed
+   GEMM, plus n on the diagonal, to the bit; NaN never leaks in. *)
+let spd_lower_matches_gemm =
+  QCheck.Test.make ~name:"random_spd_lower = gemm of src by itself + n*I"
+    ~count:25 (QCheck.make ~print:string_of_int gen_syrk_n) (fun n ->
+      let src = Matrix.create n n and a = Matrix.create n n in
+      Bigarray.Array1.fill a.data Float.nan;
+      Lapack.random_spd_lower ~seed:n ~src a;
+      let want = Matrix.create n n in
+      Gemm_kernel.gemm ~trans_b:true ~m:n ~n ~k:n ~alpha:1.0 ~beta:0.0
+        ~a:src.data ~aoff:0 ~lda:n ~b:src.data ~boff:0 ~ldb:n ~c:want.data
+        ~coff:0 ~ldc:n ();
+      for i = 0 to n - 1 do
+        Matrix.set want i i (Matrix.get want i i +. float_of_int n)
+      done;
+      lower_bits a = lower_bits want)
+
+(* dsyrk_ln = dgemm_nt of A by itself on the lower triangle, bit for
+   bit, and symmetric, with and without a pool. *)
+let dsyrk_matches_dgemm_nt =
+  QCheck.Test.make ~name:"dsyrk_ln = dgemm_nt (alpha = -1) and is symmetric"
+    ~count:25
+    (QCheck.make
+       ~print:QCheck.Print.(pair int int)
+       QCheck.Gen.(pair gen_syrk_n (int_range 1 600)))
+    (fun (n, k) ->
+      let a = Matrix.random ~seed:k n k in
+      let c0 = Lapack.random_spd ~seed:n n in
+      let want = Matrix.copy c0 in
+      Lapack.dgemm_nt ~a ~b:a want;
+      let run ?pool () =
+        let c = Matrix.copy c0 in
+        Lapack.dsyrk_ln ?pool ~a c;
+        lower_bits c = lower_bits want
+        && bits_of c
+           = bits_of (Matrix.init n n (fun i j -> Matrix.get c j i))
+      in
+      run () && run ~pool:view_pool ())
 
 (* The left-looking row solve the C loop replaced, kept as the
    reference: x[r][j] = (x[r][j] - sum_t x[r][t]*l[j][t]) / l[j][j],
@@ -1104,7 +1188,8 @@ let () =
                 packed_matches_naive; daxpy_linear;
                 pooled_dgemm_matches_sequential; dpotrf_view_matches;
                 dtrsm_view_matches; dsyrk_view_matches; dgemm_nt_view_matches;
-                avx512_matches_avx2; solve_rows_matches_reference;
+                avx512_matches_avx2; spd_lower_matches_gemm;
+                dsyrk_matches_dgemm_nt; solve_rows_matches_reference;
                 dpotrf_matches_reference;
               ] );
         ];

@@ -384,28 +384,16 @@ let engine_interleave =
 (* Job buffers: a warm service reuses its matrices                     *)
 
 (* One job through [svc]: its DONE frame with the id zeroed, a fixed
-   clock and trace context setting the rest, and the same frame with
-   makespan_s zeroed too.  makespan_s is a difference of the shard
-   engine's virtual clock, which accumulates across jobs, so its last
-   bits depend on what ran before on that engine. *)
+   clock and trace context setting the rest.  makespan_s stays in: a
+   shard engine simulates each job from a clock origin of 0, so its
+   bits do not depend on what ran before on that engine. *)
 let done_bytes svc job =
   ignore
     (Service.submit svc ~tenant:"t" ~trace:"00000000000000a1-00000000000000b2"
        job);
   match Service.run_until_idle svc with
-  | [ P.Done d ] ->
-      let frame status =
-        P.reply_to_string (P.Done { d with id = 0; status })
-      in
-      let timeless =
-        match d.status with
-        | P.Jok o -> P.Jok { o with makespan_s = 0.0 }
-        | st -> st
-      in
-      (frame d.status, frame timeless)
-  | rs ->
-      let e = Printf.sprintf "%d replies" (List.length rs) in
-      (e, e)
+  | [ P.Done d ] -> P.reply_to_string (P.Done { d with id = 0 })
+  | rs -> Printf.sprintf "%d replies" (List.length rs)
 
 let buffer_service () =
   Service.create ~shards:1 ~now:(fun () -> 0.0) (cfg_of "xeon-2gpu")
@@ -439,7 +427,7 @@ let buffers_reuse =
     (fun jobs ->
       let jobs = jobs @ List.rev jobs in
       let fresh =
-        List.map (fun j -> snd (done_bytes (buffer_service ()) j)) jobs
+        List.map (fun j -> done_bytes (buffer_service ()) j) jobs
       in
       let run ~poison =
         let svc = buffer_service () in
@@ -453,10 +441,29 @@ let buffers_reuse =
           jobs
       in
       let clean = run ~poison:false in
-      List.map snd clean = fresh && run ~poison:true = clean)
+      clean = fresh && run ~poison:true = clean)
 
 let buffer_tests =
   [
+    Alcotest.test_case "a warm Cholesky 512 job grows no packing buffer" `Quick
+      (fun () ->
+        Obs.Config.set_enabled true;
+        Obs.Counter.reset_all ();
+        let pack_allocs () =
+          List.find
+            (fun c -> Obs.Counter.name c = "gemm_pack_alloc")
+            (Obs.Counter.all ())
+          |> Obs.Counter.value
+        in
+        let svc = buffer_service () in
+        let job seed = P.Cholesky { n = 512; tiles = 4; seed } in
+        ignore (done_bytes svc (job 1));
+        let warm = pack_allocs () in
+        ignore (done_bytes svc (job 2));
+        let after = pack_allocs () in
+        Obs.Export.reset_all ();
+        Obs.Config.set_enabled false;
+        check int_ "the second job allocates nothing" warm after);
     Alcotest.test_case "a warm service allocates no job buffer" `Quick
       (fun () ->
         Obs.Config.set_enabled true;
